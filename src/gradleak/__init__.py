@@ -28,14 +28,7 @@ from .extraction import (
     recover_z,
     select_parameters,
 )
-from .geometry import (
-    ChebyshevResult,
-    build_candidate_points,
-    chebyshev_center,
-    select_full_rank_subset,
-    sign_query_points,
-    simplex_maximize,
-)
+from .geometry import sign_query_points
 from .model import (
     RecoveredModel,
     TwoLayerNet,
@@ -78,7 +71,6 @@ from .validation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebyshevResult",
     "ConfigError",
     "EquivalenceReport",
     "ExtractionConfig",
@@ -103,10 +95,8 @@ __all__ = [
     "ZRecovery",
     "binary_search_segment",
     "block_sign_matrix",
-    "build_candidate_points",
     "cell_mask",
     "check_fd_exactness",
-    "chebyshev_center",
     "eval_recovered",
     "eval_target",
     "fd_gradient",
@@ -130,10 +120,8 @@ __all__ = [
     "recovered_from_net",
     "save_net",
     "save_recovered",
-    "select_full_rank_subset",
     "select_parameters",
     "sign_query_points",
-    "simplex_maximize",
     "smoothgrad",
     "solve_linear_system",
 ]

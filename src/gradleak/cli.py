@@ -1,9 +1,7 @@
 """Command-line surface: gen, extract, verify, lemmas, bench.
 
 Exit codes: 0 success, 1 usage/IO errors, 2 extraction failure signaled,
-3 verification mismatch. cmd_bench fans trials across threads when
-GRADLEAK_THREADS is set (0 = one thread per CPU); rows are always written in
-(h, trial) order regardless of completion order.
+3 verification mismatch.
 """
 
 from __future__ import annotations
@@ -11,16 +9,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    ConfigError,
     ExtractionFailure,
     GeometryError,
     GradleakError,
@@ -154,13 +149,14 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _failure_report(cfg: ExtractionConfig, oracle: Oracle) -> dict:
+def _failure_report(err: GradleakError, oracle: Oracle) -> dict:
     return {
         "success": False,
-        "retries": cfg.max_retries,
+        "phase": err.phase,
+        "retries": err.retries,
         "gradient_queries": oracle.ledger.gradient_queries,
         "value_queries": oracle.ledger.value_queries,
-        "crossings": [],
+        "crossings": err.crossings,
     }
 
 
@@ -185,7 +181,7 @@ def cmd_extract(args) -> int:
     except (ExtractionFailure, GeometryError, SignRecoveryError) as err:
         print(f"extraction failed: {err}", file=sys.stderr)
         if args.report:
-            Path(args.report).write_text(json.dumps(_failure_report(cfg, oracle), indent=2) + "\n")
+            Path(args.report).write_text(json.dumps(_failure_report(err, oracle), indent=2) + "\n")
         return EXIT_EXTRACTION_FAILED
     save_recovered(report.model, args.out)
     if args.report:
@@ -247,21 +243,7 @@ def cmd_lemmas(args) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_MISMATCH
 
 
-def _bench_workers() -> int:
-    raw = os.environ.get("GRADLEAK_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as err:
-        raise ConfigError(f"GRADLEAK_THREADS must be an integer, got {raw!r}") from err
-    if n < 0:
-        raise ConfigError("GRADLEAK_THREADS must be non-negative")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
-def _bench_trial(spec) -> dict:
-    h, d, mode, trial, delta, base_seed = spec
+def _bench_trial(h: int, d: int, mode: str, trial: int, delta: float, base_seed: int) -> dict:
     seeds = np.random.SeedSequence([base_seed, h, trial]).generate_state(3, dtype=np.uint64)
     net_seed, extract_seed, verify_seed = (int(s) for s in seeds)
     net = generate_random_net(d, h, c_min=_GENERATOR_C_MIN, w_min=_GENERATOR_W_MIN, seed=net_seed)
@@ -303,19 +285,11 @@ def cmd_bench(args) -> int:
         if h > args.d:
             raise _UsageError(f"h={h} exceeds d={args.d}")
 
-    specs = [
-        (h, args.d, args.mode, trial, args.delta, args.seed)
+    rows = [
+        _bench_trial(h, args.d, args.mode, trial, args.delta, args.seed)
         for h in h_list
         for trial in range(args.trials)
     ]
-    workers = _bench_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_trial, specs))
-    else:
-        rows = [_bench_trial(spec) for spec in specs]
-
-    rows.sort(key=lambda r: (h_list.index(r["h"]), r["trial"]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=BENCH_HEADER)
         writer.writeheader()

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 
 class GradleakError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    learn_model sets phase ("search" or "sign"), retries and crossings on the
+    errors it re-raises, so a failure report can say where the run stopped.
+    """
 
 
 class GenerationError(GradleakError):
@@ -20,7 +24,7 @@ class SingularMatrixError(GradleakError):
 
 
 class GeometryError(GradleakError):
-    """Sign-recovery query-point construction failed (thin cell, rank loss)."""
+    """Sign-recovery query points could not be placed (Z Z^T singular)."""
 
 
 class ExtractionFailure(GradleakError):

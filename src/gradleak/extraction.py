@@ -4,7 +4,8 @@ Step one recovers the weighted hyperplane normals up to sign: draw a random
 line u + t v, binary-search for the points where the oracle's gradient
 changes, and record the gradient difference across each change as a row of Z.
 Step two recovers the sign vector s by solving 2h linear equations built from
-value queries at points deep inside a single cell (see geometry).
+value queries at h points of one cell and their negations; geometry places
+them in closed form so that ZX = diag(sigma)(I + J) is well conditioned.
 
 Exact-gradient modes (grad, smoothgrad) follow the textbook search directly:
 gradients are piecewise constant, so a nonzero difference across a bracket
@@ -21,7 +22,9 @@ t -> f(u + t v), which is piecewise linear: a slope change over a bracket
 certifies a crossing at every bracket width float64 can represent. Rows are
 then recomputed exactly by finite differences at unit-rescaled cell midpoints,
 far from every hyperplane (gradients are scale-invariant because the
-hyperplanes pass through the origin).
+hyperplanes pass through the origin). Each refined gradient g at p must satisfy
+Euler's identity f(p) = <g, p>; a cell too thin for the refinement step fails
+it, and the attempt is retried rather than returning mixed rows.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtractionFailure, SignRecoveryError, SingularMatrixError
+from .errors import ExtractionFailure, GradleakError, SignRecoveryError, SingularMatrixError
 from .geometry import sign_query_points
 from .model import RecoveredModel
 from .numerics import SOLVE_RESIDUAL_TOL, as_matrix, block_sign_matrix, solve_linear_system
@@ -42,6 +45,9 @@ from .oracle import Oracle
 GRAD_CHANGE_TOL = 1e-7
 # Step for the membership-mode row refinement at unit-norm points.
 REFINE_ETA = 1e-4
+# Relative tolerance of the Euler identity f(p) = <grad f(p), p> checked at
+# each refinement point (rounding leaves ~1e-13; a straddled step ~1e-3).
+EULER_TOL = 1e-8
 # Attacker-model cap on |w_i| used only to scale membership slope thresholds.
 WEIGHT_CAP = 10.0
 # Rounded sign entries must be within this of the solved values.
@@ -322,14 +328,20 @@ def _membership_attempt(oracle: Oracle, u, v, cfg: ExtractionConfig):
 
     # Row refinement: cell gradients at unit-rescaled midpoints between
     # consecutive crossings; consecutive differences are the weighted normals
-    # in crossing order.
+    # in crossing order. f is positively homogeneous, so inside a cell
+    # f(p) = <grad f(p), p>; a finite difference whose step straddles a
+    # hyperplane (a thin cell) breaks that identity and the attempt is retried
+    # instead of returning mixed rows.
     edges = [-l] + crossings + [l]
     cell_grads = []
     for k in range(h + 1):
         t_mid = 0.5 * (edges[k] + edges[k + 1])
         p = uu + t_mid * vv
         p = p / _norm(p)
-        cell_grads.append(oracle.gradient(p, eta=REFINE_ETA))
+        g, f_p = oracle.gradient_with_value(p, eta=REFINE_ETA)
+        if abs(float(g @ p) - f_p) > EULER_TOL * (1.0 + abs(f_p) + _norm(g)):
+            raise ExtractionFailure("refinement step straddles a hyperplane; cell is too thin")
+        cell_grads.append(g)
     rows = np.vstack([cell_grads[k + 1] - cell_grads[k] for k in range(h)])
     if np.any(np.sqrt(np.sum(rows * rows, axis=1)) <= 1e-6):
         raise ExtractionFailure("refined row is degenerate; crossing was mislocated")
@@ -361,10 +373,11 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng=None) -> ZRecovery:
 def recover_s(oracle: Oracle, z, rng=None) -> np.ndarray:
     """Solve for the sign vector s in {-1,0,1}^(2h) using 2h value queries.
 
-    Builds query points X inside one cell (geometry), assembles the block sign
-    matrix of ZX, solves M s = [f(x_1)..f(x_h), f(-x_1)..f(-x_h)], rounds, and
-    validates. A solution that does not round to the required pattern signals
-    that the recovered normals were wrong.
+    Places h query points X in one cell with ZX = diag(sigma)(I + J)
+    (geometry; GeometryError when Z is rank deficient), assembles the block
+    sign matrix of ZX, solves M s = [f(x_1)..f(x_h), f(-x_1)..f(-x_h)], rounds,
+    and validates. A solution that does not round to the required pattern
+    signals that the recovered normals were wrong.
     """
     zm = as_matrix(z)
     h = zm.shape[0]
@@ -406,12 +419,20 @@ def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
 
     Failures are raised, never silently mis-recovered: ExtractionFailure from
     the search, GeometryError from query-point construction, SignRecoveryError
-    from an inconsistent sign solve.
+    from an inconsistent sign solve. The raised error carries the failing
+    phase ("search" or "sign"), the retries spent and the crossings found.
     """
     seq = np.random.SeedSequence(cfg.seed)
     z_seed, s_seed = seq.spawn(2)
-    zres = recover_z(oracle, cfg, rng=np.random.default_rng(z_seed))
-    s = recover_s(oracle, zres.Z, rng=np.random.default_rng(s_seed))
+    zres = None
+    try:
+        zres = recover_z(oracle, cfg, rng=np.random.default_rng(z_seed))
+        s = recover_s(oracle, zres.Z, rng=np.random.default_rng(s_seed))
+    except GradleakError as err:
+        err.phase = "search" if zres is None else "sign"
+        err.retries = cfg.max_retries if zres is None else zres.retries
+        err.crossings = [] if zres is None else list(zres.probe.crossings)
+        raise
     model = RecoveredModel(Z=zres.Z, s=s)
     model.validate_signs()
     return ExtractionReport(

@@ -1,258 +1,50 @@
-"""Sign-recovery query-point construction.
+"""Sign-recovery query points in closed form.
 
-Given recovered weighted normals Z, pick h points that all lie strictly inside
-one cell of the hyperplane arrangement and make ZX full rank:
+For recovered weighted normals Z (h x d, full row rank) and a sign vector
+sigma, X = Z^T (Z Z^T)^-1 diag(sigma)(I + J) gives Z X = diag(sigma)(I + J),
+with J the all-ones matrix: every column lies in the cell with sign pattern
+sigma, every pre-activation has magnitude at least 1, and cond(ZX) = h + 1.
 
-  1. find the largest ball inside (cell containing v) intersect [0,1]^d via a
-     linear program (Chebyshev center),
-  2. fan out d candidate points y0 + (r/2) e_i inside that ball,
-  3. greedily select h of them so ZX is nonsingular.
-
-The LP is solved by a small dense two-phase simplex (Bland's rule for
-determinism and anti-cycling); problem sizes here are tiny.
+X is computed as Q^T L^-1 diag(sigma)(I + J) from Z = L Q (Gram-Schmidt on
+the rows): forming Z Z^T would square cond(Z), which reaches ~3e5 on square
+instances (d = h = 16) and would push the solve's pivots below tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import GeometryError
-from .numerics import as_matrix
+from .errors import GeometryError, SingularMatrixError
+from .numerics import RANK_PIVOT_TOL, as_matrix, solve_linear_system
 
-# LP feasibility / pivot tolerance.
-LP_TOL = 1e-9
-# Minimum usable inscribed-ball radius; below this the cell barely meets the box.
-MIN_RADIUS = 1e-9
-# At the LP optimum at least one constraint must be tight within this.
-TIGHTNESS_TOL = 1e-7
-# Every selected query point must keep all pre-activations above this.
-MIN_PREACTIVATION = 1e-9
+# Largest tolerated entry of |ZX - diag(sigma)(I + J)|; entries are at least 1.
+RESIDUAL_TOL = 0.5
 
 
-class SimplexError(GeometryError):
-    """LP is infeasible, unbounded, or exceeded its pivot budget."""
-
-
-@dataclass(frozen=True)
-class ChebyshevResult:
-    """Inscribed ball (center y0, radius r) and the cell's sign pattern."""
-
-    y0: np.ndarray
-    r: float
-    cell_sign: np.ndarray
-
-
-def simplex_maximize(objective, a_ub, b_ub, tol: float = LP_TOL, max_iter: int | None = None):
-    """Maximize objective . x subject to a_ub x <= b_ub, x >= 0.
-
-    Dense tableau two-phase simplex. Entering and leaving variables follow
-    Bland's smallest-index rule, which is deterministic and cannot cycle.
-    Returns the optimal x.
-    """
-    a = as_matrix(a_ub)
-    m, n = a.shape
-    b = np.asarray(b_ub, dtype=float)
-    c = np.asarray(objective, dtype=float)
-    if b.shape != (m,) or c.shape != (n,):
-        raise ValueError("inconsistent LP dimensions")
-    if max_iter is None:
-        max_iter = 200 * (m + n + 10)
-
-    # Rows with negative b are flipped so the right-hand side is nonnegative;
-    # flipped rows get artificial variables, the rest start on their slacks.
-    neg = b < 0
-    a = np.where(neg[:, None], -a, a)
-    b = np.abs(b)
-    slack_sign = np.where(neg, -1.0, 1.0)
-
-    n_art = int(np.sum(neg))
-    width = n + m + n_art + 1
-    tab = np.zeros((m + 1, width))
-    tab[:m, :n] = a
-    tab[:m, n : n + m] = np.diag(slack_sign)
-    tab[:m, -1] = b
-
-    basis = np.empty(m, dtype=int)
-    art_cols = []
-    next_art = n + m
-    for i in range(m):
-        if neg[i]:
-            tab[i, next_art] = 1.0
-            basis[i] = next_art
-            art_cols.append(next_art)
-            next_art += 1
-        else:
-            basis[i] = n + i
-
-    def pivot(row: int, col: int) -> None:
-        tab[row] /= tab[row, col]
-        for r in range(m + 1):
-            if r != row and tab[r, col] != 0.0:
-                tab[r] -= tab[r, col] * tab[row]
-        basis[row] = col
-
-    def run(active_cols: int) -> None:
-        for _ in range(max_iter):
-            costs = tab[m, :active_cols]
-            candidates = np.nonzero(costs < -tol)[0]
-            if candidates.size == 0:
-                return
-            col = int(candidates[0])  # Bland: smallest index enters
-            ratios = np.full(m, np.inf)
-            positive = tab[:m, col] > tol
-            ratios[positive] = tab[:m, -1][positive] / tab[:m, col][positive]
-            best = np.min(ratios)
-            if not np.isfinite(best):
-                raise SimplexError("linear program is unbounded")
-            tied = np.nonzero(ratios <= best + tol * (1 + abs(best)))[0]
-            row = int(tied[np.argmin(basis[tied])])  # Bland: smallest basic index leaves
-            pivot(row, col)
-        raise SimplexError("simplex exceeded its pivot budget")
-
-    if n_art:
-        # Phase 1: drive the artificials to zero.
-        tab[m, art_cols] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                tab[m] -= tab[i]
-        run(n + m + n_art)
-        if tab[m, -1] < -tol:
-            raise SimplexError("linear program is infeasible")
-        for i in range(m):
-            if basis[i] in art_cols:
-                # Degenerate artificial still basic: pivot it out if possible.
-                row_cols = np.nonzero(np.abs(tab[i, : n + m]) > tol)[0]
-                if row_cols.size:
-                    pivot(i, int(row_cols[0]))
-        tab[:, n + m : n + m + n_art] = 0.0
-        tab[m, :] = 0.0
-
-    # Phase 2 objective: minimize -c.x expressed in the current basis.
-    tab[m, :n] = -c
-    tab[m, n:] = 0.0
-    for i in range(m):
-        if basis[i] < n and tab[m, basis[i]] != 0.0:
-            tab[m] -= tab[m, basis[i]] * tab[i]
-    run(n + m)
-
-    x = np.zeros(n + m)
-    x[basis] = tab[:m, -1]
-    return x[:n]
-
-
-def chebyshev_center(z, v) -> ChebyshevResult:
-    """Largest ball inside (open cell containing v) intersect [0,1]^d.
-
-    Maximizes r subject to sgn(<Z_i,v>) <Z_i,y0> >= r ||Z_i|| for every row
-    and r <= y0_j <= 1 - r for every coordinate. Raises GeometryError when the
-    optimum radius is below MIN_RADIUS (cell barely touches the box).
-    """
+def sign_query_points(z, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Return (X, sigma): h points in cell sigma with ZX = diag(sigma)(I + J)."""
     zm = as_matrix(z)
-    h, d = zm.shape
-    vv = np.asarray(v, dtype=float)
-    if vv.shape != (d,):
-        raise ValueError(f"v must have shape ({d},), got {vv.shape}")
-    norms = np.sqrt(np.sum(zm * zm, axis=1))
-    if np.any(norms == 0.0):
-        raise ValueError("Z must have no zero rows")
-    pre = zm @ vv
-    if np.any(np.abs(pre) <= 1e-12 * norms * max(float(np.sqrt(vv @ vv)), 1.0)):
-        raise GeometryError("v lies on a recovered hyperplane; redraw v")
-    sign = np.sign(pre)
-
-    unit_rows = (sign[:, None] * zm) / norms[:, None]
-    # Variables (y0, r): cell rows -u_i.y0 + r <= 0, box rows -y0_j + r <= 0
-    # and y0_j + r <= 1; maximize r. b >= 0, so phase 1 never engages here.
-    eye = np.eye(d)
-    a_ub = np.vstack(
-        [
-            np.hstack([-unit_rows, np.ones((h, 1))]),
-            np.hstack([-eye, np.ones((d, 1))]),
-            np.hstack([eye, np.ones((d, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([np.zeros(h + d), np.ones(d)])
-    objective = np.zeros(d + 1)
-    objective[-1] = 1.0
-
-    x = simplex_maximize(objective, a_ub, b_ub)
-    y0, r = x[:d], float(x[d])
-    if r <= MIN_RADIUS:
-        raise GeometryError(f"inscribed ball radius {r:.3e} too small; cell barely meets the box")
-
-    slacks = b_ub - a_ub @ x
-    if float(np.min(slacks)) > TIGHTNESS_TOL:
-        raise GeometryError("no tight constraint at the LP optimum; radius not maximal")
-    return ChebyshevResult(y0=y0, r=r, cell_sign=sign.astype(int))
-
-
-def build_candidate_points(res: ChebyshevResult, d: int) -> np.ndarray:
-    """d x d matrix whose column i is y0 + (r/2) e_i.
-
-    All columns lie in the open ball of radius r around y0, hence share the
-    center's cell, and the column differences (r/2) I have full rank.
-    """
-    if res.y0.shape != (d,):
-        raise ValueError(f"center has dimension {res.y0.shape[0]}, expected {d}")
-    return res.y0[:, None] + (res.r / 2.0) * np.eye(d)
-
-
-def select_full_rank_subset(z, y) -> np.ndarray:
-    """Pick h columns of Y so that ZX is nonsingular with no zero entries.
-
-    Greedy column pivoting on ZY: at each step take the column with the
-    largest remaining entry and eliminate. Raises GeometryError when fewer
-    than h pivots clear the tolerance (rank-deficient Z).
-    """
-    zm = as_matrix(z)
-    ym = as_matrix(y)
     h = zm.shape[0]
-    if zm.shape[1] != ym.shape[0]:
-        raise ValueError("Z columns must match Y rows")
-    work = zm @ ym
-    scale = np.max(np.abs(work))
-    if scale == 0.0:
-        raise GeometryError("ZY is identically zero")
-    cutoff = 1e-9 * scale
+    sigma = rng.choice((-1.0, 1.0), size=h)
+    target = sigma[:, None] * (np.eye(h) + 1.0)
 
-    chosen: list[int] = []
-    available = list(range(ym.shape[1]))
-    rows_left = list(range(h))
-    for _ in range(h):
-        sub = np.abs(work[np.ix_(rows_left, available)])
-        i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if sub[i, j] <= cutoff:
-            raise GeometryError("ZY has numerical rank below h")
-        prow, pcol = rows_left[i], available[j]
-        chosen.append(pcol)
-        available.remove(pcol)
-        rows_left.remove(prow)
-        for r in rows_left:
-            work[r] -= (work[r, pcol] / work[prow, pcol]) * work[prow]
+    q = zm.copy()
+    lower = np.zeros((h, h))
+    for i in range(h):
+        for _ in range(2):  # a second pass restores orthogonality lost to rounding
+            coef = q[:i] @ q[i]
+            q[i] -= coef @ q[:i]
+            lower[i, :i] += coef
+        lower[i, i] = np.sqrt(q[i] @ q[i])
+        if lower[i, i] <= RANK_PIVOT_TOL * np.sqrt(zm[i] @ zm[i]):
+            raise GeometryError(f"row {i} of Z is zero or in the span of the rows before it")
+        q[i] /= lower[i, i]
+    try:
+        y = np.column_stack([solve_linear_system(lower, target[:, j]) for j in range(h)])
+    except SingularMatrixError as err:
+        raise GeometryError(f"Z is too ill-conditioned for sign recovery: {err}") from err
 
-    x = ym[:, sorted(chosen)]
-    if np.min(np.abs(zm @ x)) <= MIN_PREACTIVATION:
-        raise GeometryError("a selected query point sits on a recovered hyperplane")
-    return x
-
-
-def sign_query_points(z, rng, max_draws: int = 32) -> tuple[np.ndarray, ChebyshevResult]:
-    """Draw cell vectors v until the construction succeeds; return (X, ball).
-
-    v is drawn uniformly on (0,1)^d so the cell containing it always meets the
-    unit box with nonempty interior.
-    """
-    zm = as_matrix(z)
-    d = zm.shape[1]
-    last_error: GeometryError | None = None
-    for _ in range(max_draws):
-        v = rng.uniform(0.0, 1.0, size=d)
-        try:
-            ball = chebyshev_center(zm, v)
-            y = build_candidate_points(ball, d)
-            return select_full_rank_subset(zm, y), ball
-        except GeometryError as err:
-            last_error = err
-    raise GeometryError(f"no usable cell found in {max_draws} draws: {last_error}")
+    x = q.T @ y
+    if np.max(np.abs(zm @ x - target)) > RESIDUAL_TOL:
+        raise GeometryError("query points miss their target pre-activations; Z is ill-conditioned")
+    return x, sigma.astype(int)

@@ -296,6 +296,43 @@ class TestLearnModel:
         for cg, cm in zip(grad_report.crossings, mem_report.crossings):
             assert abs(cg - cm) <= 2.0 * ExtractionConfig(h=8).epsilon + 1e-6
 
+    def test_membership_thin_cell_is_retried_not_returned(self):
+        # Net 27 of the membership acceptance batch has a cell about 1.4e-3
+        # wide on the first search line; the finite-difference refinement
+        # straddled its hyperplane and mixed two rows. The result must now
+        # either verify or be an honest failure.
+        from gradleak import GradleakError, functional_equivalence
+
+        net_seed, run_seed, check_seed = (
+            int(s) for s in np.random.SeedSequence([4001, 27]).generate_state(3, dtype=np.uint64)
+        )
+        net = generate_random_net(20, 8, c_min=0.1, w_min=0.1, seed=net_seed)
+        oracle = Oracle(net, mode="membership")
+        cfg = ExtractionConfig(h=8, delta=0.1, c=0.01, seed=run_seed)
+        try:
+            report = learn_model(oracle, cfg)
+        except GradleakError:
+            return
+        eq = functional_equivalence(net, report.model, 10_000, 1e-7, seed=check_seed)
+        assert eq.passed, f"verify error {eq.max_rel_error:.3e}"
+
+    def test_failure_carries_phase_retries_and_crossings(self):
+        from gradleak import GradleakError
+
+        net = generate_random_net(12, 5, seed=1)
+        with pytest.raises(GradleakError) as sign_err:
+            learn_model(Oracle(net), ExtractionConfig(h=4, seed=0))
+        assert sign_err.value.phase == "sign"
+        assert sign_err.value.retries == 0
+        assert len(sign_err.value.crossings) == 4
+
+        cfg = ExtractionConfig(h=8, seed=0, max_retries=1)
+        with pytest.raises(ExtractionFailure) as search_err:
+            learn_model(Oracle(net), cfg)
+        assert search_err.value.phase == "search"
+        assert search_err.value.retries == 1
+        assert search_err.value.crossings == []
+
     def test_wrong_width_signals_failure(self):
         from gradleak.errors import GeometryError, SignRecoveryError
 

@@ -1,172 +1,61 @@
-"""Chebyshev-center LP, candidate fan-out, and full-rank column selection."""
+"""Closed-form sign-query points: ZX = diag(sigma)(I + J)."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import linprog
 
-from gradleak import (
-    GeometryError,
-    build_candidate_points,
-    chebyshev_center,
-    generate_random_net,
-    select_full_rank_subset,
-    sign_query_points,
-    simplex_maximize,
-)
-from gradleak.geometry import SimplexError, TIGHTNESS_TOL
-from gradleak.numerics import rank_with_tolerance
+from gradleak import GeometryError, generate_random_net, sign_query_points
 
 
-class TestSimplex:
-    def test_simple_bounded(self):
-        # max x+y st x<=1, y<=2
-        x = simplex_maximize([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0])
-        assert_allclose(x, [1.0, 2.0], atol=1e-9)
+def weighted_normals(d, h, seed):
+    net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=seed)
+    return net.w[:, None] * net.A
 
-    def test_degenerate_rhs(self):
-        # max y st y - x <= 0, x <= 3 (y=x=3)
-        x = simplex_maximize([0.0, 1.0], [[-1.0, 1.0], [1.0, 0.0]], [0.0, 3.0])
-        assert_allclose(x, [3.0, 3.0], atol=1e-9)
 
-    def test_unbounded(self):
-        with pytest.raises(SimplexError):
-            simplex_maximize([1.0], [[-1.0]], [0.0])
+def target(sigma):
+    h = sigma.shape[0]
+    return sigma[:, None] * (np.eye(h) + 1.0)
 
-    def test_infeasible_phase_one(self):
-        # x >= 1 and x <= 0.5 cannot hold together.
-        with pytest.raises(SimplexError):
-            simplex_maximize([1.0], [[-1.0], [1.0]], [-1.0, 0.5])
 
-    def test_negative_rhs_feasible(self):
-        # x >= 1, x <= 3, maximize -x => x = 1.
-        x = simplex_maximize([-1.0], [[-1.0], [1.0]], [-1.0, 3.0])
-        assert_allclose(x, [1.0], atol=1e-9)
-
-    def test_matches_scipy_on_random_problems(self):
+class TestSignQueryPoints:
+    def test_zx_matches_target(self):
         rng = np.random.default_rng(0)
-        for _ in range(25):
-            n, m = int(rng.integers(2, 6)), int(rng.integers(3, 9))
-            a = rng.standard_normal((m, n))
-            b = rng.uniform(0.5, 2.0, size=m)
-            c = rng.standard_normal(n)
-            ref = linprog(-c, A_ub=a, b_ub=b, bounds=[(0, None)] * n, method="highs")
-            if not ref.success:
-                continue
-            x = simplex_maximize(c, a, b)
-            assert float(c @ x) == pytest.approx(-ref.fun, abs=1e-7)
-            assert np.all(a @ x <= b + 1e-8)
-            assert np.all(x >= -1e-10)
+        for trial in range(20):
+            z = weighted_normals(16, 6, seed=trial)
+            x, sigma = sign_query_points(z, rng)
+            assert x.shape == (16, 6)
+            assert_allclose(z @ x, target(sigma), rtol=1e-9, atol=1e-9)
 
-
-class TestChebyshevCenter:
-    def test_positive_quadrant(self):
-        res = chebyshev_center(np.eye(2), np.array([1.0, 1.0]))
-        assert_allclose(res.y0, [0.5, 0.5], atol=1e-9)
-        assert res.r == pytest.approx(0.5, abs=1e-9)
-        assert res.cell_sign.tolist() == [1, 1]
-
-    def test_single_halfspace_in_the_square(self):
-        res = chebyshev_center(np.array([[1.0, 0.0]]), np.array([1.0, 0.0]))
-        assert res.r == pytest.approx(0.5, abs=1e-9)
-        assert res.y0[0] == pytest.approx(0.5, abs=1e-9)
-        assert 0.5 - 1e-9 <= res.y0[1] <= 0.5 + 1e-9
-
-    def test_cell_outside_box(self):
-        with pytest.raises(GeometryError):
-            chebyshev_center(np.eye(2), np.array([-1.0, 1.0]))
-
-    def test_v_on_hyperplane_rejected(self):
-        with pytest.raises(GeometryError):
-            chebyshev_center(np.eye(2), np.array([0.0, 1.0]))
-
-    def test_ball_inside_cell_and_box(self):
+    def test_columns_lie_in_cell_sigma(self):
         rng = np.random.default_rng(1)
         for trial in range(20):
-            net = generate_random_net(6, 4, seed=trial)
-            z = net.w[:, None] * net.A
-            v = rng.uniform(0.0, 1.0, size=6)
-            try:
-                res = chebyshev_center(z, v)
-            except GeometryError:
-                continue
-            norms = np.sqrt(np.sum(z * z, axis=1))
-            margin = res.cell_sign * (z @ res.y0)
-            assert np.all(margin >= res.r * norms - 1e-9)
-            assert np.all(res.y0 >= res.r - 1e-9)
-            assert np.all(res.y0 <= 1.0 - res.r + 1e-9)
-
-    def test_some_constraint_is_tight(self):
-        rng = np.random.default_rng(2)
-        net = generate_random_net(5, 3, seed=9)
-        z = net.w[:, None] * net.A
-        res = chebyshev_center(z, rng.uniform(0.0, 1.0, size=5))
-        norms = np.sqrt(np.sum(z * z, axis=1))
-        slacks = np.concatenate(
-            [
-                res.cell_sign * (z @ res.y0) / norms - res.r,
-                res.y0 - res.r,
-                1.0 - res.r - res.y0,
-            ]
-        )
-        assert float(np.min(slacks)) <= TIGHTNESS_TOL
-
-
-class TestCandidatePoints:
-    def test_formula(self):
-        res = chebyshev_center(np.eye(2), np.array([1.0, 1.0]))
-        y = build_candidate_points(res, 2)
-        assert_allclose(y[:, 0], [0.75, 0.5], atol=1e-9)
-        assert_allclose(y[:, 1], [0.5, 0.75], atol=1e-9)
-
-    def test_columns_stay_in_ball_and_cell(self):
-        net = generate_random_net(6, 4, seed=3)
-        z = net.w[:, None] * net.A
-        rng = np.random.default_rng(3)
-        res = chebyshev_center(z, rng.uniform(0.0, 1.0, size=6))
-        y = build_candidate_points(res, 6)
-        for j in range(6):
-            dist = np.sqrt(np.sum((y[:, j] - res.y0) ** 2))
-            assert dist == pytest.approx(res.r / 2.0, rel=1e-12)
-            assert np.array_equal(np.sign(z @ y[:, j]).astype(int), res.cell_sign)
-
-    def test_shifted_columns_have_full_rank(self):
-        res = chebyshev_center(np.eye(3), np.array([1.0, 1.0, 1.0]))
-        y = build_candidate_points(res, 3)
-        assert rank_with_tolerance(y - res.y0[:, None], 1e-12) == 3
-
-
-class TestFullRankSubset:
-    def test_square_case_uses_all_columns(self):
-        res = chebyshev_center(np.eye(2), np.array([1.0, 1.0]))
-        y = build_candidate_points(res, 2)
-        x = select_full_rank_subset(np.eye(2), y)
-        assert x.shape == (2, 2)
-        assert rank_with_tolerance(np.eye(2) @ x, 1e-9) == 2
+            z = weighted_normals(8, 5, seed=trial + 100)
+            x, sigma = sign_query_points(z, rng)
+            assert set(sigma.tolist()) <= {-1, 1}
+            zx = z @ x
+            assert np.min(np.abs(zx)) >= 1.0 - 1e-9
+            for j in range(5):
+                assert np.array_equal(np.sign(zx[:, j]).astype(int), sigma)
 
     def test_single_row(self):
         z = np.array([[2.0, 0.0, 0.0]])
-        res = chebyshev_center(z, np.array([1.0, 0.5, 0.5]))
-        y = build_candidate_points(res, 3)
-        x = select_full_rank_subset(z, y)
+        x, sigma = sign_query_points(z, np.random.default_rng(2))
         assert x.shape == (3, 1)
-        assert abs(float((z @ x[:, 0])[0])) > 1e-9
+        assert_allclose(z @ x, [[2.0 * sigma[0]]], rtol=1e-12)
+
+    def test_square_case(self):
+        z = weighted_normals(4, 4, seed=3)
+        x, sigma = sign_query_points(z, np.random.default_rng(3))
+        assert_allclose(z @ x, target(sigma), rtol=1e-9, atol=1e-9)
 
     def test_duplicated_row_rejected(self):
-        z = np.array([[1.0, 0.0], [1.0, 0.0]])
-        y = np.array([[0.5, 0.6], [0.5, 0.5]])
+        z = weighted_normals(6, 3, seed=4)
+        z[2] = z[0]
         with pytest.raises(GeometryError):
-            select_full_rank_subset(z, y)
+            sign_query_points(z, np.random.default_rng(4))
 
-    def test_nonzero_preactivations(self):
-        rng = np.random.default_rng(4)
-        for trial in range(20):
-            net = generate_random_net(8, 5, seed=trial + 100)
-            z = net.w[:, None] * net.A
-            x, res = sign_query_points(z, rng)
-            zx = z @ x
-            assert np.min(np.abs(zx)) > 1e-9
-            assert rank_with_tolerance(zx, 1e-9) == 5
-            # every selected point shares the ball's cell
-            for j in range(5):
-                assert np.array_equal(np.sign(zx[:, j]).astype(int), res.cell_sign)
+    def test_zero_row_rejected(self):
+        z = weighted_normals(6, 3, seed=5)
+        z[1] = 0.0
+        with pytest.raises(GeometryError):
+            sign_query_points(z, np.random.default_rng(5))
