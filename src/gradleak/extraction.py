@@ -186,20 +186,29 @@ def binary_search_segment(
         return grads[t]
 
     t_l, t_r = float(t_lo), float(t_hi)
-    while t_l <= t_r:
-        if t_r - t_l <= epsilon:
-            return grad_at(t_r) - grad_at(t_l), t_r
+    if not t_l <= t_r:
+        raise ExtractionFailure("empty bracket")
+    if t_r - t_l <= epsilon:
+        return grad_at(t_r) - grad_at(t_l), t_r
+    g_l = g_r = None
+    while True:
         t_m = 0.5 * (t_l + t_r)
         if t_m <= t_l or t_m >= t_r:
             raise ExtractionFailure("bracket cannot be subdivided at float precision")
-        g_l, g_m, g_r = grad_at(t_l), grad_at(t_m), grad_at(t_r)
+        if g_l is None:
+            # First step: query left, middle, right, in that order; afterwards
+            # the endpoint gradients move with the bracket.
+            g_l, g_m, g_r = grad_at(t_l), grad_at(t_m), grad_at(t_r)
+        else:
+            g_m = grad_at(t_m)
         if _norm(g_l - g_m) > tau:
-            t_r = t_m
+            t_r, g_r = t_m, g_m
         elif _norm(g_m - g_r) > tau:
-            t_l = t_m
+            t_l, g_l = t_m, g_m
         else:
             raise ExtractionFailure("no gradient change in either half-bracket")
-    raise ExtractionFailure("empty bracket")
+        if t_r - t_l <= epsilon:
+            return g_r - g_l, t_r
 
 
 def _norm(x: np.ndarray) -> float:

@@ -14,7 +14,8 @@ from .errors import SingularMatrixError
 
 # Residual guarantee of solve_linear_system: ||Mx - b||_inf <= SOLVE_RESIDUAL_TOL * (1 + ||b||_inf).
 SOLVE_RESIDUAL_TOL = 1e-8
-# A pivot below SINGULAR_PIVOT_TOL * ||M||_inf-entry aborts the solve.
+# A pivot below SINGULAR_PIVOT_TOL * ||M||_inf-entry aborts the solve (and, in
+# geometry, rejects the triangular factor of Z).
 SINGULAR_PIVOT_TOL = 1e-10
 # Default pivot cutoff for numerical rank.
 RANK_PIVOT_TOL = 1e-9

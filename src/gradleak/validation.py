@@ -152,23 +152,17 @@ def match_rows(net: TwoLayerNet, z) -> MatchResult:
     return MatchResult(permutation=perm, signs=signs, max_row_error=worst)
 
 
-def _mc_rate(samples: int, seed, workers: int, event_fn) -> float:
-    """Mean of event_fn over `samples` draws, split across worker substreams."""
+def _mc_rate(samples: int, seed, event_fn) -> float:
+    """Mean of event_fn over `samples` draws from the first child stream of seed."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    base, extra = divmod(samples, workers)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     hits = 0
-    for k, stream in enumerate(streams):
-        count = base + (1 if k < extra else 0)
-        rng = np.random.default_rng(stream)
-        remaining = count
-        while remaining > 0:
-            n = min(remaining, _MC_CHUNK)
-            hits += int(event_fn(rng, n))
-            remaining -= n
+    remaining = samples
+    while remaining > 0:
+        n = min(remaining, _MC_CHUNK)
+        hits += int(event_fn(rng, n))
+        remaining -= n
     return hits / samples
 
 
@@ -190,7 +184,7 @@ def _make_report(samples, empirical, bound, exact=None) -> McReport:
     )
 
 
-def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None, workers: int = 1) -> McReport:
+def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McReport:
     """Check P(|t1 - t2| <= eps) <= 3^(4/3) (eps/c)^(2/3) for two hyperplanes
     at collinearity gap c crossed by a random line."""
     if not 0.0 < c <= 1.0:
@@ -213,12 +207,12 @@ def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None, workers: 
             gap = np.abs(t1 - t2)
         return np.count_nonzero(gap <= epsilon)
 
-    empirical = _mc_rate(samples, seed, workers, event)
+    empirical = _mc_rate(samples, seed, event)
     bound = 3.0 ** (4.0 / 3.0) * (epsilon / c) ** (2.0 / 3.0)
     return _make_report(samples, empirical, bound)
 
 
-def mc_cauchy_tail(l: float, samples: int, seed=None, workers: int = 1) -> McReport:
+def mc_cauchy_tail(l: float, samples: int, seed=None) -> McReport:
     """Check P(|t| >= l) <= 2/(pi l) for the (standard Cauchy) crossing
     parameter of one hyperplane, and agreement with the exact tail."""
     if l <= 0:
@@ -230,13 +224,13 @@ def mc_cauchy_tail(l: float, samples: int, seed=None, workers: int = 1) -> McRep
             t = -g[0] / g[1]
         return np.count_nonzero(np.abs(t) >= l)
 
-    empirical = _mc_rate(samples, seed, workers, event)
+    empirical = _mc_rate(samples, seed, event)
     bound = 2.0 / (math.pi * l)
     exact = 1.0 - (2.0 / math.pi) * math.atan(l)
     return _make_report(samples, empirical, bound, exact=exact)
 
 
-def mc_chi2_diff(epsilon: float, samples: int, seed=None, workers: int = 1) -> McReport:
+def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
     """Check P(|Q - R| <= eps) <= eps for independent chi-squared(2) Q, R,
     and agreement with the exact law 1 - exp(-eps/2)."""
     if epsilon < 0.0:
@@ -248,7 +242,7 @@ def mc_chi2_diff(epsilon: float, samples: int, seed=None, workers: int = 1) -> M
         r = g[2] ** 2 + g[3] ** 2
         return np.count_nonzero(np.abs(q - r) <= epsilon)
 
-    empirical = _mc_rate(samples, seed, workers, event)
+    empirical = _mc_rate(samples, seed, event)
     exact = 1.0 - math.exp(-epsilon / 2.0) if epsilon > 0 else 0.0
     return _make_report(samples, empirical, float(epsilon), exact=exact)
 
@@ -272,7 +266,7 @@ _KS_SAMPLE_CAP = 100_000
 _KS_BOUND = 0.01
 
 
-def mc_gaussian_product(samples: int, seed=None, workers: int = 1) -> McReport:
+def mc_gaussian_product(samples: int, seed=None) -> McReport:
     """Check XY =d (Q - R)/2 for X, Y standard Gaussian and Q, R chi-squared(1).
 
     Compares the first four moments of XY against (0, 1, 0, 9) at 3 sigma and
@@ -282,7 +276,7 @@ def mc_gaussian_product(samples: int, seed=None, workers: int = 1) -> McReport:
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10^4")
-    streams = np.random.SeedSequence(seed).spawn(max(workers, 2))
+    streams = np.random.SeedSequence(seed).spawn(2)
     rng_a = np.random.default_rng(streams[0])
     rng_b = np.random.default_rng(streams[1])
 

@@ -14,6 +14,7 @@ from gradleak import (
     binary_search_segment,
     eval_recovered,
     eval_target,
+    functional_equivalence,
     generate_random_net,
     learn_model,
     match_rows,
@@ -262,6 +263,28 @@ class TestLearnModel:
         # sign-recovery equations.
         assert report.value_queries == 16
 
+    @pytest.mark.parametrize(
+        "d, h, net_seed, cfg_seed, gradient_queries, value_queries, retries",
+        [
+            (16, 16, 7000, 0, 1154, 32, 1),
+            (128, 8, 7001, 1, 259, 16, 0),
+            (20, 8, 27, 3, 261, 16, 0),
+        ],
+    )
+    def test_grad_query_counts_are_pinned(
+        self, d, h, net_seed, cfg_seed, gradient_queries, value_queries, retries
+    ):
+        # Query counts are the attack's cost metric and deterministic for a
+        # seed; a change in them must be explained, not absorbed.
+        net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
+        report = learn_model(Oracle(net), ExtractionConfig(h, delta=0.1, c=0.01, seed=cfg_seed))
+        assert (report.gradient_queries, report.value_queries, report.retries) == (
+            gradient_queries,
+            value_queries,
+            retries,
+        )
+        assert functional_equivalence(net, report.model, 4096, 1e-7, seed=0).passed
+
     def test_first_attempt_failure_rate_within_budget(self):
         # With the true collinearity gap supplied, single attempts (no
         # retries) must fail at most delta plus sampling slack.
@@ -301,7 +324,7 @@ class TestLearnModel:
         # wide on the first search line; the finite-difference refinement
         # straddled its hyperplane and mixed two rows. The result must now
         # either verify or be an honest failure.
-        from gradleak import GradleakError, functional_equivalence
+        from gradleak import GradleakError
 
         net_seed, run_seed, check_seed = (
             int(s) for s in np.random.SeedSequence([4001, 27]).generate_state(3, dtype=np.uint64)

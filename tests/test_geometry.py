@@ -59,3 +59,19 @@ class TestSignQueryPoints:
         z[1] = 0.0
         with pytest.raises(GeometryError):
             sign_query_points(z, np.random.default_rng(5))
+
+    def test_square_32_case(self):
+        # h = d is the worst-conditioned shape the forward substitution sees.
+        z = weighted_normals(32, 32, seed=6)
+        x, sigma = sign_query_points(z, np.random.default_rng(6))
+        assert_allclose(z @ x, target(sigma), rtol=1e-9, atol=1e-9)
+
+    def test_tiny_pivot_rejected(self):
+        # Row 1 clears the span test (1e-8 > 1e-9 |z_1|) but its pivot is
+        # below SINGULAR_PIVOT_TOL times the largest entry of L (1e-10 * 1e3).
+        z = np.zeros((2, 6))
+        z[0, 0] = 1e3
+        z[1, 0] = 1.0
+        z[1, 1] = 1e-8
+        with pytest.raises(GeometryError, match="ill-conditioned"):
+            sign_query_points(z, np.random.default_rng(7))

@@ -176,18 +176,16 @@ class TestGaussianProductIdentity:
             mc_gaussian_product(100, seed=9)
 
 
-class TestWorkerDeterminism:
-    def test_fixed_seed_and_workers_reproduce(self):
-        a = mc_cauchy_tail(10.0, 50_000, seed=10, workers=3)
-        b = mc_cauchy_tail(10.0, 50_000, seed=10, workers=3)
+class TestSeededStreams:
+    def test_fixed_seed_reproduces(self):
+        a = mc_cauchy_tail(10.0, 50_000, seed=10)
+        b = mc_cauchy_tail(10.0, 50_000, seed=10)
         assert a.empirical_prob == b.empirical_prob
 
-    def test_chunk_merge_matches_single_worker_total(self):
-        # worker substreams differ from a single stream, but the totals must
-        # stay within Monte Carlo noise of each other
-        single = mc_chi2_diff(0.5, 100_000, seed=11, workers=1)
-        split = mc_chi2_diff(0.5, 100_000, seed=11, workers=4)
-        assert split.empirical_prob == pytest.approx(single.empirical_prob, abs=0.01)
+    def test_stream_is_pinned(self):
+        # Draws come from the first child of SeedSequence(seed), so a lemma
+        # report is a fixed function of its seed.
+        assert mc_chi2_diff(0.5, 100_000, seed=11).empirical_prob == 0.21986
 
 
 class TestFdExactness:
