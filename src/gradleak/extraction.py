@@ -407,11 +407,11 @@ def recover_s(oracle: Oracle, z, rng=None) -> np.ndarray:
         raise SignRecoveryError(f"sign system is singular: {err}") from err
 
     rounded = np.rint(solved)
-    if np.max(np.abs(solved - rounded)) > SIGN_ROUND_TOL or np.max(np.abs(rounded)) > 1:
-        raise SignRecoveryError(
-            f"sign solution does not round to {{-1,0,1}} (max deviation "
-            f"{np.max(np.abs(solved - rounded)):.3e})"
-        )
+    for i, (value, near) in enumerate(zip(solved.tolist(), rounded.tolist())):
+        if abs(value - near) > SIGN_ROUND_TOL:
+            raise SignRecoveryError(f"sign solution entry {i} = {value:.6g} is not near an integer")
+        if abs(near) > 1:
+            raise SignRecoveryError(f"sign solution entry {i} = {value:.6g} rounds outside {{-1,0,1}}")
     s = rounded.astype(int)
     residual = np.max(np.abs(m @ s - b))
     if residual > SOLVE_RESIDUAL_TOL * (1.0 + np.max(np.abs(b))):

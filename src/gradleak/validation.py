@@ -189,23 +189,24 @@ def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McRepo
     at collinearity gap c crossed by a random line."""
     if not 0.0 < c <= 1.0:
         raise ValueError("c must lie in (0, 1]")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and non-negative")
     b2 = math.sqrt(1.0 - (1.0 - c) ** 2)
 
     def event(rng, n):
         # Only the projections onto span(a, b) matter; work in the plane with
-        # a = e1, b = (1-c, sqrt(1-(1-c)^2)).
-        u = rng.standard_normal((2, n))
-        v = rng.standard_normal((2, n))
-        au, av = u[0], v[0]
-        bu = (1.0 - c) * u[0] + b2 * u[1]
-        bv = (1.0 - c) * v[0] + b2 * v[1]
+        # a = e1, b = (1-c, sqrt(1-(1-c)^2)); |t1 - t2| = |au/av - bu/bv| for t = -u/v.
+        au, bu = rng.standard_normal((2, n))
+        av, bv = rng.standard_normal((2, n))
+        scratch = np.multiply(au, 1.0 - c)
+        bu *= b2
+        bu += scratch
+        bv *= b2
+        bv += np.multiply(av, 1.0 - c, out=scratch)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = -au / av
-            t2 = -bu / bv
-            gap = np.abs(t1 - t2)
-        return np.count_nonzero(gap <= epsilon)
+            np.divide(au, av, out=au)
+            au -= np.divide(bu, bv, out=bu)
+        return np.count_nonzero(np.abs(au, out=au) <= epsilon)
 
     empirical = _mc_rate(samples, seed, event)
     bound = 3.0 ** (4.0 / 3.0) * (epsilon / c) ** (2.0 / 3.0)
@@ -215,14 +216,14 @@ def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McRepo
 def mc_cauchy_tail(l: float, samples: int, seed=None) -> McReport:
     """Check P(|t| >= l) <= 2/(pi l) for the (standard Cauchy) crossing
     parameter of one hyperplane, and agreement with the exact tail."""
-    if l <= 0:
-        raise ValueError("l must be positive")
+    if not 0.0 < l < math.inf:
+        raise ValueError("l must be positive and finite")
 
     def event(rng, n):
-        g = rng.standard_normal((2, n))
+        num, den = rng.standard_normal((2, n))
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = -g[0] / g[1]
-        return np.count_nonzero(np.abs(t) >= l)
+            np.divide(num, den, out=num)
+        return np.count_nonzero(np.abs(num, out=num) >= l)
 
     empirical = _mc_rate(samples, seed, event)
     bound = 2.0 / (math.pi * l)
@@ -233,14 +234,15 @@ def mc_cauchy_tail(l: float, samples: int, seed=None) -> McReport:
 def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
     """Check P(|Q - R| <= eps) <= eps for independent chi-squared(2) Q, R,
     and agreement with the exact law 1 - exp(-eps/2)."""
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be finite and non-negative")
 
     def event(rng, n):
         g = rng.standard_normal((4, n))
-        q = g[0] ** 2 + g[1] ** 2
-        r = g[2] ** 2 + g[3] ** 2
-        return np.count_nonzero(np.abs(q - r) <= epsilon)
+        q, q1, r, r1 = np.square(g, out=g)
+        q += q1
+        q -= np.add(r, r1, out=r)
+        return np.count_nonzero(np.abs(q, out=q) <= epsilon)
 
     empirical = _mc_rate(samples, seed, event)
     exact = 1.0 - math.exp(-epsilon / 2.0) if epsilon > 0 else 0.0
@@ -248,14 +250,14 @@ def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
 
 
 def _ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Two-sample max CDF distance."""
-    xs = np.sort(xs)
-    ys = np.sort(ys)
-    grid = np.concatenate([xs, ys])
-    grid.sort(kind="mergesort")
-    fx = np.searchsorted(xs, grid, side="right") / xs.size
-    fy = np.searchsorted(ys, grid, side="right") / ys.size
-    return float(np.max(np.abs(fx - fy)))
+    """Two-sample max CDF distance, read where each run of ties ends in a stable merge."""
+    merged = np.concatenate([np.sort(xs), np.sort(ys)])
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    run_end = np.append(merged[1:] != merged[:-1], True)
+    below_x = np.cumsum(order < xs.size)[run_end]
+    below_y = np.flatnonzero(run_end) + 1 - below_x
+    return float(np.max(np.abs(below_x / xs.size - below_y / ys.size)))
 
 
 # Exact moments of a product of two independent standard Gaussians.
@@ -272,7 +274,8 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
     Compares the first four moments of XY against (0, 1, 0, 9) at 3 sigma and
     the two-sample CDF max distance between XY and (Q-R)/2 draws against 0.01
     (distance computed on at most 1e5 draws per side). empirical_prob reports
-    the CDF distance.
+    the CDF distance. Q is drawn in full to keep R's place in the stream, R only
+    for the distance sample.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10^4")
@@ -280,19 +283,17 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
     rng_a = np.random.default_rng(streams[0])
     rng_b = np.random.default_rng(streams[1])
 
-    prod = rng_a.standard_normal(samples) * rng_a.standard_normal(samples)
-    q = rng_b.standard_normal(samples) ** 2
-    r = rng_b.standard_normal(samples) ** 2
-    ref = 0.5 * (q - r)
-
-    moments_ok = True
-    for k in range(4):
-        sample_moment = float(np.mean(prod ** (k + 1)))
-        tol = 3.0 * math.sqrt(_PRODUCT_MOMENT_VARS[k] / samples)
-        moments_ok = moments_ok and abs(sample_moment - _PRODUCT_MOMENTS[k]) <= tol
-
     n_ks = min(samples, _KS_SAMPLE_CAP)
-    distance = _ks_distance(prod[:n_ks], ref[:n_ks])
+    prod = rng_a.standard_normal(samples) * rng_a.standard_normal(samples)
+    ref = 0.5 * (rng_b.standard_normal(samples)[:n_ks] ** 2 - rng_b.standard_normal(n_ks) ** 2)
+
+    p2 = prod * prod  # prod ** 3 and prod ** 4 would each call libm pow
+    moments_ok = True
+    for k, power in enumerate((prod, p2, p2 * prod, p2 * p2)):
+        tol = 3.0 * math.sqrt(_PRODUCT_MOMENT_VARS[k] / samples)
+        moments_ok = moments_ok and abs(float(np.mean(power)) - _PRODUCT_MOMENTS[k]) <= tol
+
+    distance = _ks_distance(prod[:n_ks], ref)
     slack = 3.0 * math.sqrt(_KS_BOUND * (1.0 - _KS_BOUND) / n_ks)
     passed = moments_ok and distance <= _KS_BOUND + slack
     return McReport(

@@ -184,6 +184,20 @@ class TestLemmas:
     def test_bad_parameters_exit_one(self):
         assert run("lemmas", "--which", "gap", "--c", "1.5", "--samples", "1000") == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--which", "chi2diff", "--epsilon", "nan"),
+            ("--which", "gap", "--epsilon", "nan"),
+            ("--which", "gap", "--c", "nan"),
+            ("--which", "tail", "--l", "nan"),
+            ("--which", "tail", "--l", "inf"),
+        ],
+    )
+    def test_non_finite_parameters_exit_one(self, flags, capsys):
+        assert run("lemmas", *flags, "--samples", "10000") == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestBench:
     def test_csv_layout_and_success(self, tmp_path):

@@ -240,6 +240,27 @@ class TestRecoverS:
                 eval_target(net, x), rel=1e-9, abs=1e-9
             )
 
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            ([0.0, -1.0, 3.0, 0.0], r"entry 2 = 3 rounds outside \{-1,0,1\}"),
+            ([0.0, 0.5, 1.0, 0.0], r"entry 1 = 0\.5 is not near an integer"),
+        ],
+    )
+    def test_rejection_names_the_offending_entry(self, s, message):
+        from gradleak.errors import SignRecoveryError
+
+        z = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+        class StubOracle:
+            # Values of sum_i s_i relu(z_i x) + s_{h+i} relu(-z_i x).
+            def value(self, x):
+                pre = z @ x
+                return float(np.maximum(pre, 0.0) @ s[:2] + np.maximum(-pre, 0.0) @ s[2:])
+
+        with pytest.raises(SignRecoveryError, match=message):
+            recover_s(StubOracle(), z, rng=np.random.default_rng(4))
+
 
 class TestLearnModel:
     def test_single_unit_closed_form(self):

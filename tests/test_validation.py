@@ -23,6 +23,7 @@ from gradleak import (
     select_parameters,
     membership_step_bound,
 )
+from gradleak.validation import _ks_distance
 
 MC_SAMPLES = 200_000
 
@@ -176,6 +177,45 @@ class TestGaussianProductIdentity:
             mc_gaussian_product(100, seed=9)
 
 
+def _ks_brute(xs, ys):
+    grid = np.union1d(xs, ys)
+    return max(abs(np.sum(xs <= g) / xs.size - np.sum(ys <= g) / ys.size) for g in grid)
+
+
+class TestKsDistance:
+    def test_matches_brute_force_with_ties(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            n, m = (int(k) for k in rng.integers(1, 40, size=2))
+            xs = np.round(rng.standard_normal(n), 1)
+            ys = np.round(rng.standard_normal(m) + 0.3, 1)
+            assert _ks_distance(xs, ys) == _ks_brute(xs, ys)
+
+    def test_one_element_side(self):
+        xs = np.array([0.5])
+        ys = np.array([-1.0, 0.5, 0.5, 2.0])
+        assert _ks_distance(xs, ys) == _ks_brute(xs, ys) == 0.25
+        assert _ks_distance(ys, xs) == 0.25
+        assert _ks_distance(xs, np.array([0.5])) == 0.0
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("c, epsilon", [(math.nan, 1e-3), (0.5, math.nan), (0.5, math.inf)])
+    def test_crossing_gap(self, c, epsilon):
+        with pytest.raises(ValueError):
+            mc_crossing_gap(c, epsilon, 10_000, seed=0)
+
+    @pytest.mark.parametrize("l", [math.nan, math.inf])
+    def test_cauchy_tail(self, l):
+        with pytest.raises(ValueError):
+            mc_cauchy_tail(l, 10_000, seed=0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_chi2_diff(self, epsilon):
+        with pytest.raises(ValueError):
+            mc_chi2_diff(epsilon, 10_000, seed=0)
+
+
 class TestSeededStreams:
     def test_fixed_seed_reproduces(self):
         a = mc_cauchy_tail(10.0, 50_000, seed=10)
@@ -186,6 +226,20 @@ class TestSeededStreams:
         # Draws come from the first child of SeedSequence(seed), so a lemma
         # report is a fixed function of its seed.
         assert mc_chi2_diff(0.5, 100_000, seed=11).empirical_prob == 0.21986
+
+    def test_every_lemma_stream_is_pinned(self):
+        assert mc_crossing_gap(0.5, 1e-3, 100_000, seed=12).empirical_prob == 0.00046
+        assert mc_cauchy_tail(10.0, 100_000, seed=13).empirical_prob == 0.06251
+        product = mc_gaussian_product(100_000, seed=14)
+        assert product.empirical_prob == 0.0037000000000000366
+        assert product.passed
+
+    def test_multi_chunk_streams_are_pinned(self):
+        # More than one _MC_CHUNK of draws: the second chunk continues the
+        # same generator.
+        samples = (1 << 20) + 1000
+        assert mc_chi2_diff(0.1, samples, seed=15).empirical_prob == 0.0486377356189547
+        assert mc_crossing_gap(0.5, 1e-3, samples, seed=16).empirical_prob == 0.00042683902833144053
 
 
 class TestFdExactness:
