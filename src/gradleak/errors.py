@@ -20,11 +20,11 @@ class GenerationError(GradleakError):
 
 
 class SingularMatrixError(GradleakError):
-    """Linear solve hit a pivot below the singularity tolerance."""
+    """Linear solve hit a singular value below the singularity tolerance."""
 
 
 class GeometryError(GradleakError):
-    """Sign-recovery query points could not be placed (Z Z^T singular)."""
+    """Sign-recovery query points could not be placed (Z rank deficient or ill-conditioned)."""
 
 
 class ExtractionFailure(GradleakError):

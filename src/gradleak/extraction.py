@@ -408,7 +408,7 @@ def recover_s(oracle: Oracle, z, rng=None) -> np.ndarray:
 
     rounded = np.rint(solved)
     for i, (value, near) in enumerate(zip(solved.tolist(), rounded.tolist())):
-        if abs(value - near) > SIGN_ROUND_TOL:
+        if not abs(value - near) <= SIGN_ROUND_TOL:  # NaN from non-finite values fails too
             raise SignRecoveryError(f"sign solution entry {i} = {value:.6g} is not near an integer")
         if abs(near) > 1:
             raise SignRecoveryError(f"sign solution entry {i} = {value:.6g} rounds outside {{-1,0,1}}")

@@ -1,9 +1,8 @@
-"""Minimal dense linear algebra with explicit tolerances.
+"""Dense linear algebra with explicit tolerances.
 
 Solve, rank, and the sign-block assembly used by sign recovery. Matrices are
-plain float64 ndarrays (row-major). Elimination is implemented here rather
-than delegated to LAPACK so the pivot tolerances are explicit and the package
-stays dependency-light on its core path.
+plain float64 ndarrays (row-major). Solve and rank are one numpy.linalg (SVD)
+call each; their tolerances are relative to the largest singular value.
 """
 
 from __future__ import annotations
@@ -12,12 +11,13 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-# Residual guarantee of solve_linear_system: ||Mx - b||_inf <= SOLVE_RESIDUAL_TOL * (1 + ||b||_inf).
+# recover_s rejects a rounded sign vector s unless
+# ||Ms - b||_inf <= SOLVE_RESIDUAL_TOL * (1 + ||b||_inf).
 SOLVE_RESIDUAL_TOL = 1e-8
-# A pivot below SINGULAR_PIVOT_TOL * ||M||_inf-entry aborts the solve (and, in
-# geometry, rejects the triangular factor of Z).
+# A singular value below SINGULAR_PIVOT_TOL times the largest one aborts the
+# solve (and, in geometry, rejects Z as too ill-conditioned).
 SINGULAR_PIVOT_TOL = 1e-10
-# Default pivot cutoff for numerical rank.
+# Default relative singular-value cutoff for numerical rank.
 RANK_PIVOT_TOL = 1e-9
 
 
@@ -32,10 +32,10 @@ def as_matrix(m) -> np.ndarray:
 
 
 def solve_linear_system(m, b) -> np.ndarray:
-    """Solve M x = b by Gaussian elimination with partial pivoting.
+    """Solve the square system M x = b by LAPACK's SVD least squares.
 
-    Raises SingularMatrixError when a pivot falls below
-    SINGULAR_PIVOT_TOL times the largest absolute entry of M.
+    Raises SingularMatrixError when a singular value of M falls below
+    SINGULAR_PIVOT_TOL times the largest one.
     """
     a = as_matrix(m)
     n = a.shape[0]
@@ -45,53 +45,21 @@ def solve_linear_system(m, b) -> np.ndarray:
     if rhs.shape != (n,):
         raise ValueError(f"right-hand side must have shape ({n},), got {rhs.shape}")
 
-    aug = np.hstack([a.copy(), rhs[:, None]])
-    scale = np.max(np.abs(a)) if n else 0.0
-    cutoff = SINGULAR_PIVOT_TOL * max(scale, 1e-300)
-
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(aug[k:, k])))
-        if abs(aug[p, k]) < cutoff:
-            raise SingularMatrixError(
-                f"pivot {abs(aug[p, k]):.3e} below tolerance {cutoff:.3e} at column {k}"
-            )
-        if p != k:
-            aug[[k, p]] = aug[[p, k]]
-        factors = aug[k + 1 :, k] / aug[k, k]
-        aug[k + 1 :, k:] -= np.outer(factors, aug[k, k:])
-
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (aug[k, n] - aug[k, k + 1 : n] @ x[k + 1 :]) / aug[k, k]
+    x, _, rank, sv = np.linalg.lstsq(a, rhs, rcond=SINGULAR_PIVOT_TOL)
+    if rank < n:
+        raise SingularMatrixError(
+            f"smallest singular value {sv[-1]:.3e} below {SINGULAR_PIVOT_TOL:.0e} "
+            f"times the largest {sv[0]:.3e}"
+        )
     return x
 
 
 def rank_with_tolerance(m, tol: float = RANK_PIVOT_TOL) -> int:
-    """Numerical rank: pivots above tol * ||M||_max under full-pivoted elimination."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = as_matrix(m).copy()
-    rows, cols = a.shape
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return 0
-    cutoff = tol * scale
-
-    rank = 0
-    for k in range(min(rows, cols)):
-        sub = np.abs(a[k:, k:])
-        idx = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        pr, pc = idx[0] + k, idx[1] + k
-        if sub[idx] <= cutoff:
-            break
-        if pr != k:
-            a[[k, pr]] = a[[pr, k]]
-        if pc != k:
-            a[:, [k, pc]] = a[:, [pc, k]]
-        rank += 1
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-    return rank
+    """Numerical rank: singular values above tol times the largest one."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    sv = np.linalg.svd(as_matrix(m), compute_uv=False)
+    return int(np.count_nonzero(sv > tol * sv.max(initial=0.0)))
 
 
 def block_sign_matrix(zx) -> np.ndarray:

@@ -60,8 +60,8 @@ class SmoothGradConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
 

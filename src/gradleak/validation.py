@@ -90,6 +90,8 @@ def functional_equivalence(
         raise ValueError(f"dimension mismatch: net d={net.d}, model d={model.d}")
     if n_points < 0:
         raise ValueError("n_points must be non-negative")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if n_points == 0:
         return EquivalenceReport(0.0, tol, 0, passed=True, vacuous=True)
     rng = np.random.default_rng(seed)

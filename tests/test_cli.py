@@ -139,6 +139,24 @@ class TestExtractVerify:
             == 0
         )
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_tolerance_exits_one(self, tmp_path, model_file, tol):
+        # The model matches, so a mismatch exit (3) would be a false verdict.
+        rec = tmp_path / "ref.json"
+        save_recovered(recovered_from_net(load_net(model_file)), rec)
+        assert run("verify", "--model", str(model_file), "--recovered", str(rec), "--tol", tol) == 1
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exits_one(self, tmp_path, model_file, sigma, capsys):
+        rec = tmp_path / "rec.json"
+        code = run(
+            "extract", "--model", str(model_file), "--mode", "smoothgrad",
+            "--sigma", sigma, "--seed", "0", "--out", str(rec),
+        )
+        assert code == 1
+        assert not rec.exists()
+        assert "sigma must be finite" in capsys.readouterr().err
+
     def test_extract_outputs_are_byte_deterministic(self, tmp_path, model_file):
         rec_a, rep_a = tmp_path / "a.json", tmp_path / "arep.json"
         rec_b, rep_b = tmp_path / "b.json", tmp_path / "brep.json"

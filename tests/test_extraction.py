@@ -261,6 +261,18 @@ class TestRecoverS:
         with pytest.raises(SignRecoveryError, match=message):
             recover_s(StubOracle(), z, rng=np.random.default_rng(4))
 
+    def test_non_finite_values_are_rejected(self):
+        # An infinite value makes the solution NaN, which every comparison
+        # with a tolerance must reject rather than let through.
+        from gradleak.errors import SignRecoveryError
+
+        class InfOracle:
+            def value(self, x):
+                return math.inf
+
+        with pytest.raises(SignRecoveryError, match=r"entry 0 = nan is not near an integer"):
+            recover_s(InfOracle(), np.eye(2), rng=np.random.default_rng(4))
+
 
 class TestLearnModel:
     def test_single_unit_closed_form(self):

@@ -61,17 +61,30 @@ class TestSignQueryPoints:
             sign_query_points(z, np.random.default_rng(5))
 
     def test_square_32_case(self):
-        # h = d is the worst-conditioned shape the forward substitution sees.
+        # h = d is the worst-conditioned shape the least-squares solve sees.
         z = weighted_normals(32, 32, seed=6)
         x, sigma = sign_query_points(z, np.random.default_rng(6))
         assert_allclose(z @ x, target(sigma), rtol=1e-9, atol=1e-9)
 
     def test_tiny_pivot_rejected(self):
-        # Row 1 clears the span test (1e-8 > 1e-9 |z_1|) but its pivot is
-        # below SINGULAR_PIVOT_TOL times the largest entry of L (1e-10 * 1e3).
+        # Z has full rank, but its smallest singular value (~1e-8) is below
+        # SINGULAR_PIVOT_TOL times the largest (1e-10 * ~1e3).
         z = np.zeros((2, 6))
         z[0, 0] = 1e3
         z[1, 0] = 1.0
         z[1, 1] = 1e-8
         with pytest.raises(GeometryError, match="ill-conditioned"):
             sign_query_points(z, np.random.default_rng(7))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_rescaled_z_places_points(self, scale):
+        # Rescaling Z changes neither its rank nor its conditioning.
+        z = weighted_normals(8, 4, seed=8) * scale
+        x, sigma = sign_query_points(z, np.random.default_rng(8))
+        assert_allclose(z @ x, target(sigma), rtol=1e-9, atol=1e-9)
+
+    def test_overflowing_points_rejected(self):
+        # Full rank at cond 1e9, but X ~ 1e309 overflows: ZX is NaN, not near T.
+        z = np.array([[1e-300, 0.0], [0.0, 1e-309]])
+        with pytest.raises(GeometryError):
+            sign_query_points(z, np.random.default_rng(9))

@@ -18,6 +18,10 @@ class TestSolve:
         with pytest.raises(SingularMatrixError):
             solve_linear_system([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
 
+    def test_near_singular(self):
+        with pytest.raises(SingularMatrixError):
+            solve_linear_system([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [1.0, 2.0])
+
     def test_needs_pivoting(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert_allclose(solve_linear_system(m, [5.0, 7.0]), [7.0, 5.0])
@@ -48,6 +52,9 @@ class TestRank:
     def test_zero(self):
         assert rank_with_tolerance(np.zeros((3, 4)), 1e-9) == 0
 
+    def test_empty(self):
+        assert rank_with_tolerance(np.zeros((0, 3)), 1e-9) == 0
+
     def test_rectangular(self):
         m = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
         assert rank_with_tolerance(m, 1e-9) == 2
@@ -60,6 +67,10 @@ class TestRank:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             rank_with_tolerance(np.eye(2), 0.0)
+
+    def test_nan_tolerance(self):
+        with pytest.raises(ValueError):
+            rank_with_tolerance(np.eye(2), float("nan"))
 
 
 class TestBlockSignMatrix:

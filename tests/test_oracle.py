@@ -134,6 +134,9 @@ class TestSmoothGrad:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SmoothGradConfig(sigma=-0.1)
+        for sigma in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SmoothGradConfig(sigma=sigma)
         with pytest.raises(ValueError):
             SmoothGradConfig(n_samples=0)
 

@@ -1,0 +1,74 @@
+"""Fuzz the sign-recovery failure contract over corrupted weighted normals Z.
+
+Whatever Z reaches recover_s, the outcome is either a sign vector with one
+nonzero per row pair or a GeometryError / SignRecoveryError: no ValueError or
+LinAlgError escapes.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from gradleak import GeometryError, Oracle, SignRecoveryError, generate_random_net, recover_s
+
+ROW = st.integers(0, 15)  # reduced modulo the current row count
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("duplicate"), ROW, ROW),
+    st.tuples(st.just("zero"), ROW),
+    st.tuples(st.just("scale"), ROW, st.integers(-300, 300)),
+    st.tuples(st.just("collinear"), ROW, ROW, st.integers(1, 16)),
+    st.tuples(st.just("flip"), ROW),
+    st.tuples(st.just("extra"), st.integers(0, 2**32 - 1)),
+)
+
+
+def mutate(z, ops, rng_seed):
+    z = z.copy()
+    noise = np.random.default_rng(rng_seed)
+    for op in ops:
+        kind, rows = op[0], z.shape[0]
+        if kind == "duplicate":
+            z[op[2] % rows] = z[op[1] % rows]
+        elif kind == "zero":
+            z[op[1] % rows] = 0.0
+        elif kind == "scale":  # set the row's largest entry to 10^k; Z stays finite
+            i = op[1] % rows
+            peak = np.max(np.abs(z[i]))
+            if peak > 0.0:
+                z[i] = z[i] / peak * 10.0 ** op[2]
+        elif kind == "collinear":
+            i, j = op[1] % rows, op[2] % rows
+            z[j] = z[i] + 10.0 ** -op[3] * np.max(np.abs(z[i])) * noise.standard_normal(z.shape[1])
+        elif kind == "flip":
+            z[op[1] % rows] *= -1.0
+        else:
+            extra = np.random.default_rng(op[1]).standard_normal(z.shape[1])
+            z = np.vstack([z, extra])
+    return z
+
+
+# Rows near 1e-300 that differ by ~1e-9 of their size: Z passes the rank test,
+# but X = Z^+ T overflows to inf.
+@example(d=2, h_frac=1.0, net_seed=3, ops=[("scale", 0, -300), ("collinear", 0, 1, 9)], sign_seed=3)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    d=st.integers(1, 8),
+    h_frac=st.floats(0.0, 1.0),
+    net_seed=st.integers(0, 2**16),
+    ops=st.lists(MUTATIONS, max_size=4),
+    sign_seed=st.integers(0, 2**16),
+)
+def test_recover_s_returns_valid_signs_or_raises_its_errors(d, h_frac, net_seed, ops, sign_seed):
+    h = 1 + int(h_frac * (d - 1))
+    net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
+    z = mutate(net.w[:, None] * net.A, ops, sign_seed)
+    try:
+        s = recover_s(Oracle(net, mode="grad"), z, rng=np.random.default_rng(sign_seed))
+    except (GeometryError, SignRecoveryError):
+        return
+    rows = z.shape[0]
+    assert s.shape == (2 * rows,)
+    assert set(s.tolist()) <= {-1, 0, 1}
+    nz = s != 0
+    assert np.all(nz[:rows] != nz[rows:])

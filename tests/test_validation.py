@@ -59,6 +59,15 @@ class TestFunctionalEquivalence:
         with pytest.raises(ValueError):
             functional_equivalence(net, other, 10, 1e-7, seed=8)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        # A NaN tolerance would fail `worst <= tol` on a matching model.
+        net = generate_random_net(4, 2, seed=9)
+        with pytest.raises(ValueError, match="tol"):
+            functional_equivalence(net, recovered_from_net(net), 10, tol, seed=10)
+        with pytest.raises(ValueError, match="tol"):
+            functional_equivalence(net, recovered_from_net(net), 0, tol, seed=10)
+
 
 class TestMatchRows:
     def test_permuted_copy(self):
