@@ -15,13 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ExtractionFailure,
-    GeometryError,
-    GradleakError,
-    MatchAmbiguityError,
-    SignRecoveryError,
-)
+from .errors import GradleakError, MatchAmbiguityError
 from .extraction import ExtractionConfig, learn_model
 from .model import (
     generate_random_net,
@@ -156,7 +150,7 @@ def _failure_report(err: GradleakError, oracle: Oracle) -> dict:
         "retries": err.retries,
         "gradient_queries": oracle.ledger.gradient_queries,
         "value_queries": oracle.ledger.value_queries,
-        "crossings": err.crossings,
+        "crossings": list(err.crossings),
     }
 
 
@@ -178,7 +172,7 @@ def cmd_extract(args) -> int:
     )
     try:
         report = learn_model(oracle, cfg)
-    except (ExtractionFailure, GeometryError, SignRecoveryError) as err:
+    except GradleakError as err:
         print(f"extraction failed: {err}", file=sys.stderr)
         if args.report:
             Path(args.report).write_text(json.dumps(_failure_report(err, oracle), indent=2) + "\n")
@@ -257,7 +251,7 @@ def _bench_trial(h: int, d: int, mode: str, trial: int, delta: float, base_seed:
         )
         success = eq.passed
         max_rel_error = eq.max_rel_error
-    except (ExtractionFailure, GeometryError, SignRecoveryError):
+    except GradleakError:
         success = False
         max_rel_error = float("nan")
     seconds = time.perf_counter() - start
@@ -311,9 +305,6 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ExtractionFailure, GeometryError, SignRecoveryError) as err:
-        print(f"extraction failed: {err}", file=sys.stderr)
-        return EXIT_EXTRACTION_FAILED
     except (GradleakError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,13 +6,20 @@ callers (and the CLI exit-code mapping) can tell them apart.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 
 class GradleakError(Exception):
     """Base class for all package-specific errors.
 
     learn_model sets phase ("search" or "sign"), retries and crossings on the
-    errors it re-raises, so a failure report can say where the run stopped.
+    errors it re-raises, so a failure report can say where the run stopped;
+    an error raised anywhere else reports no phase, no retries and no crossings.
     """
+
+    phase: str | None = None
+    retries: int = 0
+    crossings: Sequence[float] = ()
 
 
 class GenerationError(GradleakError):

@@ -9,7 +9,15 @@ them in closed form so that ZX = diag(sigma)(I + J) is well conditioned.
 
 Exact-gradient modes (grad, smoothgrad) follow the textbook search directly:
 gradients are piecewise constant, so a nonzero difference across a bracket
-certifies a crossing inside it.
+certifies a crossing inside it. Because the rows A_i are linearly independent,
+an equal difference certifies the opposite, that no crossing lies inside. The
+h searches on a line therefore share their queries: every upper bracket end a
+bisection abandons is kept on a stack, and each later search starts from the
+nearest kept point whose gradient differs from the floor's instead of from +l.
+When no kept point differs, fewer than h crossings lie in [-l, l], and the
+attempt fails without another query. Each row is the gradient difference
+between the two cells on either side of its crossing, whichever bracket
+isolates it, so reusing queries changes the query count but not Z.
 
 Membership mode estimates gradients by finite differences over value queries.
 At the resolutions the parameter selection demands, float64 value queries
@@ -19,8 +27,10 @@ rounding noise exceeds the smallest gradient change). The search therefore
 keeps the same query pattern, one finite-difference gradient request per
 bisection point, but takes its branch decisions from the scalar line function
 t -> f(u + t v), which is piecewise linear: a slope change over a bracket
-certifies a crossing at every bracket width float64 can represent. Rows are
-then recomputed exactly by finite differences at unit-rescaled cell midpoints,
+certifies a crossing at every bracket width float64 can represent. As in the
+gradient modes, later searches on a line start from the nearest abandoned
+upper end that this slope test separates from the floor. Rows are then
+recomputed exactly by finite differences at unit-rescaled cell midpoints,
 far from every hyperplane (gradients are scale-invariant because the
 hyperplanes pass through the origin). Each refined gradient g at p must satisfy
 Euler's identity f(p) = <g, p>; a cell too thin for the refinement step fails
@@ -160,55 +170,46 @@ def binary_search_segment(
     oracle: Oracle,
     u,
     v,
-    t_lo: float,
-    t_hi: float,
+    floor: tuple[float, np.ndarray],
+    above: list[tuple[float, np.ndarray]],
     epsilon: float,
-    cache: dict | None = None,
     tau: float = GRAD_CHANGE_TOL,
-) -> tuple[np.ndarray, float]:
-    """Isolate the least gradient change above t_lo to resolution epsilon.
+) -> tuple[np.ndarray, tuple[float, np.ndarray]]:
+    """Isolate the least gradient change above the floor to resolution epsilon.
 
-    Returns (grad(x_r) - grad(x_l), t_r) for the final bracket [t_l, t_r] of
-    width <= epsilon; t_r becomes the next search floor. Each bisection step
-    keeps a gradient change inside the bracket; when neither half shows one,
-    the search raises ExtractionFailure. Gradients are cached by t so repeated
-    endpoints are not re-queried.
+    floor is a queried point (t, grad) of the line u + t v; above is a stack of
+    queried points past it, nearest on top. Entries whose gradient equals the
+    floor's are popped: the rows A_i are linearly independent, so equal
+    gradients certify that no crossing lies between the two points. The first
+    entry that differs becomes the bracket's upper end, and bisection keeps a
+    gradient change inside the bracket, pushing each abandoned upper end back
+    on the stack so that later searches start from it. Returns
+    (grad(x_r) - grad(x_l), (t_r, grad(x_r))) for the final bracket
+    [t_l, t_r] of width <= epsilon; (t_r, grad(x_r)) is the next floor. An
+    exhausted stack means no gradient change lies past the floor, which costs
+    no query to detect and raises ExtractionFailure.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    uu = np.asarray(u, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    grads = cache if cache is not None else {}
-
-    def grad_at(t: float) -> np.ndarray:
-        if t not in grads:
-            grads[t] = oracle.gradient(uu + t * vv)
-        return grads[t]
-
-    t_l, t_r = float(t_lo), float(t_hi)
-    if not t_l <= t_r:
-        raise ExtractionFailure("empty bracket")
-    if t_r - t_l <= epsilon:
-        return grad_at(t_r) - grad_at(t_l), t_r
-    g_l = g_r = None
-    while True:
+    t_l, g_l = floor
+    while above and _norm(above[-1][1] - g_l) <= tau:
+        above.pop()
+    if not above:
+        raise ExtractionFailure("fewer than h crossings lie in the search range")
+    t_r, g_r = above.pop()
+    while t_r - t_l > epsilon:
         t_m = 0.5 * (t_l + t_r)
         if t_m <= t_l or t_m >= t_r:
             raise ExtractionFailure("bracket cannot be subdivided at float precision")
-        if g_l is None:
-            # First step: query left, middle, right, in that order; afterwards
-            # the endpoint gradients move with the bracket.
-            g_l, g_m, g_r = grad_at(t_l), grad_at(t_m), grad_at(t_r)
-        else:
-            g_m = grad_at(t_m)
+        g_m = oracle.gradient(u + t_m * v)
         if _norm(g_l - g_m) > tau:
+            above.append((t_r, g_r))
             t_r, g_r = t_m, g_m
         elif _norm(g_m - g_r) > tau:
             t_l, g_l = t_m, g_m
         else:
             raise ExtractionFailure("no gradient change in either half-bracket")
-        if t_r - t_l <= epsilon:
-            return g_r - g_l, t_r
+    return g_r - g_l, (t_r, g_r)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -216,20 +217,22 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _gradient_attempt(oracle: Oracle, u, v, cfg: ExtractionConfig):
-    """One full pass of h binary searches with exact (or smoothed) gradients."""
-    cache: dict = {}
-    floor = -float(cfg.l)
-    top = float(cfg.l)
+    """One full pass of h crossing searches with exact (or smoothed) gradients.
+
+    The searches share one stack of queried points, so each crossing after the
+    first starts from the tightest bracket the earlier queries imply.
+    """
+    uu = np.asarray(u, dtype=float)
+    vv = np.asarray(v, dtype=float)
+    l = float(cfg.l)
+    floor = (-l, oracle.gradient(uu - l * vv))
+    above = [(l, oracle.gradient(uu + l * vv))]
     rows = []
     crossings = []
     for _ in range(cfg.h):
-        row, floor = binary_search_segment(
-            oracle, u, v, floor, top, cfg.epsilon, cache=cache
-        )
-        if _norm(row) <= GRAD_CHANGE_TOL:
-            raise ExtractionFailure("located bracket shows no gradient change")
+        row, floor = binary_search_segment(oracle, uu, vv, floor, above, cfg.epsilon)
         rows.append(row)
-        crossings.append(floor)
+        crossings.append(floor[0])
     return np.vstack(rows), crossings
 
 
@@ -243,8 +246,10 @@ def _membership_attempt(oracle: Oracle, u, v, cfg: ExtractionConfig):
     reference slope for the cell containing the search floor; the reference
     starts on a wide window at the left edge and is re-measured on every
     certified kink-free half-bracket, so its own rounding noise (tracked and
-    added to the test tolerance) stays far below the slope jumps. Rows come
-    from a refinement pass at unit-rescaled cell midpoints where finite
+    added to the test tolerance) stays far below the slope jumps. A search's
+    upper end is the nearest upper end abandoned by an earlier bisection step
+    whose chord from the floor fails that test; the lower end is the floor.
+    Rows come from a refinement pass at unit-rescaled cell midpoints where finite
     differences are exact to rounding.
     """
     uu = np.asarray(u, dtype=float)
@@ -287,23 +292,34 @@ def _membership_attempt(oracle: Oracle, u, v, cfg: ExtractionConfig):
     sigma_ref = chord(-l, probe_t)
     ref_noise = slope_tol(ref_width, point_scale(-l, probe_t))
 
+    def kinked(t0: float, t1: float) -> bool:
+        # The chord over (t0, t1) leaves the floor cell's slope beyond noise.
+        return abs(chord(t0, t1) - sigma_ref) > slope_tol(t1 - t0, point_scale(t0, t1)) + ref_noise
+
     floor = -l
+    # Upper bracket ends abandoned by earlier bisection steps, nearest on top.
+    above = [l]
     crossings = []
     for _ in range(h):
-        a, b = floor, l
+        a = floor
+        while above and not kinked(a, above[-1]):
+            above.pop()
+        if not above:
+            raise ExtractionFailure("fewer than h crossings lie in the search range")
+        b = above.pop()
         while b - a > eps:
             m = 0.5 * (a + b)
             if m <= a or m >= b:
                 raise ExtractionFailure("bracket cannot be subdivided at float precision")
             request(m)
-            scale = point_scale(a, m)
-            if abs(chord(a, m) - sigma_ref) > slope_tol(m - a, scale) + ref_noise:
+            if kinked(a, m):
+                above.append(b)
                 b = m
             elif m - a >= REF_UPGRADE_MIN_WIDTH:
                 # (a, m) certified kink-free: re-measure the reference on this
                 # wider window before stepping over it.
                 sigma_ref = chord(a, m)
-                ref_noise = slope_tol(m - a, scale)
+                ref_noise = slope_tol(m - a, point_scale(a, m))
                 a = m
             else:
                 a = m

@@ -33,12 +33,6 @@ class QueryLedger:
     def add_gradients(self, n: int = 1) -> None:
         self.gradient_queries += n
 
-    def snapshot(self) -> dict:
-        return {
-            "value_queries": self.value_queries,
-            "gradient_queries": self.gradient_queries,
-        }
-
 
 @dataclass
 class FiniteDiffConfig:

@@ -6,12 +6,23 @@ import json
 import numpy as np
 import pytest
 
-from gradleak import load_net, load_recovered, recovered_from_net, save_recovered
+import gradleak.cli
+from gradleak import ConfigError, load_net, load_recovered, recovered_from_net, save_recovered
 from gradleak.cli import main
 
 
 def run(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def refused_extraction(monkeypatch):
+    """learn_model raises a library error that is neither a search nor a sign failure."""
+
+    def refuse(oracle, cfg):
+        raise ConfigError("refused before any search")
+
+    monkeypatch.setattr(gradleak.cli, "learn_model", refuse)
 
 
 @pytest.fixture
@@ -117,6 +128,17 @@ class TestExtractVerify:
         assert report["retries"] == 0
         assert len(report["crossings"]) == 4
         assert report["value_queries"] == 8
+
+    def test_any_library_error_exits_two_with_report(self, tmp_path, model_file, refused_extraction):
+        rec = tmp_path / "rec.json"
+        rep = tmp_path / "rep.json"
+        code = run("extract", "--model", str(model_file), "--out", str(rec), "--report", str(rep))
+        assert code == 2
+        assert not rec.exists()
+        report = json.loads(rep.read_text())
+        assert report["success"] is False
+        assert (report["phase"], report["retries"], report["crossings"]) == (None, 0, [])
+        assert report["gradient_queries"] == report["value_queries"] == 0
 
     def test_corrupted_recovered_exits_three(self, tmp_path, model_file):
         rec = tmp_path / "rec.json"
@@ -240,6 +262,13 @@ class TestBench:
         for row in rows:
             if row["success"] == "True":
                 assert float(row["max_rel_error"]) <= 1e-7
+
+    def test_library_error_is_a_failed_row(self, tmp_path, refused_extraction):
+        out = tmp_path / "bench.csv"
+        assert run("bench", "--h-list", "2", "--d", "8", "--trials", "1", "--seed", "0", "--out", str(out)) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["success"], r["max_rel_error"]) for r in rows] == [("False", "nan")]
 
     def test_deterministic_modulo_seconds(self, tmp_path):
         def strip_seconds(path):

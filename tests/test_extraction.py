@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from gradleak import (
     ExtractionConfig,
     ExtractionFailure,
+    GradleakError,
     Oracle,
     TwoLayerNet,
     binary_search_segment,
@@ -23,7 +24,8 @@ from gradleak import (
     recover_z,
     select_parameters,
 )
-from gradleak.extraction import _gradient_attempt
+from gradleak import extraction
+from gradleak.extraction import GRAD_CHANGE_TOL, _gradient_attempt
 
 
 def single_unit_net():
@@ -88,45 +90,61 @@ class TestConfig:
         )
 
 
+def _bracket(oracle, u, v, t_lo, t_hi):
+    """The floor and the stack of points past it for a search of [t_lo, t_hi]."""
+    return (t_lo, oracle.gradient(u + t_lo * v)), [(t_hi, oracle.gradient(u + t_hi * v))]
+
+
 class TestBinarySearchSegment:
     def test_single_crossing_exact_row(self):
         net = single_unit_net()
         oracle = Oracle(net)
         u = np.array([-0.5, 0.0])
         v = np.array([1.0, 0.0])  # crossing at t = 0.5
-        row, floor = binary_search_segment(oracle, u, v, -2.0, 2.0, 0.01)
+        floor, above = _bracket(oracle, u, v, -2.0, 2.0)
+        row, (t, _) = binary_search_segment(oracle, u, v, floor, above, 0.01)
         assert_allclose(np.abs(row), [2.0, 0.0], atol=1e-12)
-        assert 0.5 - 1e-12 <= floor <= 0.51
+        assert 0.5 - 1e-12 <= t <= 0.51
 
     def test_no_crossing_fails(self):
         net = single_unit_net()
         oracle = Oracle(net)
         u = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])  # <A, u + t v> = 1, never zero
-        with pytest.raises(ExtractionFailure):
-            binary_search_segment(oracle, u, v, -2.0, 2.0, 0.01)
+        floor, above = _bracket(oracle, u, v, -2.0, 2.0)
+        with pytest.raises(ExtractionFailure, match="fewer than h crossings"):
+            binary_search_segment(oracle, u, v, floor, above, 0.01)
+        # Equal end gradients certify the empty bracket without a midpoint.
+        assert oracle.ledger.gradient_queries == 2
 
     def test_narrow_bracket_returns_immediately(self):
         net = single_unit_net()
         oracle = Oracle(net)
         u = np.array([-0.5, 0.0])
         v = np.array([1.0, 0.0])
-        row, floor = binary_search_segment(oracle, u, v, 0.3, 0.305, 0.01)
-        assert floor == 0.305
-        assert_allclose(row, [0.0, 0.0])
+        floor, above = _bracket(oracle, u, v, 0.498, 0.505)
+        row, (t, _) = binary_search_segment(oracle, u, v, floor, above, 0.01)
+        assert t == 0.505
+        assert_allclose(row, [2.0, 0.0])
         assert oracle.ledger.gradient_queries == 2
 
     def test_gradient_caching_across_searches(self):
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
         oracle = Oracle(net)
-        cache = {}
         u = np.array([-0.5, -0.25])
-        v = np.array([1.0, 1.0])
-        binary_search_segment(oracle, u, v, -2.0, 2.0, 0.01, cache=cache)
-        seen = oracle.ledger.gradient_queries
-        assert seen == len(cache)
-        binary_search_segment(oracle, u, v, -2.0, 2.0, 0.01, cache=cache)
-        assert oracle.ledger.gradient_queries == len(cache)
+        v = np.array([1.0, 1.0])  # crossings at t = 0.25 and t = 0.5
+        floor, above = _bracket(oracle, u, v, -2.0, 2.0)
+        _, floor = binary_search_segment(oracle, u, v, floor, above, 0.01)
+        first = oracle.ledger.gradient_queries
+        # The first search passed t = 0.5 on its way down; that is the
+        # tightest queried bound on the second crossing.
+        assert above[-1][0] == 0.5
+        row, (t, _) = binary_search_segment(oracle, u, v, floor, above, 0.01)
+        steps = math.ceil(math.log2((0.5 - floor[0]) / 0.01))
+        assert oracle.ledger.gradient_queries - first == steps
+        assert steps < math.ceil(math.log2((2.0 - floor[0]) / 0.01))
+        assert_allclose(np.abs(row), [1.0, 0.0])
+        assert 0.5 <= t <= 0.51
 
 
 class TestRecoverZ:
@@ -200,6 +218,73 @@ class TestRecoverZ:
                 assert len(res.probe.crossings) == 1
                 break
         assert found
+
+
+def _independent_bisection_attempt(oracle, u, v, cfg):
+    """Reference: each crossing bisects [floor, +l] afresh, reusing only
+    gradients queried at exactly the same t."""
+    grads = {}
+
+    def grad_at(t):
+        if t not in grads:
+            grads[t] = oracle.gradient(u + t * v)
+        return grads[t]
+
+    def changed(g0, g1):
+        return np.linalg.norm(g0 - g1) > GRAD_CHANGE_TOL
+
+    floor, rows, crossings = -float(cfg.l), [], []
+    for _ in range(cfg.h):
+        t_l, t_r = floor, float(cfg.l)
+        while t_r - t_l > cfg.epsilon:
+            t_m = 0.5 * (t_l + t_r)
+            g_l, g_m, g_r = grad_at(t_l), grad_at(t_m), grad_at(t_r)
+            if changed(g_l, g_m):
+                t_r = t_m
+            elif changed(g_m, g_r):
+                t_l = t_m
+            else:
+                raise ExtractionFailure("no gradient change in either half-bracket")
+        row = grad_at(t_r) - grad_at(t_l)
+        if not changed(row, 0.0):
+            raise ExtractionFailure("located bracket shows no gradient change")
+        rows.append(row)
+        crossings.append(t_r)
+        floor = t_r
+    return np.vstack(rows), crossings
+
+
+class TestSharedBracketSearch:
+    def test_same_models_as_independent_bisection_with_fewer_queries(self, monkeypatch):
+        # Each row is the gradient difference between the same two cells
+        # whichever bracket isolates the crossing, so reusing queried points
+        # may change the query count but never the model or the retries.
+        def outcome(net, h, seed):
+            oracle = Oracle(net)
+            try:
+                report = learn_model(oracle, ExtractionConfig(h, delta=0.1, c=0.01, seed=seed))
+                result = (report.model.Z.tobytes(), report.model.s.tobytes(), report.retries)
+            except GradleakError as err:
+                result = (type(err).__name__, err.retries)
+            return result, oracle.ledger.gradient_queries
+
+        shared_total = reference_total = 0
+        for d, h, count in [(16, 16, 16), (128, 8, 12), (32, 32, 12)]:
+            for trial in range(count):
+                net_seed, seed = (
+                    int(s)
+                    for s in np.random.SeedSequence([6100, d, h, trial]).generate_state(2, dtype=np.uint64)
+                )
+                net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
+                shared, shared_queries = outcome(net, h, seed)
+                with monkeypatch.context() as patch:
+                    patch.setattr(extraction, "_gradient_attempt", _independent_bisection_attempt)
+                    reference, reference_queries = outcome(net, h, seed)
+                assert shared == reference, f"(d, h, trial) = ({d}, {h}, {trial})"
+                assert shared_queries <= reference_queries
+                shared_total += shared_queries
+                reference_total += reference_queries
+        assert shared_total < reference_total
 
 
 class TestRecoverS:
@@ -299,9 +384,9 @@ class TestLearnModel:
     @pytest.mark.parametrize(
         "d, h, net_seed, cfg_seed, gradient_queries, value_queries, retries",
         [
-            (16, 16, 7000, 0, 1154, 32, 1),
-            (128, 8, 7001, 1, 259, 16, 0),
-            (20, 8, 27, 3, 261, 16, 0),
+            (16, 16, 7000, 0, 920, 32, 1),
+            (128, 8, 7001, 1, 220, 16, 0),
+            (20, 8, 27, 3, 229, 16, 0),
         ],
     )
     def test_grad_query_counts_are_pinned(
@@ -317,6 +402,22 @@ class TestLearnModel:
             retries,
         )
         assert functional_equivalence(net, report.model, 4096, 1e-7, seed=0).passed
+
+    def test_too_few_crossings_are_refused_without_a_query(self):
+        # Once the last crossing on the line is found, the floor's gradient
+        # equals the one already queried at +l: a second crossing is refused
+        # on that certificate alone, after exactly the search one width costs.
+        net = single_unit_net()
+
+        def config(h):
+            return ExtractionConfig(h=h, epsilon=1e-3, l=50.0, seed=3, max_retries=0)
+
+        one = learn_model(Oracle(net), config(1))
+        oracle = Oracle(net)
+        with pytest.raises(ExtractionFailure, match="fewer than h crossings"):
+            learn_model(oracle, config(2))
+        # Sign recovery spends value queries only, so these are all search.
+        assert oracle.ledger.gradient_queries == one.gradient_queries
 
     def test_first_attempt_failure_rate_within_budget(self):
         # With the true collinearity gap supplied, single attempts (no
