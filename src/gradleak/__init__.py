@@ -19,7 +19,6 @@ from .errors import (
 from .extraction import (
     ExtractionConfig,
     ExtractionReport,
-    LineProbe,
     ZRecovery,
     binary_search_segment,
     learn_model,
@@ -33,7 +32,6 @@ from .model import (
     RecoveredModel,
     TwoLayerNet,
     cell_mask,
-    eval_recovered,
     eval_target,
     generate_random_net,
     grad_target,
@@ -49,10 +47,6 @@ from .oracle import (
     Oracle,
     QueryLedger,
     SmoothGradConfig,
-    fd_gradient,
-    query_gradient,
-    query_value,
-    smoothgrad,
 )
 from .validation import (
     EquivalenceReport,
@@ -81,7 +75,6 @@ __all__ = [
     "GenerationError",
     "GeometryError",
     "GradleakError",
-    "LineProbe",
     "MatchAmbiguityError",
     "MatchResult",
     "McReport",
@@ -97,9 +90,7 @@ __all__ = [
     "block_sign_matrix",
     "cell_mask",
     "check_fd_exactness",
-    "eval_recovered",
     "eval_target",
-    "fd_gradient",
     "functional_equivalence",
     "generate_random_net",
     "grad_target",
@@ -112,8 +103,6 @@ __all__ = [
     "mc_crossing_gap",
     "mc_gaussian_product",
     "membership_step_bound",
-    "query_gradient",
-    "query_value",
     "rank_with_tolerance",
     "recover_s",
     "recover_z",
@@ -122,6 +111,5 @@ __all__ = [
     "save_recovered",
     "select_parameters",
     "sign_query_points",
-    "smoothgrad",
     "solve_linear_system",
 ]

@@ -24,7 +24,7 @@ from .model import (
     save_net,
     save_recovered,
 )
-from .oracle import FiniteDiffConfig, Oracle, SmoothGradConfig
+from .oracle import Oracle, SmoothGradConfig
 from .validation import (
     functional_equivalence,
     match_rows,
@@ -164,12 +164,8 @@ def cmd_extract(args) -> int:
         seed=args.seed,
         max_retries=args.max_retries,
     )
-    oracle = Oracle(
-        net,
-        mode=args.mode,
-        fd=FiniteDiffConfig(),
-        sg=SmoothGradConfig(sigma=args.sigma, n_samples=args.n_samples, seed=args.seed),
-    )
+    sg = SmoothGradConfig(sigma=args.sigma, n_samples=args.n_samples, seed=args.seed)
+    oracle = Oracle(net, mode=args.mode, sg=sg)
     try:
         report = learn_model(oracle, cfg)
     except GradleakError as err:

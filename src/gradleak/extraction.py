@@ -40,7 +40,7 @@ it, and the attempt is retried rather than returning mixed rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,39 +110,27 @@ class ExtractionConfig:
     max_retries: int = 5
 
     def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("h must be at least 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.c <= 1.0:
-            raise ValueError("c must lie in (0, 1]")
+        eps, l = select_parameters(self.delta, self.c, self.h)
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.epsilon is None or self.l is None:
-            eps, l = select_parameters(self.delta, self.c, self.h)
-            if self.epsilon is None:
-                self.epsilon = eps
-            if self.l is None:
-                self.l = l
-        if self.epsilon <= 0 or self.l <= 0:
-            raise ValueError("epsilon and l must be positive")
+        if self.epsilon is None:
+            self.epsilon = eps
+        if self.l is None:
+            self.l = l
+        if not (0.0 < self.epsilon < math.inf and 0.0 < self.l < math.inf):
+            raise ValueError("epsilon and l must be positive and finite")
         if not self.epsilon < 2 * self.l:
             raise ValueError("epsilon must be smaller than the search range 2l")
 
 
 @dataclass
-class LineProbe:
-    """One search line u + t v and the crossing parameters found on it."""
+class ZRecovery:
+    """Recovered normals Z, the search line u + t v they came from, and its crossings."""
 
+    Z: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    crossings: list[float] = field(default_factory=list)
-
-
-@dataclass
-class ZRecovery:
-    Z: np.ndarray
-    probe: LineProbe
+    crossings: list[float]
     retries: int
 
 
@@ -173,7 +161,6 @@ def binary_search_segment(
     floor: tuple[float, np.ndarray],
     above: list[tuple[float, np.ndarray]],
     epsilon: float,
-    tau: float = GRAD_CHANGE_TOL,
 ) -> tuple[np.ndarray, tuple[float, np.ndarray]]:
     """Isolate the least gradient change above the floor to resolution epsilon.
 
@@ -192,7 +179,7 @@ def binary_search_segment(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     t_l, g_l = floor
-    while above and _norm(above[-1][1] - g_l) <= tau:
+    while above and _norm(above[-1][1] - g_l) <= GRAD_CHANGE_TOL:
         above.pop()
     if not above:
         raise ExtractionFailure("fewer than h crossings lie in the search range")
@@ -202,10 +189,10 @@ def binary_search_segment(
         if t_m <= t_l or t_m >= t_r:
             raise ExtractionFailure("bracket cannot be subdivided at float precision")
         g_m = oracle.gradient(u + t_m * v)
-        if _norm(g_l - g_m) > tau:
+        if _norm(g_l - g_m) > GRAD_CHANGE_TOL:
             above.append((t_r, g_r))
             t_r, g_r = t_m, g_m
-        elif _norm(g_m - g_r) > tau:
+        elif _norm(g_m - g_r) > GRAD_CHANGE_TOL:
             t_l, g_l = t_m, g_m
         else:
             raise ExtractionFailure("no gradient change in either half-bracket")
@@ -387,7 +374,7 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng=None) -> ZRecovery:
         v = gen.standard_normal(oracle.d)
         try:
             z, crossings = attempt_fn(oracle, u, v, cfg)
-            return ZRecovery(Z=z, probe=LineProbe(u=u, v=v, crossings=crossings), retries=attempt)
+            return ZRecovery(Z=z, u=u, v=v, crossings=crossings, retries=attempt)
         except ExtractionFailure as err:
             last = err
     raise ExtractionFailure(
@@ -433,9 +420,10 @@ def recover_s(oracle: Oracle, z, rng=None) -> np.ndarray:
     if residual > SOLVE_RESIDUAL_TOL * (1.0 + np.max(np.abs(b))):
         raise SignRecoveryError(f"rounded sign vector leaves residual {residual:.3e}")
 
-    nz = s != 0
-    if int(np.sum(nz)) != h or np.any(nz[:h] == nz[h:]):
-        raise SignRecoveryError("sign pattern is not one nonzero per row pair")
+    try:
+        RecoveredModel(Z=zm, s=s).validate_signs()
+    except ValueError as err:
+        raise SignRecoveryError(f"sign pattern is invalid: {err}") from err
     return s
 
 
@@ -456,14 +444,12 @@ def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
     except GradleakError as err:
         err.phase = "search" if zres is None else "sign"
         err.retries = cfg.max_retries if zres is None else zres.retries
-        err.crossings = [] if zres is None else list(zres.probe.crossings)
+        err.crossings = [] if zres is None else list(zres.crossings)
         raise
-    model = RecoveredModel(Z=zres.Z, s=s)
-    model.validate_signs()
     return ExtractionReport(
-        model=model,
+        model=RecoveredModel(Z=zres.Z, s=s),
         gradient_queries=oracle.ledger.gradient_queries,
         value_queries=oracle.ledger.value_queries,
         retries=zres.retries,
-        crossings=list(zres.probe.crossings),
+        crossings=list(zres.crossings),
     )

@@ -40,6 +40,8 @@ def sign_query_points(z, rng) -> tuple[np.ndarray, np.ndarray]:
             f"Z is too ill-conditioned for sign recovery: rank {rank} < {h} rows "
             f"(singular values {sv[-1]:.3e} to {sv[0]:.3e})"
         )
-    if not np.max(np.abs(zm @ x - target)) <= RESIDUAL_TOL:  # also rejects an overflowed X
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed X is refused below
+        residual = np.max(np.abs(zm @ x - target))
+    if not residual <= RESIDUAL_TOL:  # also rejects an overflowed X (inf or NaN)
         raise GeometryError("query points miss their target pre-activations; Z is ill-conditioned")
     return x, sigma.astype(int)

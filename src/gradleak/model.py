@@ -32,7 +32,7 @@ def _as_vector(x, d: int, name: str = "x") -> np.ndarray:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
@@ -146,17 +146,6 @@ def eval_target_batch(net: TwoLayerNet, xs) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != net.d:
         raise ValueError(f"points must have shape (n, {net.d})")
     return np.maximum(pts @ net.A.T, 0.0) @ net.w
-
-
-def eval_recovered(model: RecoveredModel, x) -> float:
-    """fhat(x) = [max(Zx,0)^T max(-Zx,0)^T] . s (requires a valid sign pattern)."""
-    model.validate_signs()
-    v = _as_vector(x, model.d)
-    pre = model.Z @ v
-    h = model.h
-    return float(
-        np.maximum(pre, 0.0) @ model.s[:h] + np.maximum(-pre, 0.0) @ model.s[h:]
-    )
 
 
 def eval_recovered_batch(model: RecoveredModel, xs) -> np.ndarray:
@@ -275,7 +264,9 @@ def load_recovered(path) -> RecoveredModel:
     for key in ("d", "h", "Z", "s"):
         if key not in payload:
             raise ValueError(f"recovered file missing key {key!r}")
-    model = RecoveredModel(Z=np.array(payload["Z"], dtype=float), s=np.array(payload["s"], dtype=int))
+    # s is loaded as written: an entry such as -1.9 must fail the alphabet check,
+    # not be truncated into it.
+    model = RecoveredModel(Z=np.array(payload["Z"], dtype=float), s=np.array(payload["s"]))
     if model.d != payload["d"] or model.h != payload["h"]:
         raise ValueError("recovered file dimensions disagree with its matrices")
     return model

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, MatchAmbiguityError
 from .model import TwoLayerNet, RecoveredModel, eval_recovered_batch, eval_target_batch, grad_target
-from .oracle import FiniteDiffConfig, QueryLedger, fd_gradient
+from .oracle import FiniteDiffConfig, Oracle
 
 # Two row-match candidates closer than this in |cosine| are reported, not guessed.
 MATCH_AMBIGUITY_TOL = 1e-9
@@ -319,13 +319,15 @@ def check_fd_exactness(
     """Finite differences are exact (to rounding) away from all hyperplanes.
 
     Samples Gaussian points with min_i |<A_i, x>| > eta by rejection and
-    compares fd_gradient against the exact gradient at rel_tol. When grid_l
-    and grid_epsilon are given, also estimates how often a search grid
-    {u + i eps v} contains a point within eta of a hyperplane and checks the
-    rate against 2 l h eta / eps.
+    compares membership-mode Oracle gradients against the exact gradient at
+    rel_tol. When grid_l and grid_epsilon are given, also estimates how often
+    a search grid {u + i eps v} contains a point within eta of a hyperplane
+    and checks the rate against 2 l h eta / eps.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if grid_trials < 1:
+        raise ValueError(f"grid_trials must be at least 1, got {grid_trials}")
     rng = np.random.default_rng(seed)
     eta = cfg.eta
     budget = 200 * trials
@@ -333,7 +335,7 @@ def check_fd_exactness(
     worst = 0.0
     counterexample = None
     passed = True
-    ledger = QueryLedger()
+    oracle = Oracle(net, "membership")
     for _ in range(budget):
         if collected == trials:
             break
@@ -341,7 +343,7 @@ def check_fd_exactness(
         if float(np.min(np.abs(net.A @ x))) <= eta:
             continue
         collected += 1
-        approx = fd_gradient(net, x, cfg, ledger)
+        approx = oracle.gradient(x, eta=eta)
         exact = grad_target(net, x)
         rel = float(np.max(np.abs(approx - exact))) / (1.0 + float(np.max(np.abs(exact))))
         if rel > worst:

@@ -149,6 +149,15 @@ class TestExtractVerify:
         rec.write_text(json.dumps(payload))
         assert run("verify", "--model", str(model_file), "--recovered", str(rec)) == 3
 
+    def test_non_integer_sign_entry_exits_one(self, tmp_path, model_file):
+        rec = tmp_path / "rec.json"
+        save_recovered(recovered_from_net(load_net(model_file)), rec)
+        payload = json.loads(rec.read_text())
+        nz = [i for i, v in enumerate(payload["s"]) if v != 0]
+        payload["s"][nz[0]] = 1.9 * payload["s"][nz[0]]
+        rec.write_text(json.dumps(payload))
+        assert run("verify", "--model", str(model_file), "--recovered", str(rec)) == 1
+
     def test_reference_model_verifies_tightly(self, tmp_path, model_file):
         net = load_net(model_file)
         rec = tmp_path / "ref.json"

@@ -1,5 +1,6 @@
 """Parameter selection, crossing search, sign recovery, and the full attack."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,9 +12,9 @@ from gradleak import (
     ExtractionFailure,
     GradleakError,
     Oracle,
+    SmoothGradConfig,
     TwoLayerNet,
     binary_search_segment,
-    eval_recovered,
     eval_target,
     functional_equivalence,
     generate_random_net,
@@ -26,6 +27,7 @@ from gradleak import (
 )
 from gradleak import extraction
 from gradleak.extraction import GRAD_CHANGE_TOL, _gradient_attempt
+from gradleak.model import eval_recovered_batch
 
 
 def single_unit_net():
@@ -83,6 +85,15 @@ class TestConfig:
             ExtractionConfig(h=2, epsilon=10.0, l=1.0)
         with pytest.raises(ValueError):
             ExtractionConfig(h=2, max_retries=-1)
+
+    @pytest.mark.parametrize(
+        "override", [{"l": math.inf}, {"l": math.nan}, {"epsilon": math.inf}, {"epsilon": math.nan}]
+    )
+    def test_non_finite_range_refused(self, override):
+        # A search at +-inf would warn inside the oracle and then fail as
+        # "fewer than h crossings", blaming the instance for a usage error.
+        with pytest.raises(ValueError, match="positive and finite"):
+            ExtractionConfig(h=2, **override)
 
     def test_membership_step_formula(self):
         assert membership_step_bound(0.1, 7.764e-5, 26, 2) == pytest.approx(
@@ -173,7 +184,7 @@ class TestRecoverZ:
         oracle = Oracle(net)
         cfg = ExtractionConfig(h=5, delta=0.1, c=0.01, seed=4)
         res = recover_z(oracle, cfg)
-        t = -(net.A @ res.probe.u) / (net.A @ res.probe.v)
+        t = -(net.A @ res.u) / (net.A @ res.v)
         order = np.argsort(t)
         assert np.all(np.abs(t[order]) <= cfg.l)
         for i, unit in enumerate(order):
@@ -182,7 +193,7 @@ class TestRecoverZ:
                 np.max(np.abs(res.Z[i] - target)), np.max(np.abs(res.Z[i] + target))
             )
             assert err <= 1e-9
-        assert all(a < b for a, b in zip(res.probe.crossings, res.probe.crossings[1:]))
+        assert all(a < b for a, b in zip(res.crossings, res.crossings[1:]))
 
     def test_query_budget(self):
         net = generate_random_net(16, 6, seed=5)
@@ -215,7 +226,7 @@ class TestRecoverZ:
                 continue
             if res.retries > 0:
                 found = True
-                assert len(res.probe.crossings) == 1
+                assert len(res.crossings) == 1
                 break
         assert found
 
@@ -319,17 +330,16 @@ class TestRecoverS:
         from gradleak import RecoveredModel
 
         model = RecoveredModel(Z=z, s=s)
-        pts = rng.standard_normal((2000, 10))
-        for x in pts[:50]:
-            assert eval_recovered(model, x) == pytest.approx(
-                eval_target(net, x), rel=1e-9, abs=1e-9
-            )
+        pts = rng.standard_normal((2000, 10))[:50]
+        expected = [eval_target(net, x) for x in pts]
+        assert eval_recovered_batch(model, pts) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize(
         "s, message",
         [
             ([0.0, -1.0, 3.0, 0.0], r"entry 2 = 3 rounds outside \{-1,0,1\}"),
             ([0.0, 0.5, 1.0, 0.0], r"entry 1 = 0\.5 is not near an integer"),
+            ([1.0, 0.0, 1.0, 0.0], r"sign pattern is invalid: .*one nonzero per row pair"),
         ],
     )
     def test_rejection_names_the_offending_entry(self, s, message):
@@ -364,11 +374,9 @@ class TestLearnModel:
         net = single_unit_net()
         oracle = Oracle(net)
         report = learn_model(oracle, ExtractionConfig(h=1, delta=0.2, c=0.5, seed=10))
-        rng = np.random.default_rng(11)
-        for x in rng.standard_normal((1000, 2)):
-            assert eval_recovered(report.model, x) == pytest.approx(
-                2.0 * max(x[0], 0.0), abs=1e-7
-            )
+        pts = np.random.default_rng(11).standard_normal((1000, 2))
+        got = eval_recovered_batch(report.model, pts)
+        assert got == pytest.approx(2.0 * np.maximum(pts[:, 0], 0.0), abs=1e-7)
 
     def test_full_instance_grad_mode(self):
         net = generate_random_net(20, 8, seed=12)
@@ -402,6 +410,35 @@ class TestLearnModel:
             retries,
         )
         assert functional_equivalence(net, report.model, 4096, 1e-7, seed=0).passed
+
+    @pytest.mark.parametrize(
+        "mode, d, h, net_seed, gradient_queries, value_queries, retries, digest",
+        [
+            ("membership", 12, 4, 40, 0, 1443, 0, "e586431fb4cbab6302edfec4d8e533b2"),
+            ("membership", 12, 4, 41, 0, 2604, 1, "dbd16bee976226ab44662080840c425e"),
+            ("membership", 20, 8, 40, 0, 4939, 0, "f096c9b5cb41e33b40446391e3de66f1"),
+            ("smoothgrad", 12, 4, 40, 105, 8, 0, "e09b6233b7280d7a722d72a0df03d18f"),
+            ("smoothgrad", 12, 4, 42, 111, 8, 0, "8e7b4a5a70ad593e134c6ef4ee9c9f38"),
+        ],
+    )
+    def test_membership_and_smoothgrad_outcomes_are_pinned(
+        self, mode, d, h, net_seed, gradient_queries, value_queries, retries, digest
+    ):
+        # Like the grad pins, plus the bytes of (Z, s): the finite-difference
+        # loop and the smoothing draws must keep their order.
+        net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
+        sg = SmoothGradConfig(sigma=1e-9, n_samples=3, seed=net_seed + 1)
+        report = learn_model(
+            Oracle(net, mode=mode, sg=sg), ExtractionConfig(h, delta=0.1, c=0.01, seed=net_seed + 2)
+        )
+        assert (report.gradient_queries, report.value_queries, report.retries) == (
+            gradient_queries,
+            value_queries,
+            retries,
+        )
+        model = report.model
+        blob = np.ascontiguousarray(model.Z).tobytes() + np.asarray(model.s, dtype=np.int64).tobytes()
+        assert hashlib.sha256(blob).hexdigest()[:32] == digest
 
     def test_too_few_crossings_are_refused_without_a_query(self):
         # Once the last crossing on the line is found, the floor's gradient

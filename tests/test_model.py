@@ -11,7 +11,6 @@ from gradleak import (
     RecoveredModel,
     TwoLayerNet,
     cell_mask,
-    eval_recovered,
     eval_target,
     generate_random_net,
     grad_target,
@@ -82,22 +81,22 @@ class TestCellMask:
 class TestEvalRecovered:
     def test_single_positive_row(self):
         model = RecoveredModel(Z=np.array([[1.0, 0.0]]), s=np.array([1, 0]))
-        assert eval_recovered(model, (3.0, 5.0)) == pytest.approx(3.0)
+        assert eval_recovered_batch(model, [(3.0, 5.0)])[0] == pytest.approx(3.0)
 
     def test_matches_target(self):
         model = RecoveredModel(
             Z=np.array([[1.0, 0.0], [0.0, -1.0]]), s=np.array([1, 0, 0, -1])
         )
-        assert eval_recovered(model, (2.0, 3.0)) == pytest.approx(-1.0)
+        assert eval_recovered_batch(model, [(2.0, 3.0)])[0] == pytest.approx(-1.0)
 
     def test_zero_input(self):
         model = RecoveredModel(Z=np.array([[0.5, 0.5]]), s=np.array([0, -1]))
-        assert eval_recovered(model, np.zeros(2)) == 0.0
+        assert eval_recovered_batch(model, np.zeros((1, 2)))[0] == 0.0
 
     def test_malformed_sign_pattern_rejected(self):
         model = RecoveredModel(Z=np.eye(2), s=np.array([1, 0, 1, 0]))
-        with pytest.raises(ValueError):
-            eval_recovered(model, (1.0, 1.0))
+        with pytest.raises(ValueError, match="one nonzero per row pair"):
+            model.validate_signs()
 
     def test_bad_alphabet_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -206,6 +205,25 @@ class TestSerialization:
         loaded = load_recovered(path)
         assert np.array_equal(loaded.Z, model.Z)
         assert np.array_equal(loaded.s, model.s)
+
+    def test_recovered_signs_stay_integers(self, tmp_path):
+        model = recovered_from_net(generate_random_net(6, 3, seed=14))
+        assert model.s.dtype.kind == "i"
+        path = tmp_path / "rec.json"
+        save_recovered(model, path)
+        assert all(type(v) is int for v in json.loads(path.read_text())["s"])
+        assert load_recovered(path).s.dtype.kind == "i"
+
+    def test_non_integer_sign_entry_not_truncated(self, tmp_path):
+        # -1.9 truncated to -1 would load a corrupted file as a valid model.
+        path = tmp_path / "rec.json"
+        save_recovered(recovered_from_net(generate_random_net(6, 3, seed=14)), path)
+        payload = json.loads(path.read_text())
+        i = next(i for i, v in enumerate(payload["s"]) if v != 0)
+        payload["s"][i] = 1.9 * payload["s"][i]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"\{-1, 0, 1\}"):
+            load_recovered(path)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

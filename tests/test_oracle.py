@@ -7,16 +7,11 @@ from numpy.testing import assert_allclose
 from gradleak import (
     FiniteDiffConfig,
     Oracle,
-    QueryLedger,
     SmoothGradConfig,
     TwoLayerNet,
     cell_mask,
-    fd_gradient,
     generate_random_net,
     grad_target,
-    query_gradient,
-    query_value,
-    smoothgrad,
 )
 
 
@@ -26,93 +21,91 @@ def two_unit_net(w=(1.0, -1.0)):
 
 class TestCounters:
     def test_value_query(self):
-        net = two_unit_net()
-        ledger = QueryLedger()
-        assert query_value(net, (2.0, 3.0), ledger) == pytest.approx(-1.0)
-        assert ledger.value_queries == 1 and ledger.gradient_queries == 0
+        oracle = Oracle(two_unit_net())
+        assert oracle.value((2.0, 3.0)) == pytest.approx(-1.0)
+        assert oracle.ledger.value_queries == 1 and oracle.ledger.gradient_queries == 0
 
     def test_value_query_at_zero(self):
-        net = two_unit_net()
-        ledger = QueryLedger()
-        assert query_value(net, np.zeros(2), ledger) == 0.0
-        assert ledger.value_queries == 1
+        oracle = Oracle(two_unit_net())
+        assert oracle.value(np.zeros(2)) == 0.0
+        assert oracle.ledger.value_queries == 1
 
     def test_two_calls_add_two(self):
-        net = two_unit_net()
-        ledger = QueryLedger()
-        query_value(net, (1.0, 1.0), ledger)
-        query_value(net, (1.0, 2.0), ledger)
-        assert ledger.value_queries == 2
+        oracle = Oracle(two_unit_net())
+        oracle.value((1.0, 1.0))
+        oracle.value((1.0, 2.0))
+        assert oracle.ledger.value_queries == 2
 
     def test_gradient_counting(self):
-        net = two_unit_net()
-        ledger = QueryLedger()
-        assert_allclose(query_gradient(net, (2.0, 3.0), ledger), [1.0, -1.0])
-        assert_allclose(query_gradient(net, (-1.0, -1.0), ledger), [0.0, 0.0])
+        oracle = Oracle(two_unit_net())
+        assert_allclose(oracle.gradient((2.0, 3.0)), [1.0, -1.0])
+        assert_allclose(oracle.gradient((-1.0, -1.0)), [0.0, 0.0])
         for _ in range(3):
-            query_gradient(net, (1.0, 1.0), ledger)
-        assert ledger.gradient_queries == 5
-        assert ledger.value_queries == 0
+            oracle.gradient((1.0, 1.0))
+        assert oracle.ledger.gradient_queries == 5
+        assert oracle.ledger.value_queries == 0
 
 
 class TestFiniteDifference:
     def test_hand_case_same_cell(self):
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
-        ledger = QueryLedger()
-        grad = fd_gradient(net, (1.0, 2.0), FiniteDiffConfig(eta=0.01), ledger)
+        grad = Oracle(net, "membership").gradient((1.0, 2.0), eta=0.01)
         assert_allclose(grad, [1.0, 1.0], rtol=1e-12)
 
     def test_cost_is_d_plus_one_values(self):
         net = generate_random_net(7, 3, seed=0)
-        ledger = QueryLedger()
-        fd_gradient(net, np.ones(7), FiniteDiffConfig(eta=1e-3), ledger)
-        assert ledger.value_queries == 8
-        assert ledger.gradient_queries == 0
+        oracle = Oracle(net, "membership")
+        oracle.gradient(np.ones(7), eta=1e-3)
+        assert oracle.ledger.value_queries == 8
+        assert oracle.ledger.gradient_queries == 0
 
     def test_matches_exact_gradient_off_hyperplanes(self):
         rng = np.random.default_rng(1)
         net = generate_random_net(10, 5, seed=1)
-        cfg = FiniteDiffConfig(eta=1e-2)
+        eta = 1e-2
         checked = 0
         while checked < 50:
             x = rng.standard_normal(10)
-            if np.min(np.abs(net.A @ x)) <= cfg.eta:
+            if np.min(np.abs(net.A @ x)) <= eta:
                 continue
             checked += 1
-            approx = fd_gradient(net, x, cfg, QueryLedger())
+            approx = Oracle(net, "membership").gradient(x, eta=eta)
             exact = grad_target(net, x)
             assert np.max(np.abs(approx - exact)) <= 1e-9 * (1.0 + np.max(np.abs(exact)))
 
     def test_within_cell_exactness_requires_shared_mask(self):
         rng = np.random.default_rng(2)
         net = generate_random_net(6, 4, seed=2)
-        cfg = FiniteDiffConfig(eta=1e-3)
+        eta = 1e-3
         checked = 0
         while checked < 30:
             x = rng.standard_normal(6)
-            probes = [x] + [x + cfg.eta * e for e in np.eye(6)]
+            probes = [x] + [x + eta * e for e in np.eye(6)]
             masks = {tuple(cell_mask(net, p)) for p in probes}
             if len(masks) != 1:
                 continue
             checked += 1
-            approx = fd_gradient(net, x, cfg, QueryLedger())
+            approx = Oracle(net, "membership").gradient(x, eta=eta)
             exact = grad_target(net, x)
             assert np.max(np.abs(approx - exact)) <= 1e-9 * (1.0 + np.max(np.abs(exact)))
 
     def test_bad_eta(self):
+        for eta in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                FiniteDiffConfig(eta=eta)
         with pytest.raises(ValueError):
-            FiniteDiffConfig(eta=0.0)
+            Oracle(two_unit_net(), "membership").gradient((1.0, 2.0), eta=0.0)
 
 
 class TestSmoothGrad:
     def test_zero_sigma_equals_exact(self):
         net = generate_random_net(5, 3, seed=3)
-        ledger = QueryLedger()
+        oracle = Oracle(net, "smoothgrad", sg=SmoothGradConfig(sigma=0.0, n_samples=10, seed=0))
         x = np.array([0.3, -0.2, 1.0, 0.4, -0.9])
-        got = smoothgrad(net, x, SmoothGradConfig(sigma=0.0, n_samples=10, seed=0), ledger)
+        got = oracle.gradient(x)
         assert np.array_equal(got, grad_target(net, x))
-        assert ledger.gradient_queries == 1
-        assert ledger.value_queries == 0
+        assert oracle.ledger.gradient_queries == 1
+        assert oracle.ledger.value_queries == 0
 
     def test_deep_cell_average_is_exact(self):
         net = TwoLayerNet(A=np.array([[1.0, 0.0]]), w=np.array([1.0]))
@@ -122,13 +115,14 @@ class TestSmoothGrad:
         rng_check = np.random.default_rng(4)
         zs = np.array([rng_check.normal(0.0, 0.1, size=2) for _ in range(10)])
         assert np.all(10.0 + zs[:, 0] > 0)
-        got = smoothgrad(net, x, cfg, QueryLedger())
+        got = Oracle(net, "smoothgrad", sg=cfg).gradient(x)
         assert_allclose(got, [1.0, 0.0], atol=1e-15)
 
     def test_single_sample_zero_sigma_is_exact(self):
         net = generate_random_net(4, 2, seed=5)
         x = np.ones(4)
-        got = smoothgrad(net, x, SmoothGradConfig(sigma=0.0, n_samples=1, seed=1), QueryLedger())
+        sg = SmoothGradConfig(sigma=0.0, n_samples=1, seed=1)
+        got = Oracle(net, "smoothgrad", sg=sg).gradient(x)
         assert np.array_equal(got, grad_target(net, x))
 
     def test_config_validation(self):
@@ -152,9 +146,9 @@ class TestOracleDispatch:
 
     def test_membership_mode_serves_gradients_from_values(self):
         net = generate_random_net(6, 3, seed=7)
-        oracle = Oracle(net, mode="membership", fd=FiniteDiffConfig(eta=1e-3))
+        oracle = Oracle(net, mode="membership")
         x = 3.0 * np.ones(6)
-        grad, val = oracle.gradient_with_value(x)
+        grad, val = oracle.gradient_with_value(x, eta=1e-3)
         assert oracle.ledger.gradient_queries == 0
         assert oracle.ledger.value_queries == 7
         assert val == pytest.approx(float(np.maximum(net.A @ x, 0.0) @ net.w))
@@ -162,7 +156,7 @@ class TestOracleDispatch:
 
     def test_per_call_eta_override(self):
         net = generate_random_net(4, 2, seed=8)
-        oracle = Oracle(net, mode="membership", fd=FiniteDiffConfig(eta=1e-6))
+        oracle = Oracle(net, mode="membership")
         rng = np.random.default_rng(0)
         x = rng.standard_normal(4)
         if np.min(np.abs(net.A @ x)) <= 1e-2:

@@ -264,6 +264,15 @@ class TestFdExactness:
         with pytest.raises(ConfigError):
             check_fd_exactness(net, FiniteDiffConfig(eta=50.0), 100, seed=15)
 
+    @pytest.mark.parametrize("grid_trials", [0, -3])
+    def test_bad_grid_trials_refused(self, grid_trials):
+        net = generate_random_net(6, 2, seed=16)
+        with pytest.raises(ValueError, match="grid_trials must be at least 1"):
+            check_fd_exactness(
+                net, FiniteDiffConfig(eta=1e-3), 5, seed=17,
+                grid_l=10.0, grid_epsilon=1e-3, grid_trials=grid_trials,
+            )
+
     def test_grid_event_rate_bounded(self):
         eps, l = select_parameters(0.1, 0.5, 2)
         eta = membership_step_bound(0.1, eps, l, 2)
