@@ -154,51 +154,6 @@ class ExtractionReport:
         }
 
 
-def binary_search_segment(
-    oracle: Oracle,
-    u,
-    v,
-    floor: tuple[float, np.ndarray],
-    above: list[tuple[float, np.ndarray]],
-    epsilon: float,
-) -> tuple[np.ndarray, tuple[float, np.ndarray]]:
-    """Isolate the least gradient change above the floor to resolution epsilon.
-
-    floor is a queried point (t, grad) of the line u + t v; above is a stack of
-    queried points past it, nearest on top. Entries whose gradient equals the
-    floor's are popped: the rows A_i are linearly independent, so equal
-    gradients certify that no crossing lies between the two points. The first
-    entry that differs becomes the bracket's upper end, and bisection keeps a
-    gradient change inside the bracket, pushing each abandoned upper end back
-    on the stack so that later searches start from it. Returns
-    (grad(x_r) - grad(x_l), (t_r, grad(x_r))) for the final bracket
-    [t_l, t_r] of width <= epsilon; (t_r, grad(x_r)) is the next floor. An
-    exhausted stack means no gradient change lies past the floor, which costs
-    no query to detect and raises ExtractionFailure.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    t_l, g_l = floor
-    while above and _norm(above[-1][1] - g_l) <= GRAD_CHANGE_TOL:
-        above.pop()
-    if not above:
-        raise ExtractionFailure("fewer than h crossings lie in the search range")
-    t_r, g_r = above.pop()
-    while t_r - t_l > epsilon:
-        t_m = 0.5 * (t_l + t_r)
-        if t_m <= t_l or t_m >= t_r:
-            raise ExtractionFailure("bracket cannot be subdivided at float precision")
-        g_m = oracle.gradient(u + t_m * v)
-        if _norm(g_l - g_m) > GRAD_CHANGE_TOL:
-            above.append((t_r, g_r))
-            t_r, g_r = t_m, g_m
-        elif _norm(g_m - g_r) > GRAD_CHANGE_TOL:
-            t_l, g_l = t_m, g_m
-        else:
-            raise ExtractionFailure("no gradient change in either half-bracket")
-    return g_r - g_l, (t_r, g_r)
-
-
 def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(x @ x))
 
@@ -207,19 +162,41 @@ def _gradient_attempt(oracle: Oracle, u, v, cfg: ExtractionConfig):
     """One full pass of h crossing searches with exact (or smoothed) gradients.
 
     The searches share one stack of queried points, so each crossing after the
-    first starts from the tightest bracket the earlier queries imply.
+    first starts from the tightest bracket the earlier queries imply. A search
+    pops the kept points whose gradient equals the floor's, bisects up to the
+    first that differs and pushes every upper end it abandons; its row is the
+    gradient difference across the final bracket of width <= epsilon, whose
+    upper end becomes the next floor.
     """
     uu = np.asarray(u, dtype=float)
     vv = np.asarray(v, dtype=float)
     l = float(cfg.l)
-    floor = (-l, oracle.gradient(uu - l * vv))
+    t_l, g_l = -l, oracle.gradient(uu - l * vv)
+    # Queried points (t, grad) past the floor t_l, nearest on top.
     above = [(l, oracle.gradient(uu + l * vv))]
     rows = []
     crossings = []
     for _ in range(cfg.h):
-        row, floor = binary_search_segment(oracle, uu, vv, floor, above, cfg.epsilon)
-        rows.append(row)
-        crossings.append(floor[0])
+        while above and _norm(above[-1][1] - g_l) <= GRAD_CHANGE_TOL:
+            above.pop()
+        if not above:
+            raise ExtractionFailure("fewer than h crossings lie in the search range")
+        t_r, g_r = above.pop()
+        while t_r - t_l > cfg.epsilon:
+            t_m = 0.5 * (t_l + t_r)
+            if t_m <= t_l or t_m >= t_r:
+                raise ExtractionFailure("bracket cannot be subdivided at float precision")
+            g_m = oracle.gradient(uu + t_m * vv)
+            if _norm(g_l - g_m) > GRAD_CHANGE_TOL:
+                above.append((t_r, g_r))
+                t_r, g_r = t_m, g_m
+            elif _norm(g_m - g_r) > GRAD_CHANGE_TOL:
+                t_l, g_l = t_m, g_m
+            else:
+                raise ExtractionFailure("no gradient change in either half-bracket")
+        rows.append(g_r - g_l)
+        crossings.append(t_r)
+        t_l, g_l = t_r, g_r
     return np.vstack(rows), crossings
 
 
@@ -382,7 +359,7 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng=None) -> ZRecovery:
     ) from last
 
 
-def recover_s(oracle: Oracle, z, rng=None) -> np.ndarray:
+def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
     """Solve for the sign vector s in {-1,0,1}^(2h) using 2h value queries.
 
     Places h query points X in one cell with ZX = diag(sigma)(I + J)
@@ -393,8 +370,7 @@ def recover_s(oracle: Oracle, z, rng=None) -> np.ndarray:
     """
     zm = as_matrix(z)
     h = zm.shape[0]
-    gen = np.random.default_rng() if rng is None else rng
-    x, _ = sign_query_points(zm, gen)
+    x, _ = sign_query_points(zm, rng)
 
     zx = zm @ x
     m = block_sign_matrix(zx)

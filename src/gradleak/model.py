@@ -171,8 +171,8 @@ def generate_random_net(
         raise ValueError(f"need 1 <= h <= d, got h={h}, d={d}")
     if not 0.0 < c_min < 1.0:
         raise ValueError("c_min must lie in (0, 1)")
-    if w_min <= 0.0:
-        raise ValueError("w_min must be positive")
+    if not 0.0 < w_min < np.inf:
+        raise ValueError(f"w_min must be positive and finite, got {w_min}")
     rng = np.random.default_rng(seed)
 
     a = None

@@ -328,6 +328,12 @@ def check_fd_exactness(
         raise ValueError("trials must be positive")
     if grid_trials < 1:
         raise ValueError(f"grid_trials must be at least 1, got {grid_trials}")
+    # Written so that NaN fails: a NaN rel_tol would pass every comparison.
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be non-negative and finite, got {rel_tol}")
+    for name, value in (("grid_l", grid_l), ("grid_epsilon", grid_epsilon)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     rng = np.random.default_rng(seed)
     eta = cfg.eta
     budget = 200 * trials
@@ -358,8 +364,6 @@ def check_fd_exactness(
 
     grid_report = None
     if grid_l is not None and grid_epsilon is not None:
-        if grid_l <= 0 or grid_epsilon <= 0:
-            raise ValueError("grid_l and grid_epsilon must be positive")
         n_steps = int(math.floor(grid_l / grid_epsilon))
         hits = 0
         for _ in range(grid_trials):

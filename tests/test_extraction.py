@@ -14,7 +14,6 @@ from gradleak import (
     Oracle,
     SmoothGradConfig,
     TwoLayerNet,
-    binary_search_segment,
     eval_target,
     functional_equivalence,
     generate_random_net,
@@ -101,61 +100,57 @@ class TestConfig:
         )
 
 
-def _bracket(oracle, u, v, t_lo, t_hi):
-    """The floor and the stack of points past it for a search of [t_lo, t_hi]."""
-    return (t_lo, oracle.gradient(u + t_lo * v)), [(t_hi, oracle.gradient(u + t_hi * v))]
+def _attempt(net, u, v, h, epsilon, l=2.0):
+    """One gradient-mode search pass on the line u + t v and its gradient queries."""
+    oracle = Oracle(net)
+    cfg = ExtractionConfig(h=h, epsilon=epsilon, l=l, seed=0)
+    z, crossings = _gradient_attempt(oracle, np.asarray(u, float), np.asarray(v, float), cfg)
+    return z, crossings, oracle.ledger.gradient_queries
 
 
 class TestBinarySearchSegment:
+    """The bisection of each crossing's segment, run through _gradient_attempt."""
+
     def test_single_crossing_exact_row(self):
-        net = single_unit_net()
-        oracle = Oracle(net)
-        u = np.array([-0.5, 0.0])
-        v = np.array([1.0, 0.0])  # crossing at t = 0.5
-        floor, above = _bracket(oracle, u, v, -2.0, 2.0)
-        row, (t, _) = binary_search_segment(oracle, u, v, floor, above, 0.01)
-        assert_allclose(np.abs(row), [2.0, 0.0], atol=1e-12)
-        assert 0.5 - 1e-12 <= t <= 0.51
+        # crossing at t = 0.5
+        z, crossings, _ = _attempt(single_unit_net(), [-0.5, 0.0], [1.0, 0.0], 1, 0.01)
+        assert_allclose(np.abs(z[0]), [2.0, 0.0], atol=1e-12)
+        assert 0.5 - 1e-12 <= crossings[0] <= 0.51
 
     def test_no_crossing_fails(self):
-        net = single_unit_net()
-        oracle = Oracle(net)
+        oracle = Oracle(single_unit_net())
+        cfg = ExtractionConfig(h=1, epsilon=0.01, l=2.0, seed=0)
         u = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])  # <A, u + t v> = 1, never zero
-        floor, above = _bracket(oracle, u, v, -2.0, 2.0)
         with pytest.raises(ExtractionFailure, match="fewer than h crossings"):
-            binary_search_segment(oracle, u, v, floor, above, 0.01)
-        # Equal end gradients certify the empty bracket without a midpoint.
+            _gradient_attempt(oracle, u, v, cfg)
+        # Equal end gradients certify the empty range without a midpoint.
         assert oracle.ledger.gradient_queries == 2
 
     def test_narrow_bracket_returns_immediately(self):
-        net = single_unit_net()
-        oracle = Oracle(net)
-        u = np.array([-0.5, 0.0])
-        v = np.array([1.0, 0.0])
-        floor, above = _bracket(oracle, u, v, 0.498, 0.505)
-        row, (t, _) = binary_search_segment(oracle, u, v, floor, above, 0.01)
-        assert t == 0.505
-        assert_allclose(row, [2.0, 0.0])
-        assert oracle.ledger.gradient_queries == 2
+        # Crossings at t = 0.25 and 0.5. The first search queries -2, 2, 0,
+        # 1, 0.5 and 0.25 and keeps t = 0.5, which lies within epsilon of the
+        # new floor 0.25: the second crossing costs no midpoint query.
+        net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
+        u, v = [-0.5, -0.25], [1.0, 1.0]
+        _, _, one = _attempt(net, u, v, 1, 0.3)
+        z, crossings, two = _attempt(net, u, v, 2, 0.3)
+        assert one == two == 6
+        assert crossings[1] == 0.5
+        assert_allclose(np.abs(z[1]), [1.0, 0.0])
 
     def test_gradient_caching_across_searches(self):
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
-        oracle = Oracle(net)
-        u = np.array([-0.5, -0.25])
-        v = np.array([1.0, 1.0])  # crossings at t = 0.25 and t = 0.5
-        floor, above = _bracket(oracle, u, v, -2.0, 2.0)
-        _, floor = binary_search_segment(oracle, u, v, floor, above, 0.01)
-        first = oracle.ledger.gradient_queries
+        u, v = [-0.5, -0.25], [1.0, 1.0]  # crossings at t = 0.25 and t = 0.5
+        _, (floor,), first = _attempt(net, u, v, 1, 0.01)
+        z, crossings, both = _attempt(net, u, v, 2, 0.01)
         # The first search passed t = 0.5 on its way down; that is the
         # tightest queried bound on the second crossing.
-        assert above[-1][0] == 0.5
-        row, (t, _) = binary_search_segment(oracle, u, v, floor, above, 0.01)
-        steps = math.ceil(math.log2((0.5 - floor[0]) / 0.01))
-        assert oracle.ledger.gradient_queries - first == steps
-        assert steps < math.ceil(math.log2((2.0 - floor[0]) / 0.01))
-        assert_allclose(np.abs(row), [1.0, 0.0])
-        assert 0.5 <= t <= 0.51
+        steps = math.ceil(math.log2((0.5 - floor) / 0.01))
+        assert both - first == steps
+        assert steps < math.ceil(math.log2((2.0 - floor) / 0.01))
+        assert_allclose(np.abs(z[1]), [1.0, 0.0])
+        assert 0.5 <= crossings[1] <= 0.51
 
 
 class TestRecoverZ:

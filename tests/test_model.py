@@ -1,6 +1,7 @@
 """Target/recovered model evaluation, generation, and serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ class TestGenerator:
     def test_h_exceeding_d_rejected(self):
         with pytest.raises(ValueError):
             generate_random_net(2, 3, seed=0)
+
+    @pytest.mark.parametrize("w_min", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_w_min_refused_up_front(self, w_min):
+        # |w| >= nan and |w| >= inf never hold: the weight draws would run
+        # out their budget and blame the generator for a usage error.
+        with pytest.raises(ValueError, match="w_min must be positive and finite"):
+            generate_random_net(4, 2, w_min=w_min, seed=0)
 
     def test_single_row(self):
         net = generate_random_net(10, 1, seed=0)

@@ -273,6 +273,28 @@ class TestFdExactness:
                 grid_l=10.0, grid_epsilon=1e-3, grid_trials=grid_trials,
             )
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rel_tol", math.nan),
+            ("rel_tol", math.inf),
+            ("rel_tol", -1e-9),
+            ("grid_l", math.inf),
+            ("grid_l", math.nan),
+            ("grid_l", 0.0),
+            ("grid_epsilon", math.inf),
+            ("grid_epsilon", math.nan),
+            ("grid_epsilon", -1e-3),
+        ],
+    )
+    def test_non_finite_tolerances_refused(self, name, value):
+        # rel_tol=nan passed every point unchecked; grid_l=inf or nan crashed
+        # in the step count; grid_epsilon=inf reported a passed grid check.
+        net = generate_random_net(6, 2, seed=16)
+        kwargs = {"grid_l": 10.0, "grid_epsilon": 1e-3, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be (non-negative|positive) and finite"):
+            check_fd_exactness(net, FiniteDiffConfig(eta=1e-3), 5, seed=17, **kwargs)
+
     def test_grid_event_rate_bounded(self):
         eps, l = select_parameters(0.1, 0.5, 2)
         eta = membership_step_bound(0.1, eps, l, 2)

@@ -1,0 +1,58 @@
+"""Digest of extraction outcomes, to check that a change keeps them equal.
+
+    python3 tools/outcome_digest.py [REPO_ROOT]
+
+Imports gradleak from REPO_ROOT/src (default: this checkout) and runs fixed
+instance families. For each it prints "family count sha256", where the hash
+covers, per instance, the gradient and value queries, the retries, the
+failure type and message, and the bytes of the recovered (Z, s). Run it on
+two checkouts and compare the lines.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1])
+sys.path.insert(0, str(ROOT / "src"))
+import gradleak as gl  # noqa: E402
+
+# (family, mode, d, true h, assumed h, instances). The h=9 family is refused.
+FAMILIES = (
+    ("grad-16x16", "grad", 16, 16, 16, 300),
+    ("grad-128x8", "grad", 128, 8, 8, 40),
+    ("membership-20x8", "membership", 20, 8, 8, 50),
+    ("smoothgrad-12x4", "smoothgrad", 12, 4, 4, 100),
+    ("grad-20x8-h9", "grad", 20, 8, 9, 30),
+)
+
+
+def outcome(mode, d, h, assumed_h, trial) -> bytes:
+    net_seed, sg_seed, cfg_seed = (
+        int(s) for s in np.random.SeedSequence([8100, d, h, trial]).generate_state(3, dtype=np.uint64)
+    )
+    net = gl.generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
+    oracle = gl.Oracle(net, mode=mode, sg=gl.SmoothGradConfig(sigma=1e-9, n_samples=3, seed=sg_seed))
+    try:
+        report = gl.learn_model(oracle, gl.ExtractionConfig(assumed_h, delta=0.1, c=0.01, seed=cfg_seed))
+        result = report.model.Z.tobytes() + np.asarray(report.model.s, dtype=np.int64).tobytes()
+        retries = report.retries
+    except gl.GradleakError as err:
+        result = f"{type(err).__name__}: {err}".encode()
+        retries = err.retries
+    ledger = oracle.ledger
+    return f"{ledger.gradient_queries} {ledger.value_queries} {retries} ".encode() + result
+
+
+def main() -> None:
+    for family, mode, d, h, assumed_h, count in FAMILIES:
+        digest = hashlib.sha256()
+        for trial in range(count):
+            digest.update(outcome(mode, d, h, assumed_h, trial))
+        print(family, count, digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
