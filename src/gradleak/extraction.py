@@ -7,34 +7,38 @@ Step two recovers the sign vector s by solving 2h linear equations built from
 value queries at h points of one cell and their negations; geometry places
 them in closed form so that ZX = diag(sigma)(I + J) is well conditioned.
 
-Exact-gradient modes (grad, smoothgrad) follow the textbook search directly:
-gradients are piecewise constant, so a nonzero difference across a bracket
-certifies a crossing inside it. Because the rows A_i are linearly independent,
-an equal difference certifies the opposite, that no crossing lies inside. The
-h searches on a line therefore share their queries: every upper bracket end a
-bisection abandons is kept on a stack, and each later search starts from the
-nearest kept point whose gradient differs from the floor's instead of from +l.
-When no kept point differs, fewer than h crossings lie in [-l, l], and the
-attempt fails without another query. Each row is the gradient difference
-between the two cells on either side of its crossing, whichever bracket
-isolates it, so reusing queries changes the query count but not Z.
+Every oracle mode runs the same search on a line; only the test that a
+bracket holds a crossing differs. The h searches share their queries: every
+upper bracket end a bisection abandons is kept on a stack, and each later
+search starts from the nearest kept point the test separates from the floor
+instead of from +l. When no kept point is separated, fewer than h crossings
+lie in [-l, l]; when +l is still separated from the floor after the h-th
+crossing, more than h do. Both refusals cost no query, and the attempt is
+retried on a fresh line.
+
+Exact-gradient modes (grad, smoothgrad) test a bracket by its gradient
+difference: gradients are piecewise constant, so a nonzero difference
+certifies a crossing inside. Because the rows A_i are linearly independent,
+an equal difference certifies the opposite, that no crossing lies inside.
+Each row is the gradient difference between the two cells on either side of
+its crossing, whichever bracket isolates it, so reusing queries changes the
+query count but not Z.
 
 Membership mode estimates gradients by finite differences over value queries.
 At the resolutions the parameter selection demands, float64 value queries
 cannot resolve a finite-difference quotient whose step is small enough to
 avoid straddling hyperplanes near the located crossings (the quotient's
 rounding noise exceeds the smallest gradient change). The search therefore
-keeps the same query pattern, one finite-difference gradient request per
-bisection point, but takes its branch decisions from the scalar line function
-t -> f(u + t v), which is piecewise linear: a slope change over a bracket
-certifies a crossing at every bracket width float64 can represent. As in the
-gradient modes, later searches on a line start from the nearest abandoned
-upper end that this slope test separates from the floor. Rows are then
-recomputed exactly by finite differences at unit-rescaled cell midpoints,
-far from every hyperplane (gradients are scale-invariant because the
-hyperplanes pass through the origin). Each refined gradient g at p must satisfy
-Euler's identity f(p) = <g, p>; a cell too thin for the refinement step fails
-it, and the attempt is retried rather than returning mixed rows.
+keeps the query pattern, one finite-difference gradient request per search
+point, but tests a bracket by the scalar line function t -> f(u + t v), which
+is piecewise linear: a chord slope that leaves the floor cell's slope beyond
+its rounding bound certifies a crossing at every bracket width float64 can
+represent. Rows are then recomputed exactly by finite differences at
+unit-rescaled cell midpoints, far from every hyperplane (gradients are
+scale-invariant because the hyperplanes pass through the origin). Each refined
+gradient g at p must satisfy Euler's identity f(p) = <g, p>; a cell too thin
+for the refinement step fails it, and the attempt is retried rather than
+returning mixed rows.
 """
 
 from __future__ import annotations
@@ -158,199 +162,176 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(x @ x))
 
 
-def _gradient_attempt(oracle: Oracle, u, v, cfg: ExtractionConfig):
-    """One full pass of h crossing searches with exact (or smoothed) gradients.
+class _GradientLine:
+    """Exact (or smoothed) gradients: a gradient change certifies a crossing."""
 
-    The searches share one stack of queried points, so each crossing after the
-    first starts from the tightest bracket the earlier queries imply. A search
-    pops the kept points whose gradient equals the floor's, bisects up to the
-    first that differs and pushes every upper end it abandons; its row is the
-    gradient difference across the final bracket of width <= epsilon, whose
-    upper end becomes the next floor.
+    def __init__(self, oracle: Oracle, u, v, cfg: ExtractionConfig):
+        self.oracle, self.u, self.v = oracle, u, v
+        self.rows = []
+
+    def point(self, t: float):
+        return t, self.oracle.gradient(self.u + t * self.v)
+
+    def kinked(self, p, q) -> bool:
+        return _norm(p[1] - q[1]) > GRAD_CHANGE_TOL
+
+    def step_over(self, a, m, b) -> None:
+        if not self.kinked(m, b):
+            raise ExtractionFailure("no gradient change in either half-bracket")
+
+    def resolve(self, a, b) -> float:
+        self.rows.append(b[1] - a[1])
+        return b[0]
+
+    def z(self, crossings: list[float]) -> np.ndarray:
+        return np.vstack(self.rows)
+
+
+class _MembershipLine:
+    """Finite-difference requests at the search points, chord slopes for the test.
+
+    Each chord is tested against a reference slope for the floor's cell; the
+    reference starts on a wide window at the left edge and is re-measured on
+    every certified kink-free half-bracket, so its own rounding noise (tracked
+    and added to the test tolerance) stays far below the slope jumps.
     """
-    uu = np.asarray(u, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    l = float(cfg.l)
-    t_l, g_l = -l, oracle.gradient(uu - l * vv)
-    # Queried points (t, grad) past the floor t_l, nearest on top.
-    above = [(l, oracle.gradient(uu + l * vv))]
-    rows = []
-    crossings = []
-    for _ in range(cfg.h):
-        while above and _norm(above[-1][1] - g_l) <= GRAD_CHANGE_TOL:
-            above.pop()
-        if not above:
-            raise ExtractionFailure("fewer than h crossings lie in the search range")
-        t_r, g_r = above.pop()
-        while t_r - t_l > cfg.epsilon:
-            t_m = 0.5 * (t_l + t_r)
-            if t_m <= t_l or t_m >= t_r:
-                raise ExtractionFailure("bracket cannot be subdivided at float precision")
-            g_m = oracle.gradient(uu + t_m * vv)
-            if _norm(g_l - g_m) > GRAD_CHANGE_TOL:
-                above.append((t_r, g_r))
-                t_r, g_r = t_m, g_m
-            elif _norm(g_m - g_r) > GRAD_CHANGE_TOL:
-                t_l, g_l = t_m, g_m
-            else:
-                raise ExtractionFailure("no gradient change in either half-bracket")
-        rows.append(g_r - g_l)
-        crossings.append(t_r)
-        t_l, g_l = t_r, g_r
-    return np.vstack(rows), crossings
 
+    def __init__(self, oracle: Oracle, u, v, cfg: ExtractionConfig):
+        self.oracle, self.u, self.v, self.cfg = oracle, u, v, cfg
+        self.eta = membership_step_bound(cfg.delta, cfg.epsilon, cfg.l, cfg.h)
+        self.values: dict = {}
+        l = float(cfg.l)
+        # -l and +l are queried before the reference probe; the search then gets
+        # them from point() without a second request.
+        start = self.point(-l)
+        self.point(l)
+        # Reference slope of the cell at the current floor. The initial window is
+        # wide (a width-eps window would carry noise ~eps_mach*S/eps, enough to
+        # poison every wide-bracket comparison); crossings this close to -l are a
+        # parameter-budget event that ends in an honest retry.
+        self.sigma_ref, self.ref_noise = self._measure(start, self._value(-l + min(1.0, l / 10.0)))
 
-def _membership_attempt(oracle: Oracle, u, v, cfg: ExtractionConfig):
-    """One full pass with finite-difference gradient requests.
-
-    Branch decisions use chord slopes of the piecewise-linear line values
-    (see the module docstring); every bisection point still issues one
-    d+1-query finite-difference gradient request, so the query accounting
-    matches the membership cost model. Each bracket half is tested against a
-    reference slope for the cell containing the search floor; the reference
-    starts on a wide window at the left edge and is re-measured on every
-    certified kink-free half-bracket, so its own rounding noise (tracked and
-    added to the test tolerance) stays far below the slope jumps. A search's
-    upper end is the nearest upper end abandoned by an earlier bisection step
-    whose chord from the floor fails that test; the lower end is the floor.
-    Rows come from a refinement pass at unit-rescaled cell midpoints where finite
-    differences are exact to rounding.
-    """
-    uu = np.asarray(u, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    h = cfg.h
-    l = float(cfg.l)
-    eps = float(cfg.epsilon)
-    eta_search = membership_step_bound(cfg.delta, cfg.epsilon, cfg.l, cfg.h)
-    values: dict = {}
-
-    def request(t: float) -> float:
+    def point(self, t: float):
         # Finite-difference gradient request at u + t v; the estimate itself is
         # below float64 noise at this step size, but its base value is exact.
-        if t not in values:
-            _, val = oracle.gradient_with_value(uu + t * vv, eta=eta_search)
-            values[t] = val
-        return values[t]
+        if t not in self.values:
+            _, self.values[t] = self.oracle.gradient_with_value(self.u + t * self.v, eta=self.eta)
+        return t, self.values[t]
 
-    def point_scale(*ts: float) -> float:
-        return max(_norm(uu + t * vv) for t in ts)
+    def _value(self, t: float):
+        if t not in self.values:
+            self.values[t] = self.oracle.value(self.u + t * self.v)
+        return t, self.values[t]
 
-    def slope_tol(width: float, scale: float) -> float:
-        # Rounding-noise bound for a chord slope of f over a width-wide window:
-        # value noise ~ eps_mach * sum_i |w_i <A_i, x>| <= eps_mach * h*cap*(1+|x|),
-        # sqrt(2d) for the accumulation across terms, 8x safety.
-        return 8.0 * math.sqrt(2.0 * oracle.d) * _EPS * (h * WEIGHT_CAP * (1.0 + scale)) / width
+    def _measure(self, p, q) -> tuple[float, float]:
+        # Chord slope of f over (p, q) and its rounding-noise bound: value noise
+        # ~ eps_mach * sum_i |w_i <A_i, x>| <= eps_mach * h*cap*(1+|x|), sqrt(2d)
+        # for the accumulation across terms, 8x safety.
+        width = q[0] - p[0]
+        scale = max(_norm(self.u + t * self.v) for t in (p[0], q[0]))
+        noise = 8.0 * math.sqrt(2.0 * self.oracle.d) * _EPS * (self.cfg.h * WEIGHT_CAP * (1.0 + scale)) / width
+        return (q[1] - p[1]) / width, noise
 
-    def chord(t0: float, t1: float) -> float:
-        return (values[t1] - values[t0]) / (t1 - t0)
+    def kinked(self, p, q) -> bool:
+        # The chord over (p, q) leaves the floor cell's slope beyond noise.
+        chord, noise = self._measure(p, q)
+        return abs(chord - self.sigma_ref) > noise + self.ref_noise
 
-    request(-l)
-    request(l)
-    # Reference slope of the cell at the current floor. The initial window is
-    # wide (a width-eps window would carry noise ~eps_mach*S/eps, enough to
-    # poison every wide-bracket comparison); crossings this close to -l are a
-    # parameter-budget event that ends in an honest retry.
-    ref_width = min(1.0, l / 10.0)
-    probe_t = -l + ref_width
-    values[probe_t] = oracle.value(uu + probe_t * vv)
-    sigma_ref = chord(-l, probe_t)
-    ref_noise = slope_tol(ref_width, point_scale(-l, probe_t))
+    def step_over(self, a, m, b) -> None:
+        # (a, m) is certified kink-free: re-measure the reference on this wider
+        # window before stepping over it.
+        if m[0] - a[0] >= REF_UPGRADE_MIN_WIDTH:
+            self.sigma_ref, self.ref_noise = self._measure(a, m)
 
-    def kinked(t0: float, t1: float) -> bool:
-        # The chord over (t0, t1) leaves the floor cell's slope beyond noise.
-        return abs(chord(t0, t1) - sigma_ref) > slope_tol(t1 - t0, point_scale(t0, t1)) + ref_noise
+    def resolve(self, a, b) -> float:
+        # Confirm a slope change actually sits here by comparing the slope beyond
+        # b against the floor cell's. Far-out crossings have slope jumps
+        # shrinking like 1/|t| while eps-window noise grows with the point scale,
+        # so the window widens (halving the noise each time) until the verdict
+        # is clear either way. The slope beyond b is the next floor's reference.
+        width = self.cfg.epsilon
+        while not self.kinked(b, beyond := self._value(b[0] + width)):
+            if width >= TERMINAL_WIDTH_CAP:
+                raise ExtractionFailure("no slope change at the located bracket")
+            width = min(2.0 * width, TERMINAL_WIDTH_CAP)
+        self.sigma_ref, self.ref_noise = self._measure(b, beyond)
+        return 0.5 * (a[0] + b[0])
 
-    floor = -l
-    # Upper bracket ends abandoned by earlier bisection steps, nearest on top.
-    above = [l]
+    def z(self, crossings: list[float]) -> np.ndarray:
+        # Row refinement: cell gradients at unit-rescaled midpoints between
+        # consecutive crossings; consecutive differences are the weighted normals
+        # in crossing order. f is positively homogeneous, so inside a cell
+        # f(p) = <grad f(p), p>; a finite difference whose step straddles a
+        # hyperplane (a thin cell) breaks that identity and the attempt is retried
+        # instead of returning mixed rows.
+        l = float(self.cfg.l)
+        edges = [-l] + crossings + [l]
+        cell_grads = []
+        for k in range(len(crossings) + 1):
+            p = self.u + 0.5 * (edges[k] + edges[k + 1]) * self.v
+            p = p / _norm(p)
+            g, f_p = self.oracle.gradient_with_value(p, eta=REFINE_ETA)
+            if abs(float(g @ p) - f_p) > EULER_TOL * (1.0 + abs(f_p) + _norm(g)):
+                raise ExtractionFailure("refinement step straddles a hyperplane; cell is too thin")
+            cell_grads.append(g)
+        rows = np.diff(np.vstack(cell_grads), axis=0)
+        if np.any(np.sqrt(np.sum(rows * rows, axis=1)) <= 1e-6):
+            raise ExtractionFailure("refined row is degenerate; crossing was mislocated")
+        return rows
+
+
+def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
+    """One pass of h crossing searches on the line u + t v, in any oracle mode.
+
+    Each search pops the kept points the line's test does not separate from
+    the floor, bisects up to the first it does and pushes every upper end it
+    abandons; its final bracket, of width <= epsilon, resolves into a crossing
+    and its upper end becomes the next floor.
+    """
+    line_type = _MembershipLine if oracle.mode == "membership" else _GradientLine
+    line = line_type(oracle, np.asarray(u, dtype=float), np.asarray(v, dtype=float), cfg)
+    l = float(cfg.l)
+    floor = line.point(-l)
+    # Queried points (t, observation) past the floor, nearest on top.
+    above = [line.point(l)]
     crossings = []
-    for _ in range(h):
-        a = floor
-        while above and not kinked(a, above[-1]):
+    for _ in range(cfg.h):
+        while above and not line.kinked(floor, above[-1]):
             above.pop()
         if not above:
             raise ExtractionFailure("fewer than h crossings lie in the search range")
-        b = above.pop()
-        while b - a > eps:
-            m = 0.5 * (a + b)
-            if m <= a or m >= b:
+        a, b = floor, above.pop()
+        while b[0] - a[0] > cfg.epsilon:
+            t_m = 0.5 * (a[0] + b[0])
+            if t_m <= a[0] or t_m >= b[0]:
                 raise ExtractionFailure("bracket cannot be subdivided at float precision")
-            request(m)
-            if kinked(a, m):
+            m = line.point(t_m)
+            if line.kinked(a, m):
                 above.append(b)
                 b = m
-            elif m - a >= REF_UPGRADE_MIN_WIDTH:
-                # (a, m) certified kink-free: re-measure the reference on this
-                # wider window before stepping over it.
-                sigma_ref = chord(a, m)
-                ref_noise = slope_tol(m - a, point_scale(a, m))
-                a = m
             else:
+                line.step_over(a, m, b)
                 a = m
-        # The bracket is resolved; confirm a slope change actually sits here by
-        # comparing the slope beyond b against the floor cell's. Far-out
-        # crossings have slope jumps shrinking like 1/|t| while eps-window
-        # noise grows with the point scale, so the window widens (halving the
-        # noise each time) until the verdict is clear either way.
-        width = eps
-        sigma_next = None
-        next_noise = None
-        confirmed = False
-        while True:
-            t_next = b + width
-            if t_next not in values:
-                values[t_next] = oracle.value(uu + t_next * vv)
-            sigma_next = chord(b, t_next)
-            next_noise = slope_tol(width, point_scale(b, t_next))
-            if abs(sigma_next - sigma_ref) > next_noise + ref_noise:
-                confirmed = True
-                break
-            if width >= TERMINAL_WIDTH_CAP:
-                break
-            width = min(2.0 * width, TERMINAL_WIDTH_CAP)
-        if not confirmed:
-            raise ExtractionFailure("no slope change at the located bracket")
-        crossings.append(0.5 * (a + b))
+        crossings.append(line.resolve(a, b))
         floor = b
-        sigma_ref = sigma_next
-        ref_noise = next_noise
-
-    # Row refinement: cell gradients at unit-rescaled midpoints between
-    # consecutive crossings; consecutive differences are the weighted normals
-    # in crossing order. f is positively homogeneous, so inside a cell
-    # f(p) = <grad f(p), p>; a finite difference whose step straddles a
-    # hyperplane (a thin cell) breaks that identity and the attempt is retried
-    # instead of returning mixed rows.
-    edges = [-l] + crossings + [l]
-    cell_grads = []
-    for k in range(h + 1):
-        t_mid = 0.5 * (edges[k] + edges[k + 1])
-        p = uu + t_mid * vv
-        p = p / _norm(p)
-        g, f_p = oracle.gradient_with_value(p, eta=REFINE_ETA)
-        if abs(float(g @ p) - f_p) > EULER_TOL * (1.0 + abs(f_p) + _norm(g)):
-            raise ExtractionFailure("refinement step straddles a hyperplane; cell is too thin")
-        cell_grads.append(g)
-    rows = np.vstack([cell_grads[k + 1] - cell_grads[k] for k in range(h)])
-    if np.any(np.sqrt(np.sum(rows * rows, axis=1)) <= 1e-6):
-        raise ExtractionFailure("refined row is degenerate; crossing was mislocated")
-    return rows, crossings
+    # +l stays at the bottom of the stack until a bracket ends on it.
+    if above and line.kinked(floor, above[0]):
+        raise ExtractionFailure("more than h crossings lie in the search range")
+    return line.z(crossings), crossings
 
 
-def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng=None) -> ZRecovery:
+def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -> ZRecovery:
     """Recover the weighted normals up to sign and permutation.
 
-    Draws fresh (u, v) on each retry; raises ExtractionFailure once the retry
-    budget is exhausted.
+    Draws fresh (u, v) from rng on each retry; raises ExtractionFailure once
+    the retry budget is exhausted.
     """
-    gen = np.random.default_rng(cfg.seed) if rng is None else rng
-    attempt_fn = _membership_attempt if oracle.mode == "membership" else _gradient_attempt
     last: ExtractionFailure | None = None
     for attempt in range(cfg.max_retries + 1):
-        u = gen.standard_normal(oracle.d)
-        v = gen.standard_normal(oracle.d)
+        u = rng.standard_normal(oracle.d)
+        v = rng.standard_normal(oracle.d)
         try:
-            z, crossings = attempt_fn(oracle, u, v, cfg)
+            z, crossings = _search_line(oracle, u, v, cfg)
             return ZRecovery(Z=z, u=u, v=v, crossings=crossings, retries=attempt)
         except ExtractionFailure as err:
             last = err

@@ -243,11 +243,18 @@ def save_net(net: TwoLayerNet, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def load_net(path) -> TwoLayerNet:
+def _read_payload(path, kind: str, keys: tuple[str, ...]) -> dict:
     payload = json.loads(Path(path).read_text())
-    for key in ("d", "h", "A", "w"):
+    if not isinstance(payload, dict):
+        raise ValueError(f"{kind} file must hold a JSON object, not {type(payload).__name__}")
+    for key in keys:
         if key not in payload:
-            raise ValueError(f"model file missing key {key!r}")
+            raise ValueError(f"{kind} file missing key {key!r}")
+    return payload
+
+
+def load_net(path) -> TwoLayerNet:
+    payload = _read_payload(path, "model", ("d", "h", "A", "w"))
     net = TwoLayerNet(A=np.array(payload["A"], dtype=float), w=np.array(payload["w"], dtype=float))
     if net.d != payload["d"] or net.h != payload["h"]:
         raise ValueError("model file dimensions disagree with its matrices")
@@ -260,10 +267,7 @@ def save_recovered(model: RecoveredModel, path) -> None:
 
 
 def load_recovered(path) -> RecoveredModel:
-    payload = json.loads(Path(path).read_text())
-    for key in ("d", "h", "Z", "s"):
-        if key not in payload:
-            raise ValueError(f"recovered file missing key {key!r}")
+    payload = _read_payload(path, "recovered", ("d", "h", "Z", "s"))
     # s is loaded as written: an entry such as -1.9 must fail the alphabet check,
     # not be truncated into it.
     model = RecoveredModel(Z=np.array(payload["Z"], dtype=float), s=np.array(payload["s"]))

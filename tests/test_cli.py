@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import gradleak.cli
-from gradleak import ConfigError, load_net, load_recovered, recovered_from_net, save_recovered
+import gradleak.extraction
+from gradleak import ConfigError, SingularMatrixError, load_net, load_recovered, recovered_from_net, save_recovered
 from gradleak.cli import main
 
 
@@ -112,13 +113,17 @@ class TestExtractVerify:
         report = json.loads(rep.read_text())
         assert report["success"] is False
 
-    def test_sign_phase_failure_reports_phase_and_true_retries(self, tmp_path, model_file):
-        # An underestimated width finds its 4 crossings on the first line and
-        # then fails the sign solve: no retries were spent.
+    def test_sign_phase_failure_reports_phase_and_true_retries(self, tmp_path, model_file, monkeypatch):
+        # The search finds all 5 crossings on the first line and the sign
+        # solve is then refused: no retries were spent.
+        def singular(m, b):
+            raise SingularMatrixError("forced")
+
+        monkeypatch.setattr(gradleak.extraction, "solve_linear_system", singular)
         rec = tmp_path / "rec.json"
         rep = tmp_path / "rep.json"
         code = run(
-            "extract", "--model", str(model_file), "--h", "4", "--max-retries", "3",
+            "extract", "--model", str(model_file), "--max-retries", "3",
             "--seed", "0", "--out", str(rec), "--report", str(rep),
         )
         assert code == 2
@@ -126,8 +131,24 @@ class TestExtractVerify:
         assert report["success"] is False
         assert report["phase"] == "sign"
         assert report["retries"] == 0
-        assert len(report["crossings"]) == 4
-        assert report["value_queries"] == 8
+        assert len(report["crossings"]) == 5
+        assert report["value_queries"] == 10
+
+    def test_membership_width_below_truth_is_refused(self, tmp_path):
+        # The first line holds all 8 crossings in [-l, l]; stopping at the
+        # seventh returned a wrong model at exit 0. The search refuses that
+        # line. The next holds only 7 in range, and the sign solve refuses it.
+        model = tmp_path / "m.json"
+        rep = tmp_path / "rep.json"
+        assert run("gen", "--d", "20", "--h", "8", "--seed", "8", "--out", str(model)) == 0
+        for max_retries, phase, retries in (("0", "search", 0), ("5", "sign", 1)):
+            code = run(
+                "extract", "--model", str(model), "--mode", "membership", "--h", "7", "--seed", "8",
+                "--max-retries", max_retries, "--out", str(tmp_path / "r.json"), "--report", str(rep),
+            )
+            assert code == 2
+            report = json.loads(rep.read_text())
+            assert (report["phase"], report["retries"]) == (phase, retries)
 
     def test_any_library_error_exits_two_with_report(self, tmp_path, model_file, refused_extraction):
         rec = tmp_path / "rec.json"
@@ -148,6 +169,26 @@ class TestExtractVerify:
         payload["s"][nz[0]] = 0
         rec.write_text(json.dumps(payload))
         assert run("verify", "--model", str(model_file), "--recovered", str(rec)) == 3
+
+    def test_width_mismatch_exits_three(self, tmp_path, model_file, capsys):
+        # A recovered model one unit short is a wrong model, not a usage error.
+        rec = tmp_path / "rec.json"
+        save_recovered(recovered_from_net(load_net(model_file)), rec)
+        payload = json.loads(rec.read_text())
+        h = payload["h"]
+        del payload["Z"][0]
+        payload["s"] = payload["s"][1:h] + payload["s"][h + 1 :]
+        payload["h"] = h - 1
+        rec.write_text(json.dumps(payload))
+        assert run("verify", "--model", str(model_file), "--recovered", str(rec)) == 3
+        out = capsys.readouterr().out
+        assert "max relative error" in out and "row match skipped" in out
+
+    def test_non_object_model_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("5\n")
+        assert run("verify", "--model", str(path), "--recovered", str(path)) == 1
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     def test_non_integer_sign_entry_exits_one(self, tmp_path, model_file):
         rec = tmp_path / "rec.json"

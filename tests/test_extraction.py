@@ -25,7 +25,7 @@ from gradleak import (
     select_parameters,
 )
 from gradleak import extraction
-from gradleak.extraction import GRAD_CHANGE_TOL, _gradient_attempt
+from gradleak.extraction import GRAD_CHANGE_TOL, _search_line
 from gradleak.model import eval_recovered_batch
 
 
@@ -104,12 +104,21 @@ def _attempt(net, u, v, h, epsilon, l=2.0):
     """One gradient-mode search pass on the line u + t v and its gradient queries."""
     oracle = Oracle(net)
     cfg = ExtractionConfig(h=h, epsilon=epsilon, l=l, seed=0)
-    z, crossings = _gradient_attempt(oracle, np.asarray(u, float), np.asarray(v, float), cfg)
+    z, crossings = _search_line(oracle, np.asarray(u, float), np.asarray(v, float), cfg)
     return z, crossings, oracle.ledger.gradient_queries
 
 
+def _refused(net, u, v, h, epsilon, message, mode="grad", l=2.0):
+    """Queries one search pass on the line u + t v spends before it is refused."""
+    oracle = Oracle(net, mode=mode)
+    cfg = ExtractionConfig(h=h, epsilon=epsilon, l=l, seed=0)
+    with pytest.raises(ExtractionFailure, match=message):
+        _search_line(oracle, np.asarray(u, float), np.asarray(v, float), cfg)
+    return oracle.ledger.gradient_queries + oracle.ledger.value_queries
+
+
 class TestBinarySearchSegment:
-    """The bisection of each crossing's segment, run through _gradient_attempt."""
+    """The bisection of each crossing's segment, run through _search_line."""
 
     def test_single_crossing_exact_row(self):
         # crossing at t = 0.5
@@ -123,17 +132,18 @@ class TestBinarySearchSegment:
         u = np.array([1.0, 0.0])
         v = np.array([0.0, 1.0])  # <A, u + t v> = 1, never zero
         with pytest.raises(ExtractionFailure, match="fewer than h crossings"):
-            _gradient_attempt(oracle, u, v, cfg)
+            _search_line(oracle, u, v, cfg)
         # Equal end gradients certify the empty range without a midpoint.
         assert oracle.ledger.gradient_queries == 2
 
     def test_narrow_bracket_returns_immediately(self):
         # Crossings at t = 0.25 and 0.5. The first search queries -2, 2, 0,
         # 1, 0.5 and 0.25 and keeps t = 0.5, which lies within epsilon of the
-        # new floor 0.25: the second crossing costs no midpoint query.
+        # new floor 0.25: the second crossing costs no midpoint query. With
+        # h=1 the kept +l still differs from the floor, and the pass is refused.
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
         u, v = [-0.5, -0.25], [1.0, 1.0]
-        _, _, one = _attempt(net, u, v, 1, 0.3)
+        one = _refused(net, u, v, 1, 0.3, "more than h crossings")
         z, crossings, two = _attempt(net, u, v, 2, 0.3)
         assert one == two == 6
         assert crossings[1] == 0.5
@@ -142,8 +152,9 @@ class TestBinarySearchSegment:
     def test_gradient_caching_across_searches(self):
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
         u, v = [-0.5, -0.25], [1.0, 1.0]  # crossings at t = 0.25 and t = 0.5
-        _, (floor,), first = _attempt(net, u, v, 1, 0.01)
+        first = _refused(net, u, v, 1, 0.01, "more than h crossings")
         z, crossings, both = _attempt(net, u, v, 2, 0.01)
+        floor = crossings[0]
         # The first search passed t = 0.5 on its way down; that is the
         # tightest queried bound on the second crossing.
         steps = math.ceil(math.log2((0.5 - floor) / 0.01))
@@ -152,13 +163,31 @@ class TestBinarySearchSegment:
         assert_allclose(np.abs(z[1]), [1.0, 0.0])
         assert 0.5 <= crossings[1] <= 0.51
 
+    def test_membership_empty_range_fails(self):
+        # The chord from -l to +l keeps the probed slope: refused after the
+        # two end requests (d+1 value queries each) and the reference probe.
+        u, v = [1.0, 0.0], [0.0, 1.0]
+        assert _refused(single_unit_net(), u, v, 1, 0.01, "fewer than h crossings", "membership") == 7
+
+    def test_membership_shares_the_search_and_its_refusals(self):
+        net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
+        u, v = [-0.5, -0.25], [1.0, 1.0]  # crossings at t = 0.25 and t = 0.5
+        oracle = Oracle(net, mode="membership")
+        cfg = ExtractionConfig(h=2, epsilon=0.01, l=2.0, seed=0)
+        z, crossings = _search_line(oracle, np.asarray(u), np.asarray(v), cfg)
+        assert crossings == [0.25390625, 0.498443603515625]
+        assert oracle.ledger.value_queries == 66
+        assert_allclose(np.abs(z), [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
+        # One crossing short, +l is still separated from the last floor.
+        assert _refused(net, u, v, 1, 0.01, "more than h crossings", "membership") == 35
+
 
 class TestRecoverZ:
     def test_single_unit_weighted_normal(self):
         net = single_unit_net()
         oracle = Oracle(net)
         cfg = ExtractionConfig(h=1, delta=0.2, c=0.5, seed=3)
-        res = recover_z(oracle, cfg)
+        res = recover_z(oracle, cfg, np.random.default_rng(cfg.seed))
         assert res.Z.shape == (1, 2)
         assert_allclose(np.abs(res.Z[0]), [2.0, 0.0], atol=1e-7)
 
@@ -168,7 +197,7 @@ class TestRecoverZ:
         cfg = ExtractionConfig(h=2, epsilon=0.01, l=2.0, seed=0)
         u = np.array([-0.5, -0.25])
         v = np.array([1.0, 1.0])  # crossings: unit 1 at t=0.5, unit 2 at t=0.25
-        z, crossings = _gradient_attempt(oracle, u, v, cfg)
+        z, crossings = _search_line(oracle, u, v, cfg)
         assert_allclose(np.abs(z[0]), [0.0, 1.0], atol=1e-12)
         assert_allclose(np.abs(z[1]), [1.0, 0.0], atol=1e-12)
         assert 0.25 <= crossings[0] <= 0.26
@@ -178,7 +207,7 @@ class TestRecoverZ:
         net = generate_random_net(12, 5, seed=21)
         oracle = Oracle(net)
         cfg = ExtractionConfig(h=5, delta=0.1, c=0.01, seed=4)
-        res = recover_z(oracle, cfg)
+        res = recover_z(oracle, cfg, np.random.default_rng(cfg.seed))
         t = -(net.A @ res.u) / (net.A @ res.v)
         order = np.argsort(t)
         assert np.all(np.abs(t[order]) <= cfg.l)
@@ -194,7 +223,7 @@ class TestRecoverZ:
         net = generate_random_net(16, 6, seed=5)
         oracle = Oracle(net)
         cfg = ExtractionConfig(h=6, delta=0.1, c=0.01, seed=6)
-        res = recover_z(oracle, cfg)
+        res = recover_z(oracle, cfg, np.random.default_rng(cfg.seed))
         if res.retries == 0:
             steps = math.ceil(math.log2(2 * cfg.l / cfg.epsilon))
             assert oracle.ledger.gradient_queries <= 3 * 6 * steps + 2 * 6
@@ -205,7 +234,7 @@ class TestRecoverZ:
         # A tiny search range almost never brackets the Cauchy crossing.
         cfg = ExtractionConfig(h=1, epsilon=1e-4, l=1e-3, seed=7, max_retries=3)
         with pytest.raises(ExtractionFailure):
-            recover_z(oracle, cfg)
+            recover_z(oracle, cfg, np.random.default_rng(cfg.seed))
 
     def test_retry_counter_reflects_failed_attempts(self):
         net = single_unit_net()
@@ -216,7 +245,7 @@ class TestRecoverZ:
             oracle = Oracle(net)
             cfg = ExtractionConfig(h=1, epsilon=1e-4, l=1.0, seed=seed, max_retries=5)
             try:
-                res = recover_z(oracle, cfg)
+                res = recover_z(oracle, cfg, np.random.default_rng(cfg.seed))
             except ExtractionFailure:
                 continue
             if res.retries > 0:
@@ -284,7 +313,7 @@ class TestSharedBracketSearch:
                 net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
                 shared, shared_queries = outcome(net, h, seed)
                 with monkeypatch.context() as patch:
-                    patch.setattr(extraction, "_gradient_attempt", _independent_bisection_attempt)
+                    patch.setattr(extraction, "_search_line", _independent_bisection_attempt)
                     reference, reference_queries = outcome(net, h, seed)
                 assert shared == reference, f"(d, h, trial) = ({d}, {h}, {trial})"
                 assert shared_queries <= reference_queries
@@ -505,15 +534,21 @@ class TestLearnModel:
         eq = functional_equivalence(net, report.model, 10_000, 1e-7, seed=check_seed)
         assert eq.passed, f"verify error {eq.max_rel_error:.3e}"
 
-    def test_failure_carries_phase_retries_and_crossings(self):
+    def test_failure_carries_phase_retries_and_crossings(self, monkeypatch):
         from gradleak import GradleakError
+        from gradleak.errors import SingularMatrixError
+
+        def singular(m, b):
+            raise SingularMatrixError("forced")
 
         net = generate_random_net(12, 5, seed=1)
-        with pytest.raises(GradleakError) as sign_err:
-            learn_model(Oracle(net), ExtractionConfig(h=4, seed=0))
+        with monkeypatch.context() as patch:
+            patch.setattr(extraction, "solve_linear_system", singular)
+            with pytest.raises(GradleakError) as sign_err:
+                learn_model(Oracle(net), ExtractionConfig(h=5, seed=0))
         assert sign_err.value.phase == "sign"
         assert sign_err.value.retries == 0
-        assert len(sign_err.value.crossings) == 4
+        assert len(sign_err.value.crossings) == 5
 
         cfg = ExtractionConfig(h=8, seed=0, max_retries=1)
         with pytest.raises(ExtractionFailure) as search_err:

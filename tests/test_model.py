@@ -239,6 +239,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_net(path)
 
+    @pytest.mark.parametrize("loader", [load_net, load_recovered])
+    @pytest.mark.parametrize("payload", [5, "d h A w Z s", [["d", "h"]], None])
+    def test_non_object_payload_rejected(self, tmp_path, loader, payload):
+        # Valid JSON that is not an object must be refused, not indexed: a
+        # string passes a key check by substring.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            loader(path)
+
     def test_inconsistent_header_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"d": 3, "h": 1, "A": [[1.0, 0.0]], "w": [1.0]}))

@@ -19,13 +19,14 @@ ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().paren
 sys.path.insert(0, str(ROOT / "src"))
 import gradleak as gl  # noqa: E402
 
-# (family, mode, d, true h, assumed h, instances). The h=9 family is refused.
+# (family, mode, d, true h, assumed h, instances). The h=9 families are refused.
 FAMILIES = (
     ("grad-16x16", "grad", 16, 16, 16, 300),
     ("grad-128x8", "grad", 128, 8, 8, 40),
     ("membership-20x8", "membership", 20, 8, 8, 50),
     ("smoothgrad-12x4", "smoothgrad", 12, 4, 4, 100),
     ("grad-20x8-h9", "grad", 20, 8, 9, 30),
+    ("membership-20x8-h9", "membership", 20, 8, 9, 30),
 )
 
 
