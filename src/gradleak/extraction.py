@@ -22,7 +22,10 @@ certifies a crossing inside. Because the rows A_i are linearly independent,
 an equal difference certifies the opposite, that no crossing lies inside.
 Each row is the gradient difference between the two cells on either side of
 its crossing, whichever bracket isolates it, so reusing queries changes the
-query count but not Z.
+query count but not Z. The oracle returns one shared array per cell for exact
+gradients, so two observations that are the same object are not kinked
+without any arithmetic: their difference would be exactly zero. Smoothed
+gradients at sigma > 0 are fresh arrays and always take the norm test.
 
 Membership mode estimates gradients by finite differences over value queries.
 At the resolutions the parameter selection demands, float64 value queries
@@ -173,10 +176,13 @@ class _GradientLine:
         return t, self.oracle.gradient(self.u + t * self.v)
 
     def kinked(self, p, q) -> bool:
-        return _norm(p[1] - q[1]) > GRAD_CHANGE_TOL
+        # One object means one cell: the difference would be exactly zero.
+        return p[1] is not q[1] and _norm(p[1] - q[1]) > GRAD_CHANGE_TOL
 
     def step_over(self, a, m, b) -> None:
-        if not self.kinked(m, b):
+        # The loop bisects only brackets (a, b) that test kinked; with m in
+        # a's cell this test would repeat that one on the same two arrays.
+        if m[1] is not a[1] and not self.kinked(m, b):
             raise ExtractionFailure("no gradient change in either half-bracket")
 
     def resolve(self, a, b) -> float:

@@ -243,19 +243,25 @@ def save_net(net: TwoLayerNet, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _read_payload(path, kind: str, keys: tuple[str, ...]) -> dict:
+def _read_payload(path, kind: str, keys: tuple[str, ...], matrices: tuple[str, ...]) -> dict:
+    """The file's JSON object, with each key in matrices converted to a float array."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise ValueError(f"{kind} file must hold a JSON object, not {type(payload).__name__}")
     for key in keys:
         if key not in payload:
             raise ValueError(f"{kind} file missing key {key!r}")
+    for key in matrices:
+        try:
+            payload[key] = np.array(payload[key], dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{kind} file key {key!r} must hold numbers: {err}") from err
     return payload
 
 
 def load_net(path) -> TwoLayerNet:
-    payload = _read_payload(path, "model", ("d", "h", "A", "w"))
-    net = TwoLayerNet(A=np.array(payload["A"], dtype=float), w=np.array(payload["w"], dtype=float))
+    payload = _read_payload(path, "model", ("d", "h", "A", "w"), ("A", "w"))
+    net = TwoLayerNet(A=payload["A"], w=payload["w"])
     if net.d != payload["d"] or net.h != payload["h"]:
         raise ValueError("model file dimensions disagree with its matrices")
     return net
@@ -267,10 +273,10 @@ def save_recovered(model: RecoveredModel, path) -> None:
 
 
 def load_recovered(path) -> RecoveredModel:
-    payload = _read_payload(path, "recovered", ("d", "h", "Z", "s"))
     # s is loaded as written: an entry such as -1.9 must fail the alphabet check,
     # not be truncated into it.
-    model = RecoveredModel(Z=np.array(payload["Z"], dtype=float), s=np.array(payload["s"]))
+    payload = _read_payload(path, "recovered", ("d", "h", "Z", "s"), ("Z",))
+    model = RecoveredModel(Z=payload["Z"], s=np.array(payload["s"]))
     if model.d != payload["d"] or model.h != payload["h"]:
         raise ValueError("recovered file dimensions disagree with its matrices")
     return model

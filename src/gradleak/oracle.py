@@ -3,7 +3,8 @@
 Every interaction with the hidden network goes through here and is metered by
 a QueryLedger: scalar value queries, exact gradient queries, noise-averaged
 (SmoothGrad-style) gradient queries, and finite-difference gradient estimates
-built from value queries.
+built from value queries. Exact gradients are built once per activation
+pattern and shared read-only; every query is still metered.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoLayerNet, eval_target, grad_target
+from .model import TwoLayerNet, cell_mask, eval_target, grad_target
 
 ORACLE_MODES = ("grad", "smoothgrad", "membership")
 
@@ -66,6 +67,12 @@ class Oracle:
     grad        gradient(x) is exact, one gradient query.
     smoothgrad  gradient(x) is the smoothed average, one gradient query.
     membership  gradient(x) is a finite-difference estimate, d+1 value queries.
+
+    An exact gradient (grad, or smoothgrad at sigma=0) depends only on the
+    activation pattern of x, so it is built once per pattern and the same
+    read-only array is returned for every later query in that cell; each call
+    is still metered. Callers may compare two exact gradients by identity: the
+    same object means the same cell.
     """
 
     def __init__(self, net: TwoLayerNet, mode: str = "grad", sg: SmoothGradConfig | None = None):
@@ -76,6 +83,9 @@ class Oracle:
         self.ledger = QueryLedger()
         self.sg = sg if sg is not None else SmoothGradConfig()
         self._sg_rng = np.random.default_rng(self.sg.seed)
+        # Activation-pattern bytes -> that cell's exact gradient; at most one
+        # entry per metered gradient query.
+        self._cell_grads: dict[bytes, np.ndarray] = {}
 
     @property
     def d(self) -> int:
@@ -94,12 +104,18 @@ class Oracle:
         perturbations of x drawn from this oracle's generator, and counts as a
         single gradient query: the threat model meters API calls, not the
         server-side work behind one explanation. With sigma=0 the perturbations
-        vanish and the exact gradient is returned (bitwise, not a rounded mean).
+        vanish and the exact gradient is returned (bitwise, not a rounded mean),
+        shared read-only with every other query in its cell.
         """
         if self.mode == "membership":
             return self.gradient_with_value(x, eta)[0]
         if self.mode == "grad" or self.sg.sigma == 0.0:
-            out = grad_target(self.net, x)
+            key = cell_mask(self.net, x).tobytes()
+            out = self._cell_grads.get(key)
+            if out is None:
+                out = grad_target(self.net, x)
+                out.setflags(write=False)
+                self._cell_grads[key] = out
         else:
             v = np.asarray(x, dtype=float)
             out = np.zeros(self.d)

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,30 @@ class TestExtractVerify:
         path.write_text("5\n")
         assert run("verify", "--model", str(path), "--recovered", str(path)) == 1
         assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "extract"])
+    @pytest.mark.parametrize("key, bad", [("A", {"x": 1}), ("w", {"a": 1})])
+    def test_non_numeric_matrix_exits_one_without_traceback(self, tmp_path, command, key, bad):
+        # Run as a separate process so that an escaping exception would show
+        # up as a traceback on stderr rather than fail inside pytest.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"d": 2, "h": 1, "A": [[1.0, 0.0]], "w": [1.0], key: bad}))
+        argv = ["--model", str(path)]
+        argv += ["--recovered", str(path)] if command == "verify" else ["--out", str(tmp_path / "r.json")]
+        src = str(Path(gradleak.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradleak.cli", command, *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 1
+        assert f"error: model file key '{key}' must hold numbers" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_numeric_recovered_matrix_exits_one(self, tmp_path, model_file, capsys):
+        rec = tmp_path / "rec.json"
+        rec.write_text(json.dumps({"d": 12, "h": 1, "Z": {"x": 1}, "s": [1, 0]}))
+        assert run("verify", "--model", str(model_file), "--recovered", str(rec)) == 1
+        assert "error: recovered file key 'Z' must hold numbers" in capsys.readouterr().err
 
     def test_non_integer_sign_entry_exits_one(self, tmp_path, model_file):
         rec = tmp_path / "rec.json"

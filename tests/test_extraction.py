@@ -321,6 +321,36 @@ class TestSharedBracketSearch:
                 reference_total += reference_queries
         assert shared_total < reference_total
 
+    def test_cell_identity_never_changes_a_decision(self, monkeypatch):
+        # The search skips the norm test when two observations are the same
+        # array; copying every gradient disables that shortcut, so both runs
+        # must take the same path. Assumed h=9 on true h=8 is the refusal path.
+        def outcome(d, h, assumed_h, trial):
+            net_seed, seed = (
+                int(s) for s in np.random.SeedSequence([6200, d, h, trial]).generate_state(2, dtype=np.uint64)
+            )
+            net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
+            oracle = Oracle(net)
+            try:
+                report = learn_model(oracle, ExtractionConfig(assumed_h, delta=0.1, c=0.01, seed=seed))
+                model = report.model
+                result = (model.Z.tobytes(), model.s.astype(np.int64).tobytes(), report.crossings, report.retries)
+            except GradleakError as err:
+                result = (f"{type(err).__name__}: {err}", err.crossings, err.retries)
+            return result, oracle.ledger.gradient_queries, oracle.ledger.value_queries
+
+        exact_gradient = Oracle.gradient
+
+        def copied_gradient(self, x, eta=1e-6):
+            return exact_gradient(self, x, eta).copy()
+
+        for d, h, assumed_h in [(16, 16, 16), (128, 8, 8), (20, 8, 9)]:
+            for trial in range(40):
+                shortcut = outcome(d, h, assumed_h, trial)
+                with monkeypatch.context() as patch:
+                    patch.setattr(Oracle, "gradient", copied_gradient)
+                    assert outcome(d, h, assumed_h, trial) == shortcut, f"(d, h, trial) = ({d}, {h}, {trial})"
+
 
 class TestRecoverS:
     def test_two_unit_signs(self):
@@ -434,6 +464,23 @@ class TestLearnModel:
             retries,
         )
         assert functional_equivalence(net, report.model, 4096, 1e-7, seed=0).passed
+
+    @pytest.mark.parametrize(
+        "d, h, net_seed, cfg_seed, digest",
+        [
+            (16, 16, 7000, 0, "0e31f7c5179c31a9e59ec5dc70ce8a88"),
+            (128, 8, 7001, 1, "132939f2d3cc77d600f20f1108cc2961"),
+            (20, 8, 27, 3, "dcebeaf096ada332d2f3aa61f6bf1121"),
+        ],
+    )
+    def test_grad_outcomes_are_pinned(self, d, h, net_seed, cfg_seed, digest):
+        # The bytes of (Z, s) for the instances above: a faster search must
+        # return the same rows, not merely equivalent ones.
+        net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
+        report = learn_model(Oracle(net), ExtractionConfig(h, delta=0.1, c=0.01, seed=cfg_seed))
+        model = report.model
+        blob = np.ascontiguousarray(model.Z).tobytes() + np.asarray(model.s, dtype=np.int64).tobytes()
+        assert hashlib.sha256(blob).hexdigest()[:32] == digest
 
     @pytest.mark.parametrize(
         "mode, d, h, net_seed, gradient_queries, value_queries, retries, digest",

@@ -249,6 +249,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="must hold a JSON object"):
             loader(path)
 
+    @pytest.mark.parametrize(
+        "loader, payload, key",
+        [
+            (load_net, {"d": 2, "h": 1, "A": [[1.0, 0.0]], "w": [1.0]}, "A"),
+            (load_net, {"d": 2, "h": 1, "A": [[1.0, 0.0]], "w": [1.0]}, "w"),
+            (load_recovered, {"d": 2, "h": 1, "Z": [[1.0, 0.0]], "s": [1, 0]}, "Z"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [{"x": 1}, [{"x": 1}]])
+    def test_non_numeric_matrix_rejected(self, tmp_path, loader, payload, key, bad):
+        # A JSON object where numbers belong is a ValueError naming the key,
+        # not a TypeError from the float conversion.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**payload, key: bad}))
+        with pytest.raises(ValueError, match=f"key '{key}' must hold numbers"):
+            loader(path)
+
     def test_inconsistent_header_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"d": 3, "h": 1, "A": [[1.0, 0.0]], "w": [1.0]}))

@@ -97,6 +97,58 @@ class TestFiniteDifference:
             Oracle(two_unit_net(), "membership").gradient((1.0, 2.0), eta=0.0)
 
 
+def exact_oracle(net, mode):
+    """An oracle in one of the two exact modes: grad, or smoothgrad at sigma=0."""
+    return Oracle(net, mode, sg=SmoothGradConfig(sigma=0.0, n_samples=4, seed=0))
+
+
+@pytest.mark.parametrize("mode", ["grad", "smoothgrad"])
+class TestCellGradients:
+    def test_bytes_match_grad_target(self, mode):
+        rng = np.random.default_rng(20)
+        net = generate_random_net(8, 5, seed=20)
+        oracle = exact_oracle(net, mode)
+        # Many points over few cells, so most answers come from the table.
+        for x in rng.standard_normal((200, 8)):
+            assert oracle.gradient(x).tobytes() == grad_target(net, x).tobytes()
+        assert oracle.ledger.gradient_queries == 200
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_bytes_match_on_a_hyperplane(self, mode, zero):
+        # A pre-activation of exactly +-0 counts as active, as in grad_target.
+        net = TwoLayerNet(A=np.eye(3), w=np.array([1.5, -2.0, 0.5]))
+        x = np.array([zero, 1.0, -1.0])
+        assert (net.A @ x)[0] == 0.0
+        oracle = exact_oracle(net, mode)
+        assert oracle.gradient(x).tobytes() == grad_target(net, x).tobytes()
+        assert oracle.gradient(np.array([-zero, 2.0, -3.0])).tobytes() == grad_target(net, x).tobytes()
+
+    def test_same_cell_returns_same_object(self, mode):
+        net = two_unit_net()
+        oracle = exact_oracle(net, mode)
+        first = oracle.gradient((1.0, 2.0))
+        assert oracle.gradient((3.0, 0.5)) is first
+        assert oracle.ledger.gradient_queries == 2
+        assert oracle.gradient((1.0, -2.0)) is not first
+
+    def test_returned_array_is_read_only(self, mode):
+        oracle = exact_oracle(two_unit_net(), mode)
+        grad = oracle.gradient((1.0, 2.0))
+        with pytest.raises(ValueError):
+            grad[0] = 7.0
+        assert_allclose(oracle.gradient((1.0, 2.0)), [1.0, -1.0])
+
+
+def test_smoothed_gradient_is_fresh_and_writable():
+    net = TwoLayerNet(A=np.array([[1.0, 0.0]]), w=np.array([1.0]))
+    oracle = Oracle(net, "smoothgrad", sg=SmoothGradConfig(sigma=0.1, n_samples=3, seed=4))
+    x = np.array([10.0, 0.0])
+    first, second = oracle.gradient(x), oracle.gradient(x)
+    assert first is not second
+    first[0] = 7.0
+    assert_allclose(second, [1.0, 0.0], atol=1e-15)
+
+
 class TestSmoothGrad:
     def test_zero_sigma_equals_exact(self):
         net = generate_random_net(5, 3, seed=3)
