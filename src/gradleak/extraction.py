@@ -1,47 +1,46 @@
 """The extraction attack.
 
-Step one recovers the weighted hyperplane normals up to sign: draw a random
-line u + t v, binary-search for the points where the oracle's gradient
-changes, and record the gradient difference across each change as a row of Z.
+Step one recovers the weighted hyperplane normals up to sign. A random line
+u + t v meets each of the h hyperplanes once, and the oracle's gradient is
+constant between crossings, so across a bracket (a, b) that holds exactly one
+crossing the gradient difference D = g_b - g_a is that crossing's row
++-w_i A_i, and it predicts where the crossing lies: t* = -<D, u> / <D, v>.
 Step two recovers the sign vector s by solving 2h linear equations built from
 value queries at h points of one cell and their negations; geometry places
 them in closed form so that ZX = diag(sigma)(I + J) is well conditioned.
 
-Every oracle mode runs the same search on a line; only the test that a
-bracket holds a crossing differs. The h searches share their queries: every
-upper bracket end a bisection abandons is kept on a stack, and each later
-search starts from the nearest kept point the test separates from the floor
-instead of from +l. When no kept point is separated, fewer than h crossings
-lie in [-l, l]; when +l is still separated from the floor after the h-th
-crossing, more than h do. Both refusals cost no query, and the attempt is
-retried on a fresh line.
+Every oracle mode runs one certified-isolation loop on a line. It queries
++-l (equal cells there mean no crossing in [-l, l]) and checks the tails:
+the hyperplanes pass through the origin, so u + l v lies in the cell of v,
+and u - l v in that of -v, unless a crossing lies beyond the range. It then
+splits kinked brackets (ends in different cells) at their midpoints until h
+are kinked. A bracket whose t* lies outside it holds at least two crossings,
+which costs no query to learn, so those are split first, then the widest.
+Each of the h brackets is certified: a <= t* <= b, and probes at t* -+ tau
+(tau = epsilon, wider in smoothgrad) lie in the cells of a and b. With the true h every kinked bracket holds one
+crossing; with an h that is too small the tail check or a certificate fails.
+A line is refused when it is kinked nowhere, when a kinked bracket narrower
+than epsilon would have to be split, when a certificate fails or when the
+tail check fails, and the attempt is retried on a fresh line. Each row is
+g_b - g_a and each reported crossing is its t*.
 
-Exact-gradient modes (grad, smoothgrad) test a bracket by its gradient
-difference: gradients are piecewise constant, so a nonzero difference
-certifies a crossing inside. Because the rows A_i are linearly independent,
-an equal difference certifies the opposite, that no crossing lies inside.
-Each row is the gradient difference between the two cells on either side of
-its crossing, whichever bracket isolates it, so reusing queries changes the
-query count but not Z. The oracle returns one shared array per cell for exact
-gradients, so two observations that are the same object are not kinked
-without any arithmetic: their difference would be exactly zero. Smoothed
-gradients at sigma > 0 are fresh arrays and always take the norm test.
-
-Membership mode estimates gradients by finite differences over value queries.
-At the resolutions the parameter selection demands, float64 value queries
-cannot resolve a finite-difference quotient whose step is small enough to
-avoid straddling hyperplanes near the located crossings (the quotient's
-rounding noise exceeds the smallest gradient change). The search therefore
-keeps the query pattern, one finite-difference gradient request per search
-point, but tests a bracket by the scalar line function t -> f(u + t v), which
-is piecewise linear: a chord slope that leaves the floor cell's slope beyond
-its rounding bound certifies a crossing at every bracket width float64 can
-represent. Rows are then recomputed exactly by finite differences at
-unit-rescaled cell midpoints, far from every hyperplane (gradients are
-scale-invariant because the hyperplanes pass through the origin). Each refined
-gradient g at p must satisfy Euler's identity f(p) = <g, p>; a cell too thin
-for the refinement step fails it, and the attempt is retried rather than
-returning mixed rows.
+The modes differ only in the test for "same cell". Exact gradients (grad,
+and smoothgrad at sigma = 0) are one shared read-only array per cell, so the
+same object means the same cell; otherwise the difference norm must not
+exceed GRAD_CHANGE_TOL. Smoothed gradients at sigma > 0 take the norm test,
+with tau = max(eps, 8 sigma |D| / |<D, v>|) so that both probes sit 8 sigma
+from the hyperplane, beyond the blur. Membership requests one
+finite-difference gradient (d+1 value queries) at the unit-rescaled point
+p = x / |x| of every search point and probe (gradients are scale-invariant).
+f is positively homogeneous, so a gradient g is valid at p when Euler's
+identity f(p) = <g, p> holds; a step that straddles a hyperplane breaks it.
+Two points are in the same cell when their valid gradients agree, or when
+f(p) = <g, p> holds for one point's valid g at the other point p, whose own
+gradient is invalid (as at a probe next to its crossing). A split point
+whose gradient is invalid takes the gradient of the one bracket end whose
+cell it fits by that test; otherwise it is moved toward the bracket's lower
+end and requested again. Every bracket end thus carries its cell's valid
+gradient; a line whose request at -l or +l is invalid is refused.
 """
 
 from __future__ import annotations
@@ -57,26 +56,18 @@ from .model import RecoveredModel
 from .numerics import SOLVE_RESIDUAL_TOL, as_matrix, block_sign_matrix, solve_linear_system
 from .oracle import Oracle
 
-# Gradient-change threshold for exact-gradient modes: far below the smallest
+# Gradient-change threshold for the "same cell" test: far below the smallest
 # real change (w_min times a unit row), far above rounding.
 GRAD_CHANGE_TOL = 1e-7
-# Step for the membership-mode row refinement at unit-norm points.
-REFINE_ETA = 1e-4
-# Relative tolerance of the Euler identity f(p) = <grad f(p), p> checked at
-# each refinement point (rounding leaves ~1e-13; a straddled step ~1e-3).
+# Finite-difference step of the membership requests at unit-norm points.
+REFINE_ETA = 1e-5
+# Relative tolerance of the Euler identity f(p) = <g, p> (rounding leaves
+# ~1e-11 at REFINE_ETA; a straddled step ~1e-3).
 EULER_TOL = 1e-8
-# Attacker-model cap on |w_i| used only to scale membership slope thresholds.
-WEIGHT_CAP = 10.0
+# Smoothgrad probes sit this many sigma from the predicted hyperplane.
+BLUR_SIGMAS = 8.0
 # Rounded sign entries must be within this of the solved values.
 SIGN_ROUND_TOL = 0.1
-# Below this bracket width the slope reference is no longer re-measured: a
-# crossing grazed by a blind fine-width window must not leak into it.
-REF_UPGRADE_MIN_WIDTH = 1e-3
-# Terminal confirmation windows widen up to this (noise halves per doubling,
-# the slope jump does not depend on the window).
-TERMINAL_WIDTH_CAP = 1.0
-
-_EPS = float(np.finfo(float).eps)
 
 
 def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
@@ -166,164 +157,106 @@ def _norm(x: np.ndarray) -> float:
 
 
 class _GradientLine:
-    """Exact (or smoothed) gradients: a gradient change certifies a crossing."""
+    """grad and smoothgrad: one gradient query per point, (t, g)."""
 
     def __init__(self, oracle: Oracle, u, v, cfg: ExtractionConfig):
-        self.oracle, self.u, self.v = oracle, u, v
-        self.rows = []
+        self.oracle, self.u, self.v, self.epsilon = oracle, u, v, cfg.epsilon
 
-    def point(self, t: float):
-        return t, self.oracle.gradient(self.u + t * self.v)
+    def point(self, t: float, x=None):
+        return t, self.oracle.gradient(self.u + t * self.v if x is None else x)
 
-    def kinked(self, p, q) -> bool:
+    def same(self, p, q) -> bool:
         # One object means one cell: the difference would be exactly zero.
-        return p[1] is not q[1] and _norm(p[1] - q[1]) > GRAD_CHANGE_TOL
+        return p[1] is q[1] or _norm(p[1] - q[1]) <= GRAD_CHANGE_TOL
 
-    def step_over(self, a, m, b) -> None:
-        # The loop bisects only brackets (a, b) that test kinked; with m in
-        # a's cell this test would repeat that one on the same two arrays.
-        if m[1] is not a[1] and not self.kinked(m, b):
-            raise ExtractionFailure("no gradient change in either half-bracket")
-
-    def resolve(self, a, b) -> float:
-        self.rows.append(b[1] - a[1])
-        return b[0]
-
-    def z(self, crossings: list[float]) -> np.ndarray:
-        return np.vstack(self.rows)
+    def split(self, a, b):
+        return self.point(0.5 * (a[0] + b[0]))
 
 
-class _MembershipLine:
-    """Finite-difference requests at the search points, chord slopes for the test.
+class _MembershipLine(_GradientLine):
+    """One finite-difference request per point at p = x/|x|: (t, g or None, p, f(p))."""
 
-    Each chord is tested against a reference slope for the floor's cell; the
-    reference starts on a wide window at the left edge and is re-measured on
-    every certified kink-free half-bracket, so its own rounding noise (tracked
-    and added to the test tolerance) stays far below the slope jumps.
-    """
+    def point(self, t: float, x=None):
+        x = self.u + t * self.v if x is None else x
+        p = x / _norm(x)
+        g, f = self.oracle.gradient_with_value(p, eta=REFINE_ETA)
+        return t, (g if _fits(g, p, f) else None), p, f
 
-    def __init__(self, oracle: Oracle, u, v, cfg: ExtractionConfig):
-        self.oracle, self.u, self.v, self.cfg = oracle, u, v, cfg
-        self.eta = membership_step_bound(cfg.delta, cfg.epsilon, cfg.l, cfg.h)
-        self.values: dict = {}
-        l = float(cfg.l)
-        # -l and +l are queried before the reference probe; the search then gets
-        # them from point() without a second request.
-        start = self.point(-l)
-        self.point(l)
-        # Reference slope of the cell at the current floor. The initial window is
-        # wide (a width-eps window would carry noise ~eps_mach*S/eps, enough to
-        # poison every wide-bracket comparison); crossings this close to -l are a
-        # parameter-budget event that ends in an honest retry.
-        self.sigma_ref, self.ref_noise = self._measure(start, self._value(-l + min(1.0, l / 10.0)))
+    def same(self, p, q) -> bool:
+        if p[1] is None:
+            p, q = q, p
+        if q[1] is None:
+            return _fits(p[1], q[2], q[3])
+        return super().same(p, q)
 
-    def point(self, t: float):
-        # Finite-difference gradient request at u + t v; the estimate itself is
-        # below float64 noise at this step size, but its base value is exact.
-        if t not in self.values:
-            _, self.values[t] = self.oracle.gradient_with_value(self.u + t * self.v, eta=self.eta)
-        return t, self.values[t]
+    def split(self, a, b):
+        # An invalid split point takes the gradient of the one end whose cell
+        # it fits; one that fits neither end, or both (it grazes the
+        # hyperplane), is moved toward a and requested again.
+        t = 0.5 * (a[0] + b[0])
+        while (m := self.point(t))[1] is None:
+            cells = [end[1] for end in (a, b) if _fits(end[1], m[2], m[3])]
+            if len(cells) == 1:
+                return m[0], cells[0], m[2], m[3]
+            t = 0.5 * (a[0] + t)
+            if t - a[0] < self.epsilon:
+                raise ExtractionFailure("no Euler-valid split point in a bracket")
+        return m
 
-    def _value(self, t: float):
-        if t not in self.values:
-            self.values[t] = self.oracle.value(self.u + t * self.v)
-        return t, self.values[t]
 
-    def _measure(self, p, q) -> tuple[float, float]:
-        # Chord slope of f over (p, q) and its rounding-noise bound: value noise
-        # ~ eps_mach * sum_i |w_i <A_i, x>| <= eps_mach * h*cap*(1+|x|), sqrt(2d)
-        # for the accumulation across terms, 8x safety.
-        width = q[0] - p[0]
-        scale = max(_norm(self.u + t * self.v) for t in (p[0], q[0]))
-        noise = 8.0 * math.sqrt(2.0 * self.oracle.d) * _EPS * (self.cfg.h * WEIGHT_CAP * (1.0 + scale)) / width
-        return (q[1] - p[1]) / width, noise
-
-    def kinked(self, p, q) -> bool:
-        # The chord over (p, q) leaves the floor cell's slope beyond noise.
-        chord, noise = self._measure(p, q)
-        return abs(chord - self.sigma_ref) > noise + self.ref_noise
-
-    def step_over(self, a, m, b) -> None:
-        # (a, m) is certified kink-free: re-measure the reference on this wider
-        # window before stepping over it.
-        if m[0] - a[0] >= REF_UPGRADE_MIN_WIDTH:
-            self.sigma_ref, self.ref_noise = self._measure(a, m)
-
-    def resolve(self, a, b) -> float:
-        # Confirm a slope change actually sits here by comparing the slope beyond
-        # b against the floor cell's. Far-out crossings have slope jumps
-        # shrinking like 1/|t| while eps-window noise grows with the point scale,
-        # so the window widens (halving the noise each time) until the verdict
-        # is clear either way. The slope beyond b is the next floor's reference.
-        width = self.cfg.epsilon
-        while not self.kinked(b, beyond := self._value(b[0] + width)):
-            if width >= TERMINAL_WIDTH_CAP:
-                raise ExtractionFailure("no slope change at the located bracket")
-            width = min(2.0 * width, TERMINAL_WIDTH_CAP)
-        self.sigma_ref, self.ref_noise = self._measure(b, beyond)
-        return 0.5 * (a[0] + b[0])
-
-    def z(self, crossings: list[float]) -> np.ndarray:
-        # Row refinement: cell gradients at unit-rescaled midpoints between
-        # consecutive crossings; consecutive differences are the weighted normals
-        # in crossing order. f is positively homogeneous, so inside a cell
-        # f(p) = <grad f(p), p>; a finite difference whose step straddles a
-        # hyperplane (a thin cell) breaks that identity and the attempt is retried
-        # instead of returning mixed rows.
-        l = float(self.cfg.l)
-        edges = [-l] + crossings + [l]
-        cell_grads = []
-        for k in range(len(crossings) + 1):
-            p = self.u + 0.5 * (edges[k] + edges[k + 1]) * self.v
-            p = p / _norm(p)
-            g, f_p = self.oracle.gradient_with_value(p, eta=REFINE_ETA)
-            if abs(float(g @ p) - f_p) > EULER_TOL * (1.0 + abs(f_p) + _norm(g)):
-                raise ExtractionFailure("refinement step straddles a hyperplane; cell is too thin")
-            cell_grads.append(g)
-        rows = np.diff(np.vstack(cell_grads), axis=0)
-        if np.any(np.sqrt(np.sum(rows * rows, axis=1)) <= 1e-6):
-            raise ExtractionFailure("refined row is degenerate; crossing was mislocated")
-        return rows
+def _fits(g, p, f) -> bool:
+    """Euler's identity f(p) = <g, p>: p lies in the cell whose gradient is g."""
+    return abs(float(g @ p) - f) <= EULER_TOL * (1.0 + abs(f) + _norm(g))
 
 
 def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
-    """One pass of h crossing searches on the line u + t v, in any oracle mode.
+    """Certified-isolation search for h crossings on the line u + t v, in any oracle mode.
 
-    Each search pops the kept points the line's test does not separate from
-    the floor, bisects up to the first it does and pushes every upper end it
-    abandons; its final bracket, of width <= epsilon, resolves into a crossing
-    and its upper end becomes the next floor.
+    Returns the rows g_b - g_a of the h certified brackets and their
+    crossings t*, in crossing order; raises ExtractionFailure when the line is
+    refused.
     """
-    line_type = _MembershipLine if oracle.mode == "membership" else _GradientLine
-    line = line_type(oracle, np.asarray(u, dtype=float), np.asarray(v, dtype=float), cfg)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    line = (_MembershipLine if oracle.mode == "membership" else _GradientLine)(oracle, u, v, cfg)
     l = float(cfg.l)
-    floor = line.point(-l)
-    # Queried points (t, observation) past the floor, nearest on top.
-    above = [line.point(l)]
-    crossings = []
-    for _ in range(cfg.h):
-        while above and not line.kinked(floor, above[-1]):
-            above.pop()
-        if not above:
-            raise ExtractionFailure("fewer than h crossings lie in the search range")
-        a, b = floor, above.pop()
-        while b[0] - a[0] > cfg.epsilon:
-            t_m = 0.5 * (a[0] + b[0])
-            if t_m <= a[0] or t_m >= b[0]:
-                raise ExtractionFailure("bracket cannot be subdivided at float precision")
-            m = line.point(t_m)
-            if line.kinked(a, m):
-                above.append(b)
-                b = m
-            else:
-                line.step_over(a, m, b)
-                a = m
-        crossings.append(line.resolve(a, b))
-        floor = b
-    # +l stays at the bottom of the stack until a bracket ends on it.
-    if above and line.kinked(floor, above[0]):
+    lo, hi = line.point(-l), line.point(l)
+    if lo[1] is None or hi[1] is None:
+        raise ExtractionFailure("no Euler-valid gradient at an end of the search range")
+    if line.same(lo, hi):
+        raise ExtractionFailure("fewer than h crossings lie in the search range")
+    if not (line.same(lo, line.point(-math.inf, -v)) and line.same(hi, line.point(math.inf, v))):
+        raise ExtractionFailure("a crossing lies beyond the search range")
+
+    def bracket(a, b):
+        row = b[1] - a[1]
+        along = float(row @ v)
+        return a, b, row, -float(row @ u) / along if along else math.nan
+
+    def split_order(br):
+        # Outside first (t* outside proves two crossings), then the widest.
+        a, b, _, t_star = br
+        return a[0] <= t_star <= b[0], a[0] - b[0], a[0]
+
+    brackets = [bracket(lo, hi)]
+    while len(brackets) < cfg.h:
+        if not brackets:
+            raise ExtractionFailure("no gradient change in either half-bracket")
+        brackets.sort(key=split_order)
+        a, b, _, _ = brackets.pop(0)
+        if b[0] - a[0] < cfg.epsilon or not a[0] < 0.5 * (a[0] + b[0]) < b[0]:
+            raise ExtractionFailure("fewer than h crossings are separated at resolution epsilon")
+        m = line.split(a, b)
+        brackets += [bracket(p, q) for p, q in ((a, m), (m, b)) if not line.same(p, q)]
+
+    brackets.sort(key=lambda br: br[0][0])
+    if not all(a[0] <= t_star <= b[0] for a, b, _, t_star in brackets):
         raise ExtractionFailure("more than h crossings lie in the search range")
-    return line.z(crossings), crossings
+    sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
+    for a, b, row, t_star in brackets:
+        tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / abs(float(row @ v)))
+        if not (line.same(a, line.point(t_star - tau)) and line.same(line.point(t_star + tau), b)):
+            raise ExtractionFailure("isolation probes leave the cells of their bracket's ends")
+    return np.vstack([br[2] for br in brackets]), [br[3] for br in brackets]
 
 
 def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -> ZRecovery:

@@ -264,20 +264,28 @@ def _ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
 
 # Exact moments of a product of two independent standard Gaussians.
 _PRODUCT_MOMENTS = (0.0, 1.0, 0.0, 9.0)
-# Variances of the corresponding powers, for 3-sigma tolerances.
+# Variances of the corresponding powers, for the moment tolerances.
 _PRODUCT_MOMENT_VARS = (1.0, 8.0, 225.0, 10944.0)
 _KS_SAMPLE_CAP = 100_000
 _KS_BOUND = 0.01
+# Family-wise false-alarm rate of mc_gaussian_product's five checks (four
+# moments, one CDF distance) on a correct sampler. By Bonferroni each check
+# runs at the two-sided z of PRODUCT_FALSE_ALARM / 5:
+# statistics.NormalDist().inv_cdf(1 - PRODUCT_FALSE_ALARM / 10), written out
+# so that importing the package does not import statistics.
+PRODUCT_FALSE_ALARM = 0.0027
+_PRODUCT_Z = 3.460087443038579
 
 
 def mc_gaussian_product(samples: int, seed=None) -> McReport:
     """Check XY =d (Q - R)/2 for X, Y standard Gaussian and Q, R chi-squared(1).
 
-    Compares the first four moments of XY against (0, 1, 0, 9) at 3 sigma and
-    the two-sample CDF max distance between XY and (Q-R)/2 draws against 0.01
-    (distance computed on at most 1e5 draws per side). empirical_prob reports
-    the CDF distance. Q is drawn in full to keep R's place in the stream, R only
-    for the distance sample.
+    Compares the first four moments of XY against (0, 1, 0, 9) and the
+    two-sample CDF max distance between XY and (Q-R)/2 draws against 0.01
+    (distance computed on at most 1e5 draws per side), each at z = _PRODUCT_Z,
+    so that a correct sampler fails with probability at most
+    PRODUCT_FALSE_ALARM. empirical_prob reports the CDF distance. Q is drawn in
+    full to keep R's place in the stream, R only for the distance sample.
     """
     if samples < 10_000:
         raise ValueError("samples must be at least 10^4")
@@ -288,22 +296,25 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
     n_ks = min(samples, _KS_SAMPLE_CAP)
     prod = rng_a.standard_normal(samples) * rng_a.standard_normal(samples)
     ref = 0.5 * (rng_b.standard_normal(samples)[:n_ks] ** 2 - rng_b.standard_normal(n_ks) ** 2)
-
-    p2 = prod * prod  # prod ** 3 and prod ** 4 would each call libm pow
-    moments_ok = True
-    for k, power in enumerate((prod, p2, p2 * prod, p2 * p2)):
-        tol = 3.0 * math.sqrt(_PRODUCT_MOMENT_VARS[k] / samples)
-        moments_ok = moments_ok and abs(float(np.mean(power)) - _PRODUCT_MOMENTS[k]) <= tol
-
-    distance = _ks_distance(prod[:n_ks], ref)
-    slack = 3.0 * math.sqrt(_KS_BOUND * (1.0 - _KS_BOUND) / n_ks)
-    passed = moments_ok and distance <= _KS_BOUND + slack
+    distance, passed = _product_checks(prod, ref)
     return McReport(
         samples=samples,
         empirical_prob=distance,
         bound=_KS_BOUND,
         passed=passed,
     )
+
+
+def _product_checks(prod: np.ndarray, ref: np.ndarray) -> tuple[float, bool]:
+    """CDF distance of prod[:len(ref)] to ref, and whether all five checks pass."""
+    p2 = prod * prod  # prod ** 3 and prod ** 4 would each call libm pow
+    moments_ok = True
+    for k, power in enumerate((prod, p2, p2 * prod, p2 * p2)):
+        tol = _PRODUCT_Z * math.sqrt(_PRODUCT_MOMENT_VARS[k] / prod.size)
+        moments_ok = moments_ok and abs(float(np.mean(power)) - _PRODUCT_MOMENTS[k]) <= tol
+    distance = _ks_distance(prod[: ref.size], ref)
+    slack = _PRODUCT_Z * math.sqrt(_KS_BOUND * (1.0 - _KS_BOUND) / ref.size)
+    return distance, moments_ok and distance <= _KS_BOUND + slack
 
 
 def check_fd_exactness(

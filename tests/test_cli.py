@@ -141,11 +141,13 @@ class TestExtractVerify:
     def test_membership_width_below_truth_is_refused(self, tmp_path):
         # The first line holds all 8 crossings in [-l, l]; stopping at the
         # seventh returned a wrong model at exit 0. The search refuses that
-        # line. The next holds only 7 in range, and the sign solve refuses it.
+        # line. The next holds only 7 in range, and the tail check refuses
+        # it, as the search refuses every later line: the sign solve is
+        # never reached.
         model = tmp_path / "m.json"
         rep = tmp_path / "rep.json"
         assert run("gen", "--d", "20", "--h", "8", "--seed", "8", "--out", str(model)) == 0
-        for max_retries, phase, retries in (("0", "search", 0), ("5", "sign", 1)):
+        for max_retries, phase, retries in (("0", "search", 0), ("5", "search", 5)):
             code = run(
                 "extract", "--model", str(model), "--mode", "membership", "--h", "7", "--seed", "8",
                 "--max-retries", max_retries, "--out", str(tmp_path / "r.json"), "--report", str(rep),

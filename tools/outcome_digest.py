@@ -3,10 +3,12 @@
     python3 tools/outcome_digest.py [REPO_ROOT]
 
 Imports gradleak from REPO_ROOT/src (default: this checkout) and runs fixed
-instance families. For each it prints "family count sha256", where the hash
-covers, per instance, the gradient and value queries, the retries, the
-failure type and message, and the bytes of the recovered (Z, s). Run it on
-two checkouts and compare the lines.
+instance families. For each it prints two lines. "family count sha256"
+hashes, per instance, the gradient and value queries, the retries, the
+failure type and message, and the bytes of the recovered (Z, s).
+"family/models count sha256" hashes only the (Z, s) bytes, the retries and
+the failure type, so a change that moves only query counts or failure
+messages keeps it equal. Run it on two checkouts and compare the lines.
 """
 
 import hashlib
@@ -30,7 +32,8 @@ FAMILIES = (
 )
 
 
-def outcome(mode, d, h, assumed_h, trial) -> bytes:
+def outcome(mode, d, h, assumed_h, trial) -> tuple[bytes, bytes]:
+    """(full outcome, model outcome) of one instance."""
     net_seed, sg_seed, cfg_seed = (
         int(s) for s in np.random.SeedSequence([8100, d, h, trial]).generate_state(3, dtype=np.uint64)
     )
@@ -38,21 +41,25 @@ def outcome(mode, d, h, assumed_h, trial) -> bytes:
     oracle = gl.Oracle(net, mode=mode, sg=gl.SmoothGradConfig(sigma=1e-9, n_samples=3, seed=sg_seed))
     try:
         report = gl.learn_model(oracle, gl.ExtractionConfig(assumed_h, delta=0.1, c=0.01, seed=cfg_seed))
-        result = report.model.Z.tobytes() + np.asarray(report.model.s, dtype=np.int64).tobytes()
+        result = model = report.model.Z.tobytes() + np.asarray(report.model.s, dtype=np.int64).tobytes()
         retries = report.retries
     except gl.GradleakError as err:
         result = f"{type(err).__name__}: {err}".encode()
+        model = type(err).__name__.encode()
         retries = err.retries
     ledger = oracle.ledger
-    return f"{ledger.gradient_queries} {ledger.value_queries} {retries} ".encode() + result
+    return f"{ledger.gradient_queries} {ledger.value_queries} {retries} ".encode() + result, f"{retries} ".encode() + model
 
 
 def main() -> None:
     for family, mode, d, h, assumed_h, count in FAMILIES:
-        digest = hashlib.sha256()
+        digest, models = hashlib.sha256(), hashlib.sha256()
         for trial in range(count):
-            digest.update(outcome(mode, d, h, assumed_h, trial))
+            full, model = outcome(mode, d, h, assumed_h, trial)
+            digest.update(full)
+            models.update(model)
         print(family, count, digest.hexdigest())
+        print(f"{family}/models", count, models.hexdigest())
 
 
 if __name__ == "__main__":
