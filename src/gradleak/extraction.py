@@ -13,12 +13,18 @@ Every oracle mode runs one certified-isolation loop on a line. It queries
 +-l (equal cells there mean no crossing in [-l, l]) and checks the tails:
 the hyperplanes pass through the origin, so u + l v lies in the cell of v,
 and u - l v in that of -v, unless a crossing lies beyond the range. It then
-splits kinked brackets (ends in different cells) at their midpoints until h
-are kinked. A bracket whose t* lies outside it holds at least two crossings,
-which costs no query to learn, so those are split first, then the widest.
-Each of the h brackets is certified: a <= t* <= b, and probes at t* -+ tau
-(tau = epsilon, wider in smoothgrad) lie in the cells of a and b. With the true h every kinked bracket holds one
-crossing; with an h that is too small the tail check or a certificate fails.
+splits kinked brackets (ends in different cells) until h are kinked. With u
+and v standard Gaussian each crossing -<A_i, u> / <A_i, v> is standard
+Cauchy, so atan t is uniform: a bracket is split at its Cauchy median
+tan((atan a + atan b) / 2), which halves its chance of holding a crossing,
+where a midpoint of [-l, l] (l >= h^2) would spend most splits on tails that
+almost never hold one. A bracket whose t* lies outside it holds at least two
+crossings, which costs no query to learn, so those are split first, then
+the one with the most Cauchy mass (half its parent's after a split at the
+median, so siblings tie exactly), then the lowest a. Each of the h brackets is certified: a <= t* <= b,
+and probes at t* -+ tau (tau = epsilon, wider in smoothgrad) lie in the
+cells of a and b. With the true h every kinked bracket holds one crossing;
+with an h that is too small the tail check or a certificate fails.
 A line is refused when it is kinked nowhere, when a kinked bracket narrower
 than epsilon would have to be split, when a certificate fails or when the
 tail check fails, and the attempt is retried on a fresh line. Each row is
@@ -38,13 +44,15 @@ Two points are in the same cell when their valid gradients agree, or when
 f(p) = <g, p> holds for one point's valid g at the other point p, whose own
 gradient is invalid (as at a probe next to its crossing). A split point
 whose gradient is invalid takes the gradient of the one bracket end whose
-cell it fits by that test; otherwise it is moved toward the bracket's lower
-end and requested again. Every bracket end thus carries its cell's valid
+cell it fits by that test; otherwise it is moved to the Cauchy median of it
+and the bracket's lower end, which halves its share of the bracket's mass,
+and requested again. Every bracket end thus carries its cell's valid
 gradient; a line whose request at -l or +l is invalid is refused.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -169,8 +177,9 @@ class _GradientLine:
         # One object means one cell: the difference would be exactly zero.
         return p[1] is q[1] or _norm(p[1] - q[1]) <= GRAD_CHANGE_TOL
 
-    def split(self, a, b):
-        return self.point(0.5 * (a[0] + b[0]))
+    def split(self, a, b, t: float):
+        """The point at t, and the share of the bracket's Cauchy mass below it."""
+        return self.point(t), 0.5
 
 
 class _MembershipLine(_GradientLine):
@@ -189,19 +198,32 @@ class _MembershipLine(_GradientLine):
             return _fits(p[1], q[2], q[3])
         return super().same(p, q)
 
-    def split(self, a, b):
+    def split(self, a, b, t: float):
         # An invalid split point takes the gradient of the one end whose cell
         # it fits; one that fits neither end, or both (it grazes the
-        # hyperplane), is moved toward a and requested again.
-        t = 0.5 * (a[0] + b[0])
+        # hyperplane), is moved to the Cauchy median of itself and a, which
+        # halves the share below it, and requested again.
+        share = 0.5
         while (m := self.point(t))[1] is None:
             cells = [end[1] for end in (a, b) if _fits(end[1], m[2], m[3])]
             if len(cells) == 1:
-                return m[0], cells[0], m[2], m[3]
-            t = 0.5 * (a[0] + t)
+                return (m[0], cells[0], m[2], m[3]), share
+            t, share = _mid(a[0], t), 0.5 * share
             if t - a[0] < self.epsilon:
                 raise ExtractionFailure("no Euler-valid split point in a bracket")
-        return m
+        return m, share
+
+
+def _mid(a: float, b: float) -> float:
+    """Cauchy median of (a, b): tan((atan a + atan b) / 2), which halves its arctan width.
+
+    Computed as the mean of a and b weighted by r_b and r_a, r = sqrt(1 + t^2):
+    exactly 0 at (-l, l), odd in (a, b), and as precise as t itself, whereas near
+    +-l a tan of the mean angle resolves t only to ~1e-16 (1 + l^2), coarser
+    than the default epsilon at h = 48.
+    """
+    ra, rb = math.hypot(1.0, a), math.hypot(1.0, b)
+    return a * (rb / (ra + rb)) + b * (ra / (ra + rb))
 
 
 def _fits(g, p, f) -> bool:
@@ -227,36 +249,37 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     if not (line.same(lo, line.point(-math.inf, -v)) and line.same(hi, line.point(math.inf, v))):
         raise ExtractionFailure("a crossing lies beyond the search range")
 
-    def bracket(a, b):
+    def bracket(a, b, mass):
+        # mass: the bracket's share of the Cauchy mass of [-l, l].
         row = b[1] - a[1]
         along = float(row @ v)
-        return a, b, row, -float(row @ u) / along if along else math.nan
+        t_star = -float(row @ u) / along if along else math.nan
+        # Outside first (t* outside proves two crossings), then the most
+        # Cauchy mass, then the lowest a (keys are unique by a).
+        return (a[0] <= t_star <= b[0], -mass, a[0]), a, b, row, t_star
 
-    def split_order(br):
-        # Outside first (t* outside proves two crossings), then the widest.
-        a, b, _, t_star = br
-        return a[0] <= t_star <= b[0], a[0] - b[0], a[0]
-
-    brackets = [bracket(lo, hi)]
+    brackets = [bracket(lo, hi, 1.0)]
     while len(brackets) < cfg.h:
         if not brackets:
             raise ExtractionFailure("no gradient change in either half-bracket")
-        brackets.sort(key=split_order)
-        a, b, _, _ = brackets.pop(0)
-        if b[0] - a[0] < cfg.epsilon or not a[0] < 0.5 * (a[0] + b[0]) < b[0]:
+        (_, minus_mass, _), a, b, _, _ = heapq.heappop(brackets)
+        t = _mid(a[0], b[0])
+        if b[0] - a[0] < cfg.epsilon or not a[0] < t < b[0]:
             raise ExtractionFailure("fewer than h crossings are separated at resolution epsilon")
-        m = line.split(a, b)
-        brackets += [bracket(p, q) for p, q in ((a, m), (m, b)) if not line.same(p, q)]
+        m, share = line.split(a, b, t)
+        for p, q, part in ((a, m, share), (m, b, 1.0 - share)):
+            if not line.same(p, q):
+                heapq.heappush(brackets, bracket(p, q, -minus_mass * part))
 
-    brackets.sort(key=lambda br: br[0][0])
-    if not all(a[0] <= t_star <= b[0] for a, b, _, t_star in brackets):
+    brackets.sort(key=lambda br: br[1][0])
+    if not all(a[0] <= t_star <= b[0] for _, a, b, _, t_star in brackets):
         raise ExtractionFailure("more than h crossings lie in the search range")
     sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
-    for a, b, row, t_star in brackets:
+    for _, a, b, row, t_star in brackets:
         tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / abs(float(row @ v)))
         if not (line.same(a, line.point(t_star - tau)) and line.same(line.point(t_star + tau), b)):
             raise ExtractionFailure("isolation probes leave the cells of their bracket's ends")
-    return np.vstack([br[2] for br in brackets]), [br[3] for br in brackets]
+    return np.vstack([br[3] for br in brackets]), [br[4] for br in brackets]
 
 
 def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -> ZRecovery:

@@ -25,7 +25,7 @@ from gradleak import (
     select_parameters,
 )
 from gradleak import extraction
-from gradleak.extraction import GRAD_CHANGE_TOL, _search_line
+from gradleak.extraction import GRAD_CHANGE_TOL, _mid, _search_line
 from gradleak.model import eval_recovered_batch
 
 
@@ -142,14 +142,15 @@ class TestBinarySearchSegment:
         # at once: t* = 0.375 lies inside and the probes at 0.075 and 0.675
         # fall in the cells of -l and +l, so the summed row is returned after
         # 6 queries (the closer-than-epsilon event the parameter budget pays
-        # for). With h=2 the splits at 0 and 0.5 isolate both crossings, but
-        # the probe at 0.25 + 0.3 steps over the crossing at 0.5: refused.
+        # for). With h=2 the Cauchy-median splits at 0, 0.618 and 0.284
+        # isolate both crossings, but the probe at 0.25 + 0.3 steps over the
+        # crossing at 0.5: refused.
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
         u, v = [-0.5, -0.25], [1.0, 1.0]
         z, crossings, one = _attempt(net, u, v, 1, 0.3)
         assert (one, crossings) == (6, [0.375])
         assert_allclose(z, [[1.0, 1.0]])
-        assert _refused(net, u, v, 2, 0.3, "isolation probes") == 10
+        assert _refused(net, u, v, 2, 0.3, "isolation probes") == 9
 
     def test_gradient_caching_across_searches(self):
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
@@ -160,12 +161,14 @@ class TestBinarySearchSegment:
         oracle.gradient = lambda x, eta=1e-6: (queried.append(float(x[0]) + 0.5), exact(x, eta))[1]
         cfg = ExtractionConfig(h=2, epsilon=0.01, l=2.0, seed=0)
         z, crossings = _search_line(oracle, np.asarray(u), np.asarray(v), cfg)
-        # -l, +l, the tails at -v and +v, then the splits: every queried
-        # point bounds two brackets, so the crossings share their splits
-        # (the cell is closed at 0, so t = 0.5 joins the cell beyond it).
-        # Each certified bracket then costs its two probes at t* -+ epsilon.
+        # -l, +l, the tails at -v and +v, then the splits, each at its
+        # bracket's Cauchy median tan((atan a + atan b) / 2): 0, then
+        # tan(atan(2) / 2) = 0.618 and tan(atan(0.618) / 2) = 0.284. Every
+        # queried point bounds two brackets, so the crossings share their
+        # splits. Each certified bracket then costs its two probes at
+        # t* -+ epsilon.
         assert queried[:2] + queried[4:] == pytest.approx(
-            [-2.0, 2.0, 0.0, 1.0, 0.5, 0.25, 0.24, 0.26, 0.49, 0.51]
+            [-2.0, 2.0, 0.0, 0.6180339887498948, 0.28407904384041227, 0.24, 0.26, 0.49, 0.51]
         )
         assert crossings == [0.25, 0.5]
         assert_allclose(z, [[0.0, 1.0], [1.0, 0.0]])
@@ -185,10 +188,10 @@ class TestBinarySearchSegment:
         oracle = Oracle(net, mode="membership")
         cfg = ExtractionConfig(h=2, epsilon=0.01, l=2.0, seed=0)
         z, crossings = _search_line(oracle, np.asarray(u), np.asarray(v), cfg)
-        # The 12 points of the grad search, one (d+1)-value request each;
+        # The 11 points of the grad search, one (d+1)-value request each;
         # the probes next to the crossings take the value test.
-        assert crossings == [0.25, 0.4999999999983622]
-        assert oracle.ledger.value_queries == 36
+        assert crossings == [0.25, 0.4999999999986122]
+        assert oracle.ledger.value_queries == 33
         assert_allclose(z, [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
         # One crossing short: the grad refusal's 5 points.
         assert _refused(net, u, v, 1, 0.01, "isolation probes", "membership") == 15
@@ -205,8 +208,10 @@ class TestBinarySearchSegment:
     def test_outside_bracket_is_split_before_any_probe(self):
         # Crossings at t = -3, 1 and 1.5; w_3 < 0 puts the t* of the bracket
         # (0, l) holding the last two at -3.5, outside it. It is split first
-        # although (-l, 0) is as wide, and again at 2 and 1, with no probe
-        # until h brackets are kinked: 3 splits, then 2 probes per bracket.
+        # although (-l, 0) holds as much Cauchy mass and starts lower, and
+        # its part holding both crossings again at 0.781 and 1.538, then at
+        # 1.090 once t* lies inside, with no probe until h brackets are
+        # kinked: 4 splits, then 2 probes per bracket.
         net = TwoLayerNet(A=np.eye(3), w=np.array([1.0, 1.0, -0.9]))
         oracle = Oracle(net)
         queried = []
@@ -214,7 +219,9 @@ class TestBinarySearchSegment:
         oracle.gradient = lambda x, eta=1e-6: (queried.append(float(x[0]) - 3.0), exact(x, eta))[1]
         cfg = ExtractionConfig(h=3, epsilon=0.01, l=4.0, seed=0)
         z, crossings = _search_line(oracle, np.array([3.0, -1.0, -1.5]), np.ones(3), cfg)
-        assert queried[4:] == pytest.approx([0.0, 2.0, 1.0, -3.01, -2.99, 0.99, 1.01, 1.49, 1.51])
+        assert queried[4:] == pytest.approx(
+            [0.0, 0.7807764064044151, 1.5382667542636725, 1.0904426700838203, -3.01, -2.99, 0.99, 1.01, 1.49, 1.51]
+        )
         assert crossings == [-3.0, 1.0, 1.5]
         assert_allclose(z, np.diag([1.0, 1.0, -0.9]))
 
@@ -228,6 +235,56 @@ class TestBinarySearchSegment:
         u, v = [-0.5, -5.0], [1.0, 1.0]
         assert _refused(net, u, v, 1, 0.01, "a crossing lies beyond the search range") == 4
         assert _refused(net, u, v, 1, 0.01, "isolation probes", l=8.0) == 5
+
+
+class TestCauchyMedian:
+    """Splits halve the Cauchy mass (arctan width) of a bracket, not its length."""
+
+    def test_symmetric_range_splits_at_zero(self):
+        for h in (1, 16, 32):
+            l = float(ExtractionConfig(h=h).l)
+            assert _mid(-l, l) == 0.0
+
+    def test_halves_the_arctan_width(self):
+        # Bracket ends drawn as crossings are, from the Cauchy law, kept in
+        # the default search range at h = 16.
+        l = float(ExtractionConfig(h=16).l)
+        ends = np.tan(np.random.default_rng(31).uniform(-math.atan(l), math.atan(l), size=(2000, 2)))
+        for a, b in np.sort(ends, axis=1).tolist():
+            m = _mid(a, b)
+            assert abs((math.atan(m) - math.atan(a)) - (math.atan(b) - math.atan(m))) <= 1e-12
+
+    @pytest.mark.parametrize("h", [32, 48])
+    def test_splits_the_narrowest_bracket_at_the_range_ends(self, h):
+        # A bracket of width 2 epsilon next to +-l must still be split inside,
+        # or the search would refuse a line the budget allows. A tan of the
+        # mean angle resolves t there only to ~1e-16 (1 + l^2) and fails this
+        # at h = 48.
+        cfg = ExtractionConfig(h=h)
+        l, width = float(cfg.l), 2.0 * cfg.epsilon
+        for k in range(100):
+            for a, b in ((l - width * (k + 1), l - width * k), (-l + width * k, -l + width * (k + 1))):
+                assert a < _mid(a, b) < b
+
+    def test_most_mass_is_split_before_the_widest(self):
+        # Crossings at t = -3.5, -0.5 and -0.25 on (-4, 4). The splits at 0
+        # and -0.781 leave (-4, -0.781) and (-0.781, 0) with a quarter of the
+        # mass each; the lower is split at -1.538 and its part (-4, -1.538)
+        # keeps the crossing at -3.5. That bracket is 2.46 wide but holds an
+        # eighth of the mass, (-0.781, 0) is 0.78 wide and holds a quarter:
+        # it is split next, at -0.344, and h brackets are kinked. Splitting
+        # the widest first would spend three more queries on the tail.
+        net = TwoLayerNet(A=np.eye(3), w=np.ones(3))
+        oracle = Oracle(net)
+        queried = []
+        exact = oracle.gradient
+        oracle.gradient = lambda x, eta=1e-6: (queried.append(float(x[0]) - 3.5), exact(x, eta))[1]
+        cfg = ExtractionConfig(h=3, epsilon=0.01, l=4.0, seed=0)
+        z, crossings = _search_line(oracle, np.array([3.5, 0.5, 0.25]), np.ones(3), cfg)
+        assert queried[4:8] == pytest.approx([0.0, -0.7807764064044151, -1.5382667542636725, -0.3441507314089108])
+        assert len(queried) == 14
+        assert crossings == pytest.approx([-3.5, -0.5, -0.25])
+        assert_allclose(z, np.eye(3))
 
 
 class TestRecoverZ:
@@ -494,16 +551,18 @@ class TestLearnModel:
     @pytest.mark.parametrize(
         "d, h, net_seed, cfg_seed, gradient_queries, value_queries, retries",
         [
-            (16, 16, 7000, 0, 127, 32, 1),
-            (128, 8, 7001, 1, 53, 16, 0),
-            (20, 8, 27, 3, 60, 16, 0),
+            (16, 16, 7000, 0, 85, 32, 1),
+            (128, 8, 7001, 1, 36, 16, 0),
+            (20, 8, 27, 3, 35, 16, 0),
         ],
+        ids=["16-16-7000-0", "128-8-7001-1", "20-8-27-3"],
     )
     def test_grad_query_counts_are_pinned(
         self, d, h, net_seed, cfg_seed, gradient_queries, value_queries, retries
     ):
         # Query counts are the attack's cost metric and deterministic for a
-        # seed; a change in them must be explained, not absorbed.
+        # seed; a change in them must be explained, not absorbed. The ids
+        # name the instance, not the counts, so a re-pin keeps them.
         net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
         report = learn_model(Oracle(net), ExtractionConfig(h, delta=0.1, c=0.01, seed=cfg_seed))
         assert (report.gradient_queries, report.value_queries, report.retries) == (
@@ -533,19 +592,22 @@ class TestLearnModel:
     @pytest.mark.parametrize(
         "mode, d, h, net_seed, gradient_queries, value_queries, retries, digest",
         [
-            ("membership", 12, 4, 40, 0, 294, 0, "50effa2928098e5e39f0bf27cf8db87b"),
-            ("membership", 12, 4, 41, 0, 359, 1, "27322faf321cf4f62f15aee344d0876c"),
-            ("membership", 20, 8, 40, 0, 856, 0, "a3368db1ad3e63acdeac99387b490304"),
-            ("smoothgrad", 12, 4, 40, 22, 8, 0, "e09b6233b7280d7a722d72a0df03d18f"),
-            ("smoothgrad", 12, 4, 42, 17, 8, 0, "8e7b4a5a70ad593e134c6ef4ee9c9f38"),
+            ("membership", 12, 4, 40, 0, 333, 0, "205c26640a7bc71fa9b4b3ad6c105e8d"),
+            ("membership", 12, 4, 41, 0, 385, 1, "ff405eab2ce2d03c7f1ee98dbe9d49e8"),
+            ("membership", 20, 8, 40, 0, 856, 0, "dea8d92cc0a4587c0234eb0016517caf"),
+            ("smoothgrad", 12, 4, 40, 25, 8, 0, "e09b6233b7280d7a722d72a0df03d18f"),
+            ("smoothgrad", 12, 4, 42, 20, 8, 0, "8e7b4a5a70ad593e134c6ef4ee9c9f38"),
         ],
+        ids=["membership-12-4-40", "membership-12-4-41", "membership-20-8-40", "smoothgrad-12-4-40", "smoothgrad-12-4-42"],
     )
     def test_membership_and_smoothgrad_outcomes_are_pinned(
         self, mode, d, h, net_seed, gradient_queries, value_queries, retries, digest
     ):
         # Like the grad pins, plus the bytes of (Z, s): the finite-difference
         # loop and the smoothing draws must keep their order. Each instance
-        # verifies at 1e-7.
+        # verifies at 1e-7. Membership rows are finite differences at the
+        # bracket ends, so their bytes move with the split points; smoothgrad
+        # rows are differences of cell gradients and do not.
         net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
         sg = SmoothGradConfig(sigma=1e-9, n_samples=3, seed=net_seed + 1)
         report = learn_model(
@@ -562,10 +624,12 @@ class TestLearnModel:
         assert functional_equivalence(net, model, 4096, 1e-7, seed=0).passed
 
     def test_too_few_crossings_are_refused_without_a_query(self):
-        # One crossing on the line: the range ends differ, the tails match,
-        # and h=1 certifies the whole range at once (6 gradient queries). An
-        # assumed h=2 splits the one kinked bracket until it is narrower than
-        # epsilon: 17 halvings of 2l = 100 reach 7.6e-4 < 1e-3, so 21 queries.
+        # One crossing on the line, at t = 1.35: the range ends differ, the
+        # tails match, and h=1 certifies the whole range at once (6 gradient
+        # queries). An assumed h=2 splits the one kinked bracket at its Cauchy
+        # median until it is narrower than epsilon: 14 halvings of the arctan
+        # width 2 atan(50) = 3.10 leave 1.9e-4 rad, 5.4e-4 < 1e-3 in t next
+        # to the crossing (13 leave 1.07e-3), so 18 queries.
         net = single_unit_net()
 
         def config(h):
@@ -576,7 +640,7 @@ class TestLearnModel:
         with pytest.raises(ExtractionFailure, match="fewer than h crossings are separated"):
             learn_model(oracle, config(2))
         # Sign recovery spends value queries only, so these are all search.
-        assert (one.gradient_queries, oracle.ledger.gradient_queries) == (6, 4 + 17)
+        assert (one.gradient_queries, oracle.ledger.gradient_queries) == (6, 4 + 14)
 
     def test_smoothgrad_blur_has_a_working_regime(self):
         # At sigma = 1e-6 the blur used to hide a crossing on every line and

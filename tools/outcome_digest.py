@@ -3,15 +3,18 @@
     python3 tools/outcome_digest.py [REPO_ROOT]
 
 Imports gradleak from REPO_ROOT/src (default: this checkout) and runs fixed
-instance families. For each it prints two lines. "family count sha256"
+instance families. For each it prints three lines. "family count sha256"
 hashes, per instance, the gradient and value queries, the retries, the
 failure type and message, and the bytes of the recovered (Z, s).
 "family/models count sha256" hashes only the (Z, s) bytes, the retries and
 the failure type, so a change that moves only query counts or failure
-messages keeps it equal. Run it on two checkouts and compare the lines.
+messages keeps it equal. "family/queries count ..." gives the median
+gradient and value queries per instance and the number refused, so a cost
+change reads as numbers. Run it on two checkouts and compare the lines.
 """
 
 import hashlib
+import statistics
 import sys
 from pathlib import Path
 
@@ -32,8 +35,8 @@ FAMILIES = (
 )
 
 
-def outcome(mode, d, h, assumed_h, trial) -> tuple[bytes, bytes]:
-    """(full outcome, model outcome) of one instance."""
+def outcome(mode, d, h, assumed_h, trial) -> tuple[bytes, bytes, tuple[int, int, bool]]:
+    """(full outcome, model outcome, (gradient queries, value queries, refused)) of one instance."""
     net_seed, sg_seed, cfg_seed = (
         int(s) for s in np.random.SeedSequence([8100, d, h, trial]).generate_state(3, dtype=np.uint64)
     )
@@ -42,24 +45,31 @@ def outcome(mode, d, h, assumed_h, trial) -> tuple[bytes, bytes]:
     try:
         report = gl.learn_model(oracle, gl.ExtractionConfig(assumed_h, delta=0.1, c=0.01, seed=cfg_seed))
         result = model = report.model.Z.tobytes() + np.asarray(report.model.s, dtype=np.int64).tobytes()
-        retries = report.retries
+        retries, refused = report.retries, False
     except gl.GradleakError as err:
         result = f"{type(err).__name__}: {err}".encode()
         model = type(err).__name__.encode()
-        retries = err.retries
+        retries, refused = err.retries, True
     ledger = oracle.ledger
-    return f"{ledger.gradient_queries} {ledger.value_queries} {retries} ".encode() + result, f"{retries} ".encode() + model
+    full = f"{ledger.gradient_queries} {ledger.value_queries} {retries} ".encode() + result
+    return full, f"{retries} ".encode() + model, (ledger.gradient_queries, ledger.value_queries, refused)
 
 
 def main() -> None:
     for family, mode, d, h, assumed_h, count in FAMILIES:
-        digest, models = hashlib.sha256(), hashlib.sha256()
+        digest, models, costs = hashlib.sha256(), hashlib.sha256(), []
         for trial in range(count):
-            full, model = outcome(mode, d, h, assumed_h, trial)
+            full, model, cost = outcome(mode, d, h, assumed_h, trial)
             digest.update(full)
             models.update(model)
+            costs.append(cost)
+        gradients, values, refused = zip(*costs)
         print(family, count, digest.hexdigest())
         print(f"{family}/models", count, models.hexdigest())
+        print(
+            f"{family}/queries", count, "median gradient", statistics.median(gradients),
+            "value", statistics.median(values), "refused", sum(refused),
+        )
 
 
 if __name__ == "__main__":
