@@ -19,7 +19,6 @@ from .errors import (
 from .extraction import (
     ExtractionConfig,
     learn_model,
-    membership_step_bound,
     recover_s,
     recover_z,
     select_parameters,

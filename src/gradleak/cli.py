@@ -24,7 +24,7 @@ from .model import (
     save_net,
     save_recovered,
 )
-from .oracle import Oracle, SmoothGradConfig
+from .oracle import ORACLE_MODES, Oracle, SmoothGradConfig
 from .validation import (
     functional_equivalence,
     match_rows,
@@ -81,7 +81,7 @@ def build_parser() -> _Parser:
 
     ext = sub.add_parser("extract", help="run the extraction attack against a model file")
     ext.add_argument("--model", required=True)
-    ext.add_argument("--mode", choices=("grad", "smoothgrad", "membership"), default="grad")
+    ext.add_argument("--mode", choices=ORACLE_MODES, default="grad")
     ext.add_argument("--h", type=int, default=None, help="assumed hidden width (default: true width)")
     ext.add_argument("--delta", type=float, default=0.1)
     ext.add_argument("--c", type=float, default=_ATTACKER_C)
@@ -114,7 +114,7 @@ def build_parser() -> _Parser:
     ben.add_argument("--h-list", required=True, help="comma-separated widths, e.g. 2,4,8")
     ben.add_argument("--d", type=int, required=True)
     ben.add_argument("--trials", type=int, required=True)
-    ben.add_argument("--mode", choices=("grad", "smoothgrad", "membership"), default="grad")
+    ben.add_argument("--mode", choices=ORACLE_MODES, default="grad")
     ben.add_argument("--delta", type=float, default=0.1)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--out", required=True)

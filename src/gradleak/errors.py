@@ -35,11 +35,12 @@ class GeometryError(GradleakError):
 
 
 class ExtractionFailure(GradleakError):
-    """Binary search found no gradient change in a bracket that needs one.
+    """The crossing search refused a line, or every line of the retry budget.
 
-    Raised after the retry budget is exhausted; signals a violated assumption
-    (wrong assumed width, crossings outside the search range, crossings closer
-    than the search resolution) rather than a numerical bug.
+    The search raises it for each refused line, and recover_z raises it again
+    once the retry budget is spent; signals a violated assumption (wrong
+    assumed width, crossings outside the search range, crossings closer than
+    the search resolution) rather than a numerical bug.
     """
 
 

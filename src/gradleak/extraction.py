@@ -97,12 +97,6 @@ def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
     return epsilon, l
 
 
-def membership_step_bound(delta: float, epsilon: float, l: float, h: int) -> float:
-    """Finite-difference step small enough that search-grid points avoid
-    hyperplanes with probability >= 1 - delta/(2-delta)."""
-    return delta * epsilon / (2.0 * (2.0 - delta) * l * h)
-
-
 @dataclass
 class ExtractionConfig:
     """Attacker-side parameters. epsilon and l default to select_parameters."""

@@ -77,9 +77,11 @@ class FdExactnessReport:
 
     trials: int
     max_rel_error: float
-    passed: bool
     counterexample: np.ndarray | None = None
-    grid: McReport | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
 
 def functional_equivalence(
@@ -323,35 +325,24 @@ def check_fd_exactness(
     trials: int,
     seed=None,
     rel_tol: float = 1e-9,
-    grid_l: float | None = None,
-    grid_epsilon: float | None = None,
-    grid_trials: int = 1000,
 ) -> FdExactnessReport:
     """Finite differences are exact (to rounding) away from all hyperplanes.
 
     Samples Gaussian points with min_i |<A_i, x>| > eta by rejection and
     compares membership-mode Oracle gradients against the exact gradient at
-    rel_tol. When grid_l and grid_epsilon are given, also estimates how often
-    a search grid {u + i eps v} contains a point within eta of a hyperplane
-    and checks the rate against 2 l h eta / eps.
+    rel_tol; the first point that misses it is the counterexample.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if grid_trials < 1:
-        raise ValueError(f"grid_trials must be at least 1, got {grid_trials}")
     # Written so that NaN fails: a NaN rel_tol would pass every comparison.
     if not 0.0 <= rel_tol < math.inf:
         raise ValueError(f"rel_tol must be non-negative and finite, got {rel_tol}")
-    for name, value in (("grid_l", grid_l), ("grid_epsilon", grid_epsilon)):
-        if value is not None and not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
     rng = np.random.default_rng(seed)
     eta = cfg.eta
     budget = 200 * trials
     collected = 0
     worst = 0.0
     counterexample = None
-    passed = True
     oracle = Oracle(net, "membership")
     for _ in range(budget):
         if collected == trials:
@@ -367,36 +358,8 @@ def check_fd_exactness(
             worst = rel
         if rel > rel_tol and counterexample is None:
             counterexample = x
-            passed = False
     if collected < trials:
         raise ConfigError(
             f"rejection sampling yielded only {collected}/{trials} points; eta={eta} too large"
         )
-
-    grid_report = None
-    if grid_l is not None and grid_epsilon is not None:
-        n_steps = int(math.floor(grid_l / grid_epsilon))
-        hits = 0
-        for _ in range(grid_trials):
-            a = net.A @ rng.standard_normal(net.d)
-            b = grid_epsilon * (net.A @ rng.standard_normal(net.d))
-            # Nearest grid index to each hyperplane, clipped to the grid.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                idx = np.rint(-a / b)
-            idx = np.clip(np.nan_to_num(idx), -n_steps, n_steps)
-            event = False
-            for shift in (-1.0, 0.0, 1.0):
-                cand = np.clip(idx + shift, -n_steps, n_steps)
-                if np.any(np.abs(a + cand * b) <= eta):
-                    event = True
-                    break
-            hits += int(event)
-        grid_report = _make_report(grid_trials, hits / grid_trials, 2.0 * grid_l * net.h * eta / grid_epsilon)
-
-    return FdExactnessReport(
-        trials=trials,
-        max_rel_error=worst,
-        passed=passed,
-        counterexample=counterexample,
-        grid=grid_report,
-    )
+    return FdExactnessReport(trials=trials, max_rel_error=worst, counterexample=counterexample)

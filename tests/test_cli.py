@@ -375,8 +375,9 @@ class TestBench:
             mem_rows = list(csv.DictReader(fh))
 
         def retry_free(row):
-            # A retried run repeats whole searches; with caching, a clean run
-            # stays within one gradient per bisection level plus endpoints.
+            # A retried run repeats whole searches. A clean run spends the
+            # four range-end and tail requests, its splits and 2h probes:
+            # within h full bisections of [-l, l] to epsilon, plus 2h + 2.
             h = int(row["h"])
             eps, l = select_parameters(0.1, 0.01, h)
             return int(row["gradient_queries"]) <= h * (math.ceil(math.log2(2 * l / eps)) + 2) + 2

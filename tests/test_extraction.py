@@ -19,7 +19,6 @@ from gradleak import (
     generate_random_net,
     learn_model,
     match_rows,
-    membership_step_bound,
     recover_s,
     recover_z,
     select_parameters,
@@ -94,11 +93,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive and finite"):
             ExtractionConfig(h=2, **override)
 
-    def test_membership_step_formula(self):
-        assert membership_step_bound(0.1, 7.764e-5, 26, 2) == pytest.approx(
-            0.1 * 7.764e-5 / (2 * 1.9 * 26 * 2)
-        )
-
 
 def _attempt(net, u, v, h, epsilon, l=2.0):
     """One gradient-mode search pass on the line u + t v and its gradient queries."""
@@ -118,7 +112,7 @@ def _refused(net, u, v, h, epsilon, message, mode="grad", l=2.0):
 
 
 class TestBinarySearchSegment:
-    """The bisection of each crossing's segment, run through _search_line."""
+    """One line's search through _search_line: its splits, certificates and refusals."""
 
     def test_single_crossing_exact_row(self):
         # crossing at t = 0.5
@@ -195,6 +189,29 @@ class TestBinarySearchSegment:
         assert_allclose(z, [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
         # One crossing short: the grad refusal's 5 points.
         assert _refused(net, u, v, 1, 0.01, "isolation probes", "membership") == 15
+
+    def test_membership_invalid_range_end_is_refused(self):
+        # The line runs 1e-5 from the hyperplane x_1 = 0, so each request at
+        # -l and +l steps across it and fails Euler's identity: refused after
+        # those two requests.
+        net = TwoLayerNet(A=np.array([[1.0, 0.0]]), w=np.array([1.0]))
+        message = "no Euler-valid gradient at an end of the search range"
+        assert _refused(net, [-1e-5, 0.0], [0.0, 1.0], 1, 0.01, message, "membership") == 6
+
+    def test_membership_split_point_in_neither_cell_is_refused(self):
+        # Crossings at t = -c and t = 1. The split of (-l, l) at 0 lies c
+        # from the first hyperplane, so its request steps across it, and its
+        # cell (between the crossings) is neither end's. Moved to the Cauchy
+        # median of (-l, 0), -0.618, it would lie closer than epsilon to -l:
+        # refused after the ends, the tails and that split, five requests.
+        c = 2e-6
+        net = TwoLayerNet(A=np.array([[1.0, 0.0], [math.cos(2.0), math.sin(2.0)]]), w=np.ones(2))
+        u, v = [-c, 1.0], [-1.0, math.cos(2.0) * (1.0 + c) / math.sin(2.0) - 1.0]
+        message = "no Euler-valid split point in a bracket"
+        assert _refused(net, u, v, 2, 1.5, message, "membership") == 15
+        # Grad mode takes the exact gradient at 0; the probe at t* + epsilon
+        # of the bracket (-l, 0) lies past t = 1 and refuses the line.
+        assert _refused(net, u, v, 2, 1.5, "isolation probes") == 7
 
     def test_equal_smoothed_range_ends_cost_two_requests(self):
         # As test_no_crossing_fails, with fresh smoothed arrays at sigma > 0

@@ -10,7 +10,10 @@ failure type and message, and the bytes of the recovered (Z, s).
 the failure type, so a change that moves only query counts or failure
 messages keeps it equal. "family/queries count ..." gives the median
 gradient and value queries per instance and the number refused, so a cost
-change reads as numbers. Run it on two checkouts and compare the lines.
+change reads as numbers. A last line, "fd-exactness 3 sha256", hashes
+check_fd_exactness's worst error, verdict and counterexample on acceptance
+criterion 6's three nets at 500 points each. Run it on two checkouts and
+compare the lines.
 """
 
 import hashlib
@@ -33,6 +36,9 @@ FAMILIES = (
     ("grad-20x8-h9", "grad", 20, 8, 9, 30),
     ("membership-20x8-h9", "membership", 20, 8, 9, 30),
 )
+# Acceptance criterion 6's nets (d, h, seed), at FD_POINTS points each.
+FD_NETS = ((20, 8, 60), (10, 4, 61), (40, 12, 62))
+FD_POINTS = 500
 
 
 def outcome(mode, d, h, assumed_h, trial) -> tuple[bytes, bytes, tuple[int, int, bool]]:
@@ -70,6 +76,13 @@ def main() -> None:
             f"{family}/queries", count, "median gradient", statistics.median(gradients),
             "value", statistics.median(values), "refused", sum(refused),
         )
+    fd = hashlib.sha256()
+    for d, h, seed in FD_NETS:
+        net = gl.generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=seed)
+        report = gl.check_fd_exactness(net, gl.FiniteDiffConfig(eta=1e-2), FD_POINTS, seed=seed)
+        counterexample = b"" if report.counterexample is None else report.counterexample.tobytes()
+        fd.update(f"{report.max_rel_error.hex()} {report.passed} ".encode() + counterexample)
+    print("fd-exactness", len(FD_NETS), fd.hexdigest())
 
 
 if __name__ == "__main__":
