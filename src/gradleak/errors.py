@@ -39,8 +39,8 @@ class ExtractionFailure(GradleakError):
 
     The search raises it for each refused line, and recover_z raises it again
     once the retry budget is spent; signals a violated assumption (wrong
-    assumed width, crossings outside the search range, crossings closer than
-    the search resolution) rather than a numerical bug.
+    assumed width, crossings closer than the search resolution) rather than
+    a numerical bug.
     """
 
 

@@ -9,26 +9,28 @@ Step two recovers the sign vector s by solving 2h linear equations built from
 value queries at h points of one cell and their negations; geometry places
 them in closed form so that ZX = diag(sigma)(I + J) is well conditioned.
 
-Every oracle mode runs one certified-isolation loop on a line. It queries
-+-l (equal cells there mean no crossing in [-l, l]) and checks the tails:
-the hyperplanes pass through the origin, so u + l v lies in the cell of v,
-and u - l v in that of -v, unless a crossing lies beyond the range. It then
-splits kinked brackets (ends in different cells) until h are kinked. With u
-and v standard Gaussian each crossing -<A_i, u> / <A_i, v> is standard
-Cauchy, so atan t is uniform: a bracket is split at its Cauchy median
-tan((atan a + atan b) / 2), which halves its chance of holding a crossing,
-where a midpoint of [-l, l] (l >= h^2) would spend most splits on tails that
-almost never hold one. A bracket whose t* lies outside it holds at least two
-crossings, which costs no query to learn, so those are split first, then
-the one with the most Cauchy mass (half its parent's after a split at the
-median, so siblings tie exactly), then the lowest a. Each of the h brackets is certified: a <= t* <= b,
-and probes at t* -+ tau (tau = epsilon, wider in smoothgrad) lie in the
-cells of a and b. With the true h every kinked bracket holds one crossing;
-with an h that is too small the tail check or a certificate fails.
-A line is refused when it is kinked nowhere, when a kinked bracket narrower
-than epsilon would have to be split, when a certificate fails or when the
-tail check fails, and the attempt is retried on a fresh line. Each row is
-g_b - g_a and each reported crossing is its t*.
+Every oracle mode runs one certified-isolation loop on the whole line. The
+hyperplanes pass through the origin, so the line's ends at t = -inf and +inf
+lie in the cells of -v and +v: those two queries bound a search with nothing
+beyond it. The loop splits kinked brackets (ends in different cells) until h
+are kinked. With u and v standard Gaussian each crossing
+-<A_i, u> / <A_i, v> is standard Cauchy, so atan t is uniform: a bracket is
+split at the Cauchy median tan((atan a + atan b) / 2) of its part inside
+[-l, l], which halves that part's chance of holding a crossing, where a
+midpoint split (l >= h^2) would spend most splits on tails that almost never
+hold one. A crossing beyond +-l lies in an end bracket and is certified
+there. A bracket whose t* lies outside it holds at least two crossings,
+which costs no query to learn, so those are split first, then the one with
+the most Cauchy mass (half its parent's after a split at the median, so
+siblings tie exactly), then the lowest a. Each of the h brackets is
+certified: a <= t* <= b, and probes at t* -+ tau (tau = epsilon, wider in
+smoothgrad) lie in the cells of a and b. With the true h every kinked
+bracket holds one crossing; with an h that is too small a certificate
+fails. A line is refused when fewer than h brackets are kinked, when a
+kinked bracket narrower than epsilon (or with no split point inside it)
+would have to be split, or when a certificate fails, and the attempt is
+retried on a fresh line. Each row is g_b - g_a and each reported crossing is
+its t*.
 
 The modes differ only in the test for "same cell". Exact gradients (grad,
 and smoothgrad at sigma = 0) are one shared read-only array per cell, so the
@@ -45,9 +47,10 @@ f(p) = <g, p> holds for one point's valid g at the other point p, whose own
 gradient is invalid (as at a probe next to its crossing). A split point
 whose gradient is invalid takes the gradient of the one bracket end whose
 cell it fits by that test; otherwise it is moved to the Cauchy median of it
-and the bracket's lower end, which halves its share of the bracket's mass,
-and requested again. Every bracket end thus carries its cell's valid
-gradient; a line whose request at -l or +l is invalid is refused.
+and the bracket's lower end (clamped to -l), which halves its share of the
+bracket's mass, and requested again. Every bracket end thus carries its
+cell's valid gradient; a line whose request at -v or +v is invalid is
+refused.
 """
 
 from __future__ import annotations
@@ -79,12 +82,15 @@ SIGN_ROUND_TOL = 0.1
 
 
 def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
-    """Choose the search resolution epsilon and half-range l for a failure budget.
+    """Choose the search resolution epsilon and the split prior's support l for a failure budget.
 
-    The budget is split evenly between the two failure events: crossings
+    The paper splits the budget evenly between two failure events: crossings
     closer than epsilon (anti-concentration term 3^(4/3) (eps/c)^(2/3) h^2
     <= delta/2) and crossings outside [-l, l] (Cauchy tail term 2h/(pi l)
-    <= delta/2, with l at least h^2).
+    <= delta/2, with l at least h^2). The search covers the whole line, so a
+    crossing beyond l no longer fails a line; l only bounds where brackets
+    are split (their Cauchy medians are taken over the part inside [-l, l]).
+    The numbers are the paper's, and acceptance criterion 2 uses them.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -162,7 +168,7 @@ class _GradientLine:
     """grad and smoothgrad: one gradient query per point, (t, g)."""
 
     def __init__(self, oracle: Oracle, u, v, cfg: ExtractionConfig):
-        self.oracle, self.u, self.v, self.epsilon = oracle, u, v, cfg.epsilon
+        self.oracle, self.u, self.v, self.epsilon, self.l = oracle, u, v, cfg.epsilon, float(cfg.l)
 
     def point(self, t: float, x=None):
         return t, self.oracle.gradient(self.u + t * self.v if x is None else x)
@@ -195,15 +201,16 @@ class _MembershipLine(_GradientLine):
     def split(self, a, b, t: float):
         # An invalid split point takes the gradient of the one end whose cell
         # it fits; one that fits neither end, or both (it grazes the
-        # hyperplane), is moved to the Cauchy median of itself and a, which
-        # halves the share below it, and requested again.
-        share = 0.5
+        # hyperplane), is moved to the Cauchy median of itself and a (clamped
+        # to -l, as the split was), which halves the share below it, and
+        # requested again.
+        share, lower = 0.5, max(a[0], -self.l)
         while (m := self.point(t))[1] is None:
             cells = [end[1] for end in (a, b) if _fits(end[1], m[2], m[3])]
             if len(cells) == 1:
                 return (m[0], cells[0], m[2], m[3]), share
-            t, share = _mid(a[0], t), 0.5 * share
-            if t - a[0] < self.epsilon:
+            t, share = _mid(lower, t), 0.5 * share
+            if t - lower < self.epsilon:
                 raise ExtractionFailure("no Euler-valid split point in a bracket")
         return m, share
 
@@ -211,10 +218,11 @@ class _MembershipLine(_GradientLine):
 def _mid(a: float, b: float) -> float:
     """Cauchy median of (a, b): tan((atan a + atan b) / 2), which halves its arctan width.
 
-    Computed as the mean of a and b weighted by r_b and r_a, r = sqrt(1 + t^2):
-    exactly 0 at (-l, l), odd in (a, b), and as precise as t itself, whereas near
-    +-l a tan of the mean angle resolves t only to ~1e-16 (1 + l^2), coarser
-    than the default epsilon at h = 48.
+    The search clamps a bracket to [-l, l] before it takes the median, so a and
+    b are finite. Computed as the mean of a and b weighted by r_b and r_a,
+    r = sqrt(1 + t^2): exactly 0 at (-l, l), odd in (a, b), and as precise as t
+    itself, whereas near +-l a tan of the mean angle resolves t only to
+    ~1e-16 (1 + l^2), coarser than the default epsilon at h = 48.
     """
     ra, rb = math.hypot(1.0, a), math.hypot(1.0, b)
     return a * (rb / (ra + rb)) + b * (ra / (ra + rb))
@@ -234,40 +242,37 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     line = (_MembershipLine if oracle.mode == "membership" else _GradientLine)(oracle, u, v, cfg)
-    l = float(cfg.l)
-    lo, hi = line.point(-l), line.point(l)
+    lo, hi = line.point(-math.inf, -v), line.point(math.inf, v)
     if lo[1] is None or hi[1] is None:
-        raise ExtractionFailure("no Euler-valid gradient at an end of the search range")
-    if line.same(lo, hi):
-        raise ExtractionFailure("fewer than h crossings lie in the search range")
-    if not (line.same(lo, line.point(-math.inf, -v)) and line.same(hi, line.point(math.inf, v))):
-        raise ExtractionFailure("a crossing lies beyond the search range")
+        raise ExtractionFailure("no Euler-valid gradient at an end of the line")
+    brackets = []
 
-    def bracket(a, b, mass):
+    def push(a, b, mass):
         # mass: the bracket's share of the Cauchy mass of [-l, l].
+        if line.same(a, b):
+            return
         row = b[1] - a[1]
         along = float(row @ v)
         t_star = -float(row @ u) / along if along else math.nan
         # Outside first (t* outside proves two crossings), then the most
         # Cauchy mass, then the lowest a (keys are unique by a).
-        return (a[0] <= t_star <= b[0], -mass, a[0]), a, b, row, t_star
+        heapq.heappush(brackets, ((a[0] <= t_star <= b[0], -mass, a[0]), a, b, row, t_star))
 
-    brackets = [bracket(lo, hi, 1.0)]
+    push(lo, hi, 1.0)
     while len(brackets) < cfg.h:
         if not brackets:
-            raise ExtractionFailure("no gradient change in either half-bracket")
+            raise ExtractionFailure("fewer than h crossings lie on the line")
         (_, minus_mass, _), a, b, _, _ = heapq.heappop(brackets)
-        t = _mid(a[0], b[0])
+        t = _mid(max(a[0], -line.l), min(b[0], line.l))
         if b[0] - a[0] < cfg.epsilon or not a[0] < t < b[0]:
             raise ExtractionFailure("fewer than h crossings are separated at resolution epsilon")
         m, share = line.split(a, b, t)
-        for p, q, part in ((a, m, share), (m, b, 1.0 - share)):
-            if not line.same(p, q):
-                heapq.heappush(brackets, bracket(p, q, -minus_mass * part))
+        push(a, m, -minus_mass * share)
+        push(m, b, -minus_mass * (1.0 - share))
 
     brackets.sort(key=lambda br: br[1][0])
     if not all(a[0] <= t_star <= b[0] for _, a, b, _, t_star in brackets):
-        raise ExtractionFailure("more than h crossings lie in the search range")
+        raise ExtractionFailure("more than h crossings lie on the line")
     sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
     for _, a, b, row, t_star in brackets:
         tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / abs(float(row @ v)))

@@ -12,7 +12,15 @@ import pytest
 
 import gradleak.cli
 import gradleak.extraction
-from gradleak import ConfigError, SingularMatrixError, load_net, load_recovered, recovered_from_net, save_recovered
+from gradleak import (
+    ConfigError,
+    SingularMatrixError,
+    generate_random_net,
+    load_net,
+    load_recovered,
+    recovered_from_net,
+    save_recovered,
+)
 from gradleak.cli import main
 
 
@@ -141,9 +149,9 @@ class TestExtractVerify:
     def test_membership_width_below_truth_is_refused(self, tmp_path):
         # The first line holds all 8 crossings in [-l, l]; stopping at the
         # seventh returned a wrong model at exit 0. The search refuses that
-        # line. The next holds only 7 in range, and the tail check refuses
-        # it, as the search refuses every later line: the sign solve is
-        # never reached.
+        # line. The next holds one crossing beyond l, which its end bracket
+        # shares with another, and a certificate refuses it, as the search
+        # refuses every later line: the sign solve is never reached.
         model = tmp_path / "m.json"
         rep = tmp_path / "rep.json"
         assert run("gen", "--d", "20", "--h", "8", "--seed", "8", "--out", str(model)) == 0
@@ -247,6 +255,17 @@ class TestExtractVerify:
         rec = tmp_path / "ref.json"
         save_recovered(recovered_from_net(load_net(model_file)), rec)
         assert run("verify", "--model", str(model_file), "--recovered", str(rec), "--tol", tol) == 1
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_exit_one(self, tmp_path, model_file, samples, capsys):
+        # Another net's rows: 0 points would pass them unchecked.
+        rec = tmp_path / "other.json"
+        save_recovered(recovered_from_net(generate_random_net(12, 5, seed=2)), rec)
+        args = ("verify", "--model", str(model_file), "--recovered", str(rec))
+        assert run(*args, "--samples", "100") == 3
+        capsys.readouterr()
+        assert run(*args, "--samples", samples) == 1
+        assert "--samples must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_exits_one(self, tmp_path, model_file, sigma, capsys):

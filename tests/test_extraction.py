@@ -111,6 +111,12 @@ def _refused(net, u, v, h, epsilon, message, mode="grad", l=2.0):
     return oracle.ledger.gradient_queries + oracle.ledger.value_queries
 
 
+def _grazing_line(c=2e-6):
+    """A net and a line u + t v with crossings at t = -c and t = 1."""
+    net = TwoLayerNet(A=np.array([[1.0, 0.0], [math.cos(2.0), math.sin(2.0)]]), w=np.ones(2))
+    return net, [-c, 1.0], [-1.0, math.cos(2.0) * (1.0 + c) / math.sin(2.0) - 1.0]
+
+
 class TestBinarySearchSegment:
     """One line's search through _search_line: its splits, certificates and refusals."""
 
@@ -127,24 +133,25 @@ class TestBinarySearchSegment:
         v = np.array([0.0, 1.0])  # <A, u + t v> = 1, never zero
         with pytest.raises(ExtractionFailure, match="fewer than h crossings"):
             _search_line(oracle, u, v, cfg)
-        # Equal end gradients certify the empty range without a midpoint.
+        # The line is parallel to the hyperplane, so its ends -v and +v lie
+        # on it, in one closed cell: refused without a midpoint.
         assert oracle.ledger.gradient_queries == 2
 
     def test_narrow_bracket_returns_immediately(self):
         # Crossings at t = 0.25 and 0.5 lie closer than epsilon = 0.3, finer
-        # than the certificate resolves. With h=1 the whole range certifies
+        # than the certificate resolves. With h=1 the whole line certifies
         # at once: t* = 0.375 lies inside and the probes at 0.075 and 0.675
-        # fall in the cells of -l and +l, so the summed row is returned after
-        # 6 queries (the closer-than-epsilon event the parameter budget pays
+        # fall in the cells of -v and +v, so the summed row is returned after
+        # 4 queries (the closer-than-epsilon event the parameter budget pays
         # for). With h=2 the Cauchy-median splits at 0, 0.618 and 0.284
         # isolate both crossings, but the probe at 0.25 + 0.3 steps over the
         # crossing at 0.5: refused.
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
         u, v = [-0.5, -0.25], [1.0, 1.0]
         z, crossings, one = _attempt(net, u, v, 1, 0.3)
-        assert (one, crossings) == (6, [0.375])
+        assert (one, crossings) == (4, [0.375])
         assert_allclose(z, [[1.0, 1.0]])
-        assert _refused(net, u, v, 2, 0.3, "isolation probes") == 9
+        assert _refused(net, u, v, 2, 0.3, "isolation probes") == 7
 
     def test_gradient_caching_across_searches(self):
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
@@ -155,23 +162,23 @@ class TestBinarySearchSegment:
         oracle.gradient = lambda x, eta=1e-6: (queried.append(float(x[0]) + 0.5), exact(x, eta))[1]
         cfg = ExtractionConfig(h=2, epsilon=0.01, l=2.0, seed=0)
         z, crossings = _search_line(oracle, np.asarray(u), np.asarray(v), cfg)
-        # -l, +l, the tails at -v and +v, then the splits, each at its
-        # bracket's Cauchy median tan((atan a + atan b) / 2): 0, then
-        # tan(atan(2) / 2) = 0.618 and tan(atan(0.618) / 2) = 0.284. Every
-        # queried point bounds two brackets, so the crossings share their
-        # splits. Each certified bracket then costs its two probes at
-        # t* -+ epsilon.
-        assert queried[:2] + queried[4:] == pytest.approx(
-            [-2.0, 2.0, 0.0, 0.6180339887498948, 0.28407904384041227, 0.24, 0.26, 0.49, 0.51]
+        # The line's ends at -v and +v (recorded as -0.5 and 1.5), then the
+        # splits, each at the Cauchy median tan((atan a + atan b) / 2) of its
+        # bracket's part in [-l, l]: 0, then tan(atan(2) / 2) = 0.618 and
+        # tan(atan(0.618) / 2) = 0.284. Every queried point bounds two
+        # brackets, so the crossings share their splits. Each certified
+        # bracket then costs its two probes at t* -+ epsilon.
+        assert queried == pytest.approx(
+            [-0.5, 1.5, 0.0, 0.6180339887498948, 0.28407904384041227, 0.24, 0.26, 0.49, 0.51]
         )
         assert crossings == [0.25, 0.5]
         assert_allclose(z, [[0.0, 1.0], [1.0, 0.0]])
-        # One crossing short, the whole range is one bracket with t* = 0.375,
+        # One crossing short, the whole line is one bracket with t* = 0.375,
         # and its first probe at 0.365 lies between the two crossings.
-        assert _refused(net, u, v, 1, 0.01, "isolation probes") == 5
+        assert _refused(net, u, v, 1, 0.01, "isolation probes") == 3
 
     def test_membership_empty_range_fails(self):
-        # The requests at -l and +l find the same cell: refused after those
+        # The requests at -v and +v find the same cell: refused after those
         # two requests, d+1 value queries each.
         u, v = [1.0, 0.0], [0.0, 1.0]
         assert _refused(single_unit_net(), u, v, 1, 0.01, "fewer than h crossings", "membership") == 6
@@ -182,50 +189,68 @@ class TestBinarySearchSegment:
         oracle = Oracle(net, mode="membership")
         cfg = ExtractionConfig(h=2, epsilon=0.01, l=2.0, seed=0)
         z, crossings = _search_line(oracle, np.asarray(u), np.asarray(v), cfg)
-        # The 11 points of the grad search, one (d+1)-value request each;
+        # The 9 points of the grad search, one (d+1)-value request each;
         # the probes next to the crossings take the value test.
         assert crossings == [0.25, 0.4999999999986122]
-        assert oracle.ledger.value_queries == 33
+        assert oracle.ledger.value_queries == 27
         assert_allclose(z, [[0.0, 1.0], [1.0, 0.0]], atol=1e-9)
-        # One crossing short: the grad refusal's 5 points.
-        assert _refused(net, u, v, 1, 0.01, "isolation probes", "membership") == 15
+        # One crossing short: the grad refusal's 3 points.
+        assert _refused(net, u, v, 1, 0.01, "isolation probes", "membership") == 9
 
     def test_membership_invalid_range_end_is_refused(self):
-        # The line runs 1e-5 from the hyperplane x_1 = 0, so each request at
-        # -l and +l steps across it and fails Euler's identity: refused after
-        # those two requests.
+        # The unit points +-v / |v| lie 1e-6 from the hyperplane x_1 = 0,
+        # closer than the step 1e-5, so the request at +v steps across it and
+        # fails Euler's identity: refused after the two end requests.
         net = TwoLayerNet(A=np.array([[1.0, 0.0]]), w=np.array([1.0]))
-        message = "no Euler-valid gradient at an end of the search range"
-        assert _refused(net, [-1e-5, 0.0], [0.0, 1.0], 1, 0.01, message, "membership") == 6
+        message = "no Euler-valid gradient at an end of the line"
+        assert _refused(net, [-1e-5, 0.0], [-1e-6, 1.0], 1, 0.01, message, "membership") == 6
 
     def test_membership_split_point_in_neither_cell_is_refused(self):
-        # Crossings at t = -c and t = 1. The split of (-l, l) at 0 lies c
+        # Crossings at t = -c and t = 1. The split of the line at 0 lies c
         # from the first hyperplane, so its request steps across it, and its
         # cell (between the crossings) is neither end's. Moved to the Cauchy
         # median of (-l, 0), -0.618, it would lie closer than epsilon to -l:
-        # refused after the ends, the tails and that split, five requests.
-        c = 2e-6
-        net = TwoLayerNet(A=np.array([[1.0, 0.0], [math.cos(2.0), math.sin(2.0)]]), w=np.ones(2))
-        u, v = [-c, 1.0], [-1.0, math.cos(2.0) * (1.0 + c) / math.sin(2.0) - 1.0]
+        # refused after the ends and that split, three requests.
+        net, u, v = _grazing_line()
         message = "no Euler-valid split point in a bracket"
-        assert _refused(net, u, v, 2, 1.5, message, "membership") == 15
+        assert _refused(net, u, v, 2, 1.5, message, "membership") == 9
         # Grad mode takes the exact gradient at 0; the probe at t* + epsilon
-        # of the bracket (-l, 0) lies past t = 1 and refuses the line.
-        assert _refused(net, u, v, 2, 1.5, "isolation probes") == 7
+        # of the bracket (-v, 0) lies past t = 1 and refuses the line.
+        assert _refused(net, u, v, 2, 1.5, "isolation probes") == 5
 
-    def test_equal_smoothed_range_ends_cost_two_requests(self):
-        # As test_no_crossing_fails, with fresh smoothed arrays at sigma > 0
-        # that take the norm test instead of the identity shortcut.
+    def test_membership_split_point_moves_toward_the_clamped_lower_end(self, monkeypatch):
+        # The line above at epsilon = 0.01. The invalid split at 0 moves to
+        # the Cauchy median of (-l, 0), not of (-inf, 0), which is NaN; there
+        # -0.618 lies below both crossings, in the cell of -v, and the search
+        # goes on from the bracket (-0.618, +inf) as grad mode does.
+        net, u, v = _grazing_line()
+        requested = []
+        point = extraction._MembershipLine.point
+        monkeypatch.setattr(
+            extraction._MembershipLine, "point", lambda line, t, x=None: (requested.append(t), point(line, t, x))[1]
+        )
+        oracle = Oracle(net, mode="membership")
+        z, crossings = _search_line(oracle, u, v, ExtractionConfig(h=2, epsilon=0.01, l=2.0, seed=0))
+        assert requested[:5] == pytest.approx([-math.inf, math.inf, 0.0, -0.6180339887498948, 0.2840790438404123])
+        assert crossings == pytest.approx([-2e-6, 1.0])
+        assert oracle.ledger.value_queries == 3 * len(requested) == 27
+        assert_allclose(np.abs(z), np.abs(net.A), atol=1e-9)
+
+    def test_equal_smoothed_cells_take_the_norm_test(self):
+        # One crossing at t = 0.5 and h=1: the ends and both probes are fresh
+        # smoothed arrays at sigma > 0, so each probe joins its end's cell by
+        # the norm test instead of the identity shortcut. 4 requests.
         oracle = Oracle(single_unit_net(), mode="smoothgrad", sg=SmoothGradConfig(sigma=1e-6, n_samples=3, seed=0))
         cfg = ExtractionConfig(h=1, epsilon=0.01, l=2.0, seed=0)
-        with pytest.raises(ExtractionFailure, match="fewer than h crossings"):
-            _search_line(oracle, np.array([1.0, 0.0]), np.array([0.0, 1.0]), cfg)
-        assert oracle.ledger.gradient_queries == 2
+        z, crossings = _search_line(oracle, np.array([-0.5, 0.0]), np.array([1.0, 0.0]), cfg)
+        assert crossings == pytest.approx([0.5])
+        assert_allclose(np.abs(z), [[2.0, 0.0]])
+        assert oracle.ledger.gradient_queries == 4
 
     def test_outside_bracket_is_split_before_any_probe(self):
         # Crossings at t = -3, 1 and 1.5; w_3 < 0 puts the t* of the bracket
-        # (0, l) holding the last two at -3.5, outside it. It is split first
-        # although (-l, 0) holds as much Cauchy mass and starts lower, and
+        # (0, +v) holding the last two at -3.5, outside it. It is split first
+        # although (-v, 0) holds as much Cauchy mass and starts lower, and
         # its part holding both crossings again at 0.781 and 1.538, then at
         # 1.090 once t* lies inside, with no probe until h brackets are
         # kinked: 4 splits, then 2 probes per bracket.
@@ -236,22 +261,40 @@ class TestBinarySearchSegment:
         oracle.gradient = lambda x, eta=1e-6: (queried.append(float(x[0]) - 3.0), exact(x, eta))[1]
         cfg = ExtractionConfig(h=3, epsilon=0.01, l=4.0, seed=0)
         z, crossings = _search_line(oracle, np.array([3.0, -1.0, -1.5]), np.ones(3), cfg)
-        assert queried[4:] == pytest.approx(
+        assert queried[2:] == pytest.approx(
             [0.0, 0.7807764064044151, 1.5382667542636725, 1.0904426700838203, -3.01, -2.99, 0.99, 1.01, 1.49, 1.51]
         )
         assert crossings == [-3.0, 1.0, 1.5]
         assert_allclose(z, np.diag([1.0, 1.0, -0.9]))
 
-    def test_width_below_truth_is_refused_by_the_tail_check(self):
-        # Crossings at t = 0.5 and 5. With l = 2 the second lies beyond the
-        # range, and u + l v is not in the cell of v: refused after the ends
-        # and the two tail requests, before the crossing at 0.5 could give a
-        # one-row model for the sign phase to judge. With l = 8 both lie in
-        # range and the first probe of the one bracket refuses.
+    def test_width_below_truth_is_refused_by_a_probe(self):
+        # Crossings at t = 0.5 and 5. With h=1 the whole line is one bracket
+        # with t* = 2.75, and its first probe lies between the crossings:
+        # refused after the ends and that probe, before the crossing at 0.5
+        # could give a one-row model for the sign phase to judge. l only
+        # places splits, so it does not matter whether 5 lies beyond it.
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
         u, v = [-0.5, -5.0], [1.0, 1.0]
-        assert _refused(net, u, v, 1, 0.01, "a crossing lies beyond the search range") == 4
-        assert _refused(net, u, v, 1, 0.01, "isolation probes", l=8.0) == 5
+        assert _refused(net, u, v, 1, 0.01, "isolation probes") == 3
+        assert _refused(net, u, v, 1, 0.01, "isolation probes", l=8.0) == 3
+
+    def test_crossing_beyond_l_is_found(self):
+        # The line above with the true h=2 and l = 2: the crossing at 5 lies
+        # beyond l but inside the end bracket (0.618, +v), which is certified.
+        # The splits at 0 and 0.618, then two probes per bracket.
+        z, crossings, queries = _attempt(TwoLayerNet(A=np.eye(2), w=np.ones(2)), [-0.5, -5.0], [1.0, 1.0], 2, 0.01)
+        assert (crossings, queries) == ([0.5, 5.0], 8)
+        assert_allclose(z, np.eye(2))
+
+    @pytest.mark.parametrize("mode, queries", [("grad", 56), ("membership", 168)])
+    def test_two_crossings_beyond_l_on_one_side_are_refused(self, mode, queries):
+        # Crossings at t = 5 and 7, both beyond l = 2. The bracket (t, +v)
+        # holding both is split at the Cauchy median of (t, l), which closes
+        # in on l until it rounds to l itself and no longer lies inside the
+        # bracket: refused after 56 requests, not split forever.
+        net = TwoLayerNet(A=np.eye(2), w=np.ones(2))
+        message = "fewer than h crossings are separated at resolution epsilon"
+        assert _refused(net, [-5.0, -7.0], [1.0, 1.0], 2, 0.01, message, mode) == queries
 
 
 class TestCauchyMedian:
@@ -264,7 +307,7 @@ class TestCauchyMedian:
 
     def test_halves_the_arctan_width(self):
         # Bracket ends drawn as crossings are, from the Cauchy law, kept in
-        # the default search range at h = 16.
+        # [-l, l], to which the search clamps a bracket, at h = 16.
         l = float(ExtractionConfig(h=16).l)
         ends = np.tan(np.random.default_rng(31).uniform(-math.atan(l), math.atan(l), size=(2000, 2)))
         for a, b in np.sort(ends, axis=1).tolist():
@@ -284,13 +327,14 @@ class TestCauchyMedian:
                 assert a < _mid(a, b) < b
 
     def test_most_mass_is_split_before_the_widest(self):
-        # Crossings at t = -3.5, -0.5 and -0.25 on (-4, 4). The splits at 0
-        # and -0.781 leave (-4, -0.781) and (-0.781, 0) with a quarter of the
-        # mass each; the lower is split at -1.538 and its part (-4, -1.538)
-        # keeps the crossing at -3.5. That bracket is 2.46 wide but holds an
-        # eighth of the mass, (-0.781, 0) is 0.78 wide and holds a quarter:
-        # it is split next, at -0.344, and h brackets are kinked. Splitting
-        # the widest first would spend three more queries on the tail.
+        # Crossings at t = -3.5, -0.5 and -0.25, with l = 4. The splits at 0
+        # and -0.781 leave (-v, -0.781) and (-0.781, 0) with a quarter of the
+        # mass of [-l, l] each; the lower is split at -1.538 and its part
+        # (-v, -1.538) keeps the crossing at -3.5. That bracket is unbounded
+        # but holds an eighth of the mass, (-0.781, 0) is 0.78 wide and holds
+        # a quarter: it is split next, at -0.344, and h brackets are kinked.
+        # Splitting the widest first would spend three more queries on the
+        # tail.
         net = TwoLayerNet(A=np.eye(3), w=np.ones(3))
         oracle = Oracle(net)
         queried = []
@@ -298,8 +342,8 @@ class TestCauchyMedian:
         oracle.gradient = lambda x, eta=1e-6: (queried.append(float(x[0]) - 3.5), exact(x, eta))[1]
         cfg = ExtractionConfig(h=3, epsilon=0.01, l=4.0, seed=0)
         z, crossings = _search_line(oracle, np.array([3.5, 0.5, 0.25]), np.ones(3), cfg)
-        assert queried[4:8] == pytest.approx([0.0, -0.7807764064044151, -1.5382667542636725, -0.3441507314089108])
-        assert len(queried) == 14
+        assert queried[2:6] == pytest.approx([0.0, -0.7807764064044151, -1.5382667542636725, -0.3441507314089108])
+        assert len(queried) == 12
         assert crossings == pytest.approx([-3.5, -0.5, -0.25])
         assert_allclose(z, np.eye(3))
 
@@ -350,29 +394,37 @@ class TestRecoverZ:
             steps = math.ceil(math.log2(2 * cfg.l / cfg.epsilon))
             assert oracle.ledger.gradient_queries <= 3 * 6 * steps + 2 * 6
 
-    def test_out_of_range_crossings_exhaust_retries(self):
+    def test_too_few_crossings_exhaust_retries(self):
+        # Every line meets the single hyperplane once, so an assumed h=2
+        # splits the one kinked bracket down to epsilon on each attempt.
         net = single_unit_net()
         oracle = Oracle(net)
-        # A tiny search range almost never brackets the Cauchy crossing.
-        cfg = ExtractionConfig(h=1, epsilon=1e-4, l=1e-3, seed=7, max_retries=3)
-        with pytest.raises(ExtractionFailure):
+        cfg = ExtractionConfig(h=2, epsilon=1e-4, l=4.0, seed=7, max_retries=3)
+        message = "all 4 search attempts failed; last: fewer than h crossings are separated"
+        with pytest.raises(ExtractionFailure, match=message):
             recover_z(oracle, cfg, np.random.default_rng(cfg.seed))
 
-    def test_retry_counter_reflects_failed_attempts(self):
-        net = single_unit_net()
-        # l=1 brackets the crossing about half the time, so some seed in a
-        # short scan retries at least once and then succeeds.
+    def test_retry_counter_reflects_failed_attempts(self, monkeypatch):
+        # epsilon = 0.5 is coarser than the gap between the two crossings on
+        # some lines, where a probe steps over the other crossing and the line
+        # is refused, so some seed in a short scan retries at least once and
+        # then succeeds. The counter is the number of lines searched, less one.
+        net = TwoLayerNet(A=np.eye(2), w=np.ones(2))
+        lines = []
+        search = extraction._search_line
+        monkeypatch.setattr(extraction, "_search_line", lambda *args: (lines.append(args), search(*args))[1])
         found = False
         for seed in range(40):
-            oracle = Oracle(net)
-            cfg = ExtractionConfig(h=1, epsilon=1e-4, l=1.0, seed=seed, max_retries=5)
+            lines.clear()
+            cfg = ExtractionConfig(h=2, epsilon=0.5, l=4.0, seed=seed, max_retries=5)
             try:
-                res = recover_z(oracle, cfg, np.random.default_rng(cfg.seed))
+                res = recover_z(Oracle(net), cfg, np.random.default_rng(cfg.seed))
             except ExtractionFailure:
                 continue
             if res.retries > 0:
                 found = True
-                assert len(res.crossings) == 1
+                assert res.retries == len(lines) - 1
+                assert len(res.crossings) == 2
                 break
         assert found
 
@@ -568,9 +620,9 @@ class TestLearnModel:
     @pytest.mark.parametrize(
         "d, h, net_seed, cfg_seed, gradient_queries, value_queries, retries",
         [
-            (16, 16, 7000, 0, 85, 32, 1),
-            (128, 8, 7001, 1, 36, 16, 0),
-            (20, 8, 27, 3, 35, 16, 0),
+            (16, 16, 7000, 0, 79, 32, 0),
+            (128, 8, 7001, 1, 34, 16, 0),
+            (20, 8, 27, 3, 33, 16, 0),
         ],
         ids=["16-16-7000-0", "128-8-7001-1", "20-8-27-3"],
     )
@@ -592,7 +644,7 @@ class TestLearnModel:
     @pytest.mark.parametrize(
         "d, h, net_seed, cfg_seed, digest",
         [
-            (16, 16, 7000, 0, "0e31f7c5179c31a9e59ec5dc70ce8a88"),
+            (16, 16, 7000, 0, "7891f69eb01ff058d5cd7f90d3d6b1da"),
             (128, 8, 7001, 1, "132939f2d3cc77d600f20f1108cc2961"),
             (20, 8, 27, 3, "dcebeaf096ada332d2f3aa61f6bf1121"),
         ],
@@ -609,11 +661,11 @@ class TestLearnModel:
     @pytest.mark.parametrize(
         "mode, d, h, net_seed, gradient_queries, value_queries, retries, digest",
         [
-            ("membership", 12, 4, 40, 0, 333, 0, "205c26640a7bc71fa9b4b3ad6c105e8d"),
-            ("membership", 12, 4, 41, 0, 385, 1, "ff405eab2ce2d03c7f1ee98dbe9d49e8"),
-            ("membership", 20, 8, 40, 0, 856, 0, "dea8d92cc0a4587c0234eb0016517caf"),
-            ("smoothgrad", 12, 4, 40, 25, 8, 0, "e09b6233b7280d7a722d72a0df03d18f"),
-            ("smoothgrad", 12, 4, 42, 20, 8, 0, "8e7b4a5a70ad593e134c6ef4ee9c9f38"),
+            ("membership", 12, 4, 40, 0, 307, 0, "b0a225fe46f0d93b11235daac238def8"),
+            ("membership", 12, 4, 41, 0, 203, 0, "bdc71604c75a261f43824e7e9b47b78a"),
+            ("membership", 20, 8, 40, 0, 814, 0, "dea8d92cc0a4587c0234eb0016517caf"),
+            ("smoothgrad", 12, 4, 40, 23, 8, 0, "e09b6233b7280d7a722d72a0df03d18f"),
+            ("smoothgrad", 12, 4, 42, 18, 8, 0, "8e7b4a5a70ad593e134c6ef4ee9c9f38"),
         ],
         ids=["membership-12-4-40", "membership-12-4-41", "membership-20-8-40", "smoothgrad-12-4-40", "smoothgrad-12-4-42"],
     )
@@ -641,12 +693,12 @@ class TestLearnModel:
         assert functional_equivalence(net, model, 4096, 1e-7, seed=0).passed
 
     def test_too_few_crossings_are_refused_without_a_query(self):
-        # One crossing on the line, at t = 1.35: the range ends differ, the
-        # tails match, and h=1 certifies the whole range at once (6 gradient
-        # queries). An assumed h=2 splits the one kinked bracket at its Cauchy
-        # median until it is narrower than epsilon: 14 halvings of the arctan
-        # width 2 atan(50) = 3.10 leave 1.9e-4 rad, 5.4e-4 < 1e-3 in t next
-        # to the crossing (13 leave 1.07e-3), so 18 queries.
+        # One crossing on the line, at t = 1.35: the line's ends differ, and
+        # h=1 certifies the whole line at once (4 gradient queries). An
+        # assumed h=2 splits the one kinked bracket at the Cauchy median of
+        # its part in [-l, l] until it is narrower than epsilon: 14 halvings
+        # of the arctan width 2 atan(50) = 3.10 leave 1.9e-4 rad, 5.4e-4 <
+        # 1e-3 in t next to the crossing (13 leave 1.07e-3), so 16 queries.
         net = single_unit_net()
 
         def config(h):
@@ -657,7 +709,7 @@ class TestLearnModel:
         with pytest.raises(ExtractionFailure, match="fewer than h crossings are separated"):
             learn_model(oracle, config(2))
         # Sign recovery spends value queries only, so these are all search.
-        assert (one.gradient_queries, oracle.ledger.gradient_queries) == (6, 4 + 14)
+        assert (one.gradient_queries, oracle.ledger.gradient_queries) == (4, 2 + 14)
 
     def test_smoothgrad_blur_has_a_working_regime(self):
         # At sigma = 1e-6 the blur used to hide a crossing on every line and

@@ -1,6 +1,6 @@
 """Digest of extraction outcomes, to check that a change keeps them equal.
 
-    python3 tools/outcome_digest.py [REPO_ROOT]
+    python3 tools/outcome_digest.py [REPO_ROOT] [--records PATH]
 
 Imports gradleak from REPO_ROOT/src (default: this checkout) and runs fixed
 instance families. For each it prints three lines. "family count sha256"
@@ -14,18 +14,23 @@ change reads as numbers. A last line, "fd-exactness 3 sha256", hashes
 check_fd_exactness's worst error, verdict and counterexample on acceptance
 criterion 6's three nets at 500 points each. Run it on two checkouts and
 compare the lines.
+
+With --records PATH it also writes one JSON line per instance: family,
+trial, gradient and value queries, retries, and either "model", the first 16
+hex digits of the sha256 of the (Z, s) bytes, or "failure", the error type
+and message. Joining two checkouts' records on (family, trial) shows which
+instances moved.
 """
 
+import argparse
 import hashlib
+import importlib
+import json
 import statistics
 import sys
 from pathlib import Path
 
 import numpy as np
-
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parents[1])
-sys.path.insert(0, str(ROOT / "src"))
-import gradleak as gl  # noqa: E402
 
 # (family, mode, d, true h, assumed h, instances). The h=9 families are refused.
 FAMILIES = (
@@ -41,8 +46,8 @@ FD_NETS = ((20, 8, 60), (10, 4, 61), (40, 12, 62))
 FD_POINTS = 500
 
 
-def outcome(mode, d, h, assumed_h, trial) -> tuple[bytes, bytes, tuple[int, int, bool]]:
-    """(full outcome, model outcome, (gradient queries, value queries, refused)) of one instance."""
+def outcome(gl, mode, d, h, assumed_h, trial) -> tuple[bytes, bytes, dict]:
+    """(full outcome, model outcome, record) of one instance."""
     net_seed, sg_seed, cfg_seed = (
         int(s) for s in np.random.SeedSequence([8100, d, h, trial]).generate_state(3, dtype=np.uint64)
     )
@@ -51,24 +56,40 @@ def outcome(mode, d, h, assumed_h, trial) -> tuple[bytes, bytes, tuple[int, int,
     try:
         report = gl.learn_model(oracle, gl.ExtractionConfig(assumed_h, delta=0.1, c=0.01, seed=cfg_seed))
         result = model = report.model.Z.tobytes() + np.asarray(report.model.s, dtype=np.int64).tobytes()
-        retries, refused = report.retries, False
+        retries, verdict = report.retries, {"model": hashlib.sha256(model).hexdigest()[:16]}
     except gl.GradleakError as err:
         result = f"{type(err).__name__}: {err}".encode()
         model = type(err).__name__.encode()
-        retries, refused = err.retries, True
+        retries, verdict = err.retries, {"failure": result.decode()}
     ledger = oracle.ledger
     full = f"{ledger.gradient_queries} {ledger.value_queries} {retries} ".encode() + result
-    return full, f"{retries} ".encode() + model, (ledger.gradient_queries, ledger.value_queries, refused)
+    record = {
+        "gradient_queries": ledger.gradient_queries,
+        "value_queries": ledger.value_queries,
+        "retries": retries,
+        **verdict,
+    }
+    return full, f"{retries} ".encode() + model, record
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("root", nargs="?", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--records", type=Path, help="write one JSON line per instance to this file")
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.root / "src"))
+    gl = importlib.import_module("gradleak")
+    records = []
     for family, mode, d, h, assumed_h, count in FAMILIES:
         digest, models, costs = hashlib.sha256(), hashlib.sha256(), []
         for trial in range(count):
-            full, model, cost = outcome(mode, d, h, assumed_h, trial)
+            full, model, record = outcome(gl, mode, d, h, assumed_h, trial)
             digest.update(full)
             models.update(model)
-            costs.append(cost)
+            costs.append((record["gradient_queries"], record["value_queries"], "failure" in record))
+            records.append({"family": family, "trial": trial, **record})
         gradients, values, refused = zip(*costs)
         print(family, count, digest.hexdigest())
         print(f"{family}/models", count, models.hexdigest())
@@ -83,6 +104,8 @@ def main() -> None:
         counterexample = b"" if report.counterexample is None else report.counterexample.tobytes()
         fd.update(f"{report.max_rel_error.hex()} {report.passed} ".encode() + counterexample)
     print("fd-exactness", len(FD_NETS), fd.hexdigest())
+    if args.records:
+        args.records.write_text("".join(json.dumps(record) + "\n" for record in records))
 
 
 if __name__ == "__main__":
