@@ -33,24 +33,24 @@ retried on a fresh line. Each row is g_b - g_a and each reported crossing is
 its t*.
 
 The modes differ only in the test for "same cell". Exact gradients (grad,
-and smoothgrad at sigma = 0) are one shared read-only array per cell, so the
-same object means the same cell; otherwise the difference norm must not
-exceed GRAD_CHANGE_TOL. Smoothed gradients at sigma > 0 take the norm test,
-with tau = max(eps, 8 sigma |D| / |<D, v>|) so that both probes sit 8 sigma
-from the hyperplane, beyond the blur. Membership requests one
-finite-difference gradient (d+1 value queries) at the unit-rescaled point
-p = x / |x| of every search point and probe (gradients are scale-invariant).
+and smoothgrad at sigma = 0) are one read-only array per cell, returned by
+every query in it, so the same object means the same cell; otherwise the
+difference norm must not exceed GRAD_CHANGE_TOL. Smoothed gradients at
+sigma > 0 take the norm test, with tau = max(eps, 8 sigma |D| / |<D, v>|)
+so that both probes sit 8 sigma from the hyperplane, beyond the blur.
+Membership requests one finite-difference gradient (d+1 value queries) at
+the unit-rescaled point p = x / |x| of every search point and probe
+(gradients are scale-invariant).
 f is positively homogeneous, so a gradient g is valid at p when Euler's
 identity f(p) = <g, p> holds; a step that straddles a hyperplane breaks it.
 Two points are in the same cell when their valid gradients agree, or when
 f(p) = <g, p> holds for one point's valid g at the other point p, whose own
 gradient is invalid (as at a probe next to its crossing). A split point
 whose gradient is invalid takes the gradient of the one bracket end whose
-cell it fits by that test; otherwise it is moved to the Cauchy median of it
-and the bracket's lower end (clamped to -l), which halves its share of the
-bracket's mass, and requested again. Every bracket end thus carries its
+cell it fits by that test; one that fits neither end, or both, grazes a
+hyperplane, and its line is refused. Every bracket end thus carries its
 cell's valid gradient; a line whose request at -v or +v is invalid is
-refused.
+refused too.
 """
 
 from __future__ import annotations
@@ -167,8 +167,8 @@ def _norm(x: np.ndarray) -> float:
 class _GradientLine:
     """grad and smoothgrad: one gradient query per point, (t, g)."""
 
-    def __init__(self, oracle: Oracle, u, v, cfg: ExtractionConfig):
-        self.oracle, self.u, self.v, self.epsilon, self.l = oracle, u, v, cfg.epsilon, float(cfg.l)
+    def __init__(self, oracle: Oracle, u, v):
+        self.oracle, self.u, self.v = oracle, u, v
 
     def point(self, t: float, x=None):
         return t, self.oracle.gradient(self.u + t * self.v if x is None else x)
@@ -176,10 +176,6 @@ class _GradientLine:
     def same(self, p, q) -> bool:
         # One object means one cell: the difference would be exactly zero.
         return p[1] is q[1] or _norm(p[1] - q[1]) <= GRAD_CHANGE_TOL
-
-    def split(self, a, b, t: float):
-        """The point at t, and the share of the bracket's Cauchy mass below it."""
-        return self.point(t), 0.5
 
 
 class _MembershipLine(_GradientLine):
@@ -197,22 +193,6 @@ class _MembershipLine(_GradientLine):
         if q[1] is None:
             return _fits(p[1], q[2], q[3])
         return super().same(p, q)
-
-    def split(self, a, b, t: float):
-        # An invalid split point takes the gradient of the one end whose cell
-        # it fits; one that fits neither end, or both (it grazes the
-        # hyperplane), is moved to the Cauchy median of itself and a (clamped
-        # to -l, as the split was), which halves the share below it, and
-        # requested again.
-        share, lower = 0.5, max(a[0], -self.l)
-        while (m := self.point(t))[1] is None:
-            cells = [end[1] for end in (a, b) if _fits(end[1], m[2], m[3])]
-            if len(cells) == 1:
-                return (m[0], cells[0], m[2], m[3]), share
-            t, share = _mid(lower, t), 0.5 * share
-            if t - lower < self.epsilon:
-                raise ExtractionFailure("no Euler-valid split point in a bracket")
-        return m, share
 
 
 def _mid(a: float, b: float) -> float:
@@ -241,34 +221,42 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     refused.
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    line = (_MembershipLine if oracle.mode == "membership" else _GradientLine)(oracle, u, v, cfg)
+    line = (_MembershipLine if oracle.mode == "membership" else _GradientLine)(oracle, u, v)
     lo, hi = line.point(-math.inf, -v), line.point(math.inf, v)
     if lo[1] is None or hi[1] is None:
         raise ExtractionFailure("no Euler-valid gradient at an end of the line")
     brackets = []
 
-    def push(a, b, mass):
-        # mass: the bracket's share of the Cauchy mass of [-l, l].
+    def push(a, b, depth):
+        # depth: the number of splits above the bracket; each halved the
+        # Cauchy mass of [-l, l] it holds.
         if line.same(a, b):
             return
         row = b[1] - a[1]
         along = float(row @ v)
         t_star = -float(row @ u) / along if along else math.nan
         # Outside first (t* outside proves two crossings), then the most
-        # Cauchy mass, then the lowest a (keys are unique by a).
-        heapq.heappush(brackets, ((a[0] <= t_star <= b[0], -mass, a[0]), a, b, row, t_star))
+        # Cauchy mass (the least depth), then the lowest a (keys are unique by a).
+        heapq.heappush(brackets, ((a[0] <= t_star <= b[0], depth, a[0]), a, b, row, t_star))
 
-    push(lo, hi, 1.0)
+    push(lo, hi, 0)
     while len(brackets) < cfg.h:
         if not brackets:
             raise ExtractionFailure("fewer than h crossings lie on the line")
-        (_, minus_mass, _), a, b, _, _ = heapq.heappop(brackets)
-        t = _mid(max(a[0], -line.l), min(b[0], line.l))
+        (_, depth, _), a, b, _, _ = heapq.heappop(brackets)
+        t = _mid(max(a[0], -cfg.l), min(b[0], cfg.l))
         if b[0] - a[0] < cfg.epsilon or not a[0] < t < b[0]:
             raise ExtractionFailure("fewer than h crossings are separated at resolution epsilon")
-        m, share = line.split(a, b, t)
-        push(a, m, -minus_mass * share)
-        push(m, b, -minus_mass * (1.0 - share))
+        m = line.point(t)
+        if m[1] is None:
+            # An invalid split point takes the gradient of the one end whose
+            # cell it fits; one that fits neither, or both, grazes a hyperplane.
+            cells = [end[1] for end in (a, b) if line.same(end, m)]
+            if len(cells) != 1:
+                raise ExtractionFailure("no Euler-valid split point in a bracket")
+            m = (t, cells[0], *m[2:])
+        push(a, m, depth + 1)
+        push(m, b, depth + 1)
 
     brackets.sort(key=lambda br: br[1][0])
     if not all(a[0] <= t_star <= b[0] for _, a, b, _, t_star in brackets):
@@ -334,8 +322,9 @@ def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
         if abs(near) > 1:
             raise SignRecoveryError(f"sign solution entry {i} = {value:.6g} rounds outside {{-1,0,1}}")
     s = rounded.astype(int)
-    residual = np.max(np.abs(m @ s - b))
-    if residual > SOLVE_RESIDUAL_TOL * (1.0 + np.max(np.abs(b))):
+    # A row error dZ moves b_j by up to h |dZ| |x_j|: the bound scales with the points.
+    residual, scale = np.max(np.abs(m @ s - b)), max(1.0, np.max(np.linalg.norm(x, axis=0)))
+    if residual > SOLVE_RESIDUAL_TOL * scale * (1.0 + np.max(np.abs(b))):
         raise SignRecoveryError(f"rounded sign vector leaves residual {residual:.3e}")
 
     try:

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-# recover_s rejects a rounded sign vector s unless
-# ||Ms - b||_inf <= SOLVE_RESIDUAL_TOL * (1 + ||b||_inf).
+# recover_s rejects a rounded sign vector s for the query points x_j unless
+# ||Ms - b||_inf <= SOLVE_RESIDUAL_TOL * max(1, max_j ||x_j||) * (1 + ||b||_inf).
 SOLVE_RESIDUAL_TOL = 1e-8
 # A singular value below SINGULAR_PIVOT_TOL times the largest one aborts the
 # solve (and, in geometry, rejects Z as too ill-conditioned).

@@ -205,25 +205,29 @@ class TestBinarySearchSegment:
         message = "no Euler-valid gradient at an end of the line"
         assert _refused(net, [-1e-5, 0.0], [-1e-6, 1.0], 1, 0.01, message, "membership") == 6
 
-    def test_membership_split_point_in_neither_cell_is_refused(self):
+    @pytest.mark.parametrize("epsilon", [1.5, 0.01])
+    def test_membership_split_point_in_neither_cell_is_refused(self, epsilon):
         # Crossings at t = -c and t = 1. The split of the line at 0 lies c
         # from the first hyperplane, so its request steps across it, and its
-        # cell (between the crossings) is neither end's. Moved to the Cauchy
-        # median of (-l, 0), -0.618, it would lie closer than epsilon to -l:
-        # refused after the ends and that split, three requests.
+        # cell (between the crossings) is neither end's. A split point is
+        # never moved, so at any epsilon the line is refused after the ends
+        # and that split, three requests.
         net, u, v = _grazing_line()
         message = "no Euler-valid split point in a bracket"
-        assert _refused(net, u, v, 2, 1.5, message, "membership") == 9
-        # Grad mode takes the exact gradient at 0; the probe at t* + epsilon
-        # of the bracket (-v, 0) lies past t = 1 and refuses the line.
-        assert _refused(net, u, v, 2, 1.5, "isolation probes") == 5
+        assert _refused(net, u, v, 2, epsilon, message, "membership") == 9
+        # Grad mode takes the exact gradient at 0; at epsilon = 1.5 the probe
+        # at t* + epsilon of the bracket (-v, 0) lies past t = 1.
+        if epsilon == 1.5:
+            assert _refused(net, u, v, 2, epsilon, "isolation probes") == 5
 
-    def test_membership_split_point_moves_toward_the_clamped_lower_end(self, monkeypatch):
-        # The line above at epsilon = 0.01. The invalid split at 0 moves to
-        # the Cauchy median of (-l, 0), not of (-inf, 0), which is NaN; there
-        # -0.618 lies below both crossings, in the cell of -v, and the search
-        # goes on from the bracket (-0.618, +inf) as grad mode does.
-        net, u, v = _grazing_line()
+    def test_membership_invalid_split_point_takes_its_end_cell(self, monkeypatch):
+        # Crossings at t = c and t = 1. The split at 0 lies c below the first
+        # hyperplane, so its request steps across it, but f(p) = <g, p> holds
+        # there for the gradient of -v, whose cell it is in: it takes that
+        # gradient, and the search goes on from (0, +inf) as grad mode does.
+        c = 2e-6
+        net, _, _ = _grazing_line()
+        u, v = [-c, 1.0], [1.0, -math.cos(2.0) * (1.0 - c) / math.sin(2.0) - 1.0]
         requested = []
         point = extraction._MembershipLine.point
         monkeypatch.setattr(
@@ -231,9 +235,9 @@ class TestBinarySearchSegment:
         )
         oracle = Oracle(net, mode="membership")
         z, crossings = _search_line(oracle, u, v, ExtractionConfig(h=2, epsilon=0.01, l=2.0, seed=0))
-        assert requested[:5] == pytest.approx([-math.inf, math.inf, 0.0, -0.6180339887498948, 0.2840790438404123])
-        assert crossings == pytest.approx([-2e-6, 1.0])
-        assert oracle.ledger.value_queries == 3 * len(requested) == 27
+        assert requested[:4] == pytest.approx([-math.inf, math.inf, 0.0, 0.6180339887498948])
+        assert crossings == pytest.approx([2e-6, 1.0], abs=1e-10)
+        assert oracle.ledger.value_queries == 3 * len(requested) == 24
         assert_allclose(np.abs(z), np.abs(net.A), atol=1e-9)
 
     def test_equal_smoothed_cells_take_the_norm_test(self):
@@ -616,6 +620,18 @@ class TestLearnModel:
         # Ledger conservation: gradient mode spends values only on the 2h
         # sign-recovery equations.
         assert report.value_queries == 16
+
+    def test_sign_residual_bound_scales_with_the_query_points(self):
+        # At (16,16) the sign query points reach norms in the hundreds, and a
+        # row error dZ moves each value by up to h |dZ| |x_j|. A bound blind
+        # to |x_j| refused this correct membership model in the sign phase
+        # ("rounded sign vector leaves residual 1.8e-7").
+        net_seed, _, cfg_seed = (
+            int(s) for s in np.random.SeedSequence([8100, 16, 16, 3]).generate_state(3, dtype=np.uint64)
+        )
+        net = generate_random_net(16, 16, c_min=0.1, w_min=0.1, seed=net_seed)
+        report = learn_model(Oracle(net, mode="membership"), ExtractionConfig(16, delta=0.1, c=0.01, seed=cfg_seed))
+        assert functional_equivalence(net, report.model, 10_000, 1e-7, seed=0).passed
 
     @pytest.mark.parametrize(
         "d, h, net_seed, cfg_seed, gradient_queries, value_queries, retries",

@@ -37,6 +37,7 @@ FAMILIES = (
     ("grad-16x16", "grad", 16, 16, 16, 300),
     ("grad-128x8", "grad", 128, 8, 8, 40),
     ("membership-20x8", "membership", 20, 8, 8, 50),
+    ("membership-16x16", "membership", 16, 16, 16, 50),
     ("smoothgrad-12x4", "smoothgrad", 12, 4, 4, 100),
     ("grad-20x8-h9", "grad", 20, 8, 9, 30),
     ("membership-20x8-h9", "membership", 20, 8, 9, 30),
