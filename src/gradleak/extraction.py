@@ -11,26 +11,20 @@ them in closed form so that ZX = diag(sigma)(I + J) is well conditioned.
 
 Every oracle mode runs one certified-isolation loop on the whole line. The
 hyperplanes pass through the origin, so the line's ends at t = -inf and +inf
-lie in the cells of -v and +v: those two queries bound a search with nothing
-beyond it. The loop splits kinked brackets (ends in different cells) until h
-are kinked. With u and v standard Gaussian each crossing
--<A_i, u> / <A_i, v> is standard Cauchy, so atan t is uniform: a bracket is
-split at the Cauchy median tan((atan a + atan b) / 2) of its part inside
-[-l, l], which halves that part's chance of holding a crossing, where a
-midpoint split (l >= h^2) would spend most splits on tails that almost never
-hold one. A crossing beyond +-l lies in an end bracket and is certified
-there. A bracket whose t* lies outside it holds at least two crossings,
-which costs no query to learn, so those are split first, then the one with
-the most Cauchy mass (half its parent's after a split at the median, so
-siblings tie exactly), then the lowest a. Each of the h brackets is
-certified: a <= t* <= b, and probes at t* -+ tau (tau = epsilon, wider in
-smoothgrad) lie in the cells of a and b. With the true h every kinked
-bracket holds one crossing; with an h that is too small a certificate
-fails. A line is refused when fewer than h brackets are kinked, when a
-kinked bracket narrower than epsilon (or with no split point inside it)
-would have to be split, or when a certificate fails, and the attempt is
-retried on a fresh line. Each row is g_b - g_a and each reported crossing is
-its t*.
+lie in the cells of -v and +v, and those two queries bound the search. A
+heap holds the kinked brackets (ends in different cells): first those whose
+t* lies outside them, which proves two crossings at no query's cost, then
+the fewest splits deep, then the lowest a. Such a bracket is split at its
+Cauchy median tan((atan a + atan b) / 2), with atan(+-inf) = +-pi/2: each
+crossing -<A_i, u> / <A_i, v> of a Gaussian line is standard Cauchy, so the
+median halves the chance that the bracket holds one. Any other bracket is
+probed at t* - tau against a's cell, then at t* + tau against b's (tau =
+epsilon, wider in smoothgrad): both pass and it is certified, or the failed
+probe is its next split point (the median if that probe lies outside it).
+A line is refused, and retried on a fresh one, when certified plus open
+brackets exceed h, when the heap empties with fewer than h certified, or
+when a bracket narrower than epsilon (or with no split point inside it)
+would have to be split. Each row is g_b - g_a and each crossing its t*.
 
 The modes differ only in the test for "same cell". Exact gradients (grad,
 and smoothgrad at sigma = 0) are one read-only array per cell, returned by
@@ -82,15 +76,14 @@ SIGN_ROUND_TOL = 0.1
 
 
 def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
-    """Choose the search resolution epsilon and the split prior's support l for a failure budget.
+    """Choose the search resolution epsilon, and the tail bound l, for a failure budget.
 
     The paper splits the budget evenly between two failure events: crossings
     closer than epsilon (anti-concentration term 3^(4/3) (eps/c)^(2/3) h^2
     <= delta/2) and crossings outside [-l, l] (Cauchy tail term 2h/(pi l)
-    <= delta/2, with l at least h^2). The search covers the whole line, so a
-    crossing beyond l no longer fails a line; l only bounds where brackets
-    are split (their Cauchy medians are taken over the part inside [-l, l]).
-    The numbers are the paper's, and acceptance criterion 2 uses them.
+    <= delta/2, with l at least h^2). The search covers the whole line and
+    splits it unclamped, so it uses epsilon only; l is returned because
+    acceptance criterion 2 bounds a run's queries by 3h log2(2l/eps) + 2h.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -105,28 +98,23 @@ def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
 
 @dataclass
 class ExtractionConfig:
-    """Attacker-side parameters. epsilon and l default to select_parameters."""
+    """Attacker-side parameters. epsilon, the search resolution, defaults to select_parameters."""
 
     h: int
     delta: float = 0.1
     c: float = 0.01
     epsilon: float | None = None
-    l: float | None = None
     seed: int | None = None
     max_retries: int = 5
 
     def __post_init__(self):
-        eps, l = select_parameters(self.delta, self.c, self.h)
+        eps, _ = select_parameters(self.delta, self.c, self.h)
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if self.epsilon is None:
             self.epsilon = eps
-        if self.l is None:
-            self.l = l
-        if not (0.0 < self.epsilon < math.inf and 0.0 < self.l < math.inf):
-            raise ValueError("epsilon and l must be positive and finite")
-        if not self.epsilon < 2 * self.l:
-            raise ValueError("epsilon must be smaller than the search range 2l")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass
@@ -198,14 +186,13 @@ class _MembershipLine(_GradientLine):
 def _mid(a: float, b: float) -> float:
     """Cauchy median of (a, b): tan((atan a + atan b) / 2), which halves its arctan width.
 
-    The search clamps a bracket to [-l, l] before it takes the median, so a and
-    b are finite. Computed as the mean of a and b weighted by r_b and r_a,
-    r = sqrt(1 + t^2): exactly 0 at (-l, l), odd in (a, b), and as precise as t
-    itself, whereas near +-l a tan of the mean angle resolves t only to
-    ~1e-16 (1 + l^2), coarser than the default epsilon at h = 48.
+    atan(+-inf) = +-pi/2, so it takes the line's ends as they are. A tan of
+    the mean angle resolves t only to ~1e-16 (1 + t^2): a bracket of width
+    2 epsilon at the default budget for h = 48 is split strictly inside for
+    |t| <= 700. Beyond that it is not, and its line is refused honestly
+    ("fewer than h crossings are separated at resolution epsilon").
     """
-    ra, rb = math.hypot(1.0, a), math.hypot(1.0, b)
-    return a * (rb / (ra + rb)) + b * (ra / (ra + rb))
+    return math.tan(0.5 * (math.atan(a) + math.atan(b)))
 
 
 def _fits(g, p, f) -> bool:
@@ -214,7 +201,7 @@ def _fits(g, p, f) -> bool:
 
 
 def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
-    """Certified-isolation search for h crossings on the line u + t v, in any oracle mode.
+    """Certified-isolation search for h crossings on the line u + t v, in one heap loop.
 
     Returns the rows g_b - g_a of the h certified brackets and their
     crossings t*, in crossing order; raises ExtractionFailure when the line is
@@ -228,45 +215,51 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     brackets = []
 
     def push(a, b, depth):
-        # depth: the number of splits above the bracket; each halved the
-        # Cauchy mass of [-l, l] it holds.
+        # depth: the number of splits above the bracket.
         if line.same(a, b):
             return
         row = b[1] - a[1]
         along = float(row @ v)
         t_star = -float(row @ u) / along if along else math.nan
-        # Outside first (t* outside proves two crossings), then the most
-        # Cauchy mass (the least depth), then the lowest a (keys are unique by a).
+        # Outside first (t* outside proves two crossings), then the fewest
+        # splits deep, then the lowest a (keys are unique by a).
         heapq.heappush(brackets, ((a[0] <= t_star <= b[0], depth, a[0]), a, b, row, t_star))
 
     push(lo, hi, 0)
-    while len(brackets) < cfg.h:
-        if not brackets:
-            raise ExtractionFailure("fewer than h crossings lie on the line")
-        (_, depth, _), a, b, _, _ = heapq.heappop(brackets)
-        t = _mid(max(a[0], -cfg.l), min(b[0], cfg.l))
+    sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
+    certified = []
+    while brackets:
+        (inside, depth, _), a, b, row, t_star = heapq.heappop(brackets)
+        m = None
+        if inside:
+            tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / abs(float(row @ v)))
+            m = line.point(t_star - tau)
+            if line.same(a, m):
+                m = line.point(t_star + tau)
+                if line.same(m, b):
+                    certified.append((a[0], row, t_star))
+                    continue
+        # A failed probe inside the bracket is its next split point, else the median.
+        t = m[0] if m is not None and a[0] < m[0] < b[0] else _mid(a[0], b[0])
         if b[0] - a[0] < cfg.epsilon or not a[0] < t < b[0]:
             raise ExtractionFailure("fewer than h crossings are separated at resolution epsilon")
-        m = line.point(t)
+        if m is None or m[0] != t:
+            m = line.point(t)
         if m[1] is None:
             # An invalid split point takes the gradient of the one end whose
             # cell it fits; one that fits neither, or both, grazes a hyperplane.
             cells = [end[1] for end in (a, b) if line.same(end, m)]
             if len(cells) != 1:
                 raise ExtractionFailure("no Euler-valid split point in a bracket")
-            m = (t, cells[0], *m[2:])
+            m = (m[0], cells[0], *m[2:])
         push(a, m, depth + 1)
         push(m, b, depth + 1)
-
-    brackets.sort(key=lambda br: br[1][0])
-    if not all(a[0] <= t_star <= b[0] for _, a, b, _, t_star in brackets):
-        raise ExtractionFailure("more than h crossings lie on the line")
-    sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
-    for _, a, b, row, t_star in brackets:
-        tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / abs(float(row @ v)))
-        if not (line.same(a, line.point(t_star - tau)) and line.same(line.point(t_star + tau), b)):
-            raise ExtractionFailure("isolation probes leave the cells of their bracket's ends")
-    return np.vstack([br[3] for br in brackets]), [br[4] for br in brackets]
+        if len(certified) + len(brackets) > cfg.h:
+            raise ExtractionFailure("more than h crossings lie on the line")
+    if len(certified) < cfg.h:
+        raise ExtractionFailure("fewer than h crossings lie on the line")
+    certified.sort(key=lambda c: c[0])
+    return np.vstack([c[1] for c in certified]), [c[2] for c in certified]
 
 
 def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -> ZRecovery:

@@ -147,11 +147,10 @@ class TestExtractVerify:
         assert report["value_queries"] == 10
 
     def test_membership_width_below_truth_is_refused(self, tmp_path):
-        # The first line holds all 8 crossings in [-l, l]; stopping at the
-        # seventh returned a wrong model at exit 0. The search refuses that
-        # line. The next holds one crossing beyond l, which its end bracket
-        # shares with another, and a certificate refuses it, as the search
-        # refuses every later line: the sign solve is never reached.
+        # Every line holds all 8 crossings; stopping at the seventh once
+        # returned a wrong model at exit 0. On each line the search refuses
+        # as soon as certified plus open brackets exceed 7, so the sign solve
+        # is never reached.
         model = tmp_path / "m.json"
         rep = tmp_path / "rep.json"
         assert run("gen", "--d", "20", "--h", "8", "--seed", "8", "--out", str(model)) == 0
@@ -395,8 +394,8 @@ class TestBench:
 
         def retry_free(row):
             # A retried run repeats whole searches. A clean run spends the
-            # four range-end and tail requests, its splits and 2h probes:
-            # within h full bisections of [-l, l] to epsilon, plus 2h + 2.
+            # two end requests, its splits and 2h probes: within h full
+            # bisections of the paper's [-l, l] to epsilon, plus 2h + 2.
             h = int(row["h"])
             eps, l = select_parameters(0.1, 0.01, h)
             return int(row["gradient_queries"]) <= h * (math.ceil(math.log2(2 * l / eps)) + 2) + 2

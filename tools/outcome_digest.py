@@ -9,17 +9,19 @@ failure type and message, and the bytes of the recovered (Z, s).
 "family/models count sha256" hashes only the (Z, s) bytes, the retries and
 the failure type, so a change that moves only query counts or failure
 messages keeps it equal. "family/queries count ..." gives the median
-gradient and value queries per instance and the number refused, so a cost
-change reads as numbers. A last line, "fd-exactness 3 sha256", hashes
-check_fd_exactness's worst error, verdict and counterexample on acceptance
-criterion 6's three nets at 500 points each. Run it on two checkouts and
-compare the lines.
+gradient and value queries per instance, the number refused and the number
+wrong: returned models that fail functional_equivalence at VERIFY_TOL on
+VERIFY_POINTS points. A cost change thus reads as numbers, and "refused 0"
+next to "wrong 0" means every instance returned a correct model. A last
+line, "fd-exactness 3 sha256", hashes check_fd_exactness's worst error,
+verdict and counterexample on acceptance criterion 6's three nets at 500
+points each. Run it on two checkouts and compare the lines.
 
 With --records PATH it also writes one JSON line per instance: family,
 trial, gradient and value queries, retries, and either "model", the first 16
-hex digits of the sha256 of the (Z, s) bytes, or "failure", the error type
-and message. Joining two checkouts' records on (family, trial) shows which
-instances moved.
+hex digits of the sha256 of the (Z, s) bytes, with "wrong", whether it
+failed verification, or "failure", the error type and message. Joining two
+checkouts' records on (family, trial) shows which instances moved.
 """
 
 import argparse
@@ -45,6 +47,8 @@ FAMILIES = (
 # Acceptance criterion 6's nets (d, h, seed), at FD_POINTS points each.
 FD_NETS = ((20, 8, 60), (10, 4, 61), (40, 12, 62))
 FD_POINTS = 500
+# Every returned model is checked against its target at these settings.
+VERIFY_POINTS, VERIFY_TOL = 4096, 1e-7
 
 
 def outcome(gl, mode, d, h, assumed_h, trial) -> tuple[bytes, bytes, dict]:
@@ -57,7 +61,8 @@ def outcome(gl, mode, d, h, assumed_h, trial) -> tuple[bytes, bytes, dict]:
     try:
         report = gl.learn_model(oracle, gl.ExtractionConfig(assumed_h, delta=0.1, c=0.01, seed=cfg_seed))
         result = model = report.model.Z.tobytes() + np.asarray(report.model.s, dtype=np.int64).tobytes()
-        retries, verdict = report.retries, {"model": hashlib.sha256(model).hexdigest()[:16]}
+        wrong = not gl.functional_equivalence(net, report.model, VERIFY_POINTS, VERIFY_TOL, seed=trial).passed
+        retries, verdict = report.retries, {"model": hashlib.sha256(model).hexdigest()[:16], "wrong": wrong}
     except gl.GradleakError as err:
         result = f"{type(err).__name__}: {err}".encode()
         model = type(err).__name__.encode()
@@ -89,14 +94,16 @@ def main() -> None:
             full, model, record = outcome(gl, mode, d, h, assumed_h, trial)
             digest.update(full)
             models.update(model)
-            costs.append((record["gradient_queries"], record["value_queries"], "failure" in record))
+            costs.append(
+                (record["gradient_queries"], record["value_queries"], "failure" in record, record.get("wrong", False))
+            )
             records.append({"family": family, "trial": trial, **record})
-        gradients, values, refused = zip(*costs)
+        gradients, values, refused, wrong = zip(*costs)
         print(family, count, digest.hexdigest())
         print(f"{family}/models", count, models.hexdigest())
         print(
             f"{family}/queries", count, "median gradient", statistics.median(gradients),
-            "value", statistics.median(values), "refused", sum(refused),
+            "value", statistics.median(values), "refused", sum(refused), "wrong", sum(wrong),
         )
     fd = hashlib.sha256()
     for d, h, seed in FD_NETS:
