@@ -1,9 +1,9 @@
 """Exact extraction of two-layer ReLU networks from gradient and value queries.
 
 The library ships the target model family and its query oracles, the
-extraction attack (hyperplane search plus sign recovery), the geometric
-query-point construction, a Monte Carlo validation suite for the probability
-bounds the attack relies on, and a CLI tying them together.
+extraction attack (hyperplane search, then signs from its line's end
+gradients), the paper's value-query sign step as a reference, a Monte Carlo
+validation suite for the probability bounds the attack relies on, and a CLI.
 """
 
 from .errors import (

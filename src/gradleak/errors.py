@@ -31,7 +31,7 @@ class SingularMatrixError(GradleakError):
 
 
 class GeometryError(GradleakError):
-    """Sign-recovery query points could not be placed (Z rank deficient or ill-conditioned)."""
+    """recover_s's query points could not be placed (Z rank deficient); learn_model never raises it."""
 
 
 class ExtractionFailure(GradleakError):
@@ -45,9 +45,9 @@ class ExtractionFailure(GradleakError):
 
 
 class SignRecoveryError(GradleakError):
-    """Sign-recovery solution did not round to a valid {-1,0,1} pattern.
+    """A sign solve was singular, or did not round to a valid {-1,0,1} pattern that fits it.
 
-    Usually means the recovered weighted normals were wrong.
+    Usually means the recovered weighted normals (or the end gradients) were wrong.
     """
 
 

@@ -5,9 +5,11 @@ u + t v meets each of the h hyperplanes once, and the oracle's gradient is
 constant between crossings, so across a bracket (a, b) that holds exactly one
 crossing the gradient difference D = g_b - g_a is that crossing's row
 +-w_i A_i, and it predicts where the crossing lies: t* = -<D, u> / <D, v>.
-Step two recovers the sign vector s by solving 2h linear equations built from
-value queries at h points of one cell and their negations; geometry places
-them in closed form so that ZX = diag(sigma)(I + J) is well conditioned.
+Step two solves for the sign vector s, with no query, from the gradients
+g(-v) and g(+v) the search holds at the line's ends: the recovered gradient
+Z^T (1[Zx > 0] s_top - 1[Zx < 0] s_bottom) equated with them gives 2d
+equations in 2h unknowns, of full column rank when Z has full row rank.
+recover_s, the paper's step from 2h value queries, is kept as its reference.
 
 Every oracle mode runs one certified-isolation loop on the whole line. The
 hyperplanes pass through the origin, so the line's ends at t = -inf and +inf
@@ -119,13 +121,14 @@ class ExtractionConfig:
 
 @dataclass
 class ZRecovery:
-    """Recovered normals Z, the search line u + t v they came from, and its crossings."""
+    """Recovered normals Z, the search line u + t v they came from, its crossings and end gradients."""
 
     Z: np.ndarray
     u: np.ndarray
     v: np.ndarray
     crossings: list[float]
     retries: int
+    ends: tuple[np.ndarray, np.ndarray]  # the gradients g(-v) and g(+v)
 
 
 @dataclass
@@ -204,8 +207,8 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     """Certified-isolation search for h crossings on the line u + t v, in one heap loop.
 
     Returns the rows g_b - g_a of the h certified brackets and their
-    crossings t*, in crossing order; raises ExtractionFailure when the line is
-    refused.
+    crossings t*, in crossing order, and the end gradients (g(-v), g(+v));
+    raises ExtractionFailure when the line is refused.
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     line = (_MembershipLine if oracle.mode == "membership" else _GradientLine)(oracle, u, v)
@@ -259,7 +262,7 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     if len(certified) < cfg.h:
         raise ExtractionFailure("fewer than h crossings lie on the line")
     certified.sort(key=lambda c: c[0])
-    return np.vstack([c[1] for c in certified]), [c[2] for c in certified]
+    return np.vstack([c[1] for c in certified]), [c[2] for c in certified], (lo[1], hi[1])
 
 
 def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -> ZRecovery:
@@ -273,8 +276,8 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -
         u = rng.standard_normal(oracle.d)
         v = rng.standard_normal(oracle.d)
         try:
-            z, crossings = _search_line(oracle, u, v, cfg)
-            return ZRecovery(Z=z, u=u, v=v, crossings=crossings, retries=attempt)
+            z, crossings, ends = _search_line(oracle, u, v, cfg)
+            return ZRecovery(Z=z, u=u, v=v, crossings=crossings, retries=attempt, ends=ends)
         except ExtractionFailure as err:
             last = err
     raise ExtractionFailure(
@@ -282,32 +285,16 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -
     ) from last
 
 
-def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
-    """Solve for the sign vector s in {-1,0,1}^(2h) using 2h value queries.
+def _signs(z, m, b, points) -> np.ndarray:
+    """Solve M s = b (2h columns, square or tall), round s into {-1,0,1}^(2h) and certify it.
 
-    Places h query points X in one cell with ZX = diag(sigma)(I + J)
-    (geometry; GeometryError when Z is rank deficient), assembles the block
-    sign matrix of ZX, solves M s = [f(x_1)..f(x_h), f(-x_1)..f(-x_h)], rounds,
-    and validates. A solution that does not round to the required pattern
-    signals that the recovered normals were wrong.
+    A failed check (rounding, alphabet, residual scaled by the points' norms,
+    one nonzero per row pair) means the recovered normals were wrong.
     """
-    zm = as_matrix(z)
-    h = zm.shape[0]
-    x, _ = sign_query_points(zm, rng)
-
-    zx = zm @ x
-    m = block_sign_matrix(zx)
-    b = np.empty(2 * h)
-    for j in range(h):
-        b[j] = oracle.value(x[:, j])
-    for j in range(h):
-        b[h + j] = oracle.value(-x[:, j])
-
     try:
         solved = solve_linear_system(m, b)
-    except SingularMatrixError as err:
+    except (SingularMatrixError, ValueError) as err:  # ValueError: more unknowns than equations
         raise SignRecoveryError(f"sign system is singular: {err}") from err
-
     rounded = np.rint(solved)
     for i, (value, near) in enumerate(zip(solved.tolist(), rounded.tolist())):
         if not abs(value - near) <= SIGN_ROUND_TOL:  # NaN from non-finite values fails too
@@ -316,31 +303,54 @@ def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
             raise SignRecoveryError(f"sign solution entry {i} = {value:.6g} rounds outside {{-1,0,1}}")
     s = rounded.astype(int)
     # A row error dZ moves b_j by up to h |dZ| |x_j|: the bound scales with the points.
-    residual, scale = np.max(np.abs(m @ s - b)), max(1.0, np.max(np.linalg.norm(x, axis=0)))
+    residual, scale = np.max(np.abs(m @ s - b)), max(1.0, np.max(np.linalg.norm(points, axis=0)))
     if residual > SOLVE_RESIDUAL_TOL * scale * (1.0 + np.max(np.abs(b))):
         raise SignRecoveryError(f"rounded sign vector leaves residual {residual:.3e}")
-
     try:
-        RecoveredModel(Z=zm, s=s).validate_signs()
+        RecoveredModel(Z=z, s=s).validate_signs()
     except ValueError as err:
         raise SignRecoveryError(f"sign pattern is invalid: {err}") from err
     return s
 
 
+def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
+    """The paper's sign step, the reference for learn_model's: s from 2h value queries.
+
+    Places h points X in one cell with ZX = diag(sigma)(I + J) (geometry;
+    GeometryError when Z is rank deficient) and solves the block sign system
+    of ZX against [f(x_1)..f(x_h), f(-x_1)..f(-x_h)].
+    """
+    zm = as_matrix(z)
+    x, _ = sign_query_points(zm, rng)
+    b = np.array([oracle.value(p) for p in (*x.T, *-x.T)], dtype=float)
+    return _signs(zm, block_sign_matrix(zm @ x), b, x)
+
+
+def _end_signs(z, v, ends) -> np.ndarray:
+    """Solve for s from the end gradients (g(-v), g(+v)) of the line with direction v.
+
+    With up = Zv > 0 the recovered gradient is Z^T (up s_top - ~up s_bottom)
+    at +v and Z^T (~up s_top - up s_bottom) at -v.
+    """
+    zm, (g_lo, g_hi) = as_matrix(z), ends
+    zt, up = zm.T, zm @ v > 0
+    m = np.block([[zt * up, -zt * ~up], [zt * ~up, -zt * up]])
+    # A gradient does not grow with its point, so the points are +-v / |v|.
+    return _signs(zm, m, np.concatenate([g_hi, g_lo]), v[:, None] / _norm(v))
+
+
 def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
-    """Full extraction: recover Z, then s; report the model and query costs.
+    """Full extraction in one query phase: recover Z, then s from the line's end gradients.
 
     Failures are raised, never silently mis-recovered: ExtractionFailure from
-    the search, GeometryError from query-point construction, SignRecoveryError
-    from an inconsistent sign solve. The raised error carries the failing
-    phase ("search" or "sign"), the retries spent and the crossings found.
+    the search, SignRecoveryError from an inconsistent sign solve. The raised
+    error carries the failing phase ("search" or "sign"), the retries spent
+    and the crossings found.
     """
-    seq = np.random.SeedSequence(cfg.seed)
-    z_seed, s_seed = seq.spawn(2)
     zres = None
     try:
-        zres = recover_z(oracle, cfg, rng=np.random.default_rng(z_seed))
-        s = recover_s(oracle, zres.Z, rng=np.random.default_rng(s_seed))
+        zres = recover_z(oracle, cfg, rng=np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0]))
+        s = _end_signs(zres.Z, zres.v, zres.ends)
     except GradleakError as err:
         err.phase = "search" if zres is None else "sign"
         err.retries = cfg.max_retries if zres is None else zres.retries

@@ -1,6 +1,6 @@
 """Dense linear algebra with explicit tolerances.
 
-Solve, rank, and the sign-block assembly used by sign recovery. Matrices are
+Solve, rank, and the sign-block assembly of the reference sign step. Matrices are
 plain float64 ndarrays (row-major). Solve and rank are one numpy.linalg (SVD)
 call each; their tolerances are relative to the largest singular value.
 """
@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-# recover_s rejects a rounded sign vector s for the query points x_j unless
-# ||Ms - b||_inf <= SOLVE_RESIDUAL_TOL * max(1, max_j ||x_j||) * (1 + ||b||_inf).
+# A rounded sign vector s is rejected unless ||Ms - b||_inf <= SOLVE_RESIDUAL_TOL
+# * max(1, max_j ||x_j||) * (1 + ||b||_inf) for the query points x_j.
 SOLVE_RESIDUAL_TOL = 1e-8
 # A singular value below SINGULAR_PIVOT_TOL times the largest one aborts the
 # solve (and, in geometry, rejects Z as too ill-conditioned).
@@ -32,21 +32,21 @@ def as_matrix(m) -> np.ndarray:
 
 
 def solve_linear_system(m, b) -> np.ndarray:
-    """Solve the square system M x = b by LAPACK's SVD least squares.
+    """Solve M x = b, M square or tall (least squares; the caller judges the residual).
 
-    Raises SingularMatrixError when a singular value of M falls below
-    SINGULAR_PIVOT_TOL times the largest one.
+    One LAPACK SVD call. Raises SingularMatrixError when a singular value of M
+    falls below SINGULAR_PIVOT_TOL times the largest one, ValueError when M is wide.
     """
     a = as_matrix(m)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"matrix must be square, got {a.shape}")
+    n, k = a.shape
+    if k > n:
+        raise ValueError(f"matrix must not have more columns than rows, got {a.shape}")
     rhs = np.asarray(b, dtype=float)
     if rhs.shape != (n,):
         raise ValueError(f"right-hand side must have shape ({n},), got {rhs.shape}")
 
     x, _, rank, sv = np.linalg.lstsq(a, rhs, rcond=SINGULAR_PIVOT_TOL)
-    if rank < n:
+    if rank < k:
         raise SingularMatrixError(
             f"smallest singular value {sv[-1]:.3e} below {SINGULAR_PIVOT_TOL:.0e} "
             f"times the largest {sv[0]:.3e}"

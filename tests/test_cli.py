@@ -144,7 +144,9 @@ class TestExtractVerify:
         assert report["phase"] == "sign"
         assert report["retries"] == 0
         assert len(report["crossings"]) == 5
-        assert report["value_queries"] == 10
+        # The sign solve reads the search line's end gradients: no value
+        # query (10, the 2h sign equations, before it did).
+        assert report["value_queries"] == 0
 
     def test_membership_width_below_truth_is_refused(self, tmp_path):
         # Every line holds all 8 crossings; stopping at the seventh once

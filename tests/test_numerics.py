@@ -35,6 +35,17 @@ class TestSolve:
                 x = solve_linear_system(m, b)
                 assert np.max(np.abs(m @ x - b)) <= 1e-8 * (1.0 + np.max(np.abs(b)))
 
+    def test_tall_full_column_rank(self):
+        # A consistent tall system is solved exactly; an inconsistent one gets
+        # its least-squares solution, and the caller judges the residual.
+        m = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        assert_allclose(solve_linear_system(m, [1.0, 4.0, 3.0]), [1.0, 2.0])
+        assert_allclose(solve_linear_system(m, [1.0, 4.0, 0.0]), np.linalg.lstsq(m, [1.0, 4.0, 0.0])[0])
+
+    def test_tall_rank_deficient(self):
+        with pytest.raises(SingularMatrixError):
+            solve_linear_system([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], [1.0, 2.0, 3.0])
+
     def test_shape_errors(self):
         with pytest.raises(ValueError):
             solve_linear_system(np.ones((2, 3)), [1.0, 2.0])

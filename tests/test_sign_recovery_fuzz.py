@@ -2,7 +2,9 @@
 
 Whatever Z reaches recover_s, the outcome is either a sign vector with one
 nonzero per row pair or a GeometryError / SignRecoveryError: no ValueError or
-LinAlgError escapes.
+LinAlgError escapes. The attack's own sign step, the solve from the search
+line's end gradients, is fuzzed the same way, with the end gradients
+corrupted as well; it raises SignRecoveryError only.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gradleak import GeometryError, Oracle, SignRecoveryError, generate_random_net, recover_s
+from gradleak.extraction import _end_signs
 
 ROW = st.integers(0, 15)  # reduced modulo the current row count
 
@@ -67,8 +70,68 @@ def test_recover_s_returns_valid_signs_or_raises_its_errors(d, h_frac, net_seed,
         s = recover_s(Oracle(net, mode="grad"), z, rng=np.random.default_rng(sign_seed))
     except (GeometryError, SignRecoveryError):
         return
-    rows = z.shape[0]
+    assert_valid_signs(s, z.shape[0])
+
+
+def assert_valid_signs(s, rows):
     assert s.shape == (2 * rows,)
     assert set(s.tolist()) <= {-1, 0, 1}
     nz = s != 0
     assert np.all(nz[:rows] != nz[rows:])
+
+
+END = st.integers(0, 1)  # 0: g(-v), 1: g(+v)
+
+PERTURBATIONS = st.one_of(
+    st.tuples(st.just("noise"), END, st.integers(1, 16)),
+    st.tuples(st.just("scale"), END, st.integers(-300, 300)),
+    st.tuples(st.just("zero"), END),
+    st.tuples(st.just("negate"), END),
+    st.tuples(st.just("swap")),
+)
+
+
+def perturb(ends, ops, rng_seed):
+    ends = [g.copy() for g in ends]
+    noise = np.random.default_rng(rng_seed)
+    for op in ops:
+        kind = op[0]
+        if kind == "noise":  # relative noise of size 10^-k
+            g = ends[op[1]]
+            g += 10.0 ** -op[2] * (1.0 + np.max(np.abs(g))) * noise.standard_normal(g.shape)
+        elif kind == "scale":  # set the end's largest entry to 10^k; it stays finite
+            g = ends[op[1]]
+            peak = np.max(np.abs(g))
+            if peak > 0.0:
+                g /= peak
+                g *= 10.0 ** op[2]
+        elif kind == "zero":
+            ends[op[1]][:] = 0.0
+        elif kind == "negate":
+            ends[op[1]] *= -1.0
+        else:
+            ends.reverse()
+    return tuple(ends)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    d=st.integers(1, 8),
+    h_frac=st.floats(0.0, 1.0),
+    net_seed=st.integers(0, 2**16),
+    ops=st.lists(MUTATIONS, max_size=4),
+    end_ops=st.lists(PERTURBATIONS, max_size=3),
+    line_seed=st.integers(0, 2**16),
+)
+def test_end_signs_return_valid_signs_or_raise_sign_recovery_error(d, h_frac, net_seed, ops, end_ops, line_seed):
+    h = 1 + int(h_frac * (d - 1))
+    net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
+    v = np.random.default_rng(line_seed).standard_normal(d)
+    oracle = Oracle(net, mode="grad")
+    ends = perturb((oracle.gradient(-v), oracle.gradient(v)), end_ops, line_seed)
+    z = mutate(net.w[:, None] * net.A, ops, line_seed)
+    try:
+        s = _end_signs(z, v, ends)
+    except SignRecoveryError:
+        return
+    assert_valid_signs(s, z.shape[0])
