@@ -28,25 +28,22 @@ brackets exceed h, when the heap empties with fewer than h certified, or
 when a bracket narrower than epsilon (or with no split point inside it)
 would have to be split. Each row is g_b - g_a and each crossing its t*.
 
-The modes differ only in the test for "same cell". Exact gradients (grad,
-and smoothgrad at sigma = 0) are one read-only array per cell, returned by
-every query in it, so the same object means the same cell; otherwise the
-difference norm must not exceed GRAD_CHANGE_TOL. Smoothed gradients at
-sigma > 0 take the norm test, with tau = max(eps, 8 sigma |D| / |<D, v>|)
-so that both probes sit 8 sigma from the hyperplane, beyond the blur.
-Membership requests one finite-difference gradient (d+1 value queries) at
-the unit-rescaled point p = x / |x| of every search point and probe
-(gradients are scale-invariant).
-f is positively homogeneous, so a gradient g is valid at p when Euler's
-identity f(p) = <g, p> holds; a step that straddles a hyperplane breaks it.
-Two points are in the same cell when their valid gradients agree, or when
-f(p) = <g, p> holds for one point's valid g at the other point p, whose own
-gradient is invalid (as at a probe next to its crossing). A split point
-whose gradient is invalid takes the gradient of the one bracket end whose
-cell it fits by that test; one that fits neither end, or both, grazes a
-hyperplane, and its line is refused. Every bracket end thus carries its
-cell's valid gradient; a line whose request at -v or +v is invalid is
-refused too.
+The modes differ only in their one request and the one cell test, _same.
+Exact gradients (grad, and smoothgrad at sigma = 0) are one read-only array
+per cell, returned by every query in it, so the same object means the same
+cell; otherwise the difference norm must not exceed GRAD_CHANGE_TOL. At
+sigma > 0, tau = max(eps, 8 sigma |D| / |<D, v>|) puts both probes 8 sigma
+from the hyperplane, beyond the blur. Membership requests one
+finite-difference gradient (d+1 value queries) at the unit-rescaled point
+p = x / |x| (gradients are scale-invariant). f is positively homogeneous,
+so a gradient g is valid at p when Euler's identity f(p) = <g, p> holds; a
+step that straddles a hyperplane breaks it, and a point whose gradient is
+invalid is in the cell of a valid g that fits it. Each split point's cell is
+decided once, against both bracket ends: an invalid one takes the gradient
+of the one end it fits (fitting neither, or both, it grazes a hyperplane and
+the line is refused, as is one whose request at -v or +v is invalid). A
+part whose new end is in the old end's cell keeps its parent's row and is
+placed by its parent's t*, so rounding in membership's rows cannot move it.
 """
 
 from __future__ import annotations
@@ -155,37 +152,6 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(x @ x))
 
 
-class _GradientLine:
-    """grad and smoothgrad: one gradient query per point, (t, g)."""
-
-    def __init__(self, oracle: Oracle, u, v):
-        self.oracle, self.u, self.v = oracle, u, v
-
-    def point(self, t: float, x=None):
-        return t, self.oracle.gradient(self.u + t * self.v if x is None else x)
-
-    def same(self, p, q) -> bool:
-        # One object means one cell: the difference would be exactly zero.
-        return p[1] is q[1] or _norm(p[1] - q[1]) <= GRAD_CHANGE_TOL
-
-
-class _MembershipLine(_GradientLine):
-    """One finite-difference request per point at p = x/|x|: (t, g or None, p, f(p))."""
-
-    def point(self, t: float, x=None):
-        x = self.u + t * self.v if x is None else x
-        p = x / _norm(x)
-        g, f = self.oracle.gradient_with_value(p, eta=REFINE_ETA)
-        return t, (g if _fits(g, p, f) else None), p, f
-
-    def same(self, p, q) -> bool:
-        if p[1] is None:
-            p, q = q, p
-        if q[1] is None:
-            return _fits(p[1], q[2], q[3])
-        return super().same(p, q)
-
-
 def _mid(a: float, b: float) -> float:
     """Cauchy median of (a, b): tan((atan a + atan b) / 2), which halves its arctan width.
 
@@ -203,43 +169,65 @@ def _fits(g, p, f) -> bool:
     return abs(float(g @ p) - f) <= EULER_TOL * (1.0 + abs(f) + _norm(g))
 
 
+def _same(p, q) -> bool:
+    """The one cell test. An invalid membership point (t, None, p, f(p)) is in
+    the other's cell when that gradient fits it; else one object, or two
+    within GRAD_CHANGE_TOL, is one cell."""
+    if p[1] is None:
+        p, q = q, p
+    if q[1] is None:
+        return _fits(p[1], q[2], q[3])
+    return p[1] is q[1] or _norm(p[1] - q[1]) <= GRAD_CHANGE_TOL
+
+
 def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     """Certified-isolation search for h crossings on the line u + t v, in one heap loop.
 
-    Returns the rows g_b - g_a of the h certified brackets and their
-    crossings t*, in crossing order, and the end gradients (g(-v), g(+v));
-    raises ExtractionFailure when the line is refused.
+    Each split point's cell is decided once, and a part that keeps its
+    parent's row keeps its t*. Returns the rows g_b - g_a of the h certified
+    brackets and their crossings t*, in crossing order, and the end gradients
+    (g(-v), g(+v)); raises ExtractionFailure when the line is refused.
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    line = (_MembershipLine if oracle.mode == "membership" else _GradientLine)(oracle, u, v)
-    lo, hi = line.point(-math.inf, -v), line.point(math.inf, v)
+
+    def point(t, x):
+        # One request: (t, g) in grad and smoothgrad; in membership one
+        # finite-difference gradient at p = x / |x|, (t, g or None, p, f(p)).
+        if oracle.mode != "membership":
+            return t, oracle.gradient(x)
+        p = x / _norm(x)
+        g, f = oracle.gradient_with_value(p, eta=REFINE_ETA)
+        return t, (g if _fits(g, p, f) else None), p, f
+
+    lo, hi = point(-math.inf, -v), point(math.inf, v)
     if lo[1] is None or hi[1] is None:
         raise ExtractionFailure("no Euler-valid gradient at an end of the line")
     brackets = []
 
-    def push(a, b, depth):
-        # depth: the number of splits above the bracket.
-        if line.same(a, b):
-            return
+    def push(a, b, depth, kept=None):
+        # depth: the number of splits above it; kept: the t* that placed its
+        # parent, when it keeps its parent's row (alike in every mode).
         row = b[1] - a[1]
         along = float(row @ v)
         t_star = -float(row @ u) / along if along else math.nan
+        at = t_star if kept is None else kept
         # Outside first (t* outside proves two crossings), then the fewest
         # splits deep, then the lowest a (keys are unique by a).
-        heapq.heappush(brackets, ((a[0] <= t_star <= b[0], depth, a[0]), a, b, row, t_star))
+        heapq.heappush(brackets, ((a[0] <= at <= b[0], depth, a[0]), a, b, row, t_star, at))
 
-    push(lo, hi, 0)
+    if not _same(lo, hi):
+        push(lo, hi, 0)
     sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
     certified = []
     while brackets:
-        (inside, depth, _), a, b, row, t_star = heapq.heappop(brackets)
+        (inside, depth, _), a, b, row, t_star, at = heapq.heappop(brackets)
         m = None
         if inside:
             tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / abs(float(row @ v)))
-            m = line.point(t_star - tau)
-            if line.same(a, m):
-                m = line.point(t_star + tau)
-                if line.same(m, b):
+            m = point(t_star - tau, u + (t_star - tau) * v)
+            if _same(a, m):
+                m = point(t_star + tau, u + (t_star + tau) * v)
+                if _same(m, b):
                     certified.append((a[0], row, t_star))
                     continue
         # A failed probe inside the bracket is its next split point, else the median.
@@ -247,16 +235,18 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
         if b[0] - a[0] < cfg.epsilon or not a[0] < t < b[0]:
             raise ExtractionFailure("fewer than h crossings are separated at resolution epsilon")
         if m is None or m[0] != t:
-            m = line.point(t)
+            m = point(t, u + t * v)
+        in_a, in_b = _same(a, m), _same(m, b)
         if m[1] is None:
             # An invalid split point takes the gradient of the one end whose
             # cell it fits; one that fits neither, or both, grazes a hyperplane.
-            cells = [end[1] for end in (a, b) if line.same(end, m)]
-            if len(cells) != 1:
+            if in_a == in_b:
                 raise ExtractionFailure("no Euler-valid split point in a bracket")
-            m = (m[0], cells[0], *m[2:])
-        push(a, m, depth + 1)
-        push(m, b, depth + 1)
+            m = (m[0], (a if in_a else b)[1], *m[2:])
+        if not in_a:
+            push(a, m, depth + 1, at if in_b else None)
+        if not in_b:
+            push(m, b, depth + 1, at if in_a else None)
         if len(certified) + len(brackets) > cfg.h:
             raise ExtractionFailure("more than h crossings lie on the line")
     if len(certified) < cfg.h:

@@ -199,6 +199,17 @@ class TestExtractVerify:
         out = capsys.readouterr().out
         assert "max relative error" in out and "row match skipped" in out
 
+    def test_equal_rows_make_the_row_match_ambiguous(self, tmp_path, model_file, capsys):
+        # Two equal rows under a valid sign pattern: the function is wrong
+        # (exit 3) and no row can be matched to one unit over the other.
+        rec = tmp_path / "rec.json"
+        save_recovered(recovered_from_net(load_net(model_file)), rec)
+        payload = json.loads(rec.read_text())
+        payload["Z"][1] = payload["Z"][0]
+        rec.write_text(json.dumps(payload))
+        assert run("verify", "--model", str(model_file), "--recovered", str(rec)) == 3
+        assert "row match ambiguous" in capsys.readouterr().out
+
     def test_non_object_model_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text("5\n")
@@ -413,6 +424,10 @@ class TestBench:
 
     def test_bad_h_list_exits_one(self, tmp_path):
         assert run("bench", "--h-list", "2,x", "--d", "6", "--trials", "1", "--out", str(tmp_path / "o.csv")) == 1
+
+    @pytest.mark.parametrize("h_list, trials", [(",", "1"), ("2", "0")])
+    def test_empty_h_list_or_no_trials_exits_one(self, tmp_path, h_list, trials):
+        assert run("bench", "--h-list", h_list, "--d", "6", "--trials", trials, "--out", str(tmp_path / "o.csv")) == 1
 
     def test_h_above_d_exits_one(self, tmp_path):
         assert run("bench", "--h-list", "9", "--d", "6", "--trials", "1", "--out", str(tmp_path / "o.csv")) == 1

@@ -228,21 +228,22 @@ class TestBinarySearchSegment:
         net = TwoLayerNet(A=np.eye(2), w=np.array([-0.5, 1.0]))
         u, v = np.array([0.0, T]), np.array([1.0, -1.0])
         cfg = ExtractionConfig(h=2, epsilon=epsilon, seed=0)
-        requested = []
-        point = extraction._MembershipLine.point
-        monkeypatch.setattr(
-            extraction._MembershipLine, "point", lambda line, t, x=None: (requested.append(t), point(line, t, x))[1]
-        )
+        # Each request is at the unit point p of u + t v = (t, T - t), so
+        # t = T p_0 / (p_0 + p_1) after the requests at -v and +v.
+        points = []
+        request = Oracle.gradient_with_value
+        monkeypatch.setattr(Oracle, "gradient_with_value", lambda o, x, **k: (points.append(x), request(o, x, **k))[1])
         oracle = Oracle(net, mode="membership")
         z, crossings, _ = _search_line(oracle, u, v, cfg)
+        requested = [T * p[0] / (p[0] + p[1]) for p in points[2:]]
         grad, queried = Oracle(net), []
         exact = grad.gradient
         grad.gradient = lambda x, eta=1e-6: (queried.append(float(x[0])), exact(x, eta))[1]
         _search_line(grad, u, v, cfg)
-        assert requested[2] == pytest.approx(2.0 * T - epsilon)
-        assert requested[2:] == pytest.approx(queried[2:])
+        assert requested[0] == pytest.approx(2.0 * T - epsilon)
+        assert requested == pytest.approx(queried[2:])
         assert crossings == pytest.approx([0.0, T], abs=1e-10)
-        assert oracle.ledger.value_queries == 3 * len(requested) == 45
+        assert oracle.ledger.value_queries == 3 * len(points) == 45
         assert_allclose(np.abs(z), [[0.5, 0.0], [0.0, 1.0]], atol=1e-9)
 
     def test_equal_smoothed_cells_take_the_norm_test(self):
@@ -721,22 +722,22 @@ class TestEndSigns:
     def test_gradient_modes_spend_no_value_query_and_membership_d_plus_one(self, monkeypatch):
         # One query phase: grad and smoothgrad spend gradient queries only,
         # and membership spends d+1 values per search request and nothing
-        # else (2h more before the end solve). On a retry-free pair of the
-        # same seed, membership thus spends exactly d+1 values wherever grad
-        # spends one gradient, unless the two searches part. They part on
-        # trial 12: a bracket with two crossings has a t* far from both,
-        # its failed probe at t* + tau splits it, and the part (t* + tau, b)
-        # keeps its row, so its t* lies within rounding of its lower end;
-        # grad finds it just outside and splits at the median, membership
-        # (rows off by ~1e-10) finds it inside and probes it (714 values
-        # against 21 x 32 gradients).
+        # else. A split point's cell is decided once, and a part that keeps
+        # its parent's row is placed by the t* that placed its parent, so
+        # membership's rows (off by ~1e-10) never move its search off
+        # grad's: on every retry-free pair of the same seed it spends
+        # exactly d+1 values wherever grad spends one gradient. On (64, 8)
+        # trials 3 and 35 a kept part's kept part needs that t*: one
+        # recomputed from its parent's row (t* ~ -36.7, moved ~2e-8 by
+        # membership's rows) lay inside it.
         requests = []
         request = Oracle.gradient_with_value
         monkeypatch.setattr(Oracle, "gradient_with_value", lambda *a, **k: (requests.append(1), request(*a, **k))[1])
-        parted = []
-        for trial in range(30):
-            net, sg_seed, cfg_seed = _digest_instance(20, 8, trial)
-            cfg = ExtractionConfig(8, delta=0.1, c=0.01, seed=cfg_seed)
+        pairs, parted = 0, []
+        instances = [(20, 8, t) for t in range(50)] + [(16, 16, t) for t in range(50)] + [(64, 8, 3), (64, 8, 35)]
+        for d, h, trial in instances:
+            net, sg_seed, cfg_seed = _digest_instance(d, h, trial)
+            cfg = ExtractionConfig(h, delta=0.1, c=0.01, seed=cfg_seed)
             requests.clear()
             sg = SmoothGradConfig(sigma=1e-9, n_samples=3, seed=sg_seed)
             reports = {
@@ -744,11 +745,12 @@ class TestEndSigns:
             }
             grad, membership = reports["grad"], reports["membership"]
             assert grad.value_queries == reports["smoothgrad"].value_queries == 0
-            assert (membership.gradient_queries, membership.value_queries) == (0, 21 * len(requests))
-            assert grad.retries == membership.retries == 0
-            if membership.value_queries != 21 * grad.gradient_queries:
-                parted.append(trial)
-        assert parted == [12]
+            assert (membership.gradient_queries, membership.value_queries) == (0, (d + 1) * len(requests))
+            if grad.retries == membership.retries == 0:
+                pairs += 1
+                if membership.value_queries != (d + 1) * grad.gradient_queries:
+                    parted.append((d, h, trial))
+        assert pairs == 101 and parted == []
 
 
 class TestLearnModel:
@@ -909,6 +911,30 @@ class TestLearnModel:
             assert eq.passed, f"trial {trial}: verify error {eq.max_rel_error:.3e}"
             verified += 1
         assert verified >= 45
+
+    @pytest.mark.parametrize("d, h, sigma", [(6, 2, 0.1), (6, 2, 0.3), (12, 4, 0.03)])
+    def test_blurred_smoothgrad_is_exact_or_refused(self, d, h, sigma):
+        # Large sigma blurs the gradients at the line's ends, which the sign
+        # solve reads, as well as those near each crossing. The search is the
+        # guard: each regime verifies on some of its 60 nets and refuses the
+        # rest (55/5, 5/55 and 51/9 ok/refused, all refused in the search),
+        # and no blurred end gradient slips a wrong sign vector through.
+        outcomes = set()
+        for trial in range(60):
+            net_seed, sg_seed, cfg_seed = (
+                int(s) for s in np.random.SeedSequence([9400, d, h, trial]).generate_state(3, dtype=np.uint64)
+            )
+            net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
+            oracle = Oracle(net, mode="smoothgrad", sg=SmoothGradConfig(sigma=sigma, n_samples=3, seed=sg_seed))
+            try:
+                report = learn_model(oracle, ExtractionConfig(h, seed=cfg_seed))
+            except GradleakError:
+                outcomes.add("refused")
+                continue
+            eq = functional_equivalence(net, report.model, 10_000, 1e-7, seed=trial)
+            assert eq.passed, f"trial {trial}: verify error {eq.max_rel_error:.3e}"
+            outcomes.add("verified")
+        assert outcomes == {"verified", "refused"}
 
     def test_first_attempt_failure_rate_within_budget(self):
         # With the true collinearity gap supplied, single attempts (no

@@ -283,6 +283,16 @@ class TestFdExactness:
         assert report.max_rel_error <= 1e-9
         assert report.counterexample is None
 
+    def test_rounding_is_a_counterexample_at_zero_tolerance(self):
+        # Acceptance criterion 6's first net: at rel_tol=0 the rounding of a
+        # finite difference fails a point, which is reported and lies clear
+        # of every hyperplane by more than the step.
+        net = generate_random_net(20, 8, c_min=0.1, w_min=0.1, seed=60)
+        report = check_fd_exactness(net, FiniteDiffConfig(eta=1e-2), 500, seed=60, rel_tol=0.0)
+        assert report.passed is False
+        assert 0.0 < report.max_rel_error <= 1e-9
+        assert np.min(np.abs(net.A @ report.counterexample)) > 1e-2
+
     def test_oversized_step_raises(self):
         net = generate_random_net(6, 4, seed=14)
         with pytest.raises(ConfigError):

@@ -12,10 +12,14 @@ messages keeps it equal. "family/queries count ..." gives the median
 gradient and value queries per instance, the number refused and the number
 wrong: returned models that fail functional_equivalence at VERIFY_TOL on
 VERIFY_POINTS points. A cost change thus reads as numbers, and "refused 0"
-next to "wrong 0" means every instance returned a correct model. A last
-line, "fd-exactness 3 sha256", hashes check_fd_exactness's worst error,
-verdict and counterexample on acceptance criterion 6's three nets at 500
-points each. Run it on two checkouts and compare the lines.
+next to "wrong 0" means every instance returned a correct model. A
+membership family at the true h adds "family/parity count pairs P parted K":
+it runs grad on the same instances, and of the P retry-free pairs (both
+returned a model on their first line), K are those where membership's value
+queries are not d+1 times grad's gradient queries. A last line,
+"fd-exactness 3 sha256", hashes check_fd_exactness's worst error, verdict
+and counterexample on acceptance criterion 6's three nets at 500 points
+each. Run it on two checkouts and compare the lines.
 
 With --records PATH it also writes one JSON line per instance: family,
 trial, gradient and value queries, retries, and either "model", the first 16
@@ -105,6 +109,14 @@ def main() -> None:
             f"{family}/queries", count, "median gradient", statistics.median(gradients),
             "value", statistics.median(values), "refused", sum(refused), "wrong", sum(wrong),
         )
+        if mode == "membership" and assumed_h == h:
+            pairs = parted = 0
+            for trial, record in enumerate(records[-count:]):
+                grad = outcome(gl, "grad", d, h, h, trial)[2]
+                if all(r["retries"] == 0 and "failure" not in r for r in (record, grad)):
+                    pairs += 1
+                    parted += record["value_queries"] != (d + 1) * grad["gradient_queries"]
+            print(f"{family}/parity", count, "pairs", pairs, "parted", parted)
     fd = hashlib.sha256()
     for d, h, seed in FD_NETS:
         net = gl.generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=seed)
