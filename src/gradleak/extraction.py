@@ -39,11 +39,11 @@ p = x / |x| (gradients are scale-invariant). f is positively homogeneous,
 so a gradient g is valid at p when Euler's identity f(p) = <g, p> holds; a
 step that straddles a hyperplane breaks it, and a point whose gradient is
 invalid is in the cell of a valid g that fits it. Each split point's cell is
-decided once, against both bracket ends: an invalid one takes the gradient
-of the one end it fits (fitting neither, or both, it grazes a hyperplane and
-the line is refused, as is one whose request at -v or +v is invalid). A
-part whose new end is in the old end's cell keeps its parent's row and is
-placed by its parent's t*, so rounding in membership's rows cannot move it.
+decided once, against both bracket ends: in exactly one end's cell it takes
+that end's gradient, so the part it shares with the other end keeps its
+parent's row and t* bit for bit. An invalid one in neither cell, or both,
+grazes a hyperplane and the line is refused, as is a line whose request at
+-v or +v is invalid.
 """
 
 from __future__ import annotations
@@ -107,9 +107,12 @@ class ExtractionConfig:
     max_retries: int = 5
 
     def __post_init__(self):
+        seed = 0 if self.seed is None else self.seed
+        if not all(isinstance(n, (int, np.integer)) for n in (self.h, self.max_retries, seed)):
+            raise ValueError("h, max_retries and seed must be integers")
         eps, _ = select_parameters(self.delta, self.c, self.h)
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
+        if self.max_retries < 0 or seed < 0:
+            raise ValueError("max_retries and seed must be non-negative")
         if self.epsilon is None:
             self.epsilon = eps
         if not 0.0 < self.epsilon < math.inf:
@@ -183,10 +186,10 @@ def _same(p, q) -> bool:
 def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     """Certified-isolation search for h crossings on the line u + t v, in one heap loop.
 
-    Each split point's cell is decided once, and a part that keeps its
-    parent's row keeps its t*. Returns the rows g_b - g_a of the h certified
-    brackets and their crossings t*, in crossing order, and the end gradients
-    (g(-v), g(+v)); raises ExtractionFailure when the line is refused.
+    Each split point's cell is decided once; in one end's cell it takes that
+    end's gradient. Returns the rows g_b - g_a of the h certified brackets and
+    their crossings t*, in crossing order, and the end gradients (g(-v),
+    g(+v)); raises ExtractionFailure when the line is refused.
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
 
@@ -204,23 +207,20 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
         raise ExtractionFailure("no Euler-valid gradient at an end of the line")
     brackets = []
 
-    def push(a, b, depth, kept=None):
-        # depth: the number of splits above it; kept: the t* that placed its
-        # parent, when it keeps its parent's row (alike in every mode).
+    def push(a, b, depth):  # depth: the number of splits above it
         row = b[1] - a[1]
         along = float(row @ v)
         t_star = -float(row @ u) / along if along else math.nan
-        at = t_star if kept is None else kept
         # Outside first (t* outside proves two crossings), then the fewest
         # splits deep, then the lowest a (keys are unique by a).
-        heapq.heappush(brackets, ((a[0] <= at <= b[0], depth, a[0]), a, b, row, t_star, at))
+        heapq.heappush(brackets, ((a[0] <= t_star <= b[0], depth, a[0]), a, b, row, t_star))
 
     if not _same(lo, hi):
         push(lo, hi, 0)
     sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
     certified = []
     while brackets:
-        (inside, depth, _), a, b, row, t_star, at = heapq.heappop(brackets)
+        (inside, depth, _), a, b, row, t_star = heapq.heappop(brackets)
         m = None
         if inside:
             tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / abs(float(row @ v)))
@@ -237,16 +237,16 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
         if m is None or m[0] != t:
             m = point(t, u + t * v)
         in_a, in_b = _same(a, m), _same(m, b)
-        if m[1] is None:
-            # An invalid split point takes the gradient of the one end whose
-            # cell it fits; one that fits neither, or both, grazes a hyperplane.
-            if in_a == in_b:
-                raise ExtractionFailure("no Euler-valid split point in a bracket")
+        if in_a != in_b:
+            # In one end's cell it takes that end's gradient, valid or not.
             m = (m[0], (a if in_a else b)[1], *m[2:])
+        elif m[1] is None:
+            # An invalid point that fits neither end, or both, grazes a hyperplane.
+            raise ExtractionFailure("no Euler-valid split point in a bracket")
         if not in_a:
-            push(a, m, depth + 1, at if in_b else None)
+            push(a, m, depth + 1)
         if not in_b:
-            push(m, b, depth + 1, at if in_a else None)
+            push(m, b, depth + 1)
         if len(certified) + len(brackets) > cfg.h:
             raise ExtractionFailure("more than h crossings lie on the line")
     if len(certified) < cfg.h:

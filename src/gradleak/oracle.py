@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoLayerNet, _as_vector, eval_target, grad_target
+from .model import TwoLayerNet, _as_vector, eval_target, eval_target_batch
 
 ORACLE_MODES = ("grad", "smoothgrad", "membership")
 
@@ -57,16 +57,18 @@ class SmoothGradConfig:
     def __post_init__(self):
         if not 0.0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 1:
+            raise ValueError(f"n_samples must be an integer of at least 1, got {self.n_samples}")
 
 
 class Oracle:
     """The query boundary: every request evaluates the hidden net and is metered.
 
     grad        gradient(x) is exact, one gradient query.
-    smoothgrad  gradient(x) is the smoothed average, one gradient query.
-    membership  gradient(x) is a finite-difference estimate, d+1 value queries.
+    smoothgrad  gradient(x) is the smoothed average of one (n_samples, d)
+                block of perturbations, one gradient query.
+    membership  gradient(x) is a finite-difference estimate from one
+                evaluation of d+1 points, d+1 value queries.
 
     An exact gradient (grad, or smoothgrad at sigma=0) depends only on the
     activation pattern of x, so it is built once per pattern and the same
@@ -103,16 +105,19 @@ class Oracle:
         A smoothed gradient averages n_samples exact gradients at Gaussian
         perturbations of x drawn from this oracle's generator, and counts as a
         single gradient query: the threat model meters API calls, not the
-        server-side work behind one explanation. With sigma=0 the perturbations
-        vanish and the exact gradient is returned (bitwise, not a rounded mean),
-        shared read-only with every other query in its cell.
+        server-side work behind one explanation. The perturbations are one
+        (n_samples, d) block; their mean activation pattern, times w, makes one
+        product with A. With sigma=0 the perturbations vanish and the exact
+        gradient is returned (bitwise, not a rounded mean), shared read-only
+        with every other query in its cell.
         """
         if self.mode == "membership":
             return self.gradient_with_value(x, eta)[0]
+        v = _as_vector(x, self.d)
         if self.mode == "grad" or self.sg.sigma == 0.0:
             # One product A x gives the pattern and, on a miss, the gradient
             # exactly as grad_target builds it.
-            active = self.net.A @ _as_vector(x, self.d) >= 0.0
+            active = self.net.A @ v >= 0.0
             key = active.tobytes()
             out = self._cell_grads.get(key)
             if out is None:
@@ -120,31 +125,24 @@ class Oracle:
                 out.setflags(write=False)
                 self._cell_grads[key] = out
         else:
-            v = np.asarray(x, dtype=float)
-            out = np.zeros(self.d)
-            for _ in range(self.sg.n_samples):
-                out += grad_target(self.net, v + self._sg_rng.normal(0.0, self.sg.sigma, size=self.d))
-            out /= self.sg.n_samples
+            pts = v + self._sg_rng.normal(0.0, self.sg.sigma, size=(self.sg.n_samples, self.d))
+            out = (self.net.w * np.mean(pts @ self.net.A.T >= 0.0, axis=0)) @ self.net.A
         self.ledger.add_gradients(1)
         return out
 
     def gradient_with_value(self, x, eta: float = DEFAULT_FD_ETA) -> tuple[np.ndarray, float]:
         """Gradient plus the base value f(x).
 
-        In membership mode both come from one finite-difference request:
-        component j is (f(x + eta e_j) - f(x)) / eta, and the base evaluation is
-        shared across all coordinates, so the cost is exactly d+1 value queries.
-        In the exact modes the value is a separate value query.
+        In membership mode both come from one finite-difference request, one
+        evaluation of f at the d+1 rows of [x; x + eta I]: component j is
+        (f(x + eta e_j) - f(x)) / eta, and the base evaluation is shared across
+        all coordinates, so the cost is exactly d+1 value queries. In the exact
+        modes the value is a separate value query.
         """
         if self.mode != "membership":
             return self.gradient(x), self.value(x)
         step = FiniteDiffConfig(eta).eta  # refuses a non-positive step
-        v = np.asarray(x, dtype=float)
-        base = eval_target(self.net, v)
-        grad = np.empty(self.d)
-        for j in range(self.d):
-            shifted = v.copy()
-            shifted[j] += step
-            grad[j] = (eval_target(self.net, shifted) - base) / step
+        v = _as_vector(x, self.d)
+        f = eval_target_batch(self.net, np.vstack([v, v + step * np.eye(self.d)]))
         self.ledger.add_values(self.d + 1)
-        return grad, base
+        return (f[1:] - f[0]) / step, float(f[0])

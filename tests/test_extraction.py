@@ -85,6 +85,13 @@ class TestConfig:
             ExtractionConfig(h=2, epsilon=0.0)
         with pytest.raises(ValueError):
             ExtractionConfig(h=2, max_retries=-1)
+        # Each would leak a ValueError or TypeError from SeedSequence or range
+        # inside learn_model, or refuse every line of a fractional h.
+        for bad in ({"seed": -1}, {"seed": 1.5}, {"h": 2.5}, {"max_retries": 1.5}):
+            with pytest.raises(ValueError, match="integer|non-negative"):
+                ExtractionConfig(**{"h": 2, **bad})
+        cfg = ExtractionConfig(h=np.int64(2), seed=np.uint64(3), max_retries=np.int32(1))
+        assert (cfg.h, cfg.seed, cfg.max_retries) == (2, 3, 1)
 
     @pytest.mark.parametrize("override", [{"epsilon": math.inf}, {"epsilon": math.nan}, {"epsilon": -math.inf}])
     def test_non_finite_range_refused(self, override):
@@ -722,14 +729,14 @@ class TestEndSigns:
     def test_gradient_modes_spend_no_value_query_and_membership_d_plus_one(self, monkeypatch):
         # One query phase: grad and smoothgrad spend gradient queries only,
         # and membership spends d+1 values per search request and nothing
-        # else. A split point's cell is decided once, and a part that keeps
-        # its parent's row is placed by the t* that placed its parent, so
-        # membership's rows (off by ~1e-10) never move its search off
-        # grad's: on every retry-free pair of the same seed it spends
-        # exactly d+1 values wherever grad spends one gradient. On (64, 8)
-        # trials 3 and 35 a kept part's kept part needs that t*: one
-        # recomputed from its parent's row (t* ~ -36.7, moved ~2e-8 by
-        # membership's rows) lay inside it.
+        # else. A split point's cell is decided once, and in one end's cell
+        # it takes that end's gradient, so a part that keeps its parent's
+        # row keeps its bytes and t*, and membership's rows (off by ~1e-10)
+        # never move its search off grad's: on every retry-free pair of the
+        # same seed it spends exactly d+1 values wherever grad spends one
+        # gradient. On (64, 8) trials 3 and 35 a t* recomputed from fresh
+        # membership gradients (t* ~ -36.7, moved ~2e-8) fell inside a part
+        # that keeps its parent's row.
         requests = []
         request = Oracle.gradient_with_value
         monkeypatch.setattr(Oracle, "gradient_with_value", lambda *a, **k: (requests.append(1), request(*a, **k))[1])
@@ -838,11 +845,11 @@ class TestLearnModel:
     @pytest.mark.parametrize(
         "mode, d, h, net_seed, gradient_queries, value_queries, retries, digest",
         [
-            ("membership", 12, 4, 40, 0, 208, 0, "f4fc8ff90e86b4bac1c123c06c81e061"),
-            ("membership", 12, 4, 41, 0, 182, 0, "aab3944bda9917955a4e4c84b5e2da43"),
-            ("membership", 20, 8, 40, 0, 588, 0, "60af985b21f10ca716dfedc683b37fb2"),
-            ("smoothgrad", 12, 4, 40, 16, 0, 0, "e09b6233b7280d7a722d72a0df03d18f"),
-            ("smoothgrad", 12, 4, 42, 15, 0, 0, "8e7b4a5a70ad593e134c6ef4ee9c9f38"),
+            ("membership", 12, 4, 40, 0, 208, 0, "c109d0e13d3ad429a6eb015229dd9521"),
+            ("membership", 12, 4, 41, 0, 182, 0, "a04d2101edb8819eefc02139cd3efa9d"),
+            ("membership", 20, 8, 40, 0, 588, 0, "78498928b7c2fd930c3c6d2b8d02f4bd"),
+            ("smoothgrad", 12, 4, 40, 16, 0, 0, "54e2e36fed6de171128b0312d9a7f0ef"),
+            ("smoothgrad", 12, 4, 42, 15, 0, 0, "b4f25f4dd75115e9fd0985aa3070f540"),
         ],
         ids=["membership-12-4-40", "membership-12-4-41", "membership-20-8-40", "smoothgrad-12-4-40", "smoothgrad-12-4-42"],
     )
@@ -858,6 +865,10 @@ class TestLearnModel:
         # moved the membership bytes (the split points moved); the smoothgrad
         # bytes held. Signs from the search line's end gradients took 2h
         # value queries (8, 8, 16, 8, 8) off each count, and all bytes held.
+        # All five were re-pinned when each request became one matrix
+        # evaluation (the d+1 finite-difference points, the n_samples
+        # smoothing draws): the bytes moved by summation-order rounding, and
+        # the counts and retries held.
         net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
         sg = SmoothGradConfig(sigma=1e-9, n_samples=3, seed=net_seed + 1)
         report = learn_model(

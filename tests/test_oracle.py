@@ -10,6 +10,7 @@ from gradleak import (
     SmoothGradConfig,
     TwoLayerNet,
     cell_mask,
+    eval_target,
     generate_random_net,
     grad_target,
 )
@@ -60,6 +61,8 @@ class TestFiniteDifference:
         assert oracle.ledger.gradient_queries == 0
 
     def test_matches_exact_gradient_off_hyperplanes(self):
+        # The request evaluates [x; x + eta I] as one block; the reference is
+        # the per-coordinate loop of single-point evaluations it replaced.
         rng = np.random.default_rng(1)
         net = generate_random_net(10, 5, seed=1)
         eta = 1e-2
@@ -69,9 +72,15 @@ class TestFiniteDifference:
             if np.min(np.abs(net.A @ x)) <= eta:
                 continue
             checked += 1
-            approx = Oracle(net, "membership").gradient(x, eta=eta)
+            oracle = Oracle(net, "membership")
+            approx, base = oracle.gradient_with_value(x, eta=eta)
+            assert (oracle.ledger.value_queries, oracle.ledger.gradient_queries) == (11, 0)
+            ref_base = eval_target(net, x)
+            ref = np.array([(eval_target(net, x + eta * e) - ref_base) / eta for e in np.eye(10)])
             exact = grad_target(net, x)
-            assert np.max(np.abs(approx - exact)) <= 1e-9 * (1.0 + np.max(np.abs(exact)))
+            for want in (ref, exact):
+                assert np.max(np.abs(approx - want)) <= 1e-9 * (1.0 + np.max(np.abs(want)))
+            assert abs(base - ref_base) <= 1e-12 * abs(ref_base)
 
     def test_within_cell_exactness_requires_shared_mask(self):
         rng = np.random.default_rng(2)
@@ -177,6 +186,19 @@ class TestSmoothGrad:
         got = Oracle(net, "smoothgrad", sg=sg).gradient(x)
         assert np.array_equal(got, grad_target(net, x))
 
+    def test_blurred_average_matches_per_sample_gradients(self):
+        # One (n_samples, d) block of draws, one product with A; the reference
+        # is the mean of per-sample exact gradients on the same seeded draws.
+        net = generate_random_net(6, 4, seed=3)
+        x = np.array([0.3, -0.2, 1.0, 0.4, -0.9, 0.1])
+        oracle = Oracle(net, "smoothgrad", sg=SmoothGradConfig(sigma=0.5, n_samples=16, seed=7))
+        draws = np.random.default_rng(7)
+        for _ in range(5):
+            got = oracle.gradient(x)
+            ref = np.mean([grad_target(net, x + draws.normal(0.0, 0.5, size=6)) for _ in range(16)], axis=0)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+        assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries) == (5, 0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SmoothGradConfig(sigma=-0.1)
@@ -185,6 +207,9 @@ class TestSmoothGrad:
                 SmoothGradConfig(sigma=sigma)
         with pytest.raises(ValueError):
             SmoothGradConfig(n_samples=0)
+        with pytest.raises(ValueError, match="integer"):
+            SmoothGradConfig(n_samples=2.5)
+        assert SmoothGradConfig(n_samples=np.int64(3)).n_samples == 3
 
 
 class TestOracleDispatch:
@@ -233,6 +258,14 @@ class TestOracleDispatch:
                 continue
             found += 1
             assert np.array_equal(oracle.gradient(x), oracle.gradient(y))
+
+    @pytest.mark.parametrize("mode, sigma", [("grad", 0.0), ("membership", 0.0), ("smoothgrad", 0.0), ("smoothgrad", 0.1)])
+    def test_wrong_shape_point_is_refused(self, mode, sigma):
+        oracle = Oracle(generate_random_net(4, 2, seed=8), mode, sg=SmoothGradConfig(sigma=sigma, n_samples=3, seed=0))
+        for x in (np.ones(3), np.ones((4, 1)), np.ones(5)):
+            with pytest.raises(ValueError, match=r"x must have shape \(4,\)"):
+                oracle.gradient(x)
+        assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries) == (0, 0)
 
     def test_rejects_unknown_mode(self):
         net = generate_random_net(3, 2, seed=10)

@@ -3,9 +3,12 @@
     python3 tools/outcome_digest.py [REPO_ROOT] [--records PATH]
 
 Imports gradleak from REPO_ROOT/src (default: this checkout) and runs fixed
-instance families. For each it prints three lines. "family count sha256"
-hashes, per instance, the gradient and value queries, the retries, the
-failure type and message, and the bytes of the recovered (Z, s).
+instance families. Smoothgrad runs at sigma=1e-9, where its samples never
+straddle a cell, and in smoothgrad-6x2-blur at sigma=0.3, where they do and
+the search must refuse the lines it cannot certify. For each family it
+prints three lines. "family count sha256" hashes, per instance, the
+gradient and value queries, the retries, the failure type and message, and
+the bytes of the recovered (Z, s).
 "family/models count sha256" hashes only the (Z, s) bytes, the retries and
 the failure type, so a change that moves only query counts or failure
 messages keeps it equal. "family/queries count ..." gives the median
@@ -38,15 +41,17 @@ from pathlib import Path
 
 import numpy as np
 
-# (family, mode, d, true h, assumed h, instances). The h=9 families are refused.
+# (family, mode, d, true h, assumed h, smoothgrad sigma, instances). The h=9
+# families are refused.
 FAMILIES = (
-    ("grad-16x16", "grad", 16, 16, 16, 300),
-    ("grad-128x8", "grad", 128, 8, 8, 40),
-    ("membership-20x8", "membership", 20, 8, 8, 50),
-    ("membership-16x16", "membership", 16, 16, 16, 50),
-    ("smoothgrad-12x4", "smoothgrad", 12, 4, 4, 100),
-    ("grad-20x8-h9", "grad", 20, 8, 9, 30),
-    ("membership-20x8-h9", "membership", 20, 8, 9, 30),
+    ("grad-16x16", "grad", 16, 16, 16, 1e-9, 300),
+    ("grad-128x8", "grad", 128, 8, 8, 1e-9, 40),
+    ("membership-20x8", "membership", 20, 8, 8, 1e-9, 50),
+    ("membership-16x16", "membership", 16, 16, 16, 1e-9, 50),
+    ("smoothgrad-12x4", "smoothgrad", 12, 4, 4, 1e-9, 100),
+    ("smoothgrad-6x2-blur", "smoothgrad", 6, 2, 2, 0.3, 60),
+    ("grad-20x8-h9", "grad", 20, 8, 9, 1e-9, 30),
+    ("membership-20x8-h9", "membership", 20, 8, 9, 1e-9, 30),
 )
 # Acceptance criterion 6's nets (d, h, seed), at FD_POINTS points each.
 FD_NETS = ((20, 8, 60), (10, 4, 61), (40, 12, 62))
@@ -55,13 +60,13 @@ FD_POINTS = 500
 VERIFY_POINTS, VERIFY_TOL = 4096, 1e-7
 
 
-def outcome(gl, mode, d, h, assumed_h, trial) -> tuple[bytes, bytes, dict]:
+def outcome(gl, mode, d, h, assumed_h, sigma, trial) -> tuple[bytes, bytes, dict]:
     """(full outcome, model outcome, record) of one instance."""
     net_seed, sg_seed, cfg_seed = (
         int(s) for s in np.random.SeedSequence([8100, d, h, trial]).generate_state(3, dtype=np.uint64)
     )
     net = gl.generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
-    oracle = gl.Oracle(net, mode=mode, sg=gl.SmoothGradConfig(sigma=1e-9, n_samples=3, seed=sg_seed))
+    oracle = gl.Oracle(net, mode=mode, sg=gl.SmoothGradConfig(sigma=sigma, n_samples=3, seed=sg_seed))
     try:
         report = gl.learn_model(oracle, gl.ExtractionConfig(assumed_h, delta=0.1, c=0.01, seed=cfg_seed))
         result = model = report.model.Z.tobytes() + np.asarray(report.model.s, dtype=np.int64).tobytes()
@@ -92,10 +97,10 @@ def main() -> None:
     sys.path.insert(0, str(args.root / "src"))
     gl = importlib.import_module("gradleak")
     records = []
-    for family, mode, d, h, assumed_h, count in FAMILIES:
+    for family, mode, d, h, assumed_h, sigma, count in FAMILIES:
         digest, models, costs = hashlib.sha256(), hashlib.sha256(), []
         for trial in range(count):
-            full, model, record = outcome(gl, mode, d, h, assumed_h, trial)
+            full, model, record = outcome(gl, mode, d, h, assumed_h, sigma, trial)
             digest.update(full)
             models.update(model)
             costs.append(
@@ -112,7 +117,7 @@ def main() -> None:
         if mode == "membership" and assumed_h == h:
             pairs = parted = 0
             for trial, record in enumerate(records[-count:]):
-                grad = outcome(gl, "grad", d, h, h, trial)[2]
+                grad = outcome(gl, "grad", d, h, h, sigma, trial)[2]
                 if all(r["retries"] == 0 and "failure" not in r for r in (record, grad)):
                     pairs += 1
                     parted += record["value_queries"] != (d + 1) * grad["gradient_queries"]
