@@ -8,7 +8,8 @@ crossing the gradient difference D = g_b - g_a is that crossing's row
 Step two solves for the sign vector s, with no query, from the gradients
 g(-v) and g(+v) the search holds at the line's ends: the recovered gradient
 Z^T (1[Zx > 0] s_top - 1[Zx < 0] s_bottom) equated with them gives 2d
-equations in 2h unknowns, of full column rank when Z has full row rank.
+equations in 2h unknowns, of full column rank when Z has full row rank. Their
+half sum and half difference are two d x h systems in Z^T, solved by one SVD.
 recover_s, the paper's step from 2h value queries, is kept as its reference.
 
 Every oracle mode runs one certified-isolation loop on the whole line. The
@@ -213,17 +214,17 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
         t_star = -float(row @ u) / along if along else math.nan
         # Outside first (t* outside proves two crossings), then the fewest
         # splits deep, then the lowest a (keys are unique by a).
-        heapq.heappush(brackets, ((a[0] <= t_star <= b[0], depth, a[0]), a, b, row, t_star))
+        heapq.heappush(brackets, ((a[0] <= t_star <= b[0], depth, a[0]), a, b, row, along, t_star))
 
     if not _same(lo, hi):
         push(lo, hi, 0)
     sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
     certified = []
     while brackets:
-        (inside, depth, _), a, b, row, t_star = heapq.heappop(brackets)
+        (inside, depth, _), a, b, row, along, t_star = heapq.heappop(brackets)
         m = None
         if inside:
-            tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / abs(float(row @ v)))
+            tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / abs(along)) if sigma else cfg.epsilon
             m = point(t_star - tau, u + (t_star - tau) * v)
             if _same(a, m):
                 m = point(t_star + tau, u + (t_star + tau) * v)
@@ -275,16 +276,19 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -
     ) from last
 
 
-def _signs(z, m, b, points) -> np.ndarray:
-    """Solve M s = b (2h columns, square or tall), round s into {-1,0,1}^(2h) and certify it.
+def _solve(m, b) -> np.ndarray:
+    try:
+        return solve_linear_system(m, b)
+    except (SingularMatrixError, ValueError) as err:  # ValueError: more unknowns than equations
+        raise SignRecoveryError(f"sign system is singular: {err}") from err
+
+
+def _signs(solved, apply, b, points) -> np.ndarray:
+    """Round the solution of M s = b into {-1,0,1}^(2h) and certify it; apply(s) is M s.
 
     A failed check (rounding, alphabet, residual scaled by the points' norms,
     one nonzero per row pair) means the recovered normals were wrong.
     """
-    try:
-        solved = solve_linear_system(m, b)
-    except (SingularMatrixError, ValueError) as err:  # ValueError: more unknowns than equations
-        raise SignRecoveryError(f"sign system is singular: {err}") from err
     rounded = np.rint(solved)
     for i, (value, near) in enumerate(zip(solved.tolist(), rounded.tolist())):
         if not abs(value - near) <= SIGN_ROUND_TOL:  # NaN from non-finite values fails too
@@ -293,13 +297,11 @@ def _signs(z, m, b, points) -> np.ndarray:
             raise SignRecoveryError(f"sign solution entry {i} = {value:.6g} rounds outside {{-1,0,1}}")
     s = rounded.astype(int)
     # A row error dZ moves b_j by up to h |dZ| |x_j|: the bound scales with the points.
-    residual, scale = np.max(np.abs(m @ s - b)), max(1.0, np.max(np.linalg.norm(points, axis=0)))
+    residual, scale = np.max(np.abs(apply(s) - b)), max(1.0, np.max(np.linalg.norm(points, axis=0)))
     if residual > SOLVE_RESIDUAL_TOL * scale * (1.0 + np.max(np.abs(b))):
         raise SignRecoveryError(f"rounded sign vector leaves residual {residual:.3e}")
-    try:
-        RecoveredModel(Z=z, s=s).validate_signs()
-    except ValueError as err:
-        raise SignRecoveryError(f"sign pattern is invalid: {err}") from err
+    if np.any((s[: len(s) // 2] != 0) == (s[len(s) // 2 :] != 0)):
+        raise SignRecoveryError("sign pattern is invalid: s must have exactly one nonzero per row pair")
     return s
 
 
@@ -313,20 +315,33 @@ def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
     zm = as_matrix(z)
     x, _ = sign_query_points(zm, rng)
     b = np.array([oracle.value(p) for p in (*x.T, *-x.T)], dtype=float)
-    return _signs(zm, block_sign_matrix(zm @ x), b, x)
+    m = block_sign_matrix(zm @ x)
+    return _signs(_solve(m, b), m.__matmul__, b, x)
 
 
 def _end_signs(z, v, ends) -> np.ndarray:
     """Solve for s from the end gradients (g(-v), g(+v)) of the line with direction v.
 
-    With up = Zv > 0 the recovered gradient is Z^T (up s_top - ~up s_bottom)
-    at +v and Z^T (~up s_top - up s_bottom) at -v.
+    With up = Zv > 0 the recovered gradient is g+ = Z^T (up s_top - ~up s_bottom)
+    at +v and g- = Z^T (~up s_top - up s_bottom) at -v. That 2d x 2h system is
+    orthogonally equivalent to its halves Z^T (s_top - s_bottom) = g+ + g- and
+    Z^T D (s_top + s_bottom) = g+ - g-, D = diag(+-1) from up: one SVD of Z^T
+    with two right-hand sides gives its rank test and solution.
     """
     zm, (g_lo, g_hi) = as_matrix(z), ends
-    zt, up = zm.T, zm @ v > 0
-    m = np.block([[zt * up, -zt * ~up], [zt * ~up, -zt * up]])
+    zt, up, b = zm.T, zm @ v > 0, np.column_stack([g_hi, g_lo])
+    # Halved sums cannot overflow; they give half of s_top - s_bottom and of D (s_top + s_bottom).
+    minus, plus = _solve(zt, b @ ((0.5, 0.5), (0.5, -0.5))).T
+    plus = np.where(up, plus, -plus)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail the rounding check
+        solved = np.concatenate([plus + minus, plus - minus])
+
+    def apply(s):  # the system's product: the recovered gradients at +v and -v
+        top, bottom = s.reshape(2, -1)
+        return zt @ np.column_stack([np.where(up, top, -bottom), np.where(up, -bottom, top)])
+
     # A gradient does not grow with its point, so the points are +-v / |v|.
-    return _signs(zm, m, np.concatenate([g_hi, g_lo]), v[:, None] / _norm(v))
+    return _signs(solved, apply, b, v[:, None] / _norm(v))
 
 
 def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:

@@ -98,7 +98,7 @@ class RecoveredModel:
         h = z.shape[0]
         if s.shape != (2 * h,):
             raise ValueError(f"s must have shape ({2 * h},), got {s.shape}")
-        if not np.all(np.isin(s, (-1, 0, 1))):
+        if not np.all((s == -1) | (s == 0) | (s == 1)):
             raise ValueError("s entries must lie in {-1, 0, 1}")
         if not np.all(np.isfinite(z)):
             raise ValueError("Z entries must be finite")
@@ -115,9 +115,7 @@ class RecoveredModel:
 
     def validate_signs(self) -> None:
         """Check the sign-vector pattern: one nonzero per (s_i, s_{h+i}) pair."""
-        h = self.h
-        nz = self.s != 0
-        if int(np.sum(nz)) != h or np.any(nz[:h] == nz[h:]):
+        if np.any((self.s[: self.h] != 0) == (self.s[self.h :] != 0)):
             raise ValueError("s must have exactly one nonzero per row pair")
 
 

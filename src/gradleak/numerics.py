@@ -34,16 +34,17 @@ def as_matrix(m) -> np.ndarray:
 def solve_linear_system(m, b) -> np.ndarray:
     """Solve M x = b, M square or tall (least squares; the caller judges the residual).
 
-    One LAPACK SVD call. Raises SingularMatrixError when a singular value of M
-    falls below SINGULAR_PIVOT_TOL times the largest one, ValueError when M is wide.
+    b is (n,) or holds k right-hand sides as columns (n, k). One LAPACK SVD call. Raises
+    SingularMatrixError when a singular value of M falls below SINGULAR_PIVOT_TOL times
+    the largest one, ValueError when M is wide.
     """
     a = as_matrix(m)
     n, k = a.shape
     if k > n:
         raise ValueError(f"matrix must not have more columns than rows, got {a.shape}")
     rhs = np.asarray(b, dtype=float)
-    if rhs.shape != (n,):
-        raise ValueError(f"right-hand side must have shape ({n},), got {rhs.shape}")
+    if not 1 <= rhs.ndim <= 2 or rhs.shape[0] != n:
+        raise ValueError(f"right-hand side must have shape ({n},) or ({n}, k), got {rhs.shape}")
 
     x, _, rank, sv = np.linalg.lstsq(a, rhs, rcond=SINGULAR_PIVOT_TOL)
     if rank < k:

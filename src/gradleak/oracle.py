@@ -59,6 +59,8 @@ class SmoothGradConfig:
             raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
         if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 1:
             raise ValueError(f"n_samples must be an integer of at least 1, got {self.n_samples}")
+        if self.seed is not None and not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be None or a non-negative integer, got {self.seed}")
 
 
 class Oracle:
@@ -84,7 +86,8 @@ class Oracle:
         self.mode = mode
         self.ledger = QueryLedger()
         self.sg = sg if sg is not None else SmoothGradConfig()
-        self._sg_rng = np.random.default_rng(self.sg.seed)
+        self._exact = mode == "grad" or (mode == "smoothgrad" and self.sg.sigma == 0.0)
+        self._sg_rng = np.random.default_rng(self.sg.seed) if mode == "smoothgrad" and not self._exact else None
         # Activation-pattern bytes -> that cell's exact gradient; at most one
         # entry per metered gradient query.
         self._cell_grads: dict[bytes, np.ndarray] = {}
@@ -114,7 +117,7 @@ class Oracle:
         if self.mode == "membership":
             return self.gradient_with_value(x, eta)[0]
         v = _as_vector(x, self.d)
-        if self.mode == "grad" or self.sg.sigma == 0.0:
+        if self._exact:
             # One product A x gives the pattern and, on a miss, the gradient
             # exactly as grad_target builds it.
             active = self.net.A @ v >= 0.0

@@ -103,6 +103,28 @@ class TestEvalRecovered:
         with pytest.raises(ValueError):
             RecoveredModel(Z=np.eye(2), s=np.array([2, 0, 0, 1]))
 
+    @pytest.mark.parametrize("bad", [0.5, -1.9, 2, float("nan")])
+    def test_alphabet_refuses_what_isin_refused(self, bad):
+        # The alphabet test is three comparisons; it refuses exactly the
+        # entries np.isin(s, (-1, 0, 1)) refused.
+        s = np.array([1, bad, 0, -1])
+        assert not np.all(np.isin(s, (-1, 0, 1)))
+        with pytest.raises(ValueError, match="lie in"):
+            RecoveredModel(Z=np.eye(2), s=s)
+
+    @pytest.mark.parametrize("entry", [None, {"s": 1}])
+    def test_alphabet_refuses_an_object_array_from_json(self, entry, tmp_path):
+        path = tmp_path / "rec.json"
+        path.write_text(json.dumps({"d": 2, "h": 2, "Z": np.eye(2).tolist(), "s": [1, entry, 0, -1]}))
+        s = np.array(json.loads(path.read_text())["s"])
+        assert s.dtype == object and not np.all(np.isin(s, (-1, 0, 1)))
+        with pytest.raises(ValueError, match="lie in"):
+            load_recovered(path)
+
+    @pytest.mark.parametrize("s", [[1, 0, 0, -1], [1.0, -0.0, 0.0, -1.0], np.array([1, 0, 0, -1], dtype=np.int8)])
+    def test_alphabet_accepts_int_float_and_numpy_integer_signs(self, s):
+        assert RecoveredModel(Z=np.eye(2), s=np.asarray(s)).s.tolist() == [1, 0, 0, -1]
+
 
 class TestGenerator:
     def test_invariants_hold(self):

@@ -52,6 +52,25 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_linear_system(np.eye(2), [1.0, 2.0, 3.0])
 
+    def test_columns_of_the_right_hand_side_are_solved_independently(self):
+        rng = np.random.default_rng(3)
+        for n, k in ((3, 3), (7, 4)):
+            m, b = rng.standard_normal((n, k)), rng.standard_normal((n, 2))
+            x = solve_linear_system(m, b)
+            assert x.shape == (k, 2)
+            for j in range(2):
+                assert_allclose(x[:, j], solve_linear_system(m, b[:, j]), rtol=1e-12, atol=1e-14)
+
+    def test_right_hand_side_shape_errors(self):
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_linear_system(np.eye(2), np.ones((2, 2, 1)))
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_linear_system(np.eye(2), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_linear_system(np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="columns than rows"):
+            solve_linear_system(np.ones((2, 3)), np.ones((2, 2)))
+
 
 class TestRank:
     def test_identity(self):

@@ -210,6 +210,12 @@ class TestSmoothGrad:
         with pytest.raises(ValueError, match="integer"):
             SmoothGradConfig(n_samples=2.5)
         assert SmoothGradConfig(n_samples=np.int64(3)).n_samples == 3
+        # A seed the oracle's generator cannot take is refused by the config.
+        for seed in (-1, 1.5, np.int64(-2), "0"):
+            with pytest.raises(ValueError, match="seed"):
+                SmoothGradConfig(sigma=0.1, seed=seed)
+        for seed in (None, 0, np.uint32(7)):
+            Oracle(generate_random_net(3, 2, seed=0), "smoothgrad", sg=SmoothGradConfig(sigma=0.1, seed=seed))
 
 
 class TestOracleDispatch:

@@ -4,15 +4,17 @@ Whatever Z reaches recover_s, the outcome is either a sign vector with one
 nonzero per row pair or a GeometryError / SignRecoveryError: no ValueError or
 LinAlgError escapes. The attack's own sign step, the solve from the search
 line's end gradients, is fuzzed the same way, with the end gradients
-corrupted as well; it raises SignRecoveryError only.
+corrupted as well; it raises SignRecoveryError only, and agrees with the
+2d x 2h block system its two d x h halves replace.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gradleak import GeometryError, Oracle, SignRecoveryError, generate_random_net, recover_s
+from gradleak import GeometryError, Oracle, SignRecoveryError, extraction, generate_random_net, recover_s
 from gradleak.extraction import _end_signs
+from gradleak.numerics import SINGULAR_PIVOT_TOL
 
 ROW = st.integers(0, 15)  # reduced modulo the current row count
 
@@ -114,8 +116,7 @@ def perturb(ends, ops, rng_seed):
     return tuple(ends)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
+END_CASES = dict(
     d=st.integers(1, 8),
     h_frac=st.floats(0.0, 1.0),
     net_seed=st.integers(0, 2**16),
@@ -123,15 +124,53 @@ def perturb(ends, ops, rng_seed):
     end_ops=st.lists(PERTURBATIONS, max_size=3),
     line_seed=st.integers(0, 2**16),
 )
-def test_end_signs_return_valid_signs_or_raise_sign_recovery_error(d, h_frac, net_seed, ops, end_ops, line_seed):
+
+
+def end_case(d, h_frac, net_seed, ops, end_ops, line_seed):
+    """A mutated Z, a line direction v and its perturbed end gradients (g(-v), g(+v))."""
     h = 1 + int(h_frac * (d - 1))
     net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
     v = np.random.default_rng(line_seed).standard_normal(d)
     oracle = Oracle(net, mode="grad")
     ends = perturb((oracle.gradient(-v), oracle.gradient(v)), end_ops, line_seed)
-    z = mutate(net.w[:, None] * net.A, ops, line_seed)
+    return mutate(net.w[:, None] * net.A, ops, line_seed), v, ends
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**END_CASES)
+def test_end_signs_return_valid_signs_or_raise_sign_recovery_error(**case):
+    z, v, ends = end_case(**case)
     try:
         s = _end_signs(z, v, ends)
     except SignRecoveryError:
         return
     assert_valid_signs(s, z.shape[0])
+
+
+def block_end_signs(z, v, ends):
+    """The end solve as one 2d x 2h system [[Z^T up, -Z^T ~up], [Z^T ~up, -Z^T up]] s = [g(+v); g(-v)]."""
+    zm, (g_lo, g_hi) = np.asarray(z, dtype=float), ends
+    zt, up = zm.T, zm @ v > 0
+    m = np.block([[zt * up, -zt * ~up], [zt * ~up, -zt * up]])
+    b = np.concatenate([g_hi, g_lo])
+    return extraction._signs(extraction._solve(m, b), m.__matmul__, b, v[:, None] / extraction._norm(v))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(**END_CASES)
+def test_end_signs_halves_agree_with_the_block_system(**case):
+    # The block system is orthogonally equivalent to blockdiag(Z^T, Z^T D):
+    # the same rank test and least-squares solution. Rounding can move a
+    # singular-value ratio across SINGULAR_PIVOT_TOL differently in the two
+    # forms, so Z whose ratio lies within 10x of it is skipped.
+    z, v, ends = end_case(**case)
+    sv = np.linalg.svd(z, compute_uv=False)
+    if len(sv) == z.shape[0] and SINGULAR_PIVOT_TOL / 10 * sv[0] <= sv[-1] <= SINGULAR_PIVOT_TOL * 10 * sv[0]:
+        return
+    outcomes = []
+    for solve in (_end_signs, block_end_signs):
+        try:
+            outcomes.append(solve(z, v, ends).tolist())
+        except SignRecoveryError:
+            outcomes.append("refused")
+    assert outcomes[0] == outcomes[1]
