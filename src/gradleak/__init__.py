@@ -19,11 +19,10 @@ from .errors import (
 from .extraction import (
     ExtractionConfig,
     learn_model,
-    recover_s,
     recover_z,
     select_parameters,
 )
-from .geometry import sign_query_points
+from .geometry import block_sign_matrix, recover_s, sign_query_points
 from .model import (
     RecoveredModel,
     TwoLayerNet,
@@ -37,7 +36,7 @@ from .model import (
     save_net,
     save_recovered,
 )
-from .numerics import block_sign_matrix, rank_with_tolerance, solve_linear_system
+from .numerics import rank_with_tolerance, solve_linear_system
 from .oracle import (
     FiniteDiffConfig,
     Oracle,

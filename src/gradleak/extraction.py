@@ -10,7 +10,7 @@ g(-v) and g(+v) the search holds at the line's ends: the recovered gradient
 Z^T (1[Zx > 0] s_top - 1[Zx < 0] s_bottom) equated with them gives 2d
 equations in 2h unknowns, of full column rank when Z has full row rank. Their
 half sum and half difference are two d x h systems in Z^T, solved by one SVD.
-recover_s, the paper's step from 2h value queries, is kept as its reference.
+The paper's step from 2h value queries, its reference, is geometry.recover_s.
 
 Every oracle mode runs one certified-isolation loop on the whole line. The
 hyperplanes pass through the origin, so the line's ends at t = -inf and +inf
@@ -56,9 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionFailure, GradleakError, SignRecoveryError, SingularMatrixError
-from .geometry import sign_query_points
 from .model import RecoveredModel
-from .numerics import SOLVE_RESIDUAL_TOL, as_matrix, block_sign_matrix, solve_linear_system
+from .numerics import as_matrix, solve_linear_system
 from .oracle import Oracle
 
 # Gradient-change threshold for the "same cell" test: far below the smallest
@@ -73,6 +72,9 @@ EULER_TOL = 1e-8
 BLUR_SIGMAS = 8.0
 # Rounded sign entries must be within this of the solved values.
 SIGN_ROUND_TOL = 0.1
+# A rounded sign vector s is rejected unless ||Ms - b||_inf <= SOLVE_RESIDUAL_TOL
+# * max(1, max_j ||x_j||) * (1 + ||b||_inf) for the points x_j of its system.
+SOLVE_RESIDUAL_TOL = 1e-8
 
 
 def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
@@ -303,20 +305,6 @@ def _signs(solved, apply, b, points) -> np.ndarray:
     if np.any((s[: len(s) // 2] != 0) == (s[len(s) // 2 :] != 0)):
         raise SignRecoveryError("sign pattern is invalid: s must have exactly one nonzero per row pair")
     return s
-
-
-def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
-    """The paper's sign step, the reference for learn_model's: s from 2h value queries.
-
-    Places h points X in one cell with ZX = diag(sigma)(I + J) (geometry;
-    GeometryError when Z is rank deficient) and solves the block sign system
-    of ZX against [f(x_1)..f(x_h), f(-x_1)..f(-x_h)].
-    """
-    zm = as_matrix(z)
-    x, _ = sign_query_points(zm, rng)
-    b = np.array([oracle.value(p) for p in (*x.T, *-x.T)], dtype=float)
-    m = block_sign_matrix(zm @ x)
-    return _signs(_solve(m, b), m.__matmul__, b, x)
 
 
 def _end_signs(z, v, ends) -> np.ndarray:

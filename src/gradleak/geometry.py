@@ -1,4 +1,4 @@
-"""Sign-recovery query points in closed form.
+"""The paper's sign step from 2h value queries, which learn_model never calls.
 
 For recovered weighted normals Z (h x d, full row rank) and a sign vector
 sigma, X = Z^T (Z Z^T)^-1 diag(sigma)(I + J) gives Z X = diag(sigma)(I + J),
@@ -15,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GeometryError
+from .extraction import _signs, _solve
 from .numerics import SINGULAR_PIVOT_TOL, as_matrix
+from .oracle import Oracle
 
 # Largest tolerated entry of |ZX - diag(sigma)(I + J)|; entries are at least 1.
 RESIDUAL_TOL = 0.5
@@ -45,3 +47,35 @@ def sign_query_points(z, rng) -> tuple[np.ndarray, np.ndarray]:
     if not residual <= RESIDUAL_TOL:  # also rejects an overflowed X (inf or NaN)
         raise GeometryError("query points miss their target pre-activations; Z is ill-conditioned")
     return x, sigma.astype(int)
+
+
+def block_sign_matrix(zx) -> np.ndarray:
+    """Assemble [[max(ZX,0)^T, max(-ZX,0)^T], [max(-ZX,0)^T, max(ZX,0)^T]].
+
+    ZX must be square with no zero entries (each query point must have a
+    nonzero pre-activation against every recovered row).
+    """
+    a = as_matrix(zx)
+    h = a.shape[0]
+    if a.shape[1] != h:
+        raise ValueError(f"ZX must be square, got {a.shape}")
+    if np.any(a == 0.0):
+        raise ValueError("ZX has a zero entry; query points must avoid all hyperplanes")
+    pos = np.maximum(a, 0.0).T
+    neg = np.maximum(-a, 0.0).T
+    top = np.hstack([pos, neg])
+    bot = np.hstack([neg, pos])
+    return np.vstack([top, bot])
+
+
+def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
+    """s from 2h value queries: the reference learn_model's sign step is checked against.
+
+    f at the points X of sign_query_points (GeometryError when Z is rank deficient) and
+    at -X gives the block sign system of ZX; extraction's _solve and _signs certify it.
+    """
+    zm = as_matrix(z)
+    x, _ = sign_query_points(zm, rng)
+    b = np.array([oracle.value(p) for p in (*x.T, *-x.T)], dtype=float)
+    m = block_sign_matrix(zm @ x)
+    return _signs(_solve(m, b), m.__matmul__, b, x)

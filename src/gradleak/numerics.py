@@ -1,8 +1,7 @@
 """Dense linear algebra with explicit tolerances.
 
-Solve, rank, and the sign-block assembly of the reference sign step. Matrices are
-plain float64 ndarrays (row-major). Solve and rank are one numpy.linalg (SVD)
-call each; their tolerances are relative to the largest singular value.
+Solve and rank of plain float64 ndarrays (row-major): one numpy.linalg (SVD)
+call each, with tolerances relative to the largest singular value.
 """
 
 from __future__ import annotations
@@ -11,9 +10,6 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-# A rounded sign vector s is rejected unless ||Ms - b||_inf <= SOLVE_RESIDUAL_TOL
-# * max(1, max_j ||x_j||) * (1 + ||b||_inf) for the query points x_j.
-SOLVE_RESIDUAL_TOL = 1e-8
 # A singular value below SINGULAR_PIVOT_TOL times the largest one aborts the
 # solve (and, in geometry, rejects Z as too ill-conditioned).
 SINGULAR_PIVOT_TOL = 1e-10
@@ -61,22 +57,3 @@ def rank_with_tolerance(m, tol: float = RANK_PIVOT_TOL) -> int:
         raise ValueError(f"tol must be positive, got {tol}")
     sv = np.linalg.svd(as_matrix(m), compute_uv=False)
     return int(np.count_nonzero(sv > tol * sv.max(initial=0.0)))
-
-
-def block_sign_matrix(zx) -> np.ndarray:
-    """Assemble [[max(ZX,0)^T, max(-ZX,0)^T], [max(-ZX,0)^T, max(ZX,0)^T]].
-
-    ZX must be square with no zero entries (each query point must have a
-    nonzero pre-activation against every recovered row).
-    """
-    a = as_matrix(zx)
-    h = a.shape[0]
-    if a.shape[1] != h:
-        raise ValueError(f"ZX must be square, got {a.shape}")
-    if np.any(a == 0.0):
-        raise ValueError("ZX has a zero entry; query points must avoid all hyperplanes")
-    pos = np.maximum(a, 0.0).T
-    neg = np.maximum(-a, 0.0).T
-    top = np.hstack([pos, neg])
-    bot = np.hstack([neg, pos])
-    return np.vstack([top, bot])

@@ -15,7 +15,6 @@ from gradleak import (
     RecoveredModel,
     SmoothGradConfig,
     TwoLayerNet,
-    eval_target,
     functional_equivalence,
     generate_random_net,
     learn_model,
@@ -572,77 +571,6 @@ class TestSharedBracketSearch:
                 with monkeypatch.context() as patch:
                     patch.setattr(Oracle, "gradient", copied_gradient)
                     assert outcome(d, h, assumed_h, trial) == shortcut, f"(d, h, trial) = ({d}, {h}, {trial})"
-
-
-class TestRecoverS:
-    def test_two_unit_signs(self):
-        net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, -1.0]))
-        oracle = Oracle(net)
-        z = np.array([[1.0, 0.0], [0.0, -1.0]])
-        s = recover_s(oracle, z, rng=np.random.default_rng(0))
-        assert s.tolist() == [1, 0, 0, -1]
-
-    def test_single_positive_unit(self):
-        net = TwoLayerNet(A=np.array([[1.0, 0.0]]), w=np.array([1.0]))
-        oracle = Oracle(net)
-        s = recover_s(oracle, np.array([[1.0, 0.0]]), rng=np.random.default_rng(1))
-        assert s.tolist() == [1, 0]
-
-    def test_uses_exactly_2h_value_queries(self):
-        net = generate_random_net(9, 4, seed=8)
-        oracle = Oracle(net)
-        z = net.w[:, None] * net.A
-        recover_s(oracle, z, rng=np.random.default_rng(2))
-        assert oracle.ledger.value_queries == 8
-        assert oracle.ledger.gradient_queries == 0
-
-    def test_sign_flips_match_reference(self):
-        rng = np.random.default_rng(3)
-        net = generate_random_net(10, 5, seed=9)
-        flips = rng.choice([-1.0, 1.0], size=5)
-        z = flips[:, None] * net.w[:, None] * net.A
-        oracle = Oracle(net)
-        s = recover_s(oracle, z, rng=rng)
-        from gradleak import RecoveredModel
-
-        model = RecoveredModel(Z=z, s=s)
-        pts = rng.standard_normal((2000, 10))[:50]
-        expected = [eval_target(net, x) for x in pts]
-        assert eval_recovered_batch(model, pts) == pytest.approx(expected, rel=1e-9, abs=1e-9)
-
-    @pytest.mark.parametrize(
-        "s, message",
-        [
-            ([0.0, -1.0, 3.0, 0.0], r"entry 2 = 3 rounds outside \{-1,0,1\}"),
-            ([0.0, 0.5, 1.0, 0.0], r"entry 1 = 0\.5 is not near an integer"),
-            ([1.0, 0.0, 1.0, 0.0], r"sign pattern is invalid: .*one nonzero per row pair"),
-        ],
-    )
-    def test_rejection_names_the_offending_entry(self, s, message):
-        from gradleak.errors import SignRecoveryError
-
-        z = np.array([[1.0, 0.0], [0.0, 1.0]])
-
-        class StubOracle:
-            # Values of sum_i s_i relu(z_i x) + s_{h+i} relu(-z_i x).
-            def value(self, x):
-                pre = z @ x
-                return float(np.maximum(pre, 0.0) @ s[:2] + np.maximum(-pre, 0.0) @ s[2:])
-
-        with pytest.raises(SignRecoveryError, match=message):
-            recover_s(StubOracle(), z, rng=np.random.default_rng(4))
-
-    def test_non_finite_values_are_rejected(self):
-        # An infinite value makes the solution NaN, which every comparison
-        # with a tolerance must reject rather than let through.
-        from gradleak.errors import SignRecoveryError
-
-        class InfOracle:
-            def value(self, x):
-                return math.inf
-
-        with pytest.raises(SignRecoveryError, match=r"entry 0 = nan is not near an integer"):
-            recover_s(InfOracle(), np.eye(2), rng=np.random.default_rng(4))
 
 
 def _digest_instance(d, h, trial):

@@ -1,16 +1,34 @@
-"""The package surface that the benchmark in perfbench/ reads and patches."""
+"""The package surface that the benchmark in perfbench/ reads and patches, and its layering."""
 
+import ast
 import importlib.util
 import re
 from pathlib import Path
 
 import gradleak
+import gradleak.extraction
+import gradleak.geometry
+import gradleak.numerics
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "gradleak"
 
-# The linear program and simplex were deleted with closed-form sign points;
-# perfbench still lists them, and their metrics read 0.
-DELETED_LP = {"gradleak.geometry.chebyshev_center", "gradleak.geometry.simplex_maximize"}
+# Names perfbench patches that no longer resolve. The linear program and
+# simplex were deleted with closed-form sign points. recover_s and
+# sign_query_points moved to gradleak.geometry; their spans
+# (extraction.sign_ms, geometry.sign_points_ms) already read 0 on every
+# workload, since learn_model stopped calling them when the signs began to
+# come from the search line's end gradients. Only a change to the benchmark
+# may drop these patches.
+ABSENT = {
+    "gradleak.geometry.chebyshev_center",
+    "gradleak.geometry.simplex_maximize",
+    "gradleak.extraction.recover_s",
+    "gradleak.extraction.sign_query_points",
+}
+
+# The attack path, which must not import the paper's reference sign step.
+ATTACK_PATH = ("extraction", "oracle", "model", "numerics")
 
 
 def test_every_name_perfbench_uses_resolves():
@@ -18,7 +36,29 @@ def test_every_name_perfbench_uses_resolves():
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     # A patched name that no longer resolves makes a per-layer metric read 0.
-    assert set(layers.Tracer().absent) <= DELETED_LP
+    assert set(layers.Tracer().absent) == ABSENT
     names = set(re.findall(r"\bgl\.([A-Za-z_]\w*)", (PERFBENCH / "run.py").read_text()))
     assert names
     assert sorted(n for n in names if not hasattr(gradleak, n)) == []
+
+
+def _imported_modules(path):
+    """The dotted name of everything the file's import statements import, relative ones with their dots."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{'.' * node.level}{node.module or ''}.{alias.name}" for alias in node.names)
+
+
+def test_reference_sign_step_lives_in_geometry_alone():
+    for name in ATTACK_PATH:
+        imported = list(_imported_modules(SRC / f"{name}.py"))
+        assert imported, name
+        assert not [m for m in imported if "geometry" in m.split(".")], name
+    assert not hasattr(gradleak.extraction, "recover_s")
+    assert not hasattr(gradleak.extraction, "sign_query_points")
+    assert not hasattr(gradleak.numerics, "block_sign_matrix")
+    assert not hasattr(gradleak.numerics, "SOLVE_RESIDUAL_TOL")
+    for name in ("recover_s", "block_sign_matrix", "sign_query_points"):
+        assert getattr(gradleak, name) is getattr(gradleak.geometry, name)
