@@ -12,18 +12,20 @@ equations in 2h unknowns, of full column rank when Z has full row rank. Their
 half sum and half difference are two d x h systems in Z^T, solved by one SVD.
 The paper's step from 2h value queries, its reference, is geometry.recover_s.
 
-Every oracle mode runs one certified-isolation loop on the whole line. The
-hyperplanes pass through the origin, so the line's ends at t = -inf and +inf
-lie in the cells of -v and +v, and those two queries bound the search. A
+Every oracle mode runs one certified-isolation loop on the whole line, in
+angles: f is positively homogeneous, so the ray through x(theta) = cos theta
+u + sin theta v lies in the cell of u + tan theta v, and the line is the
+half-circle theta in [-pi/2, pi/2], where D vanishes at theta* = atan2(-<D,
+u>, <D, v>) with <D, v> >= 0. Its ends -+pi/2 lie in the tail cells of -v
+and +v (cos(pi/2) = 6e-17 > 0), and those two queries bound the search. A
 heap holds the kinked brackets (ends in different cells): first those whose
-t* lies outside them, which proves two crossings at no query's cost, then
-the fewest splits deep, then the lowest a. Such a bracket is split at its
-Cauchy median tan((atan a + atan b) / 2), with atan(+-inf) = +-pi/2: each
-crossing -<A_i, u> / <A_i, v> of a Gaussian line is standard Cauchy, so the
-median halves the chance that the bracket holds one. Any other bracket is
-probed at t* - tau against a's cell, then at t* + tau against b's (tau =
+theta* lies outside them, which proves two crossings at no query's cost,
+then the fewest splits deep, then the lowest a. Such a bracket is split at
+its midpoint: each crossing angle of a Gaussian line is uniform, so that
+halves the chance that the bracket holds one. Any other bracket is probed at
+theta* - tau against a's cell, then at theta* + tau against b's (tau =
 epsilon, wider in smoothgrad): both pass and it is certified, or the failed
-probe is its next split point (the median if that probe lies outside it).
+probe is its next split point (the midpoint if that probe lies outside it).
 A line is refused, and retried on a fresh one, when certified plus open
 brackets exceed h, when the heap empties with fewer than h certified, or
 when a bracket narrower than epsilon (or with no split point inside it)
@@ -33,18 +35,18 @@ The modes differ only in their one request and the one cell test, _same.
 Exact gradients (grad, and smoothgrad at sigma = 0) are one read-only array
 per cell, returned by every query in it, so the same object means the same
 cell; otherwise the difference norm must not exceed GRAD_CHANGE_TOL. At
-sigma > 0, tau = max(eps, 8 sigma |D| / |<D, v>|) puts both probes 8 sigma
-from the hyperplane, beyond the blur. Membership requests one
-finite-difference gradient (d+1 value queries) at the unit-rescaled point
-p = x / |x| (gradients are scale-invariant). f is positively homogeneous,
-so a gradient g is valid at p when Euler's identity f(p) = <g, p> holds; a
-step that straddles a hyperplane breaks it, and a point whose gradient is
-invalid is in the cell of a valid g that fits it. Each split point's cell is
-decided once, against both bracket ends: in exactly one end's cell it takes
-that end's gradient, so the part it shares with the other end keeps its
-parent's row and t* bit for bit. An invalid one in neither cell, or both,
-grazes a hyperplane and the line is refused, as is a line whose request at
--v or +v is invalid.
+sigma > 0, tau = max(eps, 8 sigma |D| / hypot(<D, u>, <D, v>)) puts both
+probes 8 sigma from the hyperplane, beyond the blur (the hypot is |d/dtheta
+<D, x(theta)>| at theta*). Membership requests one finite-difference
+gradient (d+1 value queries) at the unit-rescaled point p = x / |x|
+(gradients are scale-invariant). By homogeneity a gradient g is valid at p
+when Euler's identity f(p) = <g, p> holds; a step that straddles a
+hyperplane breaks it, and a point whose gradient is invalid is in the cell
+of a valid g that fits it. Each split point's cell is decided once, against
+both bracket ends: in exactly one end's cell it takes that end's gradient,
+so the part it shares with the other end keeps its parent's row and theta*
+bit for bit. An invalid one in neither cell, or both, grazes a hyperplane
+and the line is refused, as is a line whose request at an end is invalid.
 """
 
 from __future__ import annotations
@@ -83,9 +85,11 @@ def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
     The paper splits the budget evenly between two failure events: crossings
     closer than epsilon (anti-concentration term 3^(4/3) (eps/c)^(2/3) h^2
     <= delta/2) and crossings outside [-l, l] (Cauchy tail term 2h/(pi l)
-    <= delta/2, with l at least h^2). The search covers the whole line and
-    splits it unclamped, so it uses epsilon only; l is returned because
-    acceptance criterion 2 bounds a run's queries by 3h log2(2l/eps) + 2h.
+    <= delta/2, with l at least h^2). The search splits the crossing angles
+    atan t, with no tail, and reads epsilon in radians: two angles lie that
+    close with probability at most 2 eps / sqrt(pi c), and h^2 eps /
+    sqrt(pi c) <= delta/2 here. l is returned because acceptance criterion 2
+    bounds a run's queries by 3h log2(2l/eps) + 2h.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -100,7 +104,7 @@ def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
 
 @dataclass
 class ExtractionConfig:
-    """Attacker-side parameters. epsilon, the search resolution, defaults to select_parameters."""
+    """Attacker-side parameters. epsilon, the search resolution in radians, defaults to select_parameters."""
 
     h: int
     delta: float = 0.1
@@ -131,7 +135,7 @@ class ZRecovery:
     v: np.ndarray
     crossings: list[float]
     retries: int
-    ends: tuple[np.ndarray, np.ndarray]  # the gradients g(-v) and g(+v)
+    ends: tuple[np.ndarray, np.ndarray]  # the gradients g(-v) and g(+v) of the line's tail cells
 
 
 @dataclass
@@ -158,18 +162,6 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(x @ x))
 
 
-def _mid(a: float, b: float) -> float:
-    """Cauchy median of (a, b): tan((atan a + atan b) / 2), which halves its arctan width.
-
-    atan(+-inf) = +-pi/2, so it takes the line's ends as they are. A tan of
-    the mean angle resolves t only to ~1e-16 (1 + t^2): a bracket of width
-    2 epsilon at the default budget for h = 48 is split strictly inside for
-    |t| <= 700. Beyond that it is not, and its line is refused honestly
-    ("fewer than h crossings are separated at resolution epsilon").
-    """
-    return math.tan(0.5 * (math.atan(a) + math.atan(b)))
-
-
 def _fits(g, p, f) -> bool:
     """Euler's identity f(p) = <g, p>: p lies in the cell whose gradient is g."""
     return abs(float(g @ p) - f) <= EULER_TOL * (1.0 + abs(f) + _norm(g))
@@ -189,56 +181,61 @@ def _same(p, q) -> bool:
 def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     """Certified-isolation search for h crossings on the line u + t v, in one heap loop.
 
+    Brackets carry angles theta of the half-circle cos theta u + sin theta v.
     Each split point's cell is decided once; in one end's cell it takes that
     end's gradient. Returns the rows g_b - g_a of the h certified brackets and
-    their crossings t*, in crossing order, and the end gradients (g(-v),
-    g(+v)); raises ExtractionFailure when the line is refused.
+    their crossings t*, in crossing order, and the gradients (g(-v), g(+v))
+    of the line's tail cells; raises ExtractionFailure when the line is refused.
     """
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    uv = np.vstack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)])
 
-    def point(t, x):
-        # One request: (t, g) in grad and smoothgrad; in membership one
-        # finite-difference gradient at p = x / |x|, (t, g or None, p, f(p)).
+    def point(theta):
+        # One request at x(theta): (theta, g) in grad and smoothgrad; in
+        # membership one finite-difference gradient at p = x / |x|,
+        # (theta, g or None, p, f(p)).
+        x = np.array((math.cos(theta), math.sin(theta))) @ uv
         if oracle.mode != "membership":
-            return t, oracle.gradient(x)
+            return theta, oracle.gradient(x)
         p = x / _norm(x)
         g, f = oracle.gradient_with_value(p, eta=REFINE_ETA)
-        return t, (g if _fits(g, p, f) else None), p, f
+        return theta, (g if _fits(g, p, f) else None), p, f
 
-    lo, hi = point(-math.inf, -v), point(math.inf, v)
+    # cos(+-pi/2) = 6e-17 > 0: the ends lie in the tail cells of -v and +v.
+    lo, hi = point(-math.pi / 2), point(math.pi / 2)
     if lo[1] is None or hi[1] is None:
         raise ExtractionFailure("no Euler-valid gradient at an end of the line")
     brackets = []
 
     def push(a, b, depth):  # depth: the number of splits above it
         row = b[1] - a[1]
-        along = float(row @ v)
-        t_star = -float(row @ u) / along if along else math.nan
-        # Outside first (t* outside proves two crossings), then the fewest
-        # splits deep, then the lowest a (keys are unique by a).
-        heapq.heappush(brackets, ((a[0] <= t_star <= b[0], depth, a[0]), a, b, row, along, t_star))
+        across, along = (uv @ row).tolist()  # <D, u>, <D, v>; theta* has cos >= 0
+        theta = math.atan2(-across, along) if along >= 0 else math.atan2(across, -along)
+        # Outside first (theta* outside proves two crossings), then the
+        # fewest splits deep, then the lowest a (keys are unique by a).
+        heapq.heappush(brackets, ((a[0] <= theta <= b[0], depth, a[0]), a, b, row, across, along, theta))
 
     if not _same(lo, hi):
         push(lo, hi, 0)
     sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
     certified = []
     while brackets:
-        (inside, depth, _), a, b, row, along, t_star = heapq.heappop(brackets)
+        (inside, depth, _), a, b, row, across, along, theta = heapq.heappop(brackets)
         m = None
         if inside:
-            tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / abs(along)) if sigma else cfg.epsilon
-            m = point(t_star - tau, u + (t_star - tau) * v)
+            tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / math.hypot(across, along)) if sigma else cfg.epsilon
+            m = point(theta - tau)
             if _same(a, m):
-                m = point(t_star + tau, u + (t_star + tau) * v)
+                m = point(theta + tau)
                 if _same(m, b):
-                    certified.append((a[0], row, t_star))
+                    # A row parallel to v crosses at an end: report tan(+-pi/2).
+                    certified.append((a[0], row, -across / along if along else math.tan(theta)))
                     continue
-        # A failed probe inside the bracket is its next split point, else the median.
-        t = m[0] if m is not None and a[0] < m[0] < b[0] else _mid(a[0], b[0])
-        if b[0] - a[0] < cfg.epsilon or not a[0] < t < b[0]:
+        # A failed probe inside the bracket is its next split point, else the midpoint.
+        split = m[0] if m is not None and a[0] < m[0] < b[0] else 0.5 * (a[0] + b[0])
+        if b[0] - a[0] < cfg.epsilon or not a[0] < split < b[0]:
             raise ExtractionFailure("fewer than h crossings are separated at resolution epsilon")
-        if m is None or m[0] != t:
-            m = point(t, u + t * v)
+        if m is None or m[0] != split:
+            m = point(split)
         in_a, in_b = _same(a, m), _same(m, b)
         if in_a != in_b:
             # In one end's cell it takes that end's gradient, valid or not.

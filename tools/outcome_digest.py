@@ -46,6 +46,8 @@ import numpy as np
 FAMILIES = (
     ("grad-16x16", "grad", 16, 16, 16, 1e-9, 300),
     ("grad-128x8", "grad", 128, 8, 8, 1e-9, 40),
+    ("grad-256x128", "grad", 256, 128, 128, 1e-9, 20),
+    ("grad-512x256", "grad", 512, 256, 256, 1e-9, 10),
     ("membership-20x8", "membership", 20, 8, 8, 1e-9, 50),
     ("membership-16x16", "membership", 16, 16, 16, 1e-9, 50),
     ("smoothgrad-12x4", "smoothgrad", 12, 4, 4, 1e-9, 100),
