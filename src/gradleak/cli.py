@@ -139,6 +139,7 @@ def _failure_report(err: GradleakError, oracle: Oracle) -> dict:
         "retries": err.retries,
         "gradient_queries": oracle.ledger.gradient_queries,
         "value_queries": oracle.ledger.value_queries,
+        "rounds": oracle.ledger.rounds,
         "crossings": list(err.crossings),
     }
 

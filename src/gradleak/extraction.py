@@ -17,19 +17,23 @@ angles: f is positively homogeneous, so the ray through x(theta) = cos theta
 u + sin theta v lies in the cell of u + tan theta v, and the line is the
 half-circle theta in [-pi/2, pi/2], where D vanishes at theta* = atan2(-<D,
 u>, <D, v>) with <D, v> >= 0. Its ends -+pi/2 lie in the tail cells of -v
-and +v (cos(pi/2) = 6e-17 > 0), and those two queries bound the search. A
-heap holds the kinked brackets (ends in different cells): first those whose
-theta* lies outside them, which proves two crossings at no query's cost,
-then the fewest splits deep, then the lowest a. Such a bracket is split at
-its midpoint: each crossing angle of a Gaussian line is uniform, so that
-halves the chance that the bracket holds one. Any other bracket is probed at
-theta* - tau against a's cell, then at theta* + tau against b's (tau =
-epsilon, wider in smoothgrad): both pass and it is certified, or the failed
-probe is its next split point (the midpoint if that probe lies outside it).
-A line is refused, and retried on a fresh one, when certified plus open
-brackets exceed h, when the heap empties with fewer than h certified, or
-when a bracket narrower than epsilon (or with no split point inside it)
-would have to be split. Each row is g_b - g_a and each crossing its t*.
+and +v (cos(pi/2) = 6e-17 > 0), and those two queries, the first round,
+bound the search. The loop runs in rounds: each round sends one request for
+every open kinked bracket (ends in different cells), all in one batch. A
+bracket whose theta* lies outside it, which proves two crossings at no
+query's cost, requests its midpoint: each crossing angle of a Gaussian line
+is uniform, so that halves the chance that the bracket holds one. Any other
+requests theta* - tau, checked against a's cell, and after that passes
+theta* + tau, checked against b's (tau = epsilon, wider in smoothgrad): both
+pass and it is certified, or the failed probe is its split point (the
+midpoint, requested next round, if that probe lies outside it). A bracket's
+fate depends only on its own ends, so on a line that succeeds neither the
+requests nor the rows depend on the order of a round. A line is refused, and
+retried on a fresh one, when certified plus open brackets (those of the
+next round and those of this round still to be served) exceed h, when none
+is open with fewer than h certified, or when a bracket narrower than epsilon
+(or with no split point inside it) would have to be split. Each row is g_b -
+g_a and each crossing its t*.
 
 The modes differ only in their one request and the one cell test, _same.
 Exact gradients (grad, and smoothgrad at sigma = 0) are one read-only array
@@ -37,11 +41,13 @@ per cell, returned by every query in it, so the same object means the same
 cell; otherwise the difference norm must not exceed GRAD_CHANGE_TOL. At
 sigma > 0, tau = max(eps, 8 sigma |D| / hypot(<D, u>, <D, v>)) puts both
 probes 8 sigma from the hyperplane, beyond the blur (the hypot is |d/dtheta
-<D, x(theta)>| at theta*). Membership requests one finite-difference
-gradient (d+1 value queries) at the unit-rescaled point p = x / |x|
-(gradients are scale-invariant). By homogeneity a gradient g is valid at p
-when Euler's identity f(p) = <g, p> holds; a step that straddles a
-hyperplane breaks it, and a point whose gradient is invalid is in the cell
+<D, x(theta)>| at theta*); a line is refused when that 8 sigma margin
+reaches pi/2, where the whole half-circle lies within the blur and a probe
+near theta* + pi would lie on the hyperplane again. Membership requests one
+finite-difference gradient (d+1 value queries) at the unit-rescaled point p
+= x / |x| (gradients are scale-invariant). By homogeneity a gradient g is
+valid at p when Euler's identity f(p) = <g, p> holds; a step that straddles
+a hyperplane breaks it, and a point whose gradient is invalid is in the cell
 of a valid g that fits it. Each split point's cell is decided once, against
 both bracket ends: in exactly one end's cell it takes that end's gradient,
 so the part it shares with the other end keeps its parent's row and theta*
@@ -51,7 +57,6 @@ and the line is refused, as is a line whose request at an end is invalid.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -77,6 +82,8 @@ SIGN_ROUND_TOL = 0.1
 # A rounded sign vector s is rejected unless ||Ms - b||_inf <= SOLVE_RESIDUAL_TOL
 # * max(1, max_j ||x_j||) * (1 + ||b||_inf) for the points x_j of its system.
 SOLVE_RESIDUAL_TOL = 1e-8
+# Right multiplier of the end system's columns (g+, g-): their half sum and half difference.
+_HALVES = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 
 def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
@@ -145,6 +152,7 @@ class ExtractionReport:
     model: RecoveredModel
     gradient_queries: int
     value_queries: int
+    rounds: int  # oracle requests, over every line searched
     retries: int
     crossings: list[float]
 
@@ -154,6 +162,7 @@ class ExtractionReport:
             "retries": self.retries,
             "gradient_queries": self.gradient_queries,
             "value_queries": self.value_queries,
+            "rounds": self.rounds,
             "crossings": list(self.crossings),
         }
 
@@ -179,63 +188,62 @@ def _same(p, q) -> bool:
 
 
 def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
-    """Certified-isolation search for h crossings on the line u + t v, in one heap loop.
+    """Certified-isolation search for h crossings on the line u + t v, in rounds.
 
     Brackets carry angles theta of the half-circle cos theta u + sin theta v.
-    Each split point's cell is decided once; in one end's cell it takes that
-    end's gradient. Returns the rows g_b - g_a of the h certified brackets and
-    their crossings t*, in crossing order, and the gradients (g(-v), g(+v))
-    of the line's tail cells; raises ExtractionFailure when the line is refused.
+    Each round sends one request for every open bracket. Each split point's
+    cell is decided once; in one end's cell it takes that end's gradient.
+    Returns the rows g_b - g_a of the h certified brackets and their
+    crossings t*, in crossing order, and the gradients (g(-v), g(+v)) of the
+    line's tail cells; raises ExtractionFailure when the line is refused.
     """
     uv = np.vstack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)])
+    sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
+    membership = oracle.mode == "membership"
 
-    def point(theta):
-        # One request at x(theta): (theta, g) in grad and smoothgrad; in
-        # membership one finite-difference gradient at p = x / |x|,
-        # (theta, g or None, p, f(p)).
-        x = np.array((math.cos(theta), math.sin(theta))) @ uv
-        if oracle.mode != "membership":
-            return theta, oracle.gradient(x)
-        p = x / _norm(x)
-        g, f = oracle.gradient_with_value(p, eta=REFINE_ETA)
-        return theta, (g if _fits(g, p, f) else None), p, f
+    def request(thetas):
+        # One round at the points x(theta): a gradient each in grad and
+        # smoothgrad; in membership one finite-difference gradient at p = x /
+        # |x| each, as (g or None, p, f(p)).
+        xs = np.array([(math.cos(t), math.sin(t)) for t in thetas]) @ uv
+        if not membership:
+            return oracle.gradients(xs)
+        ps = xs / np.linalg.norm(xs, axis=1, keepdims=True)
+        grads, values = oracle.gradients_with_values(ps, eta=REFINE_ETA)
+        return [(g if _fits(g, p, f) else None, p, f) for g, p, f in zip(grads, ps, values.tolist())]
 
-    # cos(+-pi/2) = 6e-17 > 0: the ends lie in the tail cells of -v and +v.
-    lo, hi = point(-math.pi / 2), point(math.pi / 2)
-    if lo[1] is None or hi[1] is None:
-        raise ExtractionFailure("no Euler-valid gradient at an end of the line")
-    brackets = []
+    def point(theta, reply):  # (theta, g), or (theta, g or None, p, f(p)) in membership
+        return (theta, *reply) if membership else (theta, reply)
 
-    def push(a, b, depth):  # depth: the number of splits above it
+    # Each open bracket is (the angle it requests next, what that request is, a, b,
+    # its row D = g_b - g_a with <D, u>, <D, v>, theta* and tau).
+    SPLIT, LOW, HIGH = range(3)
+
+    def bracket(a, b, out):
+        """Append the kinked bracket (a, b) with its first request: a probe at theta* - tau, or its split."""
         row = b[1] - a[1]
         across, along = (uv @ row).tolist()  # <D, u>, <D, v>; theta* has cos >= 0
         theta = math.atan2(-across, along) if along >= 0 else math.atan2(across, -along)
-        # Outside first (theta* outside proves two crossings), then the
-        # fewest splits deep, then the lowest a (keys are unique by a).
-        heapq.heappush(brackets, ((a[0] <= theta <= b[0], depth, a[0]), a, b, row, across, along, theta))
+        if not a[0] <= theta <= b[0]:
+            # theta* outside proves two crossings: split before any probe.
+            divide(a, b, None, out)
+            return
+        tau = cfg.epsilon
+        if sigma:
+            blur = BLUR_SIGMAS * sigma * _norm(row) / math.hypot(across, along)
+            if blur >= math.pi / 2:
+                raise ExtractionFailure("the blur around a crossing covers the half-circle (tau >= pi/2)")
+            tau = max(tau, blur)
+        out.append((theta - tau, LOW, a, b, (row, across, along, theta, tau)))
 
-    if not _same(lo, hi):
-        push(lo, hi, 0)
-    sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
-    certified = []
-    while brackets:
-        (inside, depth, _), a, b, row, across, along, theta = heapq.heappop(brackets)
-        m = None
-        if inside:
-            tau = max(cfg.epsilon, BLUR_SIGMAS * sigma * _norm(row) / math.hypot(across, along)) if sigma else cfg.epsilon
-            m = point(theta - tau)
-            if _same(a, m):
-                m = point(theta + tau)
-                if _same(m, b):
-                    # A row parallel to v crosses at an end: report tan(+-pi/2).
-                    certified.append((a[0], row, -across / along if along else math.tan(theta)))
-                    continue
-        # A failed probe inside the bracket is its next split point, else the midpoint.
+    def divide(a, b, m, out):
+        """Split (a, b) at the failed probe m if it lies inside, else at the midpoint, next round."""
         split = m[0] if m is not None and a[0] < m[0] < b[0] else 0.5 * (a[0] + b[0])
         if b[0] - a[0] < cfg.epsilon or not a[0] < split < b[0]:
             raise ExtractionFailure("fewer than h crossings are separated at resolution epsilon")
         if m is None or m[0] != split:
-            m = point(split)
+            out.append((split, SPLIT, a, b, None))
+            return
         in_a, in_b = _same(a, m), _same(m, b)
         if in_a != in_b:
             # In one end's cell it takes that end's gradient, valid or not.
@@ -244,11 +252,37 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
             # An invalid point that fits neither end, or both, grazes a hyperplane.
             raise ExtractionFailure("no Euler-valid split point in a bracket")
         if not in_a:
-            push(a, m, depth + 1)
+            bracket(a, m, out)
         if not in_b:
-            push(m, b, depth + 1)
-        if len(certified) + len(brackets) > cfg.h:
-            raise ExtractionFailure("more than h crossings lie on the line")
+            bracket(m, b, out)
+
+    # cos(+-pi/2) = 6e-17 > 0: the ends lie in the tail cells of -v and +v.
+    ends = request((-math.pi / 2, math.pi / 2))
+    lo, hi = point(-math.pi / 2, ends[0]), point(math.pi / 2, ends[1])
+    if lo[1] is None or hi[1] is None:
+        raise ExtractionFailure("no Euler-valid gradient at an end of the line")
+    certified, brackets = [], []
+    if not _same(lo, hi):
+        bracket(lo, hi, brackets)
+    while brackets:
+        opened, replies = [], request([entry[0] for entry in brackets])  # opened: those open after this round
+        for i, ((theta_m, kind, a, b, probe), reply) in enumerate(zip(brackets, replies)):
+            m = point(theta_m, reply)
+            if kind == SPLIT:
+                divide(a, b, m, opened)
+            elif kind == LOW and _same(a, m):
+                theta, tau = probe[3:]
+                opened.append((theta + tau, HIGH, a, b, probe))
+            elif kind == HIGH and _same(m, b):
+                row, across, along, theta, _ = probe
+                # A row parallel to v crosses at an end: report tan(+-pi/2).
+                certified.append((a[0], row, -across / along if along else math.tan(theta)))
+            else:
+                # A failed probe is the split point, or the midpoint next round if it lies outside.
+                divide(a, b, m, opened)
+            if len(certified) + len(opened) + len(brackets) - 1 - i > cfg.h:
+                raise ExtractionFailure("more than h crossings lie on the line")
+        brackets = opened
     if len(certified) < cfg.h:
         raise ExtractionFailure("fewer than h crossings lie on the line")
     certified.sort(key=lambda c: c[0])
@@ -282,21 +316,25 @@ def _solve(m, b) -> np.ndarray:
         raise SignRecoveryError(f"sign system is singular: {err}") from err
 
 
-def _signs(solved, apply, b, points) -> np.ndarray:
+def _signs(solved, apply, b, scale) -> np.ndarray:
     """Round the solution of M s = b into {-1,0,1}^(2h) and certify it; apply(s) is M s.
 
-    A failed check (rounding, alphabet, residual scaled by the points' norms,
-    one nonzero per row pair) means the recovered normals were wrong.
+    A failed check (rounding, alphabet, residual scaled by scale = max(1,
+    max_j ||x_j||) over the points x_j of the system, one nonzero per row
+    pair) means the recovered normals were wrong.
     """
     rounded = np.rint(solved)
-    for i, (value, near) in enumerate(zip(solved.tolist(), rounded.tolist())):
-        if not abs(value - near) <= SIGN_ROUND_TOL:  # NaN from non-finite values fails too
-            raise SignRecoveryError(f"sign solution entry {i} = {value:.6g} is not near an integer")
-        if abs(near) > 1:
-            raise SignRecoveryError(f"sign solution entry {i} = {value:.6g} rounds outside {{-1,0,1}}")
+    with np.errstate(invalid="ignore"):  # NaN and inf entries fail the rounding test
+        near = np.abs(solved - rounded) <= SIGN_ROUND_TOL
+    bad = ~near | (np.abs(rounded) > 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not near[i]:
+            raise SignRecoveryError(f"sign solution entry {i} = {solved[i]:.6g} is not near an integer")
+        raise SignRecoveryError(f"sign solution entry {i} = {solved[i]:.6g} rounds outside {{-1,0,1}}")
     s = rounded.astype(int)
     # A row error dZ moves b_j by up to h |dZ| |x_j|: the bound scales with the points.
-    residual, scale = np.max(np.abs(apply(s) - b)), max(1.0, np.max(np.linalg.norm(points, axis=0)))
+    residual = np.max(np.abs(apply(s) - b))
     if residual > SOLVE_RESIDUAL_TOL * scale * (1.0 + np.max(np.abs(b))):
         raise SignRecoveryError(f"rounded sign vector leaves residual {residual:.3e}")
     if np.any((s[: len(s) // 2] != 0) == (s[len(s) // 2 :] != 0)):
@@ -316,7 +354,7 @@ def _end_signs(z, v, ends) -> np.ndarray:
     zm, (g_lo, g_hi) = as_matrix(z), ends
     zt, up, b = zm.T, zm @ v > 0, np.column_stack([g_hi, g_lo])
     # Halved sums cannot overflow; they give half of s_top - s_bottom and of D (s_top + s_bottom).
-    minus, plus = _solve(zt, b @ ((0.5, 0.5), (0.5, -0.5))).T
+    minus, plus = _solve(zt, b @ _HALVES).T
     plus = np.where(up, plus, -plus)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail the rounding check
         solved = np.concatenate([plus + minus, plus - minus])
@@ -325,8 +363,8 @@ def _end_signs(z, v, ends) -> np.ndarray:
         top, bottom = s.reshape(2, -1)
         return zt @ np.column_stack([np.where(up, top, -bottom), np.where(up, -bottom, top)])
 
-    # A gradient does not grow with its point, so the points are +-v / |v|.
-    return _signs(solved, apply, b, v[:, None] / _norm(v))
+    # A gradient does not grow with its point, so the points are the unit +-v / |v|.
+    return _signs(solved, apply, b, 1.0)
 
 
 def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
@@ -339,7 +377,7 @@ def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
     """
     zres = None
     try:
-        zres = recover_z(oracle, cfg, rng=np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0]))
+        zres = recover_z(oracle, cfg, rng=np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,))))
         s = _end_signs(zres.Z, zres.v, zres.ends)
     except GradleakError as err:
         err.phase = "search" if zres is None else "sign"
@@ -350,6 +388,7 @@ def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
         model=RecoveredModel(Z=zres.Z, s=s),
         gradient_queries=oracle.ledger.gradient_queries,
         value_queries=oracle.ledger.value_queries,
+        rounds=oracle.ledger.rounds,
         retries=zres.retries,
         crossings=list(zres.crossings),
     )

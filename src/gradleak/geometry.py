@@ -78,4 +78,7 @@ def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
     x, _ = sign_query_points(zm, rng)
     b = np.array([oracle.value(p) for p in (*x.T, *-x.T)], dtype=float)
     m = block_sign_matrix(zm @ x)
-    return _signs(_solve(m, b), m.__matmul__, b, x)
+    solved = _solve(m, b)
+    with np.errstate(over="ignore"):  # points too long to square give an infinite scale
+        scale = max(1.0, np.max(np.linalg.norm(x, axis=0)))
+    return _signs(solved, m.__matmul__, b, scale)

@@ -3,7 +3,8 @@
 Every interaction with the hidden network goes through here and is metered by
 a QueryLedger: scalar value queries, exact gradient queries, noise-averaged
 (SmoothGrad-style) gradient queries, and finite-difference gradient estimates
-built from value queries. Exact gradients are built once per activation
+built from value queries. A request may carry many points; the ledger counts
+each request as one round. Exact gradients are built once per activation
 pattern and shared read-only; every query is still metered.
 """
 
@@ -23,16 +24,21 @@ DEFAULT_FD_ETA = 1e-6
 
 @dataclass
 class QueryLedger:
-    """Monotone counters of oracle calls; the attack's central cost metric."""
+    """Monotone counters of oracle calls: the queries, the attack's central
+    cost metric, and the rounds, the requests that carried them. Each add_*
+    call is one round, however many queries it carries."""
 
     value_queries: int = 0
     gradient_queries: int = 0
+    rounds: int = 0
 
     def add_values(self, n: int = 1) -> None:
         self.value_queries += n
+        self.rounds += 1
 
     def add_gradients(self, n: int = 1) -> None:
         self.gradient_queries += n
+        self.rounds += 1
 
 
 @dataclass
@@ -72,6 +78,9 @@ class Oracle:
     membership  gradient(x) is a finite-difference estimate from one
                 evaluation of d+1 points, d+1 value queries.
 
+    gradients(X) answers the k rows of X in one request: one round, metered
+    as k such queries. gradient(x) is that request at one point.
+
     An exact gradient (grad, or smoothgrad at sigma=0) depends only on the
     activation pattern of x, so it is built once per pattern and the same
     read-only array is returned for every later query in that cell; each call
@@ -103,49 +112,74 @@ class Oracle:
         return out
 
     def gradient(self, x, eta: float = DEFAULT_FD_ETA) -> np.ndarray:
-        """One gradient request; eta is the finite-difference step in membership mode.
-
-        A smoothed gradient averages n_samples exact gradients at Gaussian
-        perturbations of x drawn from this oracle's generator, and counts as a
-        single gradient query: the threat model meters API calls, not the
-        server-side work behind one explanation. The perturbations are one
-        (n_samples, d) block; their mean activation pattern, times w, makes one
-        product with A. With sigma=0 the perturbations vanish and the exact
-        gradient is returned (bitwise, not a rounded mean), shared read-only
-        with every other query in its cell.
-        """
-        if self.mode == "membership":
-            return self.gradient_with_value(x, eta)[0]
-        v = _as_vector(x, self.d)
-        if self._exact:
-            # One product A x gives the pattern and, on a miss, the gradient
-            # exactly as grad_target builds it.
-            active = self.net.A @ v >= 0.0
-            key = active.tobytes()
-            out = self._cell_grads.get(key)
-            if out is None:
-                out = (self.net.w * active) @ self.net.A
-                out.setflags(write=False)
-                self._cell_grads[key] = out
-        else:
-            pts = v + self._sg_rng.normal(0.0, self.sg.sigma, size=(self.sg.n_samples, self.d))
-            out = (self.net.w * np.mean(pts @ self.net.A.T >= 0.0, axis=0)) @ self.net.A
-        self.ledger.add_gradients(1)
-        return out
+        """One gradient request: gradients at the single point x."""
+        return self.gradients(_as_vector(x, self.d)[None], eta)[0]
 
     def gradient_with_value(self, x, eta: float = DEFAULT_FD_ETA) -> tuple[np.ndarray, float]:
-        """Gradient plus the base value f(x).
+        """Gradient plus the base value f(x): gradients_with_values at the single point x."""
+        grads, values = self.gradients_with_values(_as_vector(x, self.d)[None], eta)
+        return grads[0], float(values[0])
 
-        In membership mode both come from one finite-difference request, one
-        evaluation of f at the d+1 rows of [x; x + eta I]: component j is
-        (f(x + eta e_j) - f(x)) / eta, and the base evaluation is shared across
-        all coordinates, so the cost is exactly d+1 value queries. In the exact
-        modes the value is a separate value query.
+    def gradients(self, X, eta: float = DEFAULT_FD_ETA) -> list[np.ndarray]:
+        """One request for the gradients at the k rows of X, in row order.
+
+        Metered as k gradient queries, or k(d+1) value queries in membership,
+        where eta is the finite-difference step. Exact gradients come from
+        one product X A^T: row i is the read-only array of its cell, the same
+        object gradient(X[i]) returns. A smoothed gradient averages n_samples
+        exact gradients at Gaussian perturbations of its point, one (n_samples,
+        d) block drawn per row from this oracle's generator, and counts as a
+        single gradient query: the threat model meters API calls, not the
+        server-side work behind one explanation. Its mean activation pattern,
+        times w, makes one product with A; with sigma=0 the oracle is exact.
         """
+        if self.mode == "membership":
+            return self.gradients_with_values(X, eta)[0]
+        pts = self._points(X)
+        net = self.net
+        if self._exact:
+            out = []
+            # One product gives every pattern; a miss builds the gradient
+            # exactly as grad_target does.
+            for active in pts @ net.A.T >= 0.0:
+                key = active.tobytes()
+                grad = self._cell_grads.get(key)
+                if grad is None:
+                    grad = (net.w * active) @ net.A
+                    grad.setflags(write=False)
+                    self._cell_grads[key] = grad
+                out.append(grad)
+        else:
+            k, n = len(pts), self.sg.n_samples
+            draws = pts[:, None, :] + self._sg_rng.normal(0.0, self.sg.sigma, size=(k, n, self.d))
+            means = np.mean(draws @ net.A.T >= 0.0, axis=1)
+            out = [(net.w * mean) @ net.A for mean in means]
+        self.ledger.add_gradients(len(pts))
+        return out
+
+    def gradients_with_values(self, X, eta: float = DEFAULT_FD_ETA) -> tuple[list[np.ndarray], np.ndarray]:
+        """Gradients and base values f at the k rows of X.
+
+        In membership mode both come from one request, one evaluation of f at
+        the k(d+1) rows [x; x + eta I] of each point x: component j is (f(x +
+        eta e_j) - f(x)) / eta, and the base evaluation is shared across all
+        coordinates, so the cost is exactly k(d+1) value queries. In the exact
+        modes the values are a separate request of k value queries.
+        """
+        pts = self._points(X)
         if self.mode != "membership":
-            return self.gradient(x), self.value(x)
+            grads = self.gradients(pts)
+            values = eval_target_batch(self.net, pts)
+            self.ledger.add_values(len(pts))
+            return grads, values
         step = FiniteDiffConfig(eta).eta  # refuses a non-positive step
-        v = _as_vector(x, self.d)
-        f = eval_target_batch(self.net, np.vstack([v, v + step * np.eye(self.d)]))
-        self.ledger.add_values(self.d + 1)
-        return (f[1:] - f[0]) / step, float(f[0])
+        offsets = np.vstack([np.zeros(self.d), step * np.eye(self.d)])
+        f = eval_target_batch(self.net, (pts[:, None, :] + offsets).reshape(-1, self.d)).reshape(len(pts), -1)
+        self.ledger.add_values(f.size)
+        return list((f[:, 1:] - f[:, :1]) / step), f[:, 0]
+
+    def _points(self, X) -> np.ndarray:
+        pts = np.asarray(X, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.d:
+            raise ValueError(f"points must have shape (k, {self.d}), got {pts.shape}")
+        return pts

@@ -147,6 +147,8 @@ class TestExtractVerify:
         # The sign solve reads the search line's end gradients: no value
         # query (10, the 2h sign equations, before it did).
         assert report["value_queries"] == 0
+        # Its rounds, one request each, carried the gradient queries in batches.
+        assert 0 < report["rounds"] < report["gradient_queries"]
 
     def test_membership_width_below_truth_is_refused(self, tmp_path):
         # Every line holds all 8 crossings; stopping at the seventh once

@@ -277,3 +277,68 @@ class TestOracleDispatch:
         net = generate_random_net(3, 2, seed=10)
         with pytest.raises(ValueError):
             Oracle(net, mode="labels")
+
+
+class TestBatchedGradients:
+    """gradients(X): one request, one round, for the k rows of X."""
+
+    @pytest.mark.parametrize(
+        "mode, sigma, gradient_queries, value_queries",
+        [("grad", 0.0, 5, 0), ("smoothgrad", 0.0, 5, 0), ("smoothgrad", 0.2, 5, 0), ("membership", 0.0, 0, 5 * 9)],
+    )
+    def test_metering_per_mode(self, mode, sigma, gradient_queries, value_queries):
+        net = generate_random_net(8, 4, seed=30)
+        oracle = Oracle(net, mode, sg=SmoothGradConfig(sigma=sigma, n_samples=3, seed=0))
+        grads = oracle.gradients(np.random.default_rng(30).standard_normal((5, 8)))
+        assert len(grads) == 5 and all(g.shape == (8,) for g in grads)
+        ledger = oracle.ledger
+        assert (ledger.gradient_queries, ledger.value_queries, ledger.rounds) == (gradient_queries, value_queries, 1)
+
+    def test_values_are_their_own_round_in_exact_modes(self):
+        net = generate_random_net(8, 4, seed=31)
+        X = np.random.default_rng(31).standard_normal((4, 8))
+        oracle = Oracle(net)
+        grads, values = oracle.gradients_with_values(X)
+        assert_allclose(values, [eval_target(net, x) for x in X], rtol=1e-14)
+        assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries, oracle.ledger.rounds) == (4, 4, 2)
+
+    @pytest.mark.parametrize("mode", ["grad", "smoothgrad"])
+    def test_exact_rows_are_the_cell_arrays(self, mode):
+        net = generate_random_net(8, 5, seed=32)
+        oracle = exact_oracle(net, mode)
+        X = np.random.default_rng(32).standard_normal((40, 8))
+        grads = oracle.gradients(X)
+        assert all(g is oracle.gradient(x) for g, x in zip(grads, X))
+        assert all(g.tobytes() == grad_target(net, x).tobytes() and not g.flags.writeable for g, x in zip(grads, X))
+        assert (oracle.ledger.gradient_queries, oracle.ledger.rounds) == (80, 41)
+
+    def test_membership_rows_match_single_requests(self):
+        net = generate_random_net(8, 4, seed=33)
+        X = np.random.default_rng(33).standard_normal((6, 8))
+        batch = Oracle(net, "membership")
+        grads, values = batch.gradients_with_values(X, eta=1e-5)
+        single = Oracle(net, "membership")
+        for g, f, x in zip(grads, values, X):
+            g1, f1 = single.gradient_with_value(x, eta=1e-5)
+            assert_allclose(g, g1, rtol=0.0, atol=1e-9)
+            assert f == pytest.approx(f1, rel=1e-14)
+        assert batch.ledger.value_queries == single.ledger.value_queries == 6 * 9
+        assert (batch.ledger.rounds, single.ledger.rounds) == (1, 6)
+
+    def test_blurred_draws_follow_the_row_order(self):
+        # One (n_samples, d) block per row, drawn in row order: the same
+        # stream as one request per row on a same-seed oracle.
+        net = generate_random_net(6, 4, seed=34)
+        X = np.random.default_rng(34).standard_normal((5, 6))
+        sg = SmoothGradConfig(sigma=0.5, n_samples=4, seed=9)
+        batch, single = Oracle(net, "smoothgrad", sg=sg), Oracle(net, "smoothgrad", sg=sg)
+        for g, x in zip(batch.gradients(X), X):
+            assert_allclose(g, single.gradient(x), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["grad", "membership"])
+    def test_wrong_shape_batch_is_refused(self, mode):
+        oracle = Oracle(generate_random_net(4, 2, seed=8), mode)
+        for X in (np.ones(4), np.ones((2, 3)), np.ones((1, 2, 4))):
+            with pytest.raises(ValueError, match=r"points must have shape \(k, 4\)"):
+                oracle.gradients(X)
+        assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries, oracle.ledger.rounds) == (0, 0, 0)

@@ -153,7 +153,7 @@ def block_end_signs(z, v, ends):
     zt, up = zm.T, zm @ v > 0
     m = np.block([[zt * up, -zt * ~up], [zt * ~up, -zt * up]])
     b = np.concatenate([g_hi, g_lo])
-    return extraction._signs(extraction._solve(m, b), m.__matmul__, b, v[:, None] / extraction._norm(v))
+    return extraction._signs(extraction._solve(m, b), m.__matmul__, b, 1.0)  # the points +-v / |v| are unit
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -19,13 +19,15 @@ next to "wrong 0" means every instance returned a correct model. A
 membership family at the true h adds "family/parity count pairs P parted K":
 it runs grad on the same instances, and of the P retry-free pairs (both
 returned a model on their first line), K are those where membership's value
-queries are not d+1 times grad's gradient queries. A last line,
+queries are not d+1 times grad's gradient queries. "family/rounds count
+median R" gives the median number of oracle requests (rounds) per instance,
+over every line searched; no hash covers rounds. A last line,
 "fd-exactness 3 sha256", hashes check_fd_exactness's worst error, verdict
 and counterexample on acceptance criterion 6's three nets at 500 points
 each. Run it on two checkouts and compare the lines.
 
 With --records PATH it also writes one JSON line per instance: family,
-trial, gradient and value queries, retries, and either "model", the first 16
+trial, gradient and value queries, rounds, retries, and either "model", the first 16
 hex digits of the sha256 of the (Z, s) bytes, with "wrong", whether it
 failed verification, or "failure", the error type and message. Joining two
 checkouts' records on (family, trial) shows which instances moved.
@@ -83,6 +85,7 @@ def outcome(gl, mode, d, h, assumed_h, sigma, trial) -> tuple[bytes, bytes, dict
     record = {
         "gradient_queries": ledger.gradient_queries,
         "value_queries": ledger.value_queries,
+        "rounds": getattr(ledger, "rounds", None),  # not metered by older checkouts
         "retries": retries,
         **verdict,
     }
@@ -116,6 +119,9 @@ def main() -> None:
             f"{family}/queries", count, "median gradient", statistics.median(gradients),
             "value", statistics.median(values), "refused", sum(refused), "wrong", sum(wrong),
         )
+        rounds = [r["rounds"] for r in records[-count:]]
+        if None not in rounds:
+            print(f"{family}/rounds", count, "median", statistics.median(rounds))
         if mode == "membership" and assumed_h == h:
             pairs = parted = 0
             for trial, record in enumerate(records[-count:]):
