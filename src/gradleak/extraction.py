@@ -37,8 +37,9 @@ g_a and each crossing its t*.
 
 The modes differ only in their one request and the one cell test, _same.
 Exact gradients (grad, and smoothgrad at sigma = 0) are one read-only array
-per cell, returned by every query in it, so the same object means the same
-cell; otherwise the difference norm must not exceed GRAD_CHANGE_TOL. At
+per cell, returned by every query in it, so the cell test is identity alone:
+the same object means the same cell, and any two cells differ, however small
+their row. Otherwise the difference norm must not exceed GRAD_CHANGE_TOL. At
 sigma > 0, tau = max(eps, 8 sigma |D| / hypot(<D, u>, <D, v>)) puts both
 probes 8 sigma from the hyperplane, beyond the blur (the hypot is |d/dtheta
 <D, x(theta)>| at theta*); a line is refused when that 8 sigma margin
@@ -67,8 +68,9 @@ from .model import RecoveredModel
 from .numerics import as_matrix, solve_linear_system
 from .oracle import Oracle
 
-# Gradient-change threshold for the "same cell" test: far below the smallest
-# real change (w_min times a unit row), far above rounding.
+# Gradient-change threshold for the "same cell" test of membership and blurred
+# smoothgrad: far below the smallest real change (w_min times a unit row), far
+# above rounding. Exact gradients are compared by identity, with no threshold.
 GRAD_CHANGE_TOL = 1e-7
 # Finite-difference step of the membership requests at unit-norm points.
 REFINE_ETA = 1e-5
@@ -176,15 +178,16 @@ def _fits(g, p, f) -> bool:
     return abs(float(g @ p) - f) <= EULER_TOL * (1.0 + abs(f) + _norm(g))
 
 
-def _same(p, q) -> bool:
-    """The one cell test. An invalid membership point (t, None, p, f(p)) is in
-    the other's cell when that gradient fits it; else one object, or two
-    within GRAD_CHANGE_TOL, is one cell."""
+def _same(p, q, exact: bool) -> bool:
+    """The one cell test. Exact gradients are one cell when they are one
+    object. An invalid membership point (t, None, p, f(p)) is in the other's
+    cell when that gradient fits it; else one object, or two within
+    GRAD_CHANGE_TOL, is one cell."""
     if p[1] is None:
         p, q = q, p
     if q[1] is None:
         return _fits(p[1], q[2], q[3])
-    return p[1] is q[1] or _norm(p[1] - q[1]) <= GRAD_CHANGE_TOL
+    return p[1] is q[1] or (not exact and _norm(p[1] - q[1]) <= GRAD_CHANGE_TOL)
 
 
 def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
@@ -200,6 +203,7 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     uv = np.vstack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)])
     sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
     membership = oracle.mode == "membership"
+    exact = not (membership or sigma)  # one read-only gradient array per cell
 
     def request(thetas):
         # One round at the points x(theta): a gradient each in grad and
@@ -244,7 +248,7 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
         if m is None or m[0] != split:
             out.append((split, SPLIT, a, b, None))
             return
-        in_a, in_b = _same(a, m), _same(m, b)
+        in_a, in_b = _same(a, m, exact), _same(m, b, exact)
         if in_a != in_b:
             # In one end's cell it takes that end's gradient, valid or not.
             m = (m[0], (a if in_a else b)[1], *m[2:])
@@ -262,7 +266,7 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     if lo[1] is None or hi[1] is None:
         raise ExtractionFailure("no Euler-valid gradient at an end of the line")
     certified, brackets = [], []
-    if not _same(lo, hi):
+    if not _same(lo, hi, exact):
         bracket(lo, hi, brackets)
     while brackets:
         opened, replies = [], request([entry[0] for entry in brackets])  # opened: those open after this round
@@ -270,10 +274,10 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
             m = point(theta_m, reply)
             if kind == SPLIT:
                 divide(a, b, m, opened)
-            elif kind == LOW and _same(a, m):
+            elif kind == LOW and _same(a, m, exact):
                 theta, tau = probe[3:]
                 opened.append((theta + tau, HIGH, a, b, probe))
-            elif kind == HIGH and _same(m, b):
+            elif kind == HIGH and _same(m, b, exact):
                 row, across, along, theta, _ = probe
                 # A row parallel to v crosses at an end: report tan(+-pi/2).
                 certified.append((a[0], row, -across / along if along else math.tan(theta)))

@@ -156,10 +156,17 @@ def match_rows(net: TwoLayerNet, z) -> MatchResult:
     return MatchResult(permutation=perm, signs=signs, max_row_error=worst)
 
 
+def _check_samples(samples, least: int) -> None:
+    """Refuse a sample count that is not an integer of at least `least`, before any draw."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    if samples < least:
+        raise ValueError(f"samples must be at least {least}, got {samples}")
+
+
 def _mc_rate(samples: int, seed, event_fn) -> float:
     """Mean of event_fn over `samples` draws from the first child stream of seed."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    _check_samples(samples, 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     hits = 0
     remaining = samples
@@ -237,16 +244,20 @@ def mc_cauchy_tail(l: float, samples: int, seed=None) -> McReport:
 
 def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
     """Check P(|Q - R| <= eps) <= eps for independent chi-squared(2) Q, R,
-    and agreement with the exact law 1 - exp(-eps/2)."""
+    and agreement with the exact law 1 - exp(-eps/2).
+
+    Chi-squared(2) is 2 Exp(1), so Q/2 and R/2 are drawn as standard
+    exponentials, the very draws rng.chisquare(2.0, (2, n)) doubles, and
+    |Q/2 - R/2| is compared with eps/2 (halving is exact, so the count is the
+    same): two draws per sample, not four squared normals.
+    """
     if not 0.0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and non-negative")
 
     def event(rng, n):
-        g = rng.standard_normal((4, n))
-        q, q1, r, r1 = np.square(g, out=g)
-        q += q1
-        q -= np.add(r, r1, out=r)
-        return np.count_nonzero(np.abs(q, out=q) <= epsilon)
+        q, r = rng.standard_exponential((2, n))
+        q -= r
+        return np.count_nonzero(np.abs(q, out=q) <= 0.5 * epsilon)
 
     empirical = _mc_rate(samples, seed, event)
     exact = 1.0 - math.exp(-epsilon / 2.0) if epsilon > 0 else 0.0
@@ -286,18 +297,17 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
     two-sample CDF max distance between XY and (Q-R)/2 draws against 0.01
     (distance computed on at most 1e5 draws per side), each at z = _PRODUCT_Z,
     so that a correct sampler fails with probability at most
-    PRODUCT_FALSE_ALARM. empirical_prob reports the CDF distance. Q is drawn in
-    full to keep R's place in the stream, R only for the distance sample.
+    PRODUCT_FALSE_ALARM. empirical_prob reports the CDF distance. Q and R are
+    drawn only for the distance sample.
     """
-    if samples < 10_000:
-        raise ValueError("samples must be at least 10^4")
+    _check_samples(samples, 10_000)
     streams = np.random.SeedSequence(seed).spawn(2)
     rng_a = np.random.default_rng(streams[0])
     rng_b = np.random.default_rng(streams[1])
 
     n_ks = min(samples, _KS_SAMPLE_CAP)
     prod = rng_a.standard_normal(samples) * rng_a.standard_normal(samples)
-    ref = 0.5 * (rng_b.standard_normal(samples)[:n_ks] ** 2 - rng_b.standard_normal(n_ks) ** 2)
+    ref = 0.5 * (rng_b.standard_normal(n_ks) ** 2 - rng_b.standard_normal(n_ks) ** 2)
     distance, passed = _product_checks(prod, ref)
     return McReport(
         samples=samples,

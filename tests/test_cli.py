@@ -323,6 +323,8 @@ class TestLemmas:
         lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert [rec["lemma"] for rec in lines] == ["gap", "tail", "chi2diff", "product"]
         assert all(rec["passed"] for rec in lines)
+        # Each line carries its check's wall time.
+        assert all(isinstance(rec["ms"], float) and rec["ms"] >= 0.0 for rec in lines)
 
     def test_single_lemma_with_values(self, capsys):
         assert run("lemmas", "--which", "tail", "--l", "10", "--samples", "100000", "--seed", "1") == 0

@@ -630,9 +630,10 @@ class TestSharedBracketSearch:
         assert shared_total < reference_total
 
     def test_cell_identity_never_changes_a_decision(self, monkeypatch):
-        # The search skips the norm test when two observations are the same
-        # array; copying every gradient disables that shortcut, so both runs
-        # must take the same path. Assumed h=9 on true h=8 is the refusal path.
+        # In grad the cell test is identity alone. On nets whose rows are all
+        # far above GRAD_CHANGE_TOL, deciding every cell by the difference norm
+        # instead must take the same path. Assumed h=9 on true h=8 is the
+        # refusal path.
         def outcome(d, h, assumed_h, trial):
             net_seed, seed = (
                 int(s) for s in np.random.SeedSequence([6200, d, h, trial]).generate_state(2, dtype=np.uint64)
@@ -647,17 +648,35 @@ class TestSharedBracketSearch:
                 result = (f"{type(err).__name__}: {err}", err.crossings, err.retries)
             return result, oracle.ledger.gradient_queries, oracle.ledger.value_queries
 
-        exact_gradients = Oracle.gradients
+        same = extraction._same
 
-        def copied_gradients(self, X, eta=1e-6):
-            return [g.copy() for g in exact_gradients(self, X, eta)]
+        def by_norm(p, q, exact):
+            return same(p, q, False)
 
         for d, h, assumed_h in [(16, 16, 16), (128, 8, 8), (20, 8, 9)]:
             for trial in range(40):
-                shortcut = outcome(d, h, assumed_h, trial)
+                identity = outcome(d, h, assumed_h, trial)
                 with monkeypatch.context() as patch:
-                    patch.setattr(Oracle, "gradients", copied_gradients)
-                    assert outcome(d, h, assumed_h, trial) == shortcut, f"(d, h, trial) = ({d}, {h}, {trial})"
+                    patch.setattr(extraction, "_same", by_norm)
+                    assert outcome(d, h, assumed_h, trial) == identity, f"(d, h, trial) = ({d}, {h}, {trial})"
+
+    def test_row_below_the_change_tolerance_verifies_or_is_refused(self):
+        # One output weight of 1e-9 makes a row of norm 1e-9, below
+        # GRAD_CHANGE_TOL. A norm test cannot see that crossing and refused
+        # all 40 nets; by identity its cells still differ.
+        verified = 0
+        for trial in range(40):
+            net = generate_random_net(16, 8, c_min=0.1, w_min=0.1, seed=trial)
+            w = net.w.copy()
+            w[0] = 1e-9
+            net = TwoLayerNet(A=net.A, w=w)
+            try:
+                report = learn_model(Oracle(net), ExtractionConfig(8, seed=trial))
+            except GradleakError:
+                continue
+            assert functional_equivalence(net, report.model, 10_000, 1e-7, seed=trial).passed, f"trial {trial}"
+            verified += 1
+        assert verified >= 30
 
 
 def _digest_instance(d, h, trial):

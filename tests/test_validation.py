@@ -249,6 +249,30 @@ class TestNonFiniteParameters:
             mc_chi2_diff(epsilon, 10_000, seed=0)
 
 
+class TestSampleCount:
+    # A sample count that is not an integer, or is a boolean, is refused
+    # before any draw, as a plain ValueError rather than numpy's TypeError.
+    CHECKS = {
+        "gap": lambda samples: mc_crossing_gap(0.5, 1e-3, samples, seed=0),
+        "tail": lambda samples: mc_cauchy_tail(10.0, samples, seed=0),
+        "chi2diff": lambda samples: mc_chi2_diff(0.1, samples, seed=0),
+        "product": lambda samples: mc_gaussian_product(samples, seed=0),
+    }
+
+    @pytest.mark.parametrize("samples", [0.1, 1e5, True, "100000", None])
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_non_integer_refused(self, check, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            self.CHECKS[check](samples)
+
+    def test_numpy_integer_and_too_few(self):
+        assert mc_cauchy_tail(10.0, np.int64(1000), seed=0).samples == 1000
+        with pytest.raises(ValueError, match="at least 1"):
+            mc_chi2_diff(0.1, 0, seed=0)
+        with pytest.raises(ValueError, match="at least 10000"):
+            mc_gaussian_product(9_999, seed=0)
+
+
 class TestSeededStreams:
     def test_fixed_seed_reproduces(self):
         a = mc_cauchy_tail(10.0, 50_000, seed=10)
@@ -258,7 +282,7 @@ class TestSeededStreams:
     def test_stream_is_pinned(self):
         # Draws come from the first child of SeedSequence(seed), so a lemma
         # report is a fixed function of its seed.
-        assert mc_chi2_diff(0.5, 100_000, seed=11).empirical_prob == 0.21986
+        assert mc_chi2_diff(0.5, 100_000, seed=11).empirical_prob == 0.22171
 
     def test_every_lemma_stream_is_pinned(self):
         assert mc_crossing_gap(0.5, 1e-3, 100_000, seed=12).empirical_prob == 0.00046
@@ -267,11 +291,25 @@ class TestSeededStreams:
         assert product.empirical_prob == 0.0037000000000000366
         assert product.passed
 
+    def test_product_stream_above_the_distance_cap_is_pinned(self):
+        # Above _KS_SAMPLE_CAP the reference draws only its distance sample.
+        product = mc_gaussian_product(200_000, seed=14)
+        assert product.empirical_prob == 0.0040400000000000436
+        assert product.passed
+
+    def test_chi2_stream_is_numpys_chi_squared_sampler(self):
+        # Q and R are the draws of rng.chisquare(2.0, (2, n)) on the first
+        # child stream, read at half scale.
+        n, epsilon = 100_000, 0.5
+        rng = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0])
+        q, r = rng.chisquare(2.0, (2, n))
+        assert mc_chi2_diff(epsilon, n, seed=11).empirical_prob == np.count_nonzero(np.abs(q - r) <= epsilon) / n
+
     def test_multi_chunk_streams_are_pinned(self):
         # More than one _MC_CHUNK of draws: the second chunk continues the
         # same generator.
         samples = (1 << 20) + 1000
-        assert mc_chi2_diff(0.1, samples, seed=15).empirical_prob == 0.0486377356189547
+        assert mc_chi2_diff(0.1, samples, seed=15).empirical_prob == 0.049171284404369
         assert mc_crossing_gap(0.5, 1e-3, samples, seed=16).empirical_prob == 0.00042683902833144053
 
 
