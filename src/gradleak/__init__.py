@@ -37,12 +37,9 @@ from .model import (
     save_recovered,
 )
 from .numerics import rank_with_tolerance, solve_linear_system
-from .oracle import (
-    FiniteDiffConfig,
-    Oracle,
-    SmoothGradConfig,
-)
+from .oracle import Oracle, SmoothGradConfig
 from .validation import (
+    FiniteDiffConfig,
     check_fd_exactness,
     functional_equivalence,
     match_rows,

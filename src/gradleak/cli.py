@@ -234,11 +234,9 @@ def _bench_trial(h: int, d: int, mode: str, trial: int, delta: float, base_seed:
         eq = functional_equivalence(
             net, report.model, _BENCH_VERIFY_POINTS, _BENCH_VERIFY_TOL, seed=verify_seed
         )
-        success = eq.passed
-        max_rel_error = eq.max_rel_error
-    except GradleakError:
-        success = False
-        max_rel_error = float("nan")
+        success, retries, max_rel_error = eq.passed, report.retries, eq.max_rel_error
+    except GradleakError as err:
+        success, retries, max_rel_error = False, err.retries, float("nan")
     seconds = time.perf_counter() - start
     return {
         "h": h,
@@ -248,6 +246,8 @@ def _bench_trial(h: int, d: int, mode: str, trial: int, delta: float, base_seed:
         "success": success,
         "gradient_queries": oracle.ledger.gradient_queries,
         "value_queries": oracle.ledger.value_queries,
+        "rounds": oracle.ledger.rounds,
+        "retries": retries,
         "max_rel_error": max_rel_error,
         "seconds": round(seconds, 6),
     }

@@ -40,13 +40,16 @@ Exact gradients (grad, and smoothgrad at sigma = 0) are one read-only array
 per cell, returned by every query in it, so the cell test is identity alone:
 the same object means the same cell, and any two cells differ, however small
 their row. Otherwise the difference norm must not exceed GRAD_CHANGE_TOL. At
-sigma > 0, tau = max(eps, 8 sigma |D| / hypot(<D, u>, <D, v>)) puts both
-probes 8 sigma from the hyperplane, beyond the blur (the hypot is |d/dtheta
-<D, x(theta)>| at theta*); a line is refused when that 8 sigma margin
-reaches pi/2, where the whole half-circle lies within the blur and a probe
-near theta* + pi would lie on the hyperplane again. Membership requests one
-finite-difference gradient (d+1 value queries) at the unit-rescaled point p
-= x / |x| (gradients are scale-invariant). By homogeneity a gradient g is
+sigma > 0, tau = max(eps, 8 sigma |D| / hypot(<D, u>, <D, v>)), the hypot
+being |d/dtheta <D, x(theta)>| at theta*. As <D, x(theta)> = hypot sin(theta
+- theta*), both probes sit at least 8 sigma sin tau / tau from the
+hyperplane, beyond the blur. A line is refused when tau reaches pi/2, where
+the whole half-circle lies within the blur and a probe near theta* + pi
+would lie on the hyperplane again; below it that clearance is at least 16
+sigma / pi ~ 5.09 sigma. A membership oracle serves values only, so the attacker
+estimates each gradient by finite_differences (d+1 value queries) at the
+unit-rescaled point p = x / |x| (gradients are scale-invariant), a round's k
+points in one values request. By homogeneity a gradient g is
 valid at p when Euler's identity f(p) = <g, p> holds; a step that straddles
 a hyperplane breaks it, and a point whose gradient is invalid is in the cell
 of a valid g that fits it. Each split point's cell is decided once, against
@@ -66,7 +69,7 @@ import numpy as np
 from .errors import ExtractionFailure, GradleakError, SignRecoveryError, SingularMatrixError
 from .model import RecoveredModel
 from .numerics import as_matrix, solve_linear_system
-from .oracle import Oracle
+from .oracle import Oracle, _integer
 
 # Gradient-change threshold for the "same cell" test of membership and blurred
 # smoothgrad: far below the smallest real change (w_min times a unit row), far
@@ -77,7 +80,8 @@ REFINE_ETA = 1e-5
 # Relative tolerance of the Euler identity f(p) = <g, p> (rounding leaves
 # ~1e-11 at REFINE_ETA; a straddled step ~1e-3).
 EULER_TOL = 1e-8
-# Smoothgrad probes sit this many sigma from the predicted hyperplane.
+# Smoothgrad probes sit BLUR_SIGMAS sigma sin tau / tau from the predicted
+# hyperplane, at least 16 sigma / pi ~ 5.09 sigma (tau < pi/2).
 BLUR_SIGMAS = 8.0
 # Rounded sign entries must be within this of the solved values.
 SIGN_ROUND_TOL = 0.1
@@ -124,7 +128,7 @@ class ExtractionConfig:
 
     def __post_init__(self):
         seed = 0 if self.seed is None else self.seed
-        if not all(isinstance(n, (int, np.integer)) for n in (self.h, self.max_retries, seed)):
+        if not all(_integer(n) for n in (self.h, self.max_retries, seed)):
             raise ValueError("h, max_retries and seed must be integers")
         eps, _ = select_parameters(self.delta, self.c, self.h)
         if self.max_retries < 0 or seed < 0:
@@ -190,6 +194,19 @@ def _same(p, q, exact: bool) -> bool:
     return p[1] is q[1] or (not exact and _norm(p[1] - q[1]) <= GRAD_CHANGE_TOL)
 
 
+def finite_differences(oracle: Oracle, X, eta: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Forward-difference gradients and the values f at the k rows of X, from one values request.
+
+    The request is the k(d+1) rows [x; x + eta I] of each point x: component j
+    is (f(x + eta e_j) - f(x)) / eta, and f(x) is shared by all d components,
+    so the cost is exactly k(d+1) value queries in one round.
+    """
+    pts, d = np.asarray(X, dtype=float), oracle.d
+    offsets = np.vstack([np.zeros(d), eta * np.eye(d)])
+    f = oracle.values((pts[:, None, :] + offsets).reshape(-1, d)).reshape(len(pts), -1)
+    return list((f[:, 1:] - f[:, :1]) / eta), f[:, 0]
+
+
 def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     """Certified-isolation search for h crossings on the line u + t v, in rounds.
 
@@ -207,13 +224,13 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
 
     def request(thetas):
         # One round at the points x(theta): a gradient each in grad and
-        # smoothgrad; in membership one finite-difference gradient at p = x /
-        # |x| each, as (g or None, p, f(p)).
+        # smoothgrad; in membership a finite-difference gradient at p = x /
+        # |x| each, as (g or None, p, f(p)), all from one values request.
         xs = np.array([(math.cos(t), math.sin(t)) for t in thetas]) @ uv
         if not membership:
             return oracle.gradients(xs)
         ps = xs / np.linalg.norm(xs, axis=1, keepdims=True)
-        grads, values = oracle.gradients_with_values(ps, eta=REFINE_ETA)
+        grads, values = finite_differences(oracle, ps, REFINE_ETA)
         return [(g if _fits(g, p, f) else None, p, f) for g, p, f in zip(grads, ps, values.tolist())]
 
     def point(theta, reply):  # (theta, g), or (theta, g or None, p, f(p)) in membership

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, MatchAmbiguityError
 from .model import TwoLayerNet, RecoveredModel, eval_recovered_batch, eval_target_batch, grad_target
-from .oracle import FiniteDiffConfig, Oracle
+from .extraction import finite_differences
+from .oracle import Oracle, _integer
 
 # Two row-match candidates closer than this in |cosine| are reported, not guessed.
 MATCH_AMBIGUITY_TOL = 1e-9
@@ -69,6 +70,17 @@ class McReport:
             "vacuous": self.vacuous,
             "passed": self.passed,
         }
+
+
+@dataclass
+class FiniteDiffConfig:
+    """Step size for one-sided finite differences along coordinate axes."""
+
+    eta: float = 1e-6
+
+    def __post_init__(self):
+        if not 0.0 < self.eta < np.inf:  # a NaN step makes every error NaN, which no check flags
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
 
 
 @dataclass
@@ -158,7 +170,7 @@ def match_rows(net: TwoLayerNet, z) -> MatchResult:
 
 def _check_samples(samples, least: int) -> None:
     """Refuse a sample count that is not an integer of at least `least`, before any draw."""
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+    if not _integer(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < least:
         raise ValueError(f"samples must be at least {least}, got {samples}")
@@ -339,8 +351,9 @@ def check_fd_exactness(
     """Finite differences are exact (to rounding) away from all hyperplanes.
 
     Samples Gaussian points with min_i |<A_i, x>| > eta by rejection and
-    compares membership-mode Oracle gradients against the exact gradient at
-    rel_tol; the first point that misses it is the counterexample.
+    compares finite_differences on a membership Oracle, one request per
+    point, against the exact gradient at rel_tol; the first point that misses
+    it is the counterexample.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -361,7 +374,7 @@ def check_fd_exactness(
         if float(np.min(np.abs(net.A @ x))) <= eta:
             continue
         collected += 1
-        approx = oracle.gradient(x, eta=eta)
+        approx = finite_differences(oracle, x[None], eta)[0][0]
         exact = grad_target(net, x)
         rel = float(np.max(np.abs(approx - exact))) / (1.0 + float(np.max(np.abs(exact))))
         if rel > worst:

@@ -368,7 +368,7 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == [
             "h", "d", "mode", "trial", "success",
-            "gradient_queries", "value_queries", "max_rel_error", "seconds",
+            "gradient_queries", "value_queries", "rounds", "retries", "max_rel_error", "seconds",
         ]
         assert len(rows) == 4
         assert [(r["h"], r["trial"]) for r in rows] == [
@@ -377,13 +377,15 @@ class TestBench:
         for row in rows:
             if row["success"] == "True":
                 assert float(row["max_rel_error"]) <= 1e-7
+            # A round carries every open bracket's request, so a grad run needs fewer rounds than queries.
+            assert 0 < int(row["rounds"]) < int(row["gradient_queries"])
 
     def test_library_error_is_a_failed_row(self, tmp_path, refused_extraction):
         out = tmp_path / "bench.csv"
         assert run("bench", "--h-list", "2", "--d", "8", "--trials", "1", "--seed", "0", "--out", str(out)) == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [(r["success"], r["max_rel_error"]) for r in rows] == [("False", "nan")]
+        assert [(r["success"], r["retries"], r["max_rel_error"]) for r in rows] == [("False", "0", "nan")]
 
     def test_deterministic_modulo_seconds(self, tmp_path):
         def strip_seconds(path):

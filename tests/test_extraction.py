@@ -117,8 +117,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExtractionConfig(h=2, max_retries=-1)
         # Each would leak a ValueError or TypeError from SeedSequence or range
-        # inside learn_model, or refuse every line of a fractional h.
-        for bad in ({"seed": -1}, {"seed": 1.5}, {"h": 2.5}, {"max_retries": 1.5}):
+        # inside learn_model, or refuse every line of a fractional h. A bool
+        # is refused too, though Python counts True as the integer 1.
+        bads = (
+            {"seed": -1}, {"seed": 1.5}, {"h": 2.5}, {"max_retries": 1.5},
+            {"h": True}, {"max_retries": False}, {"seed": True},
+        )
+        for bad in bads:
             with pytest.raises(ValueError, match="integer|non-negative"):
                 ExtractionConfig(**{"h": 2, **bad})
         cfg = ExtractionConfig(h=np.int64(2), seed=np.uint64(3), max_retries=np.int32(1))
@@ -156,12 +161,14 @@ def _angle(x, u, v):
 
 
 def _record_rounds(oracle, u, v):
-    """Wrap the oracle's batch request (gradients_with_values in membership, else gradients)
-    to record each round's angles, sorted; returns the list of rounds."""
+    """Wrap the oracle's batch request to record each round's angles, sorted; returns the list of rounds.
+
+    In membership the request is one values call of the k(d+1) finite-difference
+    rows, and every (d+1)-th row is a requested unit point."""
     rounds = []
-    name = "gradients_with_values" if oracle.mode == "membership" else "gradients"
+    name, step = ("values", oracle.d + 1) if oracle.mode == "membership" else ("gradients", 1)
     batch = getattr(oracle, name)
-    setattr(oracle, name, lambda X, eta=1e-6: (rounds.append(sorted(_angle(x, u, v) for x in X)), batch(X, eta))[1])
+    setattr(oracle, name, lambda X: (rounds.append(sorted(_angle(x, u, v) for x in X[::step])), batch(X))[1])
     return rounds
 
 
@@ -777,15 +784,16 @@ class TestEndSigns:
         def recorded(name):
             batch = getattr(Oracle, name)
 
-            def request(oracle, X, eta=1e-6):
-                # The search's one request per round: gradients_with_values in membership.
-                if (oracle.mode == "membership") == (name == "gradients_with_values"):
-                    rounds[oracle.mode].append(np.array(X))
-                return batch(oracle, X, eta)
+            def request(oracle, X):
+                # The search's one request per round: in membership, one values
+                # call whose every (d+1)-th row is a requested unit point.
+                if (oracle.mode == "membership") == (name == "values"):
+                    rounds[oracle.mode].append(np.array(X)[:: oracle.d + 1 if name == "values" else 1])
+                return batch(oracle, X)
 
             return request
 
-        for name in ("gradients", "gradients_with_values"):
+        for name in ("gradients", "values"):
             monkeypatch.setattr(Oracle, name, recorded(name))
         pairs, parted = 0, []
         instances = [(20, 8, t) for t in range(50)] + [(16, 16, t) for t in range(50)] + [(64, 8, 3), (64, 8, 35)]

@@ -1,4 +1,4 @@
-"""Query metering, finite-difference estimation, and smoothed gradients."""
+"""Query metering, the attacker's finite-difference estimation, and smoothed gradients."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ from gradleak import (
     generate_random_net,
     grad_target,
 )
+from gradleak.extraction import finite_differences
+from gradleak.oracle import ORACLE_MODES
 
 
 def two_unit_net(w=(1.0, -1.0)):
@@ -48,17 +50,19 @@ class TestCounters:
 
 
 class TestFiniteDifference:
+    """finite_differences: the attacker's gradient estimate from one values request."""
+
     def test_hand_case_same_cell(self):
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 1.0]))
-        grad = Oracle(net, "membership").gradient((1.0, 2.0), eta=0.01)
-        assert_allclose(grad, [1.0, 1.0], rtol=1e-12)
+        grads, values = finite_differences(Oracle(net, "membership"), [[1.0, 2.0]], 0.01)
+        assert_allclose(grads[0], [1.0, 1.0], rtol=1e-12)
+        assert values.tolist() == [3.0]
 
     def test_cost_is_d_plus_one_values(self):
         net = generate_random_net(7, 3, seed=0)
         oracle = Oracle(net, "membership")
-        oracle.gradient(np.ones(7), eta=1e-3)
-        assert oracle.ledger.value_queries == 8
-        assert oracle.ledger.gradient_queries == 0
+        finite_differences(oracle, np.ones((1, 7)), 1e-3)
+        assert (oracle.ledger.value_queries, oracle.ledger.gradient_queries, oracle.ledger.rounds) == (8, 0, 1)
 
     def test_matches_exact_gradient_off_hyperplanes(self):
         # The request evaluates [x; x + eta I] as one block; the reference is
@@ -73,7 +77,7 @@ class TestFiniteDifference:
                 continue
             checked += 1
             oracle = Oracle(net, "membership")
-            approx, base = oracle.gradient_with_value(x, eta=eta)
+            (approx,), (base,) = finite_differences(oracle, x[None], eta)
             assert (oracle.ledger.value_queries, oracle.ledger.gradient_queries) == (11, 0)
             ref_base = eval_target(net, x)
             ref = np.array([(eval_target(net, x + eta * e) - ref_base) / eta for e in np.eye(10)])
@@ -94,16 +98,33 @@ class TestFiniteDifference:
             if len(masks) != 1:
                 continue
             checked += 1
-            approx = Oracle(net, "membership").gradient(x, eta=eta)
+            approx = finite_differences(Oracle(net, "membership"), x[None], eta)[0][0]
             exact = grad_target(net, x)
             assert np.max(np.abs(approx - exact)) <= 1e-9 * (1.0 + np.max(np.abs(exact)))
+
+    def test_rows_are_per_point_value_differences(self):
+        # k points, one round of k(d+1) values: each row's f(x) and each
+        # difference f(x + eta e_j) - f(x) match single-point evaluations.
+        net = generate_random_net(8, 4, seed=35)
+        X = np.random.default_rng(35).standard_normal((6, 8))
+        eta = 1e-5
+        oracle = Oracle(net, "membership")
+        grads, values = finite_differences(oracle, X, eta)
+        assert (oracle.ledger.value_queries, oracle.ledger.gradient_queries, oracle.ledger.rounds) == (6 * 9, 0, 1)
+        assert len(grads) == len(values) == 6
+        for g, f, x in zip(grads, values, X):
+            base = eval_target(net, x)
+            diffs = np.array([eval_target(net, x + eta * e) - base for e in np.eye(8)])
+            assert abs(f - base) <= 1e-12
+            assert np.max(np.abs(eta * g - diffs)) <= 1e-12
 
     def test_bad_eta(self):
         for eta in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 FiniteDiffConfig(eta=eta)
-        with pytest.raises(ValueError):
-            Oracle(two_unit_net(), "membership").gradient((1.0, 2.0), eta=0.0)
+        # The step is the attacker's: no oracle request takes one.
+        with pytest.raises(TypeError):
+            Oracle(two_unit_net()).gradient((1.0, 2.0), eta=1e-3)
 
 
 def exact_oracle(net, mode):
@@ -207,11 +228,13 @@ class TestSmoothGrad:
                 SmoothGradConfig(sigma=sigma)
         with pytest.raises(ValueError):
             SmoothGradConfig(n_samples=0)
-        with pytest.raises(ValueError, match="integer"):
-            SmoothGradConfig(n_samples=2.5)
+        # A bool is refused, though Python counts True as the integer 1.
+        for n_samples in (2.5, True):
+            with pytest.raises(ValueError, match="integer"):
+                SmoothGradConfig(n_samples=n_samples)
         assert SmoothGradConfig(n_samples=np.int64(3)).n_samples == 3
         # A seed the oracle's generator cannot take is refused by the config.
-        for seed in (-1, 1.5, np.int64(-2), "0"):
+        for seed in (-1, 1.5, np.int64(-2), "0", True, False):
             with pytest.raises(ValueError, match="seed"):
                 SmoothGradConfig(sigma=0.1, seed=seed)
         for seed in (None, 0, np.uint32(7)):
@@ -227,25 +250,19 @@ class TestOracleDispatch:
         assert oracle.ledger.gradient_queries == 1
         assert oracle.ledger.value_queries == 1
 
-    def test_membership_mode_serves_gradients_from_values(self):
+    def test_membership_mode_refuses_gradients(self):
+        # A membership oracle serves values only: a gradient request is
+        # refused before anything is metered.
         net = generate_random_net(6, 3, seed=7)
         oracle = Oracle(net, mode="membership")
         x = 3.0 * np.ones(6)
-        grad, val = oracle.gradient_with_value(x, eta=1e-3)
-        assert oracle.ledger.gradient_queries == 0
-        assert oracle.ledger.value_queries == 7
-        assert val == pytest.approx(float(np.maximum(net.A @ x, 0.0) @ net.w))
-        assert grad.shape == (6,)
-
-    def test_per_call_eta_override(self):
-        net = generate_random_net(4, 2, seed=8)
-        oracle = Oracle(net, mode="membership")
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(4)
-        if np.min(np.abs(net.A @ x)) <= 1e-2:
-            x = x + 0.5
-        grad = oracle.gradient(x, eta=1e-2)
-        assert np.max(np.abs(grad - grad_target(net, x))) <= 1e-8
+        with pytest.raises(ValueError, match="serves values only"):
+            oracle.gradient(x)
+        with pytest.raises(ValueError, match="serves values only"):
+            oracle.gradients(x[None])
+        assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries, oracle.ledger.rounds) == (0, 0, 0)
+        assert oracle.value(x) == pytest.approx(float(np.maximum(net.A @ x, 0.0) @ net.w))
+        assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries, oracle.ledger.rounds) == (0, 1, 1)
 
     def test_gradient_is_constant_inside_a_cell(self):
         rng = np.random.default_rng(9)
@@ -280,7 +297,7 @@ class TestOracleDispatch:
 
 
 class TestBatchedGradients:
-    """gradients(X): one request, one round, for the k rows of X."""
+    """gradients(X) and values(X): one request, one round, for the k rows of X."""
 
     @pytest.mark.parametrize(
         "mode, sigma, gradient_queries, value_queries",
@@ -289,18 +306,21 @@ class TestBatchedGradients:
     def test_metering_per_mode(self, mode, sigma, gradient_queries, value_queries):
         net = generate_random_net(8, 4, seed=30)
         oracle = Oracle(net, mode, sg=SmoothGradConfig(sigma=sigma, n_samples=3, seed=0))
-        grads = oracle.gradients(np.random.default_rng(30).standard_normal((5, 8)))
+        X = np.random.default_rng(30).standard_normal((5, 8))
+        # A membership oracle serves values only: the attacker's gradients are finite differences.
+        grads = finite_differences(oracle, X, 1e-5)[0] if mode == "membership" else oracle.gradients(X)
         assert len(grads) == 5 and all(g.shape == (8,) for g in grads)
         ledger = oracle.ledger
         assert (ledger.gradient_queries, ledger.value_queries, ledger.rounds) == (gradient_queries, value_queries, 1)
 
-    def test_values_are_their_own_round_in_exact_modes(self):
+    def test_values_are_one_round_in_every_mode(self):
         net = generate_random_net(8, 4, seed=31)
         X = np.random.default_rng(31).standard_normal((4, 8))
-        oracle = Oracle(net)
-        grads, values = oracle.gradients_with_values(X)
-        assert_allclose(values, [eval_target(net, x) for x in X], rtol=1e-14)
-        assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries, oracle.ledger.rounds) == (4, 4, 2)
+        for mode in ORACLE_MODES:
+            oracle = Oracle(net, mode, sg=SmoothGradConfig(sigma=0.2, n_samples=3, seed=0))
+            values = oracle.values(X)
+            assert_allclose(values, [eval_target(net, x) for x in X], rtol=1e-14)
+            assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries, oracle.ledger.rounds) == (0, 4, 1)
 
     @pytest.mark.parametrize("mode", ["grad", "smoothgrad"])
     def test_exact_rows_are_the_cell_arrays(self, mode):
@@ -316,10 +336,10 @@ class TestBatchedGradients:
         net = generate_random_net(8, 4, seed=33)
         X = np.random.default_rng(33).standard_normal((6, 8))
         batch = Oracle(net, "membership")
-        grads, values = batch.gradients_with_values(X, eta=1e-5)
+        grads, values = finite_differences(batch, X, 1e-5)
         single = Oracle(net, "membership")
         for g, f, x in zip(grads, values, X):
-            g1, f1 = single.gradient_with_value(x, eta=1e-5)
+            (g1,), (f1,) = finite_differences(single, x[None], 1e-5)
             assert_allclose(g, g1, rtol=0.0, atol=1e-9)
             assert f == pytest.approx(f1, rel=1e-14)
         assert batch.ledger.value_queries == single.ledger.value_queries == 6 * 9
@@ -338,7 +358,9 @@ class TestBatchedGradients:
     @pytest.mark.parametrize("mode", ["grad", "membership"])
     def test_wrong_shape_batch_is_refused(self, mode):
         oracle = Oracle(generate_random_net(4, 2, seed=8), mode)
-        for X in (np.ones(4), np.ones((2, 3)), np.ones((1, 2, 4))):
-            with pytest.raises(ValueError, match=r"points must have shape \(k, 4\)"):
-                oracle.gradients(X)
+        # A membership oracle refuses every gradient request; its values check the shape.
+        for request in (oracle.values, oracle.gradients) if mode == "grad" else (oracle.values,):
+            for X in (np.ones(4), np.ones((2, 3)), np.ones((1, 2, 4))):
+                with pytest.raises(ValueError, match=r"points must have shape \(k, 4\)"):
+                    request(X)
         assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries, oracle.ledger.rounds) == (0, 0, 0)

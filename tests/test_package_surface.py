@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -18,13 +19,16 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gradleak"
 # sign_query_points moved to gradleak.geometry; their spans
 # (extraction.sign_ms, geometry.sign_points_ms) already read 0 on every
 # workload, since learn_model stopped calling them when the signs began to
-# come from the search line's end gradients. Only a change to the benchmark
-# may drop these patches.
+# come from the search line's end gradients. Oracle.gradient_with_value was
+# deleted when finite differences moved to the attacker's side; its span
+# already read 0, as the search had stopped calling it when it began to send
+# batched requests. Only a change to the benchmark may drop these patches.
 ABSENT = {
     "gradleak.geometry.chebyshev_center",
     "gradleak.geometry.simplex_maximize",
     "gradleak.extraction.recover_s",
     "gradleak.extraction.sign_query_points",
+    "gradleak.oracle.Oracle.gradient_with_value",
 }
 
 # The attack path, which must not import the paper's reference sign step.
@@ -62,3 +66,17 @@ def test_reference_sign_step_lives_in_geometry_alone():
     assert not hasattr(gradleak.numerics, "SOLVE_RESIDUAL_TOL")
     for name in ("recover_s", "block_sign_matrix", "sign_query_points"):
         assert getattr(gradleak, name) is getattr(gradleak.geometry, name)
+
+
+def test_oracle_serves_values_and_gradients_alone():
+    # Its request methods, none of which takes a finite-difference step: a
+    # membership attacker estimates gradients with extraction.finite_differences.
+    requests = {"value", "values", "gradient", "gradients"}
+    assert {name for name in vars(gradleak.Oracle) if not name.startswith("_")} == requests | {"d"}
+    for name in requests:
+        assert "eta" not in inspect.signature(getattr(gradleak.Oracle, name)).parameters
+    assert not hasattr(gradleak.Oracle, "gradients_with_values")
+    assert not hasattr(gradleak.Oracle, "gradient_with_value")
+    assert not hasattr(gradleak.oracle, "DEFAULT_FD_ETA")
+    assert not hasattr(gradleak, "finite_differences")
+    assert gradleak.FiniteDiffConfig is gradleak.validation.FiniteDiffConfig
