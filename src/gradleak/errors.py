@@ -45,7 +45,7 @@ class ExtractionFailure(GradleakError):
 
 
 class SignRecoveryError(GradleakError):
-    """A sign solve was singular, or did not round to a valid {-1,0,1} pattern that fits it.
+    """A sign solve was singular or not finite, or did not round to a valid {-1,0,1} pattern that fits it.
 
     Usually means the recovered weighted normals (or the end gradients) were wrong.
     """

@@ -5,12 +5,14 @@ u + t v meets each of the h hyperplanes once, and the oracle's gradient is
 constant between crossings, so across a bracket (a, b) that holds exactly one
 crossing the gradient difference D = g_b - g_a is that crossing's row
 +-w_i A_i, and it predicts where the crossing lies: t* = -<D, u> / <D, v>.
-Step two solves for the sign vector s, with no query, from the gradients
-g(-v) and g(+v) the search holds at the line's ends: the recovered gradient
-Z^T (1[Zx > 0] s_top - 1[Zx < 0] s_bottom) equated with them gives 2d
-equations in 2h unknowns, of full column rank when Z has full row rank. Their
-half sum and half difference are two d x h systems in Z^T, solved by one SVD.
-The paper's step from 2h value queries, its reference, is geometry.recover_s.
+Step two finds the sign vector s, with no query, from the gradients g(-v)
+and g(+v) the search holds at the line's ends. Taken across increasing
+theta, the row of unit i is sigma_i w_i A_i, with sigma_i = sign <A_i, v> =
++1 when the unit is active at +v. So the rows telescope, g(+v) - g(-v) = Z^T
+1, and g(+v) + g(-v) = Z^T sigma: one h x h Gram system (Z Z^T) sigma = Z
+(g(+v) + g(-v)), a Cholesky factorization and one solve. s follows from
+sigma and sign(Zv), and the residual against both end gradients certifies it. The
+paper's step from 2h value queries, its reference, is geometry.recover_s.
 
 Every oracle mode runs one certified-isolation loop on the whole line, in
 angles: f is positively homogeneous, so the ray through x(theta) = cos theta
@@ -66,9 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtractionFailure, GradleakError, SignRecoveryError, SingularMatrixError
+from .errors import ExtractionFailure, GradleakError, SignRecoveryError
 from .model import RecoveredModel
-from .numerics import as_matrix, solve_linear_system
 from .oracle import Oracle, _integer
 
 # Gradient-change threshold for the "same cell" test of membership and blurred
@@ -86,10 +87,9 @@ BLUR_SIGMAS = 8.0
 # Rounded sign entries must be within this of the solved values.
 SIGN_ROUND_TOL = 0.1
 # A rounded sign vector s is rejected unless ||Ms - b||_inf <= SOLVE_RESIDUAL_TOL
-# * max(1, max_j ||x_j||) * (1 + ||b||_inf) for the points x_j of its system.
+# * max(1, max_j ||x_j||) * (1 + ||b||_inf) for the points x_j of its system
+# (the unit +-v / |v| for the end gradients: a gradient does not grow with its point).
 SOLVE_RESIDUAL_TOL = 1e-8
-# Right multiplier of the end system's columns (g+, g-): their half sum and half difference.
-_HALVES = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 
 def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
@@ -217,7 +217,7 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     crossings t*, in crossing order, and the gradients (g(-v), g(+v)) of the
     line's tail cells; raises ExtractionFailure when the line is refused.
     """
-    uv = np.vstack([np.asarray(u, dtype=float), np.asarray(v, dtype=float)])
+    uv = np.array([u, v], dtype=float)
     sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
     membership = oracle.mode == "membership"
     exact = not (membership or sigma)  # one read-only gradient array per cell
@@ -307,7 +307,7 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     if len(certified) < cfg.h:
         raise ExtractionFailure("fewer than h crossings lie on the line")
     certified.sort(key=lambda c: c[0])
-    return np.vstack([c[1] for c in certified]), [c[2] for c in certified], (lo[1], hi[1])
+    return np.array([c[1] for c in certified]), [c[2] for c in certified], (lo[1], hi[1])
 
 
 def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -> ZRecovery:
@@ -318,8 +318,7 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -
     """
     last: ExtractionFailure | None = None
     for attempt in range(cfg.max_retries + 1):
-        u = rng.standard_normal(oracle.d)
-        v = rng.standard_normal(oracle.d)
+        u, v = rng.standard_normal((2, oracle.d))
         try:
             z, crossings, ends = _search_line(oracle, u, v, cfg)
             return ZRecovery(Z=z, u=u, v=v, crossings=crossings, retries=attempt, ends=ends)
@@ -330,62 +329,39 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -
     ) from last
 
 
-def _solve(m, b) -> np.ndarray:
-    try:
-        return solve_linear_system(m, b)
-    except (SingularMatrixError, ValueError) as err:  # ValueError: more unknowns than equations
-        raise SignRecoveryError(f"sign system is singular: {err}") from err
-
-
-def _signs(solved, apply, b, scale) -> np.ndarray:
-    """Round the solution of M s = b into {-1,0,1}^(2h) and certify it; apply(s) is M s.
-
-    A failed check (rounding, alphabet, residual scaled by scale = max(1,
-    max_j ||x_j||) over the points x_j of the system, one nonzero per row
-    pair) means the recovered normals were wrong.
-    """
-    rounded = np.rint(solved)
-    with np.errstate(invalid="ignore"):  # NaN and inf entries fail the rounding test
-        near = np.abs(solved - rounded) <= SIGN_ROUND_TOL
-    bad = ~near | (np.abs(rounded) > 1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not near[i]:
-            raise SignRecoveryError(f"sign solution entry {i} = {solved[i]:.6g} is not near an integer")
-        raise SignRecoveryError(f"sign solution entry {i} = {solved[i]:.6g} rounds outside {{-1,0,1}}")
-    s = rounded.astype(int)
-    # A row error dZ moves b_j by up to h |dZ| |x_j|: the bound scales with the points.
-    residual = np.max(np.abs(apply(s) - b))
-    if residual > SOLVE_RESIDUAL_TOL * scale * (1.0 + np.max(np.abs(b))):
-        raise SignRecoveryError(f"rounded sign vector leaves residual {residual:.3e}")
-    if np.any((s[: len(s) // 2] != 0) == (s[len(s) // 2 :] != 0)):
-        raise SignRecoveryError("sign pattern is invalid: s must have exactly one nonzero per row pair")
-    return s
-
-
 def _end_signs(z, v, ends) -> np.ndarray:
     """Solve for s from the end gradients (g(-v), g(+v)) of the line with direction v.
 
-    With up = Zv > 0 the recovered gradient is g+ = Z^T (up s_top - ~up s_bottom)
-    at +v and g- = Z^T (~up s_top - up s_bottom) at -v. That 2d x 2h system is
-    orthogonally equivalent to its halves Z^T (s_top - s_bottom) = g+ + g- and
-    Z^T D (s_top + s_bottom) = g+ - g-, D = diag(+-1) from up: one SVD of Z^T
-    with two right-hand sides gives its rank test and solution.
+    Z's rows must be oriented as _search_line gives them, g_b - g_a across
+    increasing theta: row k is sigma_k w_i A_i, sigma_k = sign <A_i, v>. Then
+    g+ + g- = Z^T sigma, solved as (Z Z^T) sigma = Z (g+ + g-): Cholesky
+    refuses a singular or too ill-conditioned Z, one solve finds sigma, and
+    sigma must round to +-1. The certificate is the residual against both
+    ends, Z^T 1[sigma > 0] = g+ and Z^T 1[sigma < 0] = -g-, the recovered
+    model's gradients at +v and -v. With up = Zv > 0, the sign of w_i, s_top
+    = up [sigma = up] and s_bottom = up [sigma != up].
     """
-    zm, (g_lo, g_hi) = as_matrix(z), ends
-    zt, up, b = zm.T, zm @ v > 0, np.column_stack([g_hi, g_lo])
-    # Halved sums cannot overflow; they give half of s_top - s_bottom and of D (s_top + s_bottom).
-    minus, plus = _solve(zt, b @ _HALVES).T
-    plus = np.where(up, plus, -plus)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail the rounding check
-        solved = np.concatenate([plus + minus, plus - minus])
-
-    def apply(s):  # the system's product: the recovered gradients at +v and -v
-        top, bottom = s.reshape(2, -1)
-        return zt @ np.column_stack([np.where(up, top, -bottom), np.where(up, -bottom, top)])
-
-    # A gradient does not grow with its point, so the points are the unit +-v / |v|.
-    return _signs(solved, apply, b, 1.0)
+    zm, g = np.asarray(z, dtype=float), np.array(ends, dtype=float)
+    if not (np.isfinite(zm).all() and np.isfinite(g).all()):
+        raise SignRecoveryError("sign system has a non-finite entry")
+    g_lo, g_hi = g
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check below
+        gram = zm @ zm.T
+        try:
+            np.linalg.cholesky(gram)
+            sigma = np.linalg.solve(gram, zm @ (g_hi + g_lo))
+        except np.linalg.LinAlgError as err:
+            raise SignRecoveryError(f"sign system is singular: {err}") from err
+        near = np.abs(np.abs(sigma) - 1.0) <= SIGN_ROUND_TOL
+        if not near.all():
+            i = int(np.argmin(near))
+            raise SignRecoveryError(f"sign solution entry {i} = {sigma[i]:.6g} is not near +-1")
+        pos, up = sigma > 0, zm @ v > 0
+        residual = np.max(np.abs(np.array([pos, ~pos], dtype=float) @ zm - [g_hi, -g_lo]))
+    if not residual <= SOLVE_RESIDUAL_TOL * (1.0 + np.max(np.abs(g))):
+        raise SignRecoveryError(f"rounded sign vector leaves residual {residual:.3e}")
+    unit, top = np.where(up, 1, -1), pos == up
+    return np.concatenate([unit * top, unit * ~top])
 
 
 def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:

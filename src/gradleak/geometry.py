@@ -6,17 +6,22 @@ with J the all-ones matrix: every column lies in the cell with sign pattern
 sigma, every pre-activation has magnitude at least 1, and cond(ZX) = h + 1.
 
 X is the minimum-norm solution of Z X = diag(sigma)(I + J), computed by
-LAPACK's SVD least squares: Z Z^T is never formed, since that would square
-cond(Z), which reaches ~3e5 on square instances (d = h = 16).
+LAPACK's SVD least squares: Z Z^T is never formed here, since that would
+square cond(Z), which reaches ~3e5 on square instances (d = h = 16), and X
+must hit its target to RESIDUAL_TOL. The attack's sign step
+(extraction._end_signs) does form Z Z^T: its solution need only round to
++-1, which absorbs the squared condition number, and its residual
+certificate against both end gradients refuses whatever rounding lets
+through.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import GeometryError
-from .extraction import _signs, _solve
-from .numerics import SINGULAR_PIVOT_TOL, as_matrix
+from .errors import GeometryError, SignRecoveryError, SingularMatrixError
+from .extraction import SIGN_ROUND_TOL, SOLVE_RESIDUAL_TOL
+from .numerics import SINGULAR_PIVOT_TOL, as_matrix, solve_linear_system
 from .oracle import Oracle
 
 # Largest tolerated entry of |ZX - diag(sigma)(I + J)|; entries are at least 1.
@@ -26,11 +31,13 @@ RESIDUAL_TOL = 0.5
 def sign_query_points(z, rng) -> tuple[np.ndarray, np.ndarray]:
     """Return (X, sigma): h points in cell sigma with ZX = diag(sigma)(I + J).
 
-    Raises GeometryError when a singular value of Z falls below
-    SINGULAR_PIVOT_TOL times the largest one (a zero, duplicated or nearly
-    dependent row) or when ZX misses its target by more than RESIDUAL_TOL or
-    is not finite.
+    Raises GeometryError when Z has a non-finite entry, when a singular value
+    of Z falls below SINGULAR_PIVOT_TOL times the largest one (a zero,
+    duplicated or nearly dependent row) or when ZX misses its target by more
+    than RESIDUAL_TOL or is not finite.
     """
+    if not np.all(np.isfinite(z)):
+        raise GeometryError("Z has a non-finite entry")
     zm = as_matrix(z)
     h = zm.shape[0]
     sigma = rng.choice((-1.0, 1.0), size=h)
@@ -68,17 +75,51 @@ def block_sign_matrix(zx) -> np.ndarray:
     return np.vstack([top, bot])
 
 
+def _solve(m, b) -> np.ndarray:
+    try:
+        return solve_linear_system(m, b)
+    except (SingularMatrixError, ValueError) as err:  # ValueError: more unknowns than equations
+        raise SignRecoveryError(f"sign system is singular: {err}") from err
+
+
+def _signs(solved, m, b, scale) -> np.ndarray:
+    """Round the solution of M s = b into {-1,0,1}^(2h) and certify it.
+
+    A failed check (rounding, alphabet, residual scaled by scale = max(1,
+    max_j ||x_j||) over the points x_j of the system, one nonzero per row
+    pair) means the recovered normals were wrong.
+    """
+    rounded = np.rint(solved)
+    with np.errstate(invalid="ignore"):  # NaN and inf entries fail the rounding test
+        near = np.abs(solved - rounded) <= SIGN_ROUND_TOL
+    bad = ~near | (np.abs(rounded) > 1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not near[i]:
+            raise SignRecoveryError(f"sign solution entry {i} = {solved[i]:.6g} is not near an integer")
+        raise SignRecoveryError(f"sign solution entry {i} = {solved[i]:.6g} rounds outside {{-1,0,1}}")
+    s = rounded.astype(int)
+    # A row error dZ moves b_j by up to h |dZ| |x_j|: the bound scales with the points.
+    residual = np.max(np.abs(m @ s - b))
+    if residual > SOLVE_RESIDUAL_TOL * scale * (1.0 + np.max(np.abs(b))):
+        raise SignRecoveryError(f"rounded sign vector leaves residual {residual:.3e}")
+    if np.any((s[: len(s) // 2] != 0) == (s[len(s) // 2 :] != 0)):
+        raise SignRecoveryError("sign pattern is invalid: s must have exactly one nonzero per row pair")
+    return s
+
+
 def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
     """s from 2h value queries: the reference learn_model's sign step is checked against.
 
-    f at the points X of sign_query_points (GeometryError when Z is rank deficient) and
-    at -X gives the block sign system of ZX; extraction's _solve and _signs certify it.
+    f at the points X of sign_query_points (GeometryError when Z is rank deficient or
+    not finite) and at -X gives the block sign system of ZX, which _solve and _signs
+    solve and certify.
     """
+    x, _ = sign_query_points(z, rng)
     zm = as_matrix(z)
-    x, _ = sign_query_points(zm, rng)
     b = np.array([oracle.value(p) for p in (*x.T, *-x.T)], dtype=float)
     m = block_sign_matrix(zm @ x)
     solved = _solve(m, b)
     with np.errstate(over="ignore"):  # points too long to square give an infinite scale
         scale = max(1.0, np.max(np.linalg.norm(x, axis=0)))
-    return _signs(solved, m.__matmul__, b, scale)
+    return _signs(solved, m, b, scale)

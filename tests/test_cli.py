@@ -14,7 +14,6 @@ import gradleak.cli
 import gradleak.extraction
 from gradleak import (
     ConfigError,
-    SingularMatrixError,
     generate_random_net,
     load_net,
     load_recovered,
@@ -127,11 +126,15 @@ class TestExtractVerify:
 
     def test_sign_phase_failure_reports_phase_and_true_retries(self, tmp_path, model_file, monkeypatch):
         # The search finds all 5 crossings on the first line and the sign
-        # solve is then refused: no retries were spent.
-        def singular(m, b):
-            raise SingularMatrixError("forced")
+        # solve is then refused, on a Z with one row duplicated, whose sign
+        # system is singular: no retries were spent.
+        search = gradleak.extraction._search_line
 
-        monkeypatch.setattr(gradleak.extraction, "solve_linear_system", singular)
+        def duplicated_row(*args):
+            z, crossings, ends = search(*args)
+            return z[[0, 0, 2, 3, 4]], crossings, ends
+
+        monkeypatch.setattr(gradleak.extraction, "_search_line", duplicated_row)
         rec = tmp_path / "rec.json"
         rep = tmp_path / "rep.json"
         code = run(

@@ -13,6 +13,7 @@ from gradleak import (
     GradleakError,
     Oracle,
     RecoveredModel,
+    SignRecoveryError,
     SmoothGradConfig,
     TwoLayerNet,
     functional_equivalence,
@@ -21,6 +22,7 @@ from gradleak import (
     match_rows,
     recover_s,
     recover_z,
+    recovered_from_net,
     select_parameters,
 )
 from gradleak import extraction
@@ -711,7 +713,13 @@ class TestEndSigns:
 
     @pytest.mark.parametrize(
         "mode, d, h, count",
-        [("grad", 16, 16, 60), ("grad", 128, 8, 20), ("membership", 20, 8, 20), ("smoothgrad", 12, 4, 60)],
+        [
+            ("grad", 16, 16, 60),
+            ("grad", 128, 8, 20),
+            ("grad", 256, 128, 3),
+            ("membership", 20, 8, 20),
+            ("smoothgrad", 12, 4, 60),
+        ],
     )
     def test_same_signs_as_the_reference_sign_step(self, mode, d, h, count):
         # recover_s, the paper's sign step from 2h value queries, stays in the
@@ -746,26 +754,32 @@ class TestEndSigns:
         assert (err.value.phase, err.value.retries, len(err.value.crossings)) == ("sign", 0, 5)
 
     def test_negating_a_row_swaps_its_sign_pair(self):
-        # Z's rows are known up to sign. Negating row i exchanges the cells it
-        # splits, so only (s_i, s_{h+i}) swap and the function is unchanged.
-        net = generate_random_net(12, 5, seed=2)
-        v = np.random.default_rng(3).standard_normal(12)
-        oracle = Oracle(net)
-        ends = (oracle.gradient(-v), oracle.gradient(v))
-        z = net.w[:, None] * net.A
-        s = extraction._end_signs(z, v, ends)
-        flipped = z.copy()
-        flipped[2] *= -1.0
-        swapped = s.copy()
-        swapped[[2, 7]] = s[[7, 2]]
-        assert extraction._end_signs(flipped, v, ends).tolist() == swapped.tolist()
+        # The search orients row i as sign(<A_i, v>) w_i A_i, and on rows so
+        # oriented the end solve returns the known net's signs. Negating a
+        # row breaks the orientation the solve relies on: it is refused by
+        # the residual, never answered with a wrong s. The function itself is
+        # unchanged when the row and its pair (s_i, s_{h+i}) are swapped together.
         pts = np.random.default_rng(4).standard_normal((200, 12))
-        assert_allclose(
-            eval_recovered_batch(RecoveredModel(Z=flipped, s=swapped), pts),
-            eval_recovered_batch(RecoveredModel(Z=z, s=s), pts),
-            rtol=1e-12,
-            atol=1e-12,
-        )
+        for seed in range(50):
+            net = generate_random_net(12, 5, seed=seed)
+            v = np.random.default_rng(seed + 1000).standard_normal(12)
+            oracle = Oracle(net)
+            ends = (oracle.gradient(-v), oracle.gradient(v))
+            oriented = recovered_from_net(net, row_signs=np.sign(net.A @ v))
+            z, s = oriented.Z, extraction._end_signs(oriented.Z, v, ends)
+            assert s.tolist() == oriented.s.tolist(), f"net {seed}"
+            flipped = z.copy()
+            flipped[2] *= -1.0
+            with pytest.raises(SignRecoveryError, match="leaves residual"):
+                extraction._end_signs(flipped, v, ends)
+            swapped = s.copy()
+            swapped[[2, 7]] = s[[7, 2]]
+            assert_allclose(
+                eval_recovered_batch(RecoveredModel(Z=flipped, s=swapped), pts),
+                eval_recovered_batch(RecoveredModel(Z=z, s=s), pts),
+                rtol=1e-12,
+                atol=1e-12,
+            )
 
     def test_gradient_modes_spend_no_value_query_and_membership_d_plus_one(self, monkeypatch):
         # One query phase: grad and smoothgrad spend gradient queries only,
@@ -1125,19 +1139,23 @@ class TestLearnModel:
 
     def test_failure_carries_phase_retries_and_crossings(self, monkeypatch):
         from gradleak import GradleakError
-        from gradleak.errors import SingularMatrixError
 
-        def singular(m, b):
-            raise SingularMatrixError("forced")
+        search = extraction._search_line
+
+        def duplicated_row(*args):  # a Z whose sign system is really singular
+            z, crossings, ends = search(*args)
+            return z[[0, 0, 2, 3, 4]], crossings, ends
 
         net = generate_random_net(12, 5, seed=1)
+        oracle = Oracle(net)
         with monkeypatch.context() as patch:
-            patch.setattr(extraction, "solve_linear_system", singular)
+            patch.setattr(extraction, "_search_line", duplicated_row)
             with pytest.raises(GradleakError) as sign_err:
-                learn_model(Oracle(net), ExtractionConfig(h=5, seed=0))
+                learn_model(oracle, ExtractionConfig(h=5, seed=0))
         assert sign_err.value.phase == "sign"
         assert sign_err.value.retries == 0
         assert len(sign_err.value.crossings) == 5
+        assert oracle.ledger.value_queries == 0
 
         cfg = ExtractionConfig(h=8, seed=0, max_retries=1)
         with pytest.raises(ExtractionFailure) as search_err:

@@ -22,12 +22,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gradleak"
 # come from the search line's end gradients. Oracle.gradient_with_value was
 # deleted when finite differences moved to the attacker's side; its span
 # already read 0, as the search had stopped calling it when it began to send
-# batched requests. Only a change to the benchmark may drop these patches.
+# batched requests. extraction stopped importing solve_linear_system when the
+# end signs moved to one Cholesky-checked Gram solve, so numerics.solve reads
+# 0 on the grad workloads. Only a change to the benchmark may drop these patches.
 ABSENT = {
     "gradleak.geometry.chebyshev_center",
     "gradleak.geometry.simplex_maximize",
     "gradleak.extraction.recover_s",
     "gradleak.extraction.sign_query_points",
+    "gradleak.extraction.solve_linear_system",
     "gradleak.oracle.Oracle.gradient_with_value",
 }
 
@@ -66,6 +69,17 @@ def test_reference_sign_step_lives_in_geometry_alone():
     assert not hasattr(gradleak.numerics, "SOLVE_RESIDUAL_TOL")
     for name in ("recover_s", "block_sign_matrix", "sign_query_points"):
         assert getattr(gradleak, name) is getattr(gradleak.geometry, name)
+
+
+def test_end_signs_need_no_svd_solve():
+    # The attack's sign step is one Gram solve with its own checks; the SVD
+    # solve and the rounding certificate of the 2h x 2h block system serve
+    # recover_s alone, in geometry.
+    for name in ("_HALVES", "_signs", "_solve", "solve_linear_system"):
+        assert not hasattr(gradleak.extraction, name), name
+    assert not [m for m in _imported_modules(SRC / "extraction.py") if m.endswith(".solve_linear_system")]
+    assert callable(gradleak.geometry._signs)
+    assert callable(gradleak.geometry._solve)
 
 
 def test_oracle_serves_values_and_gradients_alone():

@@ -14,9 +14,13 @@ Both checkouts must charge every instance the same cost (oracle queries, or
 Monte Carlo samples), and neither may return a wrong output; otherwise it
 exits 1. It prints, per checkout, the median operation time, and the median
 and quartiles over instances of child/parent, each instance's ratio taken
-between its median times over the passes. Running the pair in one process,
-interleaved, cancels most of a shared host's drift, which swings single
-benchmark runs by more than the differences being measured.
+between its median times over the passes. It also prints on how many
+instances the two outputs differ (run_op's digest of the model, or of the
+lemma reports, in any pass), so one run both sizes a speed-up and shows
+whether it is bit-identical; a difference alone does not change the exit
+code. Running the pair in one process, interleaved, cancels most of a
+shared host's drift, which swings single benchmark runs by more than the
+differences being measured.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def main(argv=None) -> int:
         bench.run_op(gl, wl, instances[side][0])
 
     times = {side: [[] for _ in instances[side]] for side in sides}
-    problems = []
+    problems, differ = [], set()
     for p in range(args.passes):
         for i in range(len(instances["parent"])):
             order = ("parent", "child") if (i + p) % 2 == 0 else ("child", "parent")
@@ -83,6 +87,8 @@ def main(argv=None) -> int:
                 times[side][i].append(out.ms)
                 if out.wrong:
                     problems.append(f"{side} instance {i}: wrong output: {out.wrong}")
+            if outs["parent"].record["digest"] != outs["child"].record["digest"]:
+                differ.add(i)
             costs = outs["parent"].cost, outs["child"].cost
             if costs[0] != costs[1]:
                 problems.append(f"instance {i}: cost {costs[0]} (parent) != {costs[1]} (child)")
@@ -95,6 +101,7 @@ def main(argv=None) -> int:
         print(f"{side}: median op {statistics.median(medians[side]):.3f} ms")
     print(f"child/parent per instance: median {statistics.median(ratios):.3f}, quartiles {q1:.3f} {q3:.3f}")
     print(f"child faster on {sum(r < 1.0 for r in ratios)} of {len(ratios)} instances")
+    print(f"models differ on {len(differ)} of {len(ratios)} instances")
     for problem in problems[:20]:
         print(f"problem: {problem}")
     return 1 if problems else 0
