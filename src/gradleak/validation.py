@@ -5,6 +5,21 @@ hidden net it came from. The mc_* functions check, by simulation, the
 probability inequalities the attack's parameter selection relies on: the
 anti-concentration of crossing gaps, the Cauchy tail of a single crossing, the
 chi-squared difference bound behind it, and the product-of-Gaussians identity.
+
+Each mc_* check holds in full only the draws its arithmetic needs at once and
+streams the last one through a reused block of _BLOCK numbers. numpy's
+Generator fills a (2, n) request one number after another, so the second row
+of such a draw is exactly the next n numbers of the stream, in order; the
+blocks read the same numbers and do the same per-element arithmetic, so every
+report is the one the full draw gives, in a fraction of the memory.
+
+No array holds more than n numbers (bar the CDF-distance merge, at most 2e5):
+a larger one, once freed, raises glibc's dynamic mmap threshold past n, and
+the n-arrays of later checks then stay in the heap instead of going back to
+the system when they are freed.
+
+_MC_CHUNK, unlike _BLOCK, decides which numbers pair up into one sample, so
+changing it would change every stream and every pinned report.
 """
 
 from __future__ import annotations
@@ -23,6 +38,8 @@ from .oracle import Oracle, _integer
 MATCH_AMBIGUITY_TOL = 1e-9
 
 _MC_CHUNK = 1 << 20
+# Numbers per streamed block (512 KiB of float64).
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -111,8 +128,11 @@ def functional_equivalence(
     rng = np.random.default_rng(seed)
     worst = 0.0
     remaining = n_points
+    # A chunk holds at most _MC_CHUNK numbers; the draw is row-major, so the
+    # points do not depend on how many rows a chunk takes.
+    rows = max(1, _MC_CHUNK // net.d)
     while remaining > 0:
-        n = min(remaining, _MC_CHUNK)
+        n = min(remaining, rows)
         pts = rng.standard_normal((n, net.d))
         f = eval_target_batch(net, pts)
         fhat = eval_recovered_batch(model, pts)
@@ -189,6 +209,18 @@ def _mc_rate(samples: int, seed, event_fn) -> float:
     return hits / samples
 
 
+def _stream(draw, n: int):
+    """Yield (slice, block) pairs holding the next n numbers of draw, in stream order.
+
+    draw is a Generator method taking out=; each block overwrites the last.
+    """
+    block = np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        part = block[: min(_BLOCK, n - start)]
+        draw(out=part)
+        yield slice(start, start + part.size), part
+
+
 def _make_report(samples, empirical, bound, exact=None) -> McReport:
     vacuous = bound > 1.0
     capped = min(max(bound, 0.0), 1.0)
@@ -219,17 +251,26 @@ def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McRepo
     def event(rng, n):
         # Only the projections onto span(a, b) matter; work in the plane with
         # a = e1, b = (1-c, sqrt(1-(1-c)^2)); |t1 - t2| = |au/av - bu/bv| for t = -u/v.
-        au, bu = rng.standard_normal((2, n))
-        av, bv = rng.standard_normal((2, n))
+        # The stream is au, bu, av, bv; av and bv are streamed, and au and bu
+        # are two draws of n, not one of 2n (see the module docstring).
+        au = rng.standard_normal(n)
+        bu = rng.standard_normal(n)
         scratch = np.multiply(au, 1.0 - c)
         bu *= b2
         bu += scratch
-        bv *= b2
-        bv += np.multiply(av, 1.0 - c, out=scratch)
+        hits = 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(au, av, out=au)
-            au -= np.divide(bu, bv, out=bu)
-        return np.count_nonzero(np.abs(au, out=au) <= epsilon)
+            for part, av in _stream(rng.standard_normal, n):
+                np.divide(au[part], av, out=au[part])
+                np.multiply(av, 1.0 - c, out=scratch[part])
+            del av  # the first stream's block, before the second allocates its own
+            for part, bv in _stream(rng.standard_normal, n):
+                bv *= b2
+                bv += scratch[part]
+                np.divide(bu[part], bv, out=bv)
+                np.subtract(au[part], bv, out=bv)
+                hits += np.count_nonzero(np.abs(bv, out=bv) <= epsilon)
+        return hits
 
     empirical = _mc_rate(samples, seed, event)
     bound = 3.0 ** (4.0 / 3.0) * (epsilon / c) ** (2.0 / 3.0)
@@ -243,10 +284,13 @@ def mc_cauchy_tail(l: float, samples: int, seed=None) -> McReport:
         raise ValueError("l must be positive and finite")
 
     def event(rng, n):
-        num, den = rng.standard_normal((2, n))
+        num = rng.standard_normal(n)
+        hits = 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(num, den, out=num)
-        return np.count_nonzero(np.abs(num, out=num) >= l)
+            for part, den in _stream(rng.standard_normal, n):
+                np.divide(num[part], den, out=den)
+                hits += np.count_nonzero(np.abs(den, out=den) >= l)
+        return hits
 
     empirical = _mc_rate(samples, seed, event)
     bound = 2.0 / (math.pi * l)
@@ -267,9 +311,12 @@ def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
         raise ValueError("epsilon must be finite and non-negative")
 
     def event(rng, n):
-        q, r = rng.standard_exponential((2, n))
-        q -= r
-        return np.count_nonzero(np.abs(q, out=q) <= 0.5 * epsilon)
+        q = rng.standard_exponential(n)
+        hits = 0
+        for part, r in _stream(rng.standard_exponential, n):
+            np.subtract(q[part], r, out=r)
+            hits += np.count_nonzero(np.abs(r, out=r) <= 0.5 * epsilon)
+        return hits
 
     empirical = _mc_rate(samples, seed, event)
     exact = 1.0 - math.exp(-epsilon / 2.0) if epsilon > 0 else 0.0
@@ -318,7 +365,9 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
     rng_b = np.random.default_rng(streams[1])
 
     n_ks = min(samples, _KS_SAMPLE_CAP)
-    prod = rng_a.standard_normal(samples) * rng_a.standard_normal(samples)
+    prod = rng_a.standard_normal(samples)
+    for part, y in _stream(rng_a.standard_normal, samples):
+        prod[part] *= y
     ref = 0.5 * (rng_b.standard_normal(n_ks) ** 2 - rng_b.standard_normal(n_ks) ** 2)
     distance, passed = _product_checks(prod, ref)
     return McReport(
@@ -330,13 +379,24 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
 
 
 def _product_checks(prod: np.ndarray, ref: np.ndarray) -> tuple[float, bool]:
-    """CDF distance of prod[:len(ref)] to ref, and whether all five checks pass."""
-    p2 = prod * prod  # prod ** 3 and prod ** 4 would each call libm pow
-    moments_ok = True
-    for k, power in enumerate((prod, p2, p2 * prod, p2 * p2)):
-        tol = _PRODUCT_Z * math.sqrt(_PRODUCT_MOMENT_VARS[k] / prod.size)
-        moments_ok = moments_ok and abs(float(np.mean(power)) - _PRODUCT_MOMENTS[k]) <= tol
+    """CDF distance of prod[:len(ref)] to ref, and whether all five checks pass.
+
+    Consumes prod: its buffer ends up holding prod ** 3, so that the four
+    moments take one more array of prod's size, not three.
+    """
     distance = _ks_distance(prod[: ref.size], ref)
+    p2 = prod * prod  # prod ** 3 and prod ** 4 would each call libm pow
+    # Evaluated left to right: prod's mean is taken before its buffer gets prod ** 3.
+    means = (
+        np.mean(prod),
+        np.mean(p2),
+        np.mean(np.multiply(p2, prod, out=prod)),
+        np.mean(np.multiply(p2, p2, out=p2)),
+    )
+    moments_ok = all(
+        abs(float(mean) - _PRODUCT_MOMENTS[k]) <= _PRODUCT_Z * math.sqrt(_PRODUCT_MOMENT_VARS[k] / prod.size)
+        for k, mean in enumerate(means)
+    )
     slack = _PRODUCT_Z * math.sqrt(_KS_BOUND * (1.0 - _KS_BOUND) / ref.size)
     return distance, moments_ok and distance <= _KS_BOUND + slack
 

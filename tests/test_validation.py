@@ -1,6 +1,7 @@
 """Equivalence checks, row matching, and the Monte Carlo bound suite."""
 
 import math
+import tracemalloc
 import zlib
 from statistics import NormalDist
 
@@ -23,7 +24,20 @@ from gradleak import (
     mc_gaussian_product,
     recovered_from_net,
 )
-from gradleak.validation import PRODUCT_FALSE_ALARM, _PRODUCT_Z, _ks_distance, _product_checks
+from gradleak import validation
+from gradleak.model import eval_recovered_batch, eval_target_batch
+from gradleak.validation import (
+    PRODUCT_FALSE_ALARM,
+    _BLOCK,
+    _KS_BOUND,
+    _MC_CHUNK,
+    _PRODUCT_MOMENT_VARS,
+    _PRODUCT_MOMENTS,
+    _PRODUCT_Z,
+    _ks_distance,
+    _product_checks,
+    _stream,
+)
 
 MC_SAMPLES = 200_000
 
@@ -67,6 +81,30 @@ class TestFunctionalEquivalence:
             functional_equivalence(net, recovered_from_net(net), 10, tol, seed=10)
         with pytest.raises(ValueError, match="tol"):
             functional_equivalence(net, recovered_from_net(net), 0, tol, seed=10)
+
+    def test_chunks_are_bounded_by_numbers_not_rows(self, monkeypatch):
+        # 2**19 numbers per chunk at d = 512 is 1024 rows: the report is the
+        # one-draw report, and the 5000 points (19.5 MiB) are never held at
+        # once. (Far shorter chunks can move an exact model's ~1e-15 error in
+        # its last bits: BLAS rounds a product of few rows differently.)
+        d, n = 512, 5000
+        net = generate_random_net(d, 4, seed=11)
+        exact = recovered_from_net(net)
+        perturbed = RecoveredModel(Z=exact.Z * (1.0 + 1e-9), s=exact.s)
+        monkeypatch.setattr(validation, "_MC_CHUNK", 1 << 19)
+        for model in (exact, perturbed):
+            pts = np.random.default_rng(12).standard_normal((n, d))
+            f = eval_target_batch(net, pts)
+            expected = float(np.max(np.abs(f - eval_recovered_batch(model, pts)) / (1.0 + np.abs(f))))
+            del pts, f
+            tracemalloc.start()
+            try:
+                report = functional_equivalence(net, model, n, 1e-7, seed=12)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.max_rel_error == expected
+            assert peak < 9 << 20  # two 4 MiB chunks: the next is drawn before the last is freed
 
 
 class TestMatchRows:
@@ -206,7 +244,7 @@ class TestGaussianProductIdentity:
         n = 1_000_000
         prod = rng.standard_normal(n) * rng.standard_normal(n)
         ref = 0.5 * (rng.standard_normal(100_000) ** 2 - rng.standard_normal(100_000) ** 2)
-        assert _product_checks(prod, ref)[1]
+        assert _product_checks(prod.copy(), ref)[1]
         assert not _product_checks(1.01 * prod, ref)[1]
 
 
@@ -311,6 +349,117 @@ class TestSeededStreams:
         samples = (1 << 20) + 1000
         assert mc_chi2_diff(0.1, samples, seed=15).empirical_prob == 0.049171284404369
         assert mc_crossing_gap(0.5, 1e-3, samples, seed=16).empirical_prob == 0.00042683902833144053
+
+
+def _full_draw_rate(samples, seed, event):
+    """The hit rate of event over _MC_CHUNK-sized chunks of the first child stream of seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    hits, done = 0, 0
+    while done < samples:
+        n = min(samples - done, _MC_CHUNK)
+        hits += int(event(rng, n))
+        done += n
+    return hits / samples
+
+
+def _gap_full_draw(c, epsilon, samples, seed):
+    b2 = math.sqrt(1.0 - (1.0 - c) ** 2)
+
+    def event(rng, n):
+        au, bu = rng.standard_normal((2, n))
+        av, bv = rng.standard_normal((2, n))
+        bu = b2 * bu + (1.0 - c) * au
+        bv = b2 * bv + (1.0 - c) * av
+        return np.count_nonzero(np.abs(au / av - bu / bv) <= epsilon)
+
+    return _full_draw_rate(samples, seed, event)
+
+
+def _tail_full_draw(l, samples, seed):
+    def event(rng, n):
+        num, den = rng.standard_normal((2, n))
+        return np.count_nonzero(np.abs(num / den) >= l)
+
+    return _full_draw_rate(samples, seed, event)
+
+
+def _chi2_full_draw(epsilon, samples, seed):
+    def event(rng, n):
+        q, r = rng.standard_exponential((2, n))
+        return np.count_nonzero(np.abs(q - r) <= 0.5 * epsilon)
+
+    return _full_draw_rate(samples, seed, event)
+
+
+def _product_full_draw(samples, seed):
+    rng_a, rng_b = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    n_ks = min(samples, 100_000)
+    prod = rng_a.standard_normal(samples) * rng_a.standard_normal(samples)
+    ref = 0.5 * (rng_b.standard_normal(n_ks) ** 2 - rng_b.standard_normal(n_ks) ** 2)
+    p2 = prod * prod
+    moments_ok = all(
+        abs(float(np.mean(power)) - _PRODUCT_MOMENTS[k])
+        <= _PRODUCT_Z * math.sqrt(_PRODUCT_MOMENT_VARS[k] / samples)
+        for k, power in enumerate((prod, p2, p2 * prod, p2 * p2))
+    )
+    distance = _ks_distance(prod[:n_ks], ref)
+    slack = _PRODUCT_Z * math.sqrt(_KS_BOUND * (1.0 - _KS_BOUND) / n_ks)
+    return distance, moments_ok and distance <= _KS_BOUND + slack
+
+
+class TestStreamedDraws:
+    # Each check holds its first draws and streams the last one block by
+    # block; these are the numbers, and the reports, of the (2, n) draws.
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("method", ["standard_normal", "standard_exponential"])
+    def test_held_row_then_blocks_is_the_two_row_draw(self, n, method):
+        rng = np.random.default_rng(n)
+        held = getattr(rng, method)(n)
+        streamed = np.empty(n)
+        covered = 0
+        for part, block in _stream(getattr(rng, method), n):
+            assert part.start == covered and block.size == part.stop - part.start <= _BLOCK
+            streamed[part] = block
+            covered = part.stop
+        assert covered == n
+        full = getattr(np.random.default_rng(n), method)((2, n))
+        np.testing.assert_array_equal(held, full[0])
+        np.testing.assert_array_equal(streamed, full[1])
+
+    @pytest.mark.parametrize("n", [1, 7, _BLOCK + 1, _MC_CHUNK + 1000])
+    def test_rates_are_the_full_draw_rates(self, n):
+        assert mc_crossing_gap(0.5, 1e-3, n, seed=21).empirical_prob == _gap_full_draw(0.5, 1e-3, n, 21)
+        assert mc_crossing_gap(0.9, 0.3, n, seed=22).empirical_prob == _gap_full_draw(0.9, 0.3, n, 22)
+        assert mc_cauchy_tail(1.0, n, seed=23).empirical_prob == _tail_full_draw(1.0, n, 23)
+        assert mc_chi2_diff(0.5, n, seed=24).empirical_prob == _chi2_full_draw(0.5, n, 24)
+
+    @pytest.mark.parametrize("samples", [10_000, _BLOCK + 1, _MC_CHUNK + 1000])
+    def test_product_is_the_full_draw_product(self, samples):
+        report = mc_gaussian_product(samples, seed=25)
+        assert (report.empirical_prob, report.passed) == _product_full_draw(samples, 25)
+
+
+class TestTracedPeaks:
+    # At 1e6 samples a check holds only the draws its arithmetic needs at
+    # once: 3, 1, 1 and 2 arrays of n float64 (7.6 MiB each), plus blocks.
+    @pytest.mark.parametrize(
+        "check, bound_mib",
+        [
+            (lambda: mc_crossing_gap(0.5, 1e-3, 1_000_000, seed=1), 24),
+            (lambda: mc_cauchy_tail(10.0, 1_000_000, seed=1), 9),
+            (lambda: mc_chi2_diff(0.1, 1_000_000, seed=1), 9),
+            (lambda: mc_gaussian_product(1_000_000, seed=1), 19),
+        ],
+        ids=["gap", "tail", "chi2diff", "product"],
+    )
+    def test_peak(self, check, bound_mib):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib << 20
 
 
 class TestFdExactness:
