@@ -22,7 +22,7 @@ from .extraction import (
     recover_z,
     select_parameters,
 )
-from .geometry import block_sign_matrix, recover_s, sign_query_points
+from .geometry import block_sign_matrix, recover_s, sign_query_points, solve_linear_system
 from .model import (
     RecoveredModel,
     TwoLayerNet,
@@ -32,11 +32,11 @@ from .model import (
     grad_target,
     load_net,
     load_recovered,
+    rank_with_tolerance,
     recovered_from_net,
     save_net,
     save_recovered,
 )
-from .numerics import rank_with_tolerance, solve_linear_system
 from .oracle import Oracle, SmoothGradConfig
 from .validation import (
     FiniteDiffConfig,

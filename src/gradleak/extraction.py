@@ -108,8 +108,8 @@ def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < c <= 1.0:
         raise ValueError("c must lie in (0, 1]")
-    if h < 1:
-        raise ValueError("h must be at least 1")
+    if not _integer(h) or h < 1:
+        raise ValueError(f"h must be an integer of at least 1, got {h!r}")
     l = max(h * h, math.ceil(4.0 * h / (math.pi * delta)))
     epsilon = (c / 9.0) * (delta / 2.0) ** 1.5 / h**3
     return epsilon, l
@@ -128,8 +128,8 @@ class ExtractionConfig:
 
     def __post_init__(self):
         seed = 0 if self.seed is None else self.seed
-        if not all(_integer(n) for n in (self.h, self.max_retries, seed)):
-            raise ValueError("h, max_retries and seed must be integers")
+        if not all(_integer(n) for n in (self.max_retries, seed)):
+            raise ValueError("max_retries and seed must be integers")
         eps, _ = select_parameters(self.delta, self.c, self.h)
         if self.max_retries < 0 or seed < 0:
             raise ValueError("max_retries and seed must be non-negative")

@@ -8,11 +8,13 @@ sigma, every pre-activation has magnitude at least 1, and cond(ZX) = h + 1.
 X is the minimum-norm solution of Z X = diag(sigma)(I + J), computed by
 LAPACK's SVD least squares: Z Z^T is never formed here, since that would
 square cond(Z), which reaches ~3e5 on square instances (d = h = 16), and X
-must hit its target to RESIDUAL_TOL. The attack's sign step
-(extraction._end_signs) does form Z Z^T: its solution need only round to
-+-1, which absorbs the squared condition number, and its residual
-certificate against both end gradients refuses whatever rounding lets
-through.
+must hit its target to RESIDUAL_TOL. solve_linear_system, the same SVD least
+squares for one right-hand side, solves the 2h x 2h block sign system of ZX,
+or a tall one such as the 2d x 2h system the tests check the attack's signs
+against. The attack's sign step (extraction._end_signs) does form Z Z^T: its
+solution need only round to +-1, which absorbs the squared condition number,
+and its residual certificate against both end gradients refuses whatever
+rounding lets through.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ import numpy as np
 
 from .errors import GeometryError, SignRecoveryError, SingularMatrixError
 from .extraction import SIGN_ROUND_TOL, SOLVE_RESIDUAL_TOL
-from .numerics import SINGULAR_PIVOT_TOL, as_matrix, solve_linear_system
+from .model import as_matrix
 from .oracle import Oracle
 
+# A singular value below SINGULAR_PIVOT_TOL times the largest one rejects Z as
+# too ill-conditioned, and aborts a solve.
+SINGULAR_PIVOT_TOL = 1e-10
 # Largest tolerated entry of |ZX - diag(sigma)(I + J)|; entries are at least 1.
 RESIDUAL_TOL = 0.5
 
@@ -38,7 +43,7 @@ def sign_query_points(z, rng) -> tuple[np.ndarray, np.ndarray]:
     """
     if not np.all(np.isfinite(z)):
         raise GeometryError("Z has a non-finite entry")
-    zm = as_matrix(z)
+    zm = as_matrix(z, "Z")
     h = zm.shape[0]
     sigma = rng.choice((-1.0, 1.0), size=h)
     target = sigma[:, None] * (np.eye(h) + 1.0)
@@ -62,7 +67,7 @@ def block_sign_matrix(zx) -> np.ndarray:
     ZX must be square with no zero entries (each query point must have a
     nonzero pre-activation against every recovered row).
     """
-    a = as_matrix(zx)
+    a = as_matrix(zx, "ZX")
     h = a.shape[0]
     if a.shape[1] != h:
         raise ValueError(f"ZX must be square, got {a.shape}")
@@ -73,6 +78,30 @@ def block_sign_matrix(zx) -> np.ndarray:
     top = np.hstack([pos, neg])
     bot = np.hstack([neg, pos])
     return np.vstack([top, bot])
+
+
+def solve_linear_system(m, b) -> np.ndarray:
+    """Solve M x = b, M square or tall (least squares; the caller judges the residual).
+
+    b is (n,). One LAPACK SVD call. Raises SingularMatrixError when a singular value
+    of M falls below SINGULAR_PIVOT_TOL times the largest one, ValueError when M is
+    wide or b has another shape.
+    """
+    a = as_matrix(m)
+    n, k = a.shape
+    if k > n:
+        raise ValueError(f"matrix must not have more columns than rows, got {a.shape}")
+    rhs = np.asarray(b, dtype=float)
+    if rhs.shape != (n,):
+        raise ValueError(f"right-hand side must have shape ({n},), got {rhs.shape}")
+
+    x, _, rank, sv = np.linalg.lstsq(a, rhs, rcond=SINGULAR_PIVOT_TOL)
+    if rank < k:
+        raise SingularMatrixError(
+            f"smallest singular value {sv[-1]:.3e} below {SINGULAR_PIVOT_TOL:.0e} "
+            f"times the largest {sv[0]:.3e}"
+        )
+    return x
 
 
 def _solve(m, b) -> np.ndarray:
@@ -116,7 +145,7 @@ def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
     solve and certify.
     """
     x, _ = sign_query_points(z, rng)
-    zm = as_matrix(z)
+    zm = as_matrix(z, "Z")
     b = np.array([oracle.value(p) for p in (*x.T, *-x.T)], dtype=float)
     m = block_sign_matrix(zm @ x)
     solved = _solve(m, b)

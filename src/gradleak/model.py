@@ -6,6 +6,10 @@ weighted normals Z and a sign vector s of length 2h that routes each row into
 the correct ReLU branch:
 
     fhat(x) = sum_i s_i * max(<Z_i, x>, 0) + s_{h+i} * max(-<Z_i, x>, 0)
+
+as_matrix is the check of every matrix argument (2-D, finite entries), and
+rank_with_tolerance, one SVD with a cutoff relative to the largest singular
+value, decides row independence for TwoLayerNet and the generator.
 """
 
 from __future__ import annotations
@@ -17,11 +21,30 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationError
-from .numerics import RANK_PIVOT_TOL, rank_with_tolerance
 
 UNIT_ROW_TOL = 1e-12
+# Default relative singular-value cutoff for numerical rank.
+RANK_PIVOT_TOL = 1e-9
 _GENERATION_BUDGET = 200
 _WEIGHT_BUDGET = 1000
+
+
+def as_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite 2-D float64 array."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D matrix, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} entries must be finite")
+    return a
+
+
+def rank_with_tolerance(m, tol: float = RANK_PIVOT_TOL) -> int:
+    """Numerical rank: singular values above tol times the largest one (one SVD)."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    sv = np.linalg.svd(as_matrix(m), compute_uv=False)
+    return int(np.count_nonzero(sv > tol * sv.max(initial=0.0)))
 
 
 def _as_vector(x, d: int, name: str = "x") -> np.ndarray:
@@ -29,6 +52,13 @@ def _as_vector(x, d: int, name: str = "x") -> np.ndarray:
     if v.shape != (d,):
         raise ValueError(f"{name} must have shape ({d},), got {v.shape}")
     return v
+
+
+def _as_points(xs, d: int) -> np.ndarray:
+    pts = np.asarray(xs, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"points must have shape (k, {d}), got {pts.shape}")
+    return pts
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -50,17 +80,13 @@ class TwoLayerNet:
     w: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("A must be an h x d matrix")
+        a = as_matrix(self.A, "A")
         h, d = a.shape
         if not 1 <= h <= d:
             raise ValueError(f"need 1 <= h <= d, got h={h}, d={d}")
-        if w.shape != (h,):
-            raise ValueError(f"w must have shape ({h},), got {w.shape}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(w))):
-            raise ValueError("parameters must be finite")
+        w = _as_vector(self.w, h, "w")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("w entries must be finite")
         norms = np.sqrt(np.sum(a * a, axis=1))
         if np.any(np.abs(norms - 1.0) > UNIT_ROW_TOL):
             raise ValueError("rows of A must be unit vectors")
@@ -91,17 +117,13 @@ class RecoveredModel:
     s: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.Z, dtype=float)
+        z = as_matrix(self.Z, "Z")
         s = np.asarray(self.s)
-        if z.ndim != 2:
-            raise ValueError("Z must be an h x d matrix")
         h = z.shape[0]
         if s.shape != (2 * h,):
             raise ValueError(f"s must have shape ({2 * h},), got {s.shape}")
         if not np.all((s == -1) | (s == 0) | (s == 1)):
             raise ValueError("s entries must lie in {-1, 0, 1}")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("Z entries must be finite")
         object.__setattr__(self, "Z", _freeze(z))
         object.__setattr__(self, "s", _freeze(np.asarray(s, dtype=int)))
 
@@ -139,19 +161,13 @@ def cell_mask(net: TwoLayerNet, x) -> np.ndarray:
 
 
 def eval_target_batch(net: TwoLayerNet, xs) -> np.ndarray:
-    """f at each row of an n x d array."""
-    pts = np.asarray(xs, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != net.d:
-        raise ValueError(f"points must have shape (n, {net.d})")
-    return np.maximum(pts @ net.A.T, 0.0) @ net.w
+    """f at each row of a k x d array."""
+    return np.maximum(_as_points(xs, net.d) @ net.A.T, 0.0) @ net.w
 
 
 def eval_recovered_batch(model: RecoveredModel, xs) -> np.ndarray:
-    """fhat at each row of an n x d array (sign pattern not re-validated)."""
-    pts = np.asarray(xs, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != model.d:
-        raise ValueError(f"points must have shape (n, {model.d})")
-    pre = pts @ model.Z.T
+    """fhat at each row of a k x d array (sign pattern not re-validated)."""
+    pre = _as_points(xs, model.d) @ model.Z.T
     h = model.h
     return np.maximum(pre, 0.0) @ model.s[:h] + np.maximum(-pre, 0.0) @ model.s[h:]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoLayerNet, _as_vector, eval_target_batch
+from .model import TwoLayerNet, _as_points, _as_vector, eval_target_batch
 
 ORACLE_MODES = ("grad", "smoothgrad", "membership")
 
@@ -98,7 +98,7 @@ class Oracle:
 
     def values(self, X) -> np.ndarray:
         """One request for f at the k rows of X: one round of k value queries."""
-        pts = self._points(X)
+        pts = _as_points(X, self.d)
         self.ledger.add_values(len(pts))
         return eval_target_batch(self.net, pts)
 
@@ -120,7 +120,7 @@ class Oracle:
         """
         if self.mode == "membership":
             raise ValueError("a membership oracle serves values only")
-        pts = self._points(X)
+        pts = _as_points(X, self.d)
         net = self.net
         if self._exact:
             out = []
@@ -141,9 +141,3 @@ class Oracle:
             out = [(net.w * mean) @ net.A for mean in means]
         self.ledger.add_gradients(len(pts))
         return out
-
-    def _points(self, X) -> np.ndarray:
-        pts = np.asarray(X, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.d:
-            raise ValueError(f"points must have shape (k, {self.d}), got {pts.shape}")
-        return pts

@@ -116,11 +116,15 @@ class FdExactnessReport:
 def functional_equivalence(
     net: TwoLayerNet, model: RecoveredModel, n_points: int, tol: float, seed=None
 ) -> EquivalenceReport:
-    """Max of |f(x) - fhat(x)| / (1 + |f(x)|) over standard Gaussian samples."""
+    """Max of |f(x) - fhat(x)| / (1 + |f(x)|) over standard Gaussian samples.
+
+    For d > 2048 a chunk of _MC_CHUNK = 2**20 numbers has under 512 rows, and the
+    report's last bits then depend on the chunking: BLAS rounds few rows differently.
+    """
     if net.d != model.d:
         raise ValueError(f"dimension mismatch: net d={net.d}, model d={model.d}")
-    if n_points < 0:
-        raise ValueError("n_points must be non-negative")
+    if not _integer(n_points) or n_points < 0:
+        raise ValueError(f"n_points must be a non-negative integer, got {n_points!r}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if n_points == 0:
@@ -415,8 +419,8 @@ def check_fd_exactness(
     point, against the exact gradient at rel_tol; the first point that misses
     it is the counterexample.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not _integer(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
     # Written so that NaN fails: a NaN rel_tol would pass every comparison.
     if not 0.0 <= rel_tol < math.inf:
         raise ValueError(f"rel_tol must be non-negative and finite, got {rel_tol}")

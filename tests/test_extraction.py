@@ -97,6 +97,15 @@ class TestSelectParameters:
         with pytest.raises(ValueError):
             select_parameters(0.1, 0.5, 0)
 
+    @pytest.mark.parametrize("h", [2.5, True, np.float64(3.0)])
+    def test_non_integer_width_refused(self, h):
+        # 2.5 returned an epsilon and an l for a width no net has.
+        with pytest.raises(ValueError, match="h must be an integer of at least 1"):
+            select_parameters(0.1, 0.01, h)
+
+    def test_numpy_integer_width_accepted(self):
+        assert select_parameters(0.1, 0.01, np.int64(3)) == select_parameters(0.1, 0.01, 3)
+
 
 class TestConfig:
     def test_defaults_filled(self):
@@ -123,7 +132,7 @@ class TestConfig:
         # is refused too, though Python counts True as the integer 1.
         bads = (
             {"seed": -1}, {"seed": 1.5}, {"h": 2.5}, {"max_retries": 1.5},
-            {"h": True}, {"max_retries": False}, {"seed": True},
+            {"h": True}, {"h": np.float64(2.0)}, {"max_retries": False}, {"seed": True},
         )
         for bad in bads:
             with pytest.raises(ValueError, match="integer|non-negative"):

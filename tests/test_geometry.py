@@ -1,4 +1,5 @@
-"""The paper's reference sign step: closed-form query points ZX = diag(sigma)(I + J), and recover_s."""
+"""The paper's reference sign step: closed-form query points ZX = diag(sigma)(I + J), the block
+sign system and its SVD solve, and recover_s."""
 
 import math
 
@@ -9,12 +10,18 @@ from numpy.testing import assert_allclose
 from gradleak import (
     GeometryError,
     Oracle,
+    SignRecoveryError,
+    SingularMatrixError,
     TwoLayerNet,
+    block_sign_matrix,
     eval_target,
     generate_random_net,
+    rank_with_tolerance,
     recover_s,
     sign_query_points,
+    solve_linear_system,
 )
+from gradleak.geometry import _solve
 from gradleak.model import eval_recovered_batch
 
 
@@ -170,3 +177,109 @@ class TestRecoverS:
 
         with pytest.raises(SignRecoveryError, match=r"entry 0 = nan is not near an integer"):
             recover_s(InfOracle(), np.eye(2), rng=np.random.default_rng(4))
+
+
+class TestSolveRefusals:
+    # recover_s's solve reports a system it cannot solve as a failed sign
+    # recovery, not as a linear-algebra error.
+    @pytest.mark.parametrize(
+        "m, b, match",
+        [
+            ([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], "singular value"),
+            (np.ones((2, 3)), [1.0, 2.0], "more columns than rows"),
+            (np.eye(2), [1.0, 2.0, 3.0], "right-hand side"),
+        ],
+    )
+    def test_failures_are_sign_recovery_errors(self, m, b, match):
+        with pytest.raises(SignRecoveryError, match=f"sign system is singular: .*{match}"):
+            _solve(m, b)
+
+
+class TestSolve:
+    def test_identity(self):
+        assert_allclose(solve_linear_system(np.eye(2), [3.0, -1.0]), [3.0, -1.0])
+
+    def test_diagonal(self):
+        assert_allclose(solve_linear_system([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0]), [1.0, 2.0])
+
+    def test_singular(self):
+        with pytest.raises(SingularMatrixError):
+            solve_linear_system([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+
+    def test_near_singular(self):
+        with pytest.raises(SingularMatrixError):
+            solve_linear_system([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [1.0, 2.0])
+
+    def test_needs_pivoting(self):
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert_allclose(solve_linear_system(m, [5.0, 7.0]), [7.0, 5.0])
+
+    def test_round_trip_on_random_well_conditioned(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 3, 8, 16, 40):
+            for _ in range(10):
+                m = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+                b = rng.standard_normal(n)
+                x = solve_linear_system(m, b)
+                assert np.max(np.abs(m @ x - b)) <= 1e-8 * (1.0 + np.max(np.abs(b)))
+
+    def test_tall_full_column_rank(self):
+        # A consistent tall system is solved exactly; an inconsistent one gets
+        # its least-squares solution, and the caller judges the residual.
+        m = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        assert_allclose(solve_linear_system(m, [1.0, 4.0, 3.0]), [1.0, 2.0])
+        assert_allclose(solve_linear_system(m, [1.0, 4.0, 0.0]), np.linalg.lstsq(m, [1.0, 4.0, 0.0])[0])
+
+    def test_tall_rank_deficient(self):
+        with pytest.raises(SingularMatrixError):
+            solve_linear_system([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], [1.0, 2.0, 3.0])
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError):
+            solve_linear_system(np.ones((2, 3)), [1.0, 2.0])
+        with pytest.raises(ValueError):
+            solve_linear_system(np.eye(2), [1.0, 2.0, 3.0])
+
+    def test_right_hand_side_shape_errors(self):
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_linear_system(np.eye(2), np.ones((2, 2, 1)))
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_linear_system(np.eye(2), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_linear_system(np.eye(2), 1.0)
+        with pytest.raises(ValueError, match="columns than rows"):
+            solve_linear_system(np.ones((2, 3)), np.ones((2, 2)))
+
+
+class TestBlockSignMatrix:
+    def test_one_by_one_positive(self):
+        assert_allclose(block_sign_matrix([[1.0]]), [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_one_by_one_negative(self):
+        assert_allclose(block_sign_matrix([[-1.0]]), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_all_positive_determinant_squares(self):
+        rng = np.random.default_rng(1)
+        zx = rng.uniform(0.5, 2.0, size=(2, 2))
+        m = block_sign_matrix(zx)
+        assert_allclose(m[:2, 2:], 0.0)
+        assert_allclose(m[2:, :2], 0.0)
+        assert np.linalg.det(m) == pytest.approx(np.linalg.det(zx) ** 2, rel=1e-9)
+
+    def test_mixed_signs_full_rank(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            zx = rng.standard_normal((4, 4))
+            zx[np.abs(zx) < 0.1] = 0.5
+            # A constant sign per row mirrors one cell's activation pattern.
+            zx = np.abs(zx) * np.where(rng.random(4) < 0.5, -1.0, 1.0)[:, None]
+            m = block_sign_matrix(zx)
+            assert rank_with_tolerance(m, 1e-9) == 8
+
+    def test_zero_entry_rejected(self):
+        with pytest.raises(ValueError):
+            block_sign_matrix([[1.0, 0.0], [1.0, 1.0]])
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            block_sign_matrix(np.ones((2, 3)))

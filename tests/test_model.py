@@ -1,4 +1,4 @@
-"""Target/recovered model evaluation, generation, and serialization."""
+"""Target/recovered model evaluation, matrix checks and numerical rank, generation, and serialization."""
 
 import json
 import math
@@ -17,11 +17,12 @@ from gradleak import (
     grad_target,
     load_net,
     load_recovered,
+    rank_with_tolerance,
     recovered_from_net,
     save_net,
     save_recovered,
 )
-from gradleak.model import eval_recovered_batch, eval_target_batch
+from gradleak.model import as_matrix, eval_recovered_batch, eval_target_batch
 
 
 def two_unit_net(w=(1.0, -1.0)):
@@ -160,6 +161,90 @@ class TestGenerator:
         with pytest.raises(GenerationError):
             generate_random_net(2, 2, c_min=1.0 - 1e-9, seed=0)
 
+    @pytest.mark.parametrize("c_min", [0.0, 1.0, -0.5, math.nan])
+    def test_c_min_outside_the_open_unit_interval_refused(self, c_min):
+        with pytest.raises(ValueError, match=r"c_min must lie in \(0, 1\)"):
+            generate_random_net(4, 2, c_min=c_min, seed=0)
+
+    def test_unreachable_weight_floor_raises(self):
+        # A standard Gaussian weight never reaches 50 within the draw budget.
+        with pytest.raises(GenerationError, match="could not draw weight 0 with"):
+            generate_random_net(4, 2, w_min=50.0, seed=0)
+
+
+class TestConstructionRefusals:
+    # Each malformed parameter is a ValueError that names it.
+    @pytest.mark.parametrize(
+        "a, w, match",
+        [
+            (np.ones(2), [1.0], "A must be a 2-D matrix, got ndim=1"),
+            (np.ones((3, 2)) / math.sqrt(2.0), [1.0, 1.0, 1.0], r"need 1 <= h <= d, got h=3, d=2"),
+            (np.eye(2), [1.0], r"w must have shape \(2,\)"),
+            (np.eye(2), [[1.0, 1.0]], r"w must have shape \(2,\)"),
+            ([[math.nan, 0.0], [0.0, 1.0]], [1.0, 1.0], "A entries must be finite"),
+            ([[1.0, 0.0], [0.0, math.inf]], [1.0, 1.0], "A entries must be finite"),
+            (np.eye(2), [1.0, math.nan], "w entries must be finite"),
+        ],
+    )
+    def test_two_layer_net(self, a, w, match):
+        with pytest.raises(ValueError, match=match):
+            TwoLayerNet(A=np.asarray(a), w=np.asarray(w))
+
+    @pytest.mark.parametrize(
+        "z, s, match",
+        [
+            (np.ones(2), [1, 0, 0, 0], "Z must be a 2-D matrix, got ndim=1"),
+            (np.ones((1, 2, 2)), [1, 0], "Z must be a 2-D matrix, got ndim=3"),
+            (np.eye(2), [1, 0, 0], r"s must have shape \(4,\)"),
+            ([[1.0, 0.0], [0.0, math.nan]], [1, 1, 0, 0], "Z entries must be finite"),
+        ],
+    )
+    def test_recovered_model(self, z, s, match):
+        with pytest.raises(ValueError, match=match):
+            RecoveredModel(Z=np.asarray(z), s=np.asarray(s))
+
+    @pytest.mark.parametrize("pts", [np.ones((3, 3)), np.ones(2), np.ones((2, 2, 1))])
+    def test_batch_points_of_the_wrong_shape(self, pts):
+        net = two_unit_net()
+        with pytest.raises(ValueError, match=r"points must have shape \(k, 2\)"):
+            eval_target_batch(net, pts)
+        with pytest.raises(ValueError, match=r"points must have shape \(k, 2\)"):
+            eval_recovered_batch(recovered_from_net(net), pts)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"permutation": [0, 0]}, "permutation must be a bijection"),
+            ({"permutation": [0, 2]}, "permutation must be a bijection"),
+            ({"row_signs": [1.0, 0.0]}, r"row_signs entries must be \+-1"),
+            ({"row_signs": [1.0, 2.0]}, r"row_signs entries must be \+-1"),
+        ],
+    )
+    def test_recovered_from_net(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            recovered_from_net(two_unit_net(), **kwargs)
+
+    @pytest.mark.parametrize("m", [np.ones(3), np.ones((1, 2, 2)), 1.0])
+    def test_as_matrix_refuses_other_ranks(self, m):
+        with pytest.raises(ValueError, match="matrix must be a 2-D matrix"):
+            as_matrix(m)
+        with pytest.raises(ValueError, match="^ZX must be a 2-D matrix"):
+            as_matrix(m, "ZX")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_as_matrix_refuses_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="^matrix entries must be finite"):
+            as_matrix([[1.0, bad]])
+        with pytest.raises(ValueError, match="^Z entries must be finite"):
+            as_matrix([[1.0, bad]], "Z")
+
+    @pytest.mark.parametrize("z", [[1.0, 0.0], [[1.0, math.nan]]])
+    def test_a_corrupt_recovered_file_names_its_key(self, tmp_path, z):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"d": 2, "h": 1, "Z": z, "s": [1, 0]}))  # Python's json reads NaN
+        with pytest.raises(ValueError, match="^Z "):
+            load_recovered(path)
+
 
 class TestFunctionProperties:
     def test_piecewise_linearity_within_cell(self):
@@ -288,11 +373,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"key '{key}' must hold numbers"):
             loader(path)
 
-    def test_inconsistent_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "loader, payload",
+        [
+            (load_net, {"d": 3, "h": 1, "A": [[1.0, 0.0]], "w": [1.0]}),
+            (load_recovered, {"d": 3, "h": 1, "Z": [[1.0, 0.0]], "s": [1, 0]}),
+            (load_recovered, {"d": 2, "h": 2, "Z": [[1.0, 0.0]], "s": [1, 0]}),
+        ],
+    )
+    def test_inconsistent_header_rejected(self, tmp_path, loader, payload):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"d": 3, "h": 1, "A": [[1.0, 0.0]], "w": [1.0]}))
-        with pytest.raises(ValueError):
-            load_net(path)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="dimensions disagree with its matrices"):
+            loader(path)
 
     def test_non_unit_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -302,3 +395,34 @@ class TestSerialization:
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             TwoLayerNet(A=a, w=np.array([1.0, 1.0]))
+
+
+class TestRank:
+    def test_identity(self):
+        assert rank_with_tolerance(np.eye(3), 1e-9) == 3
+
+    def test_proportional_rows(self):
+        assert rank_with_tolerance([[1.0, 2.0], [2.0, 4.0]], 1e-9) == 1
+
+    def test_zero(self):
+        assert rank_with_tolerance(np.zeros((3, 4)), 1e-9) == 0
+
+    def test_empty(self):
+        assert rank_with_tolerance(np.zeros((0, 3)), 1e-9) == 0
+
+    def test_rectangular(self):
+        m = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 3.0]])
+        assert rank_with_tolerance(m, 1e-9) == 2
+
+    def test_near_dependency_respects_tolerance(self):
+        m = np.array([[1.0, 0.0], [1.0, 1e-12]])
+        assert rank_with_tolerance(m, 1e-9) == 1
+        assert rank_with_tolerance(m, 1e-14) == 2
+
+    def test_bad_tolerance(self):
+        with pytest.raises(ValueError):
+            rank_with_tolerance(np.eye(2), 0.0)
+
+    def test_nan_tolerance(self):
+        with pytest.raises(ValueError):
+            rank_with_tolerance(np.eye(2), float("nan"))

@@ -9,7 +9,7 @@ from pathlib import Path
 import gradleak
 import gradleak.extraction
 import gradleak.geometry
-import gradleak.numerics
+import gradleak.model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "gradleak"
@@ -35,7 +35,7 @@ ABSENT = {
 }
 
 # The attack path, which must not import the paper's reference sign step.
-ATTACK_PATH = ("extraction", "oracle", "model", "numerics")
+ATTACK_PATH = ("extraction", "oracle", "model")
 
 
 def test_every_name_perfbench_uses_resolves():
@@ -65,10 +65,10 @@ def test_reference_sign_step_lives_in_geometry_alone():
         assert not [m for m in imported if "geometry" in m.split(".")], name
     assert not hasattr(gradleak.extraction, "recover_s")
     assert not hasattr(gradleak.extraction, "sign_query_points")
-    assert not hasattr(gradleak.numerics, "block_sign_matrix")
-    assert not hasattr(gradleak.numerics, "SOLVE_RESIDUAL_TOL")
-    for name in ("recover_s", "block_sign_matrix", "sign_query_points"):
+    assert importlib.util.find_spec("gradleak.numerics") is None
+    for name in ("recover_s", "block_sign_matrix", "sign_query_points", "solve_linear_system"):
         assert getattr(gradleak, name) is getattr(gradleak.geometry, name)
+    assert gradleak.rank_with_tolerance is gradleak.model.rank_with_tolerance
 
 
 def test_end_signs_need_no_svd_solve():

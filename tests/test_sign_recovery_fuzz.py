@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gradleak import GeometryError, Oracle, SignRecoveryError, generate_random_net, geometry, recover_s
 from gradleak.extraction import _end_signs
-from gradleak.numerics import SINGULAR_PIVOT_TOL
+from gradleak.geometry import SINGULAR_PIVOT_TOL
 
 ROW = st.integers(0, 15)  # reduced modulo the current row count
 COLUMN = st.integers(0, 7)  # reduced modulo d

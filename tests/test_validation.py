@@ -73,6 +73,18 @@ class TestFunctionalEquivalence:
         with pytest.raises(ValueError):
             functional_equivalence(net, other, 10, 1e-7, seed=8)
 
+    @pytest.mark.parametrize("n_points", [-1, 2.5, True, np.float64(3.0)])
+    def test_point_count_that_is_not_a_non_negative_integer_refused(self, n_points):
+        # 2.5 and True leaked numpy's TypeError; a bool is refused though Python counts it an int.
+        net = generate_random_net(4, 2, seed=9)
+        with pytest.raises(ValueError, match="n_points must be a non-negative integer"):
+            functional_equivalence(net, recovered_from_net(net), n_points, 1e-7, seed=10)
+
+    def test_numpy_integer_point_count_accepted(self):
+        net = generate_random_net(4, 2, seed=9)
+        report = functional_equivalence(net, recovered_from_net(net), np.int64(10), 1e-7, seed=10)
+        assert report.n_points == 10 and report.passed
+
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
     def test_bad_tolerance_rejected(self, tol):
         # A NaN tolerance would fail `worst <= tol` on a matching model.
@@ -140,6 +152,12 @@ class TestMatchRows:
         z = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(MatchAmbiguityError):
             match_rows(net, z)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 5), (8,), (2, 4, 1)])
+    def test_z_of_the_wrong_shape_refused(self, shape):
+        net = generate_random_net(4, 2, seed=5)
+        with pytest.raises(ValueError, match=r"Z must have shape \(2, 4\)"):
+            match_rows(net, np.ones(shape))
 
     def test_randomized_permutations_recovered(self):
         rng = np.random.default_rng(9)
@@ -479,6 +497,18 @@ class TestFdExactness:
         assert report.passed is False
         assert 0.0 < report.max_rel_error <= 1e-9
         assert np.min(np.abs(net.A @ report.counterexample)) > 1e-2
+
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, True, np.float64(3.0)])
+    def test_trial_count_that_is_not_a_positive_integer_refused(self, trials):
+        # 2.5 leaked numpy's TypeError, and True ran one trial and reported trials=True.
+        net = generate_random_net(6, 2, seed=16)
+        with pytest.raises(ValueError, match="trials must be an integer of at least 1"):
+            check_fd_exactness(net, FiniteDiffConfig(eta=1e-3), trials, seed=17)
+
+    def test_numpy_integer_trial_count_accepted(self):
+        net = generate_random_net(6, 2, seed=16)
+        report = check_fd_exactness(net, FiniteDiffConfig(eta=1e-3), np.int64(3), seed=17)
+        assert report.trials == 3 and report.passed
 
     def test_oversized_step_raises(self):
         net = generate_random_net(6, 4, seed=14)

@@ -13,9 +13,14 @@ side's median and quartiles over the seeds, the pairs the child won under the
 metric's ``better`` (ties count for neither), and whether a claimed gain would
 hold: the child wins at least nine tenths of the pairs and its median is
 better than the parent's by more than the distance between the parent's
-quartiles. It also prints each side's median of the reference kernel time
-(``wall.ref_ms_p50``), the yardstick the relative operation times divide by,
-so a moved yardstick shows next to the metrics it moves.
+quartiles. Next to the claim it prints the no-regression verdict under the
+metric's ``bound``, read as a fraction of the parent's median: "worse" when
+the child's median is worse than the parent's by more than that, else
+"unresolved" when the parent's quartile spread exceeds it and not every
+child run beats every parent run, else "ok". It also prints each side's
+median of the reference kernel time (``wall.ref_ms_p50``), the yardstick
+the relative operation times divide by, so a moved yardstick shows next to
+the metrics it moves.
 
 It exits 1 if any run's result is not ``correct`` (or the run printed no
 result). It writes nothing itself; perfbench keeps its own records in each
@@ -62,6 +67,19 @@ def quartiles(values: list[float]) -> tuple[float, float]:
         return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4)
     return q1, q3
+
+
+def regression(par: list[float], chi: list[float], bound: float, lower: bool) -> str:
+    """The no-regression verdict on one metric: "worse", "unresolved" or "ok"."""
+    p_med, c_med = statistics.median(par), statistics.median(chi)
+    allowed = bound * abs(p_med)
+    if ((c_med - p_med) if lower else (p_med - c_med)) > allowed:
+        return "worse"
+    p1, p3 = quartiles(par)
+    beats_all = max(chi) < min(par) if lower else min(chi) > max(par)
+    if p3 - p1 > allowed and not beats_all:
+        return "unresolved"
+    return "ok"
 
 
 def main(argv=None) -> int:
@@ -112,7 +130,8 @@ def main(argv=None) -> int:
         holds = 10 * wins >= 9 * pairs and gain > p3 - p1
         print(f"{name} ({m['unit']}, {m['better']} is better): parent {p_med:.4g} [{p1:.4g} {p3:.4g}], "
               f"child {c_med:.4g} [{c1:.4g} {c3:.4g}], child better in {wins}/{pairs}, "
-              f"claim holds: {'yes' if holds else 'no'}")
+              f"claim holds: {'yes' if holds else 'no'}, "
+              f"no regression (bound {m['bound']:g}): {regression(par, chi, m['bound'], lower)}")
     if pairs:
         print("wall.ref_ms_p50: " + ", ".join(
             f"{side} {statistics.median(ref_ms[side]):.3f} [{' '.join(f'{q:.3f}' for q in quartiles(ref_ms[side]))}]"
