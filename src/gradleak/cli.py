@@ -137,6 +137,7 @@ def _failure_report(err: GradleakError, oracle: Oracle) -> dict:
         "success": False,
         "phase": err.phase,
         "retries": err.retries,
+        "refusals": list(err.refusals),
         "gradient_queries": oracle.ledger.gradient_queries,
         "value_queries": oracle.ledger.value_queries,
         "rounds": oracle.ledger.rounds,

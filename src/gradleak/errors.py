@@ -12,13 +12,17 @@ from collections.abc import Sequence
 class GradleakError(Exception):
     """Base class for all package-specific errors.
 
-    learn_model sets phase ("search" or "sign"), retries and crossings on the
-    errors it re-raises, so a failure report can say where the run stopped;
-    an error raised anywhere else reports no phase, no retries and no crossings.
+    learn_model sets phase ("search" or "sign"), retries, refusals (why each
+    refused search line was refused, in order) and crossings on the errors it
+    re-raises, so a failure report can say where the run stopped; an error
+    raised anywhere else reports no phase, no retries, no refusals and no
+    crossings. After a search failure every line was refused, so refusals
+    holds retries + 1 reasons; after a sign failure, retries.
     """
 
     phase: str | None = None
     retries: int = 0
+    refusals: Sequence[str] = ()
     crossings: Sequence[float] = ()
 
 

@@ -69,8 +69,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionFailure, GradleakError, SignRecoveryError
-from .model import RecoveredModel
-from .oracle import Oracle, _integer
+from .model import RecoveredModel, _integer
+from .oracle import Oracle
 
 # Gradient-change threshold for the "same cell" test of membership and blurred
 # smoothgrad: far below the smallest real change (w_min times a unit row), far
@@ -127,6 +127,9 @@ class ExtractionConfig:
     max_retries: int = 5
 
     def __post_init__(self):
+        for name in ("delta", "c", "epsilon"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):  # Python counts True as the number 1
+                raise ValueError(f"{name} must be a number, not a bool")
         seed = 0 if self.seed is None else self.seed
         if not all(_integer(n) for n in (self.max_retries, seed)):
             raise ValueError("max_retries and seed must be integers")
@@ -147,8 +150,12 @@ class ZRecovery:
     u: np.ndarray
     v: np.ndarray
     crossings: list[float]
-    retries: int
+    refusals: list[str]  # why each line searched before this one was refused, in order
     ends: tuple[np.ndarray, np.ndarray]  # the gradients g(-v) and g(+v) of the line's tail cells
+
+    @property
+    def retries(self) -> int:
+        return len(self.refusals)
 
 
 @dataclass
@@ -159,13 +166,18 @@ class ExtractionReport:
     gradient_queries: int
     value_queries: int
     rounds: int  # oracle requests, over every line searched
-    retries: int
+    refusals: list[str]  # why each line before the successful one was refused, in order
     crossings: list[float]
+
+    @property
+    def retries(self) -> int:
+        return len(self.refusals)
 
     def report_dict(self) -> dict:
         return {
             "success": True,
             "retries": self.retries,
+            "refusals": list(self.refusals),
             "gradient_queries": self.gradient_queries,
             "value_queries": self.value_queries,
             "rounds": self.rounds,
@@ -314,19 +326,20 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -
     """Recover the weighted normals up to sign and permutation.
 
     Draws fresh (u, v) from rng on each retry; raises ExtractionFailure once
-    the retry budget is exhausted.
+    the retry budget is exhausted, with every line's reason in its refusals.
     """
-    last: ExtractionFailure | None = None
-    for attempt in range(cfg.max_retries + 1):
+    refusals: list[str] = []
+    for _ in range(cfg.max_retries + 1):
         u, v = rng.standard_normal((2, oracle.d))
         try:
             z, crossings, ends = _search_line(oracle, u, v, cfg)
-            return ZRecovery(Z=z, u=u, v=v, crossings=crossings, retries=attempt, ends=ends)
+            return ZRecovery(Z=z, u=u, v=v, crossings=crossings, refusals=refusals, ends=ends)
         except ExtractionFailure as err:
             last = err
-    raise ExtractionFailure(
-        f"all {cfg.max_retries + 1} search attempts failed; last: {last}"
-    ) from last
+            refusals.append(str(err))
+    failure = ExtractionFailure(f"all {cfg.max_retries + 1} search attempts failed; last: {last}")
+    failure.refusals = refusals
+    raise failure from last
 
 
 def _end_signs(z, v, ends) -> np.ndarray:
@@ -369,8 +382,8 @@ def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
 
     Failures are raised, never silently mis-recovered: ExtractionFailure from
     the search, SignRecoveryError from an inconsistent sign solve. The raised
-    error carries the failing phase ("search" or "sign"), the retries spent
-    and the crossings found.
+    error carries the failing phase ("search" or "sign"), the retries spent,
+    the reason each refused line was refused and the crossings found.
     """
     zres = None
     try:
@@ -379,6 +392,7 @@ def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
     except GradleakError as err:
         err.phase = "search" if zres is None else "sign"
         err.retries = cfg.max_retries if zres is None else zres.retries
+        err.refusals = list(err.refusals if zres is None else zres.refusals)
         err.crossings = [] if zres is None else list(zres.crossings)
         raise
     return ExtractionReport(
@@ -386,6 +400,6 @@ def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
         gradient_queries=oracle.ledger.gradient_queries,
         value_queries=oracle.ledger.value_queries,
         rounds=oracle.ledger.rounds,
-        retries=zres.retries,
+        refusals=list(zres.refusals),
         crossings=list(zres.crossings),
     )

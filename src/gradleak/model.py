@@ -47,6 +47,11 @@ def rank_with_tolerance(m, tol: float = RANK_PIVOT_TOL) -> int:
     return int(np.count_nonzero(sv > tol * sv.max(initial=0.0)))
 
 
+def _integer(n) -> bool:
+    """An int or numpy integer, and not a bool, which Python counts as an int."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _as_vector(x, d: int, name: str = "x") -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (d,):
@@ -181,6 +186,11 @@ def generate_random_net(
     |<A_i, A_j>| <= 1 - c_min and the rows are independent; weights are
     standard Gaussians redrawn until |w_i| >= w_min. Deterministic given seed.
     """
+    for name, n in (("d", d), ("h", h)):
+        if not _integer(n):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+    if seed is not None and not (_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be None or a non-negative integer, got {seed!r}")
     if not 1 <= h <= d:
         raise ValueError(f"need 1 <= h <= d, got h={h}, d={d}")
     if not 0.0 < c_min < 1.0:

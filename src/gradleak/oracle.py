@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoLayerNet, _as_points, _as_vector, eval_target_batch
+from .model import TwoLayerNet, _as_points, _as_vector, _integer, eval_target_batch
 
 ORACLE_MODES = ("grad", "smoothgrad", "membership")
 
@@ -37,11 +37,6 @@ class QueryLedger:
         self.rounds += 1
 
 
-def _integer(n) -> bool:
-    """An int or numpy integer, and not a bool, which Python counts as an int."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-
-
 @dataclass
 class SmoothGradConfig:
     """Gaussian smoothing: average of n_samples gradients at x + N(0, sigma^2 I)."""
@@ -51,6 +46,8 @@ class SmoothGradConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        if isinstance(self.sigma, (bool, np.bool_)):  # Python counts True as the number 1
+            raise ValueError("sigma must be a number, not a bool")
         if not 0.0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
         if not _integer(self.n_samples) or self.n_samples < 1:

@@ -19,7 +19,9 @@ the n-arrays of later checks then stay in the heap instead of going back to
 the system when they are freed.
 
 _MC_CHUNK, unlike _BLOCK, decides which numbers pair up into one sample, so
-changing it would change every stream and every pinned report.
+changing it would change every stream and every pinned report. It belongs to
+the lemma checks alone: functional_equivalence draws its points in blocks of
+rows (see _MIN_ROWS).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MatchAmbiguityError
-from .model import TwoLayerNet, RecoveredModel, eval_recovered_batch, eval_target_batch, grad_target
+from .model import TwoLayerNet, RecoveredModel, _integer, eval_recovered_batch, eval_target_batch, grad_target
 from .extraction import finite_differences
-from .oracle import Oracle, _integer
+from .oracle import Oracle
 
 # Two row-match candidates closer than this in |cosine| are reported, not guessed.
 MATCH_AMBIGUITY_TOL = 1e-9
@@ -40,6 +42,12 @@ MATCH_AMBIGUITY_TOL = 1e-9
 _MC_CHUNK = 1 << 20
 # Numbers per streamed block (512 KiB of float64).
 _BLOCK = 1 << 16
+# Fewest rows functional_equivalence evaluates at once (bar n_points itself).
+# BLAS rounds a product of few rows differently from the same rows inside a
+# larger one: on near-exact models blocks of 128 rows moved the ~1e-15 report
+# in its last bits at (d, h) = (128, 8), (512, 16) and (2048, 4), while blocks
+# of 256 rows or more matched one draw of every point at every shape tried.
+_MIN_ROWS = 512
 
 
 @dataclass
@@ -118,8 +126,14 @@ def functional_equivalence(
 ) -> EquivalenceReport:
     """Max of |f(x) - fhat(x)| / (1 + |f(x)|) over standard Gaussian samples.
 
-    For d > 2048 a chunk of _MC_CHUNK = 2**20 numbers has under 512 rows, and the
-    report's last bits then depend on the chunking: BLAS rounds few rows differently.
+    The points are drawn and evaluated in blocks of max(_MIN_ROWS, _BLOCK // d)
+    rows, each drawn into one reused buffer; a remainder under _MIN_ROWS rows
+    joins the last block. The draw is row-major, so the points are those of one
+    (n_points, d) draw, and as no block has fewer than _MIN_ROWS = 512 rows
+    (unless n_points does) the report equals that draw's, bit for bit. The
+    buffer holds max(512 d, 2**16) numbers, or up to twice that with a merged
+    remainder: 512 KiB up to d = 128, then 4 KiB per unit of d (16 MiB at d =
+    4096).
     """
     if net.d != model.d:
         raise ValueError(f"dimension mismatch: net d={net.d}, model d={model.d}")
@@ -130,18 +144,17 @@ def functional_equivalence(
     if n_points == 0:
         return EquivalenceReport(0.0, tol, 0, passed=True, vacuous=True)
     rng = np.random.default_rng(seed)
+    rows = max(_MIN_ROWS, _BLOCK // net.d)
+    blocks = max(1, (n_points - _MIN_ROWS) // rows + 1)
+    last = n_points - (blocks - 1) * rows  # under rows + _MIN_ROWS
+    buf = np.empty((min(n_points, max(rows, last)), net.d))
     worst = 0.0
-    remaining = n_points
-    # A chunk holds at most _MC_CHUNK numbers; the draw is row-major, so the
-    # points do not depend on how many rows a chunk takes.
-    rows = max(1, _MC_CHUNK // net.d)
-    while remaining > 0:
-        n = min(remaining, rows)
-        pts = rng.standard_normal((n, net.d))
+    for k in range(blocks):
+        pts = buf[: last if k == blocks - 1 else rows]
+        rng.standard_normal(out=pts)
         f = eval_target_batch(net, pts)
         fhat = eval_recovered_batch(model, pts)
         worst = max(worst, float(np.max(np.abs(f - fhat) / (1.0 + np.abs(f)))))
-        remaining -= n
     return EquivalenceReport(worst, tol, n_points, passed=worst <= tol)
 
 

@@ -80,6 +80,7 @@ class TestExtractVerify:
         assert report["success"] is True
         assert report["gradient_queries"] > 0
         assert len(report["crossings"]) == 5
+        assert len(report["refusals"]) == report["retries"]
         assert run("verify", "--model", str(model_file), "--recovered", str(rec)) == 0
 
     def test_smoothgrad_zero_sigma_matches_grad(self, tmp_path, model_file):
@@ -123,6 +124,9 @@ class TestExtractVerify:
         assert not rec.exists()
         report = json.loads(rep.read_text())
         assert report["success"] is False
+        # Both lines were refused, each for its own reason.
+        assert (report["phase"], report["retries"], len(report["refusals"])) == ("search", 1, 2)
+        assert all(isinstance(reason, str) and reason for reason in report["refusals"])
 
     def test_sign_phase_failure_reports_phase_and_true_retries(self, tmp_path, model_file, monkeypatch):
         # The search finds all 5 crossings on the first line and the sign
@@ -146,6 +150,7 @@ class TestExtractVerify:
         assert report["success"] is False
         assert report["phase"] == "sign"
         assert report["retries"] == 0
+        assert report["refusals"] == []
         assert len(report["crossings"]) == 5
         # The sign solve reads the search line's end gradients: no value
         # query (10, the 2h sign equations, before it did).
@@ -178,7 +183,7 @@ class TestExtractVerify:
         assert not rec.exists()
         report = json.loads(rep.read_text())
         assert report["success"] is False
-        assert (report["phase"], report["retries"], report["crossings"]) == (None, 0, [])
+        assert (report["phase"], report["retries"], report["refusals"], report["crossings"]) == (None, 0, [], [])
         assert report["gradient_queries"] == report["value_queries"] == 0
 
     def test_corrupted_recovered_exits_three(self, tmp_path, model_file):

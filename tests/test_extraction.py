@@ -140,6 +140,13 @@ class TestConfig:
         cfg = ExtractionConfig(h=np.int64(2), seed=np.uint64(3), max_retries=np.int32(1))
         assert (cfg.h, cfg.seed, cfg.max_retries) == (2, 3, 1)
 
+    @pytest.mark.parametrize("name", ["delta", "c", "epsilon"])
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_number_refused(self, name, flag):
+        # c=True ran with c = 1.0 and epsilon=True with a resolution of 1 rad.
+        with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
+            ExtractionConfig(h=4, **{name: flag})
+
     @pytest.mark.parametrize("override", [{"epsilon": math.inf}, {"epsilon": math.nan}, {"epsilon": -math.inf}])
     def test_non_finite_range_refused(self, override):
         # An infinite resolution would refuse every split and a NaN one none,
@@ -1173,6 +1180,59 @@ class TestLearnModel:
         assert search_err.value.retries == 1
         assert search_err.value.crossings == []
 
+    def test_each_refused_line_keeps_its_reason(self, monkeypatch):
+        # epsilon = 0.5 refuses some lines of this net (see
+        # test_retry_counter_reflects_failed_attempts); the first seed whose
+        # model comes after a refused line lists one reason per retry.
+        net = TwoLayerNet(A=np.eye(2), w=np.ones(2))
+        reasons = []
+        search = extraction._search_line
+
+        def noted(*args):
+            try:
+                return search(*args)
+            except ExtractionFailure as err:
+                reasons.append(str(err))
+                raise
+
+        monkeypatch.setattr(extraction, "_search_line", noted)
+        for seed in range(40):
+            reasons.clear()
+            try:
+                report = learn_model(Oracle(net), ExtractionConfig(h=2, epsilon=0.5, seed=seed, max_retries=5))
+            except ExtractionFailure:
+                continue
+            if report.retries:
+                break
+        assert report.retries > 0
+        assert report.report_dict()["refusals"] == report.refusals == reasons
+        assert len(report.refusals) == report.retries
+
+        # A search failure refuses every line: the last reason is the one
+        # its message names, which stays as it was.
+        reasons.clear()
+        with pytest.raises(ExtractionFailure) as search_err:
+            learn_model(Oracle(generate_random_net(12, 5, seed=1)), ExtractionConfig(h=8, seed=0, max_retries=2))
+        err = search_err.value
+        assert err.refusals == reasons and len(err.refusals) == err.retries + 1 == 3
+        assert str(err) == f"all 3 search attempts failed; last: {reasons[-1]}"
+
+        # A sign failure after a refused line keeps that line's reason.
+        calls = []
+
+        def refuse_once_then_duplicate(*args):
+            calls.append(None)
+            if len(calls) == 1:
+                raise ExtractionFailure("more than h crossings lie on the line")
+            z, crossings, ends = search(*args)
+            return z[[0, 0, 2, 3, 4]], crossings, ends
+
+        monkeypatch.setattr(extraction, "_search_line", refuse_once_then_duplicate)
+        with pytest.raises(SignRecoveryError) as sign_err:
+            learn_model(Oracle(generate_random_net(12, 5, seed=1)), ExtractionConfig(h=5, seed=0))
+        err = sign_err.value
+        assert (err.phase, err.retries, err.refusals) == ("sign", 1, ["more than h crossings lie on the line"])
+
     def test_wrong_width_signals_failure(self):
         from gradleak.errors import SignRecoveryError
 
@@ -1194,6 +1254,8 @@ class TestLearnModel:
             "value_queries",
             "rounds",
             "crossings",
+            "refusals",
         }
         assert payload["success"] is True
         assert len(payload["crossings"]) == 1
+        assert payload["refusals"] == []

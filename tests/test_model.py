@@ -166,6 +166,24 @@ class TestGenerator:
         with pytest.raises(ValueError, match=r"c_min must lie in \(0, 1\)"):
             generate_random_net(4, 2, c_min=c_min, seed=0)
 
+    @pytest.mark.parametrize("count", [4.0, 2.5, True, np.float64(4.0)])
+    @pytest.mark.parametrize("name", ["d", "h"])
+    def test_non_integer_count_refused(self, name, count):
+        # 4.0 and 2.5 leaked numpy's TypeError; True ran as 1.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            generate_random_net(**{"d": 4, "h": 1, name: count, "seed": 0})
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "0"])
+    def test_seed_that_is_not_a_non_negative_integer_refused(self, seed):
+        # 1.5 leaked SeedSequence's TypeError and True ran as seed 1.
+        with pytest.raises(ValueError, match="seed must be None or a non-negative integer"):
+            generate_random_net(4, 2, seed=seed)
+
+    def test_numpy_integers_give_the_same_net(self):
+        a = generate_random_net(np.int64(6), np.int64(3), seed=np.int64(5))
+        b = generate_random_net(6, 3, seed=5)
+        assert a.A.tobytes() == b.A.tobytes() and a.w.tobytes() == b.w.tobytes()
+
     def test_unreachable_weight_floor_raises(self):
         # A standard Gaussian weight never reaches 50 within the draw budget.
         with pytest.raises(GenerationError, match="could not draw weight 0 with"):

@@ -228,6 +228,10 @@ class TestSmoothGrad:
                 SmoothGradConfig(sigma=sigma)
         with pytest.raises(ValueError):
             SmoothGradConfig(n_samples=0)
+        # sigma=True ran with sigma = 1.
+        for sigma in (True, np.True_):
+            with pytest.raises(ValueError, match="sigma must be a number, not a bool"):
+                SmoothGradConfig(sigma=sigma)
         # A bool is refused, though Python counts True as the integer 1.
         for n_samples in (2.5, True):
             with pytest.raises(ValueError, match="integer"):

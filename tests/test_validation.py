@@ -42,6 +42,14 @@ from gradleak.validation import (
 MC_SAMPLES = 200_000
 
 
+def _block_grid():
+    """(d, h, net seed, n_points) just below, at and above one block, and not a multiple of one."""
+    for d, h in ((1, 1), (16, 16), (128, 8), (512, 16), (4096, 4)):
+        rows = max(512, (1 << 16) // d)
+        for n in (rows - 1, rows, rows + 1, 2 * rows + 300, 2 * rows + 700):
+            yield d, h, d, n
+
+
 class TestFunctionalEquivalence:
     def test_reference_recovery_is_equivalent(self):
         net = generate_random_net(10, 5, seed=0)
@@ -94,21 +102,16 @@ class TestFunctionalEquivalence:
         with pytest.raises(ValueError, match="tol"):
             functional_equivalence(net, recovered_from_net(net), 0, tol, seed=10)
 
-    def test_chunks_are_bounded_by_numbers_not_rows(self, monkeypatch):
-        # 2**19 numbers per chunk at d = 512 is 1024 rows: the report is the
-        # one-draw report, and the 5000 points (19.5 MiB) are never held at
-        # once. (Far shorter chunks can move an exact model's ~1e-15 error in
-        # its last bits: BLAS rounds a product of few rows differently.)
+    def test_blocks_are_bounded_by_rows(self):
+        # At d = 512 a block is 512 rows (2 MiB) and the remainder of 392 rows
+        # joins the last one: the 5000 points (19.5 MiB) are never held at
+        # once, and the report is the one-draw report.
         d, n = 512, 5000
         net = generate_random_net(d, 4, seed=11)
         exact = recovered_from_net(net)
         perturbed = RecoveredModel(Z=exact.Z * (1.0 + 1e-9), s=exact.s)
-        monkeypatch.setattr(validation, "_MC_CHUNK", 1 << 19)
         for model in (exact, perturbed):
-            pts = np.random.default_rng(12).standard_normal((n, d))
-            f = eval_target_batch(net, pts)
-            expected = float(np.max(np.abs(f - eval_recovered_batch(model, pts)) / (1.0 + np.abs(f))))
-            del pts, f
+            expected = _one_draw_error(net, model, n, 12)
             tracemalloc.start()
             try:
                 report = functional_equivalence(net, model, n, 1e-7, seed=12)
@@ -116,7 +119,60 @@ class TestFunctionalEquivalence:
             finally:
                 tracemalloc.stop()
             assert report.max_rel_error == expected
-            assert peak < 9 << 20  # two 4 MiB chunks: the next is drawn before the last is freed
+            assert peak < 4 << 20  # the 904-row buffer is 3.5 MiB
+
+    @pytest.mark.parametrize("d, n, sizes", [
+        (128, 511, [511]),
+        (128, 1023, [1023]),
+        (128, 1024, [512, 512]),
+        (128, 1600, [512, 512, 576]),
+        (512, 5000, [512] * 8 + [904]),
+        (16, 4097, [4097]),
+        (16, 4608, [4096, 512]),
+        (16, 9000, [4096, 4096, 808]),
+        (1, 66_047, [66_047]),
+        (1, 70_000, [65_536, 4464]),
+    ])
+    def test_no_block_is_under_512_rows(self, monkeypatch, d, n, sizes):
+        # Blocks of max(512, 2**16 // d) rows; a remainder under 512 rows joins the last one.
+        net = generate_random_net(d, 1, seed=1)
+        seen = []
+        evaluate = validation.eval_target_batch
+        monkeypatch.setattr(validation, "eval_target_batch", lambda net, pts: (seen.append(len(pts)), evaluate(net, pts))[1])
+        functional_equivalence(net, recovered_from_net(net), n, 1e-7, seed=2)
+        assert seen == sizes
+
+    @pytest.mark.parametrize("d, h, net_seed, n", [
+        *_block_grid(),
+        # Chunks of 2**20 numbers, 174 rows at this d, gave 4.47e-15 here
+        # against one draw's 7.17e-15.
+        (6000, 8, 13, 700),
+    ])
+    def test_report_is_the_one_draw_report(self, d, h, net_seed, n):
+        net = generate_random_net(d, h, seed=net_seed)
+        exact = recovered_from_net(net)
+        near = RecoveredModel(Z=exact.Z * (1.0 + 1e-12), s=exact.s)
+        for model in (exact, near):
+            assert functional_equivalence(net, model, n, 1e-7, seed=12).max_rel_error == _one_draw_error(net, model, n, 12)
+
+    @pytest.mark.parametrize("n", [4096, 40960])
+    def test_traced_peak_is_one_block(self, n):
+        # 512 rows of 128 numbers (512 KiB) at a time, whatever n is.
+        net = generate_random_net(128, 8, seed=3)
+        tracemalloc.start()
+        try:
+            functional_equivalence(net, recovered_from_net(net), n, 1e-7, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * (1 << 20)
+
+
+def _one_draw_error(net, model, n, seed):
+    """functional_equivalence's report from one (n, d) draw of every point."""
+    pts = np.random.default_rng(seed).standard_normal((n, net.d))
+    f = eval_target_batch(net, pts)
+    return float(np.max(np.abs(f - eval_recovered_batch(model, pts)) / (1.0 + np.abs(f))))
 
 
 class TestMatchRows:

@@ -18,13 +18,15 @@ metric's ``bound``, read as a fraction of the parent's median: "worse" when
 the child's median is worse than the parent's by more than that, else
 "unresolved" when the parent's quartile spread exceeds it and not every
 child run beats every parent run, else "ok". It also prints each side's
-median of the reference kernel time (``wall.ref_ms_p50``), the yardstick
-the relative operation times divide by, so a moved yardstick shows next to
-the metrics it moves.
+median of the operation time (``wall.op_ms_p50``) beside that of the
+reference kernel time (``wall.ref_ms_p50``), the yardstick the relative
+operation times divide by, so a moved yardstick can be told apart from a
+change in operation time.
 
-It exits 1 if any run's result is not ``correct`` (or the run printed no
-result). It writes nothing itself; perfbench keeps its own records in each
-checkout.
+A pair in which either run's result is not ``correct`` (or the run printed
+no result) is left out of the medians and the win counts, and the script
+then exits 1. It writes nothing itself; perfbench keeps its own records in
+each checkout.
 """
 
 from __future__ import annotations
@@ -97,16 +99,17 @@ def main(argv=None) -> int:
     metrics = json.loads((args.child / "BENCHMARK.json").read_text())["end_to_end"]
 
     values = {side: {m["name"]: [] for m in metrics} for side in SIDES}
-    ref_ms = {side: [] for side in SIDES}
+    wall = {side: {"op_ms_p50": [], "ref_ms_p50": []} for side in SIDES}
     problems = []
     for k, seed in enumerate(args.seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         runs = {side: run_bench(roots[side], args.workload, seed, args.seconds) for side in order}
-        for side in order:
-            result, detail, why = runs[side]
-            if result is None or not result["correct"]:
-                problems.append(f"seed {seed} {side}: " + (why or f"incorrect: {detail.get('problems')}"))
-        if any(result is None for result, _, _ in runs.values()):
+        bad = [side for side in order if runs[side][0] is None or not runs[side][0]["correct"]]
+        for side in bad:
+            _, detail, why = runs[side]
+            problems.append(f"seed {seed} {side}: " + (why or f"incorrect: {detail.get('problems')}"))
+        if bad:
+            print(f"seed {seed}: pair left out, not correct: {', '.join(bad)}", flush=True)
             continue
         cells = []
         for m in metrics:
@@ -115,10 +118,11 @@ def main(argv=None) -> int:
                 values[side][m["name"]].append(v)
             cells.append(f"{m['name']} {pair[0]:.4g} -> {pair[1]:.4g}")
         for side in SIDES:
-            ref_ms[side].append(runs[side][1]["wall"]["ref_ms_p50"])
+            for key, times in wall[side].items():
+                times.append(runs[side][1]["wall"][key])
         print(f"seed {seed} ({order[0]} first): " + ", ".join(cells), flush=True)
 
-    pairs = len(ref_ms["parent"])
+    pairs = len(wall["parent"]["ref_ms_p50"])
     print(f"workload {args.workload}, {pairs} pairs, --seconds {args.seconds:g}")
     for m in metrics if pairs else ():
         name, lower = m["name"], m["better"] == "lower"
@@ -132,9 +136,10 @@ def main(argv=None) -> int:
               f"child {c_med:.4g} [{c1:.4g} {c3:.4g}], child better in {wins}/{pairs}, "
               f"claim holds: {'yes' if holds else 'no'}, "
               f"no regression (bound {m['bound']:g}): {regression(par, chi, m['bound'], lower)}")
-    if pairs:
-        print("wall.ref_ms_p50: " + ", ".join(
-            f"{side} {statistics.median(ref_ms[side]):.3f} [{' '.join(f'{q:.3f}' for q in quartiles(ref_ms[side]))}]"
+    for key in ("op_ms_p50", "ref_ms_p50") if pairs else ():
+        print(f"wall.{key}: " + ", ".join(
+            f"{side} {statistics.median(wall[side][key]):.3f} "
+            f"[{' '.join(f'{q:.3f}' for q in quartiles(wall[side][key]))}]"
             for side in SIDES))
     for problem in problems:
         print(f"problem: {problem}")
