@@ -26,6 +26,7 @@ from .model import (
 )
 from .oracle import ORACLE_MODES, Oracle, SmoothGradConfig
 from .validation import (
+    _layout,
     functional_equivalence,
     match_rows,
     mc_cauchy_tail,
@@ -204,7 +205,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemmas(args) -> int:
-    """One JSON line per check, with the check's wall time in ms."""
+    """One JSON line per check, with the check's wall time in ms and the blocks and workers it ran on."""
     gap_eps, chi2_eps = (1e-3, 0.1) if args.epsilon is None else (args.epsilon, args.epsilon)
     checks = {
         "gap": lambda: mc_crossing_gap(args.c, gap_eps, args.samples, seed=args.seed),
@@ -217,7 +218,9 @@ def cmd_lemmas(args) -> int:
         if args.which in (name, "all"):
             start = time.perf_counter()
             report = check()
-            lines.append({"lemma": name, **report.to_dict(), "ms": round(1000.0 * (time.perf_counter() - start), 1)})
+            ms = round(1000.0 * (time.perf_counter() - start), 1)
+            blocks, workers = _layout(report.samples)
+            lines.append({"lemma": name, **report.to_dict(), "ms": ms, "blocks": blocks, "workers": workers})
     for line in lines:
         print(json.dumps(line))
     return EXIT_OK if all(line["passed"] for line in lines) else EXIT_VERIFY_MISMATCH

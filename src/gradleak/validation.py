@@ -6,27 +6,26 @@ probability inequalities the attack's parameter selection relies on: the
 anti-concentration of crossing gaps, the Cauchy tail of a single crossing, the
 chi-squared difference bound behind it, and the product-of-Gaussians identity.
 
-Each mc_* check holds in full only the draws its arithmetic needs at once and
-streams the last one through a reused block of _BLOCK numbers. numpy's
-Generator fills a (2, n) request one number after another, so the second row
-of such a draw is exactly the next n numbers of the stream, in order; the
-blocks read the same numbers and do the same per-element arithmetic, so every
-report is the one the full draw gives, in a fraction of the memory.
+An mc_* check of n samples runs B = ceil(n / _BLOCK) blocks. Block j draws its
+(rows, m) numbers, m = min(_BLOCK, n - j _BLOCK), in one out= fill from its
+own generator, default_rng(SeedSequence(seed).spawn(B)[j]), and returns a
+count or sums that are added in block order. Every report is therefore a fixed
+function of the check's arguments and seed, and no array of n numbers is held.
 
-No array holds more than n numbers (bar the CDF-distance merge, at most 2e5):
-a larger one, once freed, raises glibc's dynamic mmap threshold past n, and
-the n-arrays of later checks then stay in the heap instead of going back to
-the system when they are freed.
-
-_MC_CHUNK, unlike _BLOCK, decides which numbers pair up into one sample, so
-changing it would change every stream and every pinned report. It belongs to
-the lemma checks alone: functional_equivalence draws its points in blocks of
-rows (see _MIN_ROWS).
+The blocks run on W = min(CPUs this process may use, B) workers: worker w runs
+blocks w, w + W, ... into one buffer the calling thread allocated for it. The
+calling thread is worker 0 and the others are threads; numpy releases the
+interpreter lock while it draws and while its ufuncs loop, which is where the
+time goes. A buffer allocated in a worker thread comes from that thread's
+malloc arena: such buffers raised perfbench lemmas' peak RSS from 52.6 to
+57.6 MB (one 10 s run, 2-vCPU VM).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +38,12 @@ from .oracle import Oracle
 # Two row-match candidates closer than this in |cosine| are reported, not guessed.
 MATCH_AMBIGUITY_TOL = 1e-9
 
-_MC_CHUNK = 1 << 20
-# Numbers per streamed block (512 KiB of float64).
+# Samples per lemma-check block. It decides which generator draws each sample,
+# so changing it changes every report.
 _BLOCK = 1 << 16
+# Numbers per functional_equivalence block (512 KiB of float64); the points
+# and the report do not depend on it.
+_EQ_BLOCK = 1 << 16
 # Fewest rows functional_equivalence evaluates at once (bar n_points itself).
 # BLAS rounds a product of few rows differently from the same rows inside a
 # larger one: on near-exact models blocks of 128 rows moved the ~1e-15 report
@@ -126,7 +128,7 @@ def functional_equivalence(
 ) -> EquivalenceReport:
     """Max of |f(x) - fhat(x)| / (1 + |f(x)|) over standard Gaussian samples.
 
-    The points are drawn and evaluated in blocks of max(_MIN_ROWS, _BLOCK // d)
+    The points are drawn and evaluated in blocks of max(_MIN_ROWS, _EQ_BLOCK // d)
     rows, each drawn into one reused buffer; a remainder under _MIN_ROWS rows
     joins the last block. The draw is row-major, so the points are those of one
     (n_points, d) draw, and as no block has fewer than _MIN_ROWS = 512 rows
@@ -144,7 +146,7 @@ def functional_equivalence(
     if n_points == 0:
         return EquivalenceReport(0.0, tol, 0, passed=True, vacuous=True)
     rng = np.random.default_rng(seed)
-    rows = max(_MIN_ROWS, _BLOCK // net.d)
+    rows = max(_MIN_ROWS, _EQ_BLOCK // net.d)
     blocks = max(1, (n_points - _MIN_ROWS) // rows + 1)
     last = n_points - (blocks - 1) * rows  # under rows + _MIN_ROWS
     buf = np.empty((min(n_points, max(rows, last)), net.d))
@@ -152,9 +154,12 @@ def functional_equivalence(
     for k in range(blocks):
         pts = buf[: last if k == blocks - 1 else rows]
         rng.standard_normal(out=pts)
-        f = eval_target_batch(net, pts)
-        fhat = eval_recovered_batch(model, pts)
-        worst = max(worst, float(np.max(np.abs(f - fhat) / (1.0 + np.abs(f)))))
+        # An overflowing model gives inf or NaN errors, which the report carries.
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = eval_target_batch(net, pts)
+            fhat = eval_recovered_batch(model, pts)
+            # np.maximum keeps a NaN that max() would drop.
+            worst = float(np.maximum(worst, np.max(np.abs(f - fhat) / (1.0 + np.abs(f)))))
     return EquivalenceReport(worst, tol, n_points, passed=worst <= tol)
 
 
@@ -172,9 +177,10 @@ def match_rows(net: TwoLayerNet, z) -> MatchResult:
 
     targets = net.w[:, None] * net.A
     tn = np.sqrt(np.sum(targets * targets, axis=1))
-    zn = np.sqrt(np.sum(zm * zm, axis=1))
-    denom = np.outer(tn, np.where(zn == 0.0, 1.0, zn))
-    cos = np.abs(targets @ zm.T) / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # rows near 1e308 give inf norms, and cosines of 0 or NaN
+        zn = np.sqrt(np.sum(zm * zm, axis=1))
+        denom = np.outer(tn, np.where(zn == 0.0, 1.0, zn))
+        cos = np.abs(targets @ zm.T) / denom
     cos[:, zn == 0.0] = 0.0
 
     perm = np.full(h, -1, dtype=int)
@@ -205,40 +211,71 @@ def match_rows(net: TwoLayerNet, z) -> MatchResult:
     return MatchResult(permutation=perm, signs=signs, max_row_error=worst)
 
 
-def _check_samples(samples, least: int) -> None:
-    """Refuse a sample count that is not an integer of at least `least`, before any draw."""
+def _check_samples(samples, least: int) -> int:
+    """samples as an int; refuses one that is not an integer of at least `least`, before any draw."""
     if not _integer(samples):
         raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < least:
         raise ValueError(f"samples must be at least {least}, got {samples}")
+    return int(samples)
 
 
-def _mc_rate(samples: int, seed, event_fn) -> float:
-    """Mean of event_fn over `samples` draws from the first child stream of seed."""
-    _check_samples(samples, 1)
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, _MC_CHUNK)
-        hits += int(event_fn(rng, n))
-        remaining -= n
-    return hits / samples
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has sched_getaffinity
+        return os.cpu_count() or 1
 
 
-def _stream(draw, n: int):
-    """Yield (slice, block) pairs holding the next n numbers of draw, in stream order.
+def _layout(samples: int) -> tuple[int, int]:
+    """(blocks, workers) of an mc_* check of `samples` samples."""
+    blocks = -(-samples // _BLOCK)
+    return blocks, min(_cpu_count(), blocks)
 
-    draw is a Generator method taking out=; each block overwrites the last.
+
+def _run_blocks(samples: int, root: np.random.SeedSequence, rows: int, block) -> list:
+    """[block(rng, draws, j) for each block j], run on the workers of _layout(samples).
+
+    rng is block j's generator, on child j of root.spawn(blocks), and draws a
+    C-contiguous (rows, m) view of its worker's buffer, m the block's samples.
+    An exception raised in a worker is raised here once every worker has
+    stopped.
     """
-    block = np.empty(min(n, _BLOCK))
-    for start in range(0, n, _BLOCK):
-        part = block[: min(_BLOCK, n - start)]
-        draw(out=part)
-        yield slice(start, start + part.size), part
+    blocks, workers = _layout(samples)
+    children = root.spawn(blocks)
+    results = [None] * blocks
+    errors = []
+
+    def work(w, buf):
+        try:
+            for j in range(w, blocks, workers):
+                m = min(_BLOCK, samples - j * _BLOCK)
+                results[j] = block(np.random.default_rng(children[j]), buf[: rows * m].reshape(rows, m), j)
+        except BaseException as err:  # raised again below, in the calling thread
+            errors.append(err)
+
+    size = rows * min(samples, _BLOCK)
+    threads = [threading.Thread(target=work, args=(w, np.empty(size))) for w in range(1, workers)]
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+        work(0, np.empty(size))
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
-def _make_report(samples, empirical, bound, exact=None) -> McReport:
+def _make_report(samples, hits, bound, exact=None) -> McReport:
+    # Python numbers throughout, so that the verdicts are bools json can write
+    # even when numpy counted the hits or the caller passed numpy floats.
+    empirical = int(hits) / samples
+    bound = float(bound)
     vacuous = bound > 1.0
     capped = min(max(bound, 0.0), 1.0)
     slack = 3.0 * math.sqrt(capped * (1.0 - capped) / samples)
@@ -263,35 +300,29 @@ def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McRepo
         raise ValueError("c must lie in (0, 1]")
     if not 0.0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and non-negative")
+    samples = _check_samples(samples, 1)
     b2 = math.sqrt(1.0 - (1.0 - c) ** 2)
 
-    def event(rng, n):
+    def block(rng, draws, j):
         # Only the projections onto span(a, b) matter; work in the plane with
         # a = e1, b = (1-c, sqrt(1-(1-c)^2)); |t1 - t2| = |au/av - bu/bv| for t = -u/v.
-        # The stream is au, bu, av, bv; av and bv are streamed, and au and bu
-        # are two draws of n, not one of 2n (see the module docstring).
-        au = rng.standard_normal(n)
-        bu = rng.standard_normal(n)
-        scratch = np.multiply(au, 1.0 - c)
-        bu *= b2
-        bu += scratch
-        hits = 0
+        au, bu, av, bv, scratch = draws
+        rng.standard_normal(out=draws[:4])
         with np.errstate(divide="ignore", invalid="ignore"):
-            for part, av in _stream(rng.standard_normal, n):
-                np.divide(au[part], av, out=au[part])
-                np.multiply(av, 1.0 - c, out=scratch[part])
-            del av  # the first stream's block, before the second allocates its own
-            for part, bv in _stream(rng.standard_normal, n):
-                bv *= b2
-                bv += scratch[part]
-                np.divide(bu[part], bv, out=bv)
-                np.subtract(au[part], bv, out=bv)
-                hits += np.count_nonzero(np.abs(bv, out=bv) <= epsilon)
-        return hits
+            np.multiply(au, 1.0 - c, out=scratch)
+            bu *= b2
+            bu += scratch
+            np.multiply(av, 1.0 - c, out=scratch)
+            bv *= b2
+            bv += scratch
+            np.divide(au, av, out=au)
+            np.divide(bu, bv, out=bu)
+            np.subtract(au, bu, out=au)
+            return np.count_nonzero(np.abs(au, out=au) <= epsilon)
 
-    empirical = _mc_rate(samples, seed, event)
+    hits = sum(_run_blocks(samples, np.random.SeedSequence(seed), 5, block))
     bound = 3.0 ** (4.0 / 3.0) * (epsilon / c) ** (2.0 / 3.0)
-    return _make_report(samples, empirical, bound)
+    return _make_report(samples, hits, bound)
 
 
 def mc_cauchy_tail(l: float, samples: int, seed=None) -> McReport:
@@ -299,20 +330,18 @@ def mc_cauchy_tail(l: float, samples: int, seed=None) -> McReport:
     parameter of one hyperplane, and agreement with the exact tail."""
     if not 0.0 < l < math.inf:
         raise ValueError("l must be positive and finite")
+    samples = _check_samples(samples, 1)
 
-    def event(rng, n):
-        num = rng.standard_normal(n)
-        hits = 0
+    def block(rng, draws, j):
+        num, den = rng.standard_normal(out=draws)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for part, den in _stream(rng.standard_normal, n):
-                np.divide(num[part], den, out=den)
-                hits += np.count_nonzero(np.abs(den, out=den) >= l)
-        return hits
+            np.divide(num, den, out=num)
+        return np.count_nonzero(np.abs(num, out=num) >= l)
 
-    empirical = _mc_rate(samples, seed, event)
+    hits = sum(_run_blocks(samples, np.random.SeedSequence(seed), 2, block))
     bound = 2.0 / (math.pi * l)
     exact = 1.0 - (2.0 / math.pi) * math.atan(l)
-    return _make_report(samples, empirical, bound, exact=exact)
+    return _make_report(samples, hits, bound, exact=exact)
 
 
 def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
@@ -320,24 +349,22 @@ def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
     and agreement with the exact law 1 - exp(-eps/2).
 
     Chi-squared(2) is 2 Exp(1), so Q/2 and R/2 are drawn as standard
-    exponentials, the very draws rng.chisquare(2.0, (2, n)) doubles, and
+    exponentials, the very draws rng.chisquare(2.0, (2, m)) doubles, and
     |Q/2 - R/2| is compared with eps/2 (halving is exact, so the count is the
     same): two draws per sample, not four squared normals.
     """
     if not 0.0 <= epsilon < math.inf:
         raise ValueError("epsilon must be finite and non-negative")
+    samples = _check_samples(samples, 1)
 
-    def event(rng, n):
-        q = rng.standard_exponential(n)
-        hits = 0
-        for part, r in _stream(rng.standard_exponential, n):
-            np.subtract(q[part], r, out=r)
-            hits += np.count_nonzero(np.abs(r, out=r) <= 0.5 * epsilon)
-        return hits
+    def block(rng, draws, j):
+        q, r = rng.standard_exponential(out=draws)
+        np.subtract(q, r, out=q)
+        return np.count_nonzero(np.abs(q, out=q) <= 0.5 * epsilon)
 
-    empirical = _mc_rate(samples, seed, event)
+    hits = sum(_run_blocks(samples, np.random.SeedSequence(seed), 2, block))
     exact = 1.0 - math.exp(-epsilon / 2.0) if epsilon > 0 else 0.0
-    return _make_report(samples, empirical, float(epsilon), exact=exact)
+    return _make_report(samples, hits, float(epsilon), exact=exact)
 
 
 def _ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -373,20 +400,30 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
     two-sample CDF max distance between XY and (Q-R)/2 draws against 0.01
     (distance computed on at most 1e5 draws per side), each at z = _PRODUCT_Z,
     so that a correct sampler fails with probability at most
-    PRODUCT_FALSE_ALARM. empirical_prob reports the CDF distance. Q and R are
-    drawn only for the distance sample.
-    """
-    _check_samples(samples, 10_000)
-    streams = np.random.SeedSequence(seed).spawn(2)
-    rng_a = np.random.default_rng(streams[0])
-    rng_b = np.random.default_rng(streams[1])
+    PRODUCT_FALSE_ALARM. empirical_prob reports the CDF distance.
 
+    The moments come from each block's sums of XY and its powers, added in
+    block order. The distance sample is the first products in block order; Q
+    and R are drawn for it alone, from the child spawned after the blocks'.
+    """
+    samples = _check_samples(samples, 10_000)
     n_ks = min(samples, _KS_SAMPLE_CAP)
-    prod = rng_a.standard_normal(samples)
-    for part, y in _stream(rng_a.standard_normal, samples):
-        prod[part] *= y
-    ref = 0.5 * (rng_b.standard_normal(n_ks) ** 2 - rng_b.standard_normal(n_ks) ** 2)
-    distance, passed = _product_checks(prod, ref)
+    head = np.empty(n_ks)
+
+    def block(rng, draws, j):
+        p, y = rng.standard_normal(out=draws)
+        np.multiply(p, y, out=p)  # p = XY
+        start = j * _BLOCK
+        if start < n_ks:
+            head[start : start + p.size] = p[: n_ks - start]
+        p2 = np.multiply(p, p, out=y)  # p ** 3 and p ** 4 would each call libm pow
+        s1, s2 = np.sum(p), np.sum(p2)
+        return s1, s2, np.sum(np.multiply(p2, p, out=p)), np.sum(np.multiply(p2, p2, out=p2))
+
+    root = np.random.SeedSequence(seed)
+    sums = [sum(column) for column in zip(*_run_blocks(samples, root, 2, block))]
+    q, r = np.random.default_rng(root.spawn(1)[0]).standard_normal((2, n_ks))
+    distance, passed = _product_checks(sums, samples, head, 0.5 * (q * q - r * r))
     return McReport(
         samples=samples,
         empirical_prob=distance,
@@ -395,24 +432,16 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
     )
 
 
-def _product_checks(prod: np.ndarray, ref: np.ndarray) -> tuple[float, bool]:
-    """CDF distance of prod[:len(ref)] to ref, and whether all five checks pass.
+def _product_checks(sums, samples: int, head: np.ndarray, ref: np.ndarray) -> tuple[float, bool]:
+    """CDF distance of head to ref, and whether all five checks pass.
 
-    Consumes prod: its buffer ends up holding prod ** 3, so that the four
-    moments take one more array of prod's size, not three.
+    sums holds the totals of XY, (XY)^2, (XY)^3 and (XY)^4 over `samples`
+    products, and head the products the distance is taken on.
     """
-    distance = _ks_distance(prod[: ref.size], ref)
-    p2 = prod * prod  # prod ** 3 and prod ** 4 would each call libm pow
-    # Evaluated left to right: prod's mean is taken before its buffer gets prod ** 3.
-    means = (
-        np.mean(prod),
-        np.mean(p2),
-        np.mean(np.multiply(p2, prod, out=prod)),
-        np.mean(np.multiply(p2, p2, out=p2)),
-    )
+    distance = _ks_distance(head, ref)
     moments_ok = all(
-        abs(float(mean) - _PRODUCT_MOMENTS[k]) <= _PRODUCT_Z * math.sqrt(_PRODUCT_MOMENT_VARS[k] / prod.size)
-        for k, mean in enumerate(means)
+        abs(float(total) / samples - _PRODUCT_MOMENTS[k]) <= _PRODUCT_Z * math.sqrt(_PRODUCT_MOMENT_VARS[k] / samples)
+        for k, total in enumerate(sums)
     )
     slack = _PRODUCT_Z * math.sqrt(_KS_BOUND * (1.0 - _KS_BOUND) / ref.size)
     return distance, moments_ok and distance <= _KS_BOUND + slack
@@ -451,12 +480,12 @@ def check_fd_exactness(
         if float(np.min(np.abs(net.A @ x))) <= eta:
             continue
         collected += 1
-        approx = finite_differences(oracle, x[None], eta)[0][0]
-        exact = grad_target(net, x)
-        rel = float(np.max(np.abs(approx - exact))) / (1.0 + float(np.max(np.abs(exact))))
-        if rel > worst:
-            worst = rel
-        if rel > rel_tol and counterexample is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = finite_differences(oracle, x[None], eta)[0][0]
+            exact = grad_target(net, x)
+            rel = float(np.max(np.abs(approx - exact))) / (1.0 + float(np.max(np.abs(exact))))
+            worst = float(np.maximum(worst, rel))  # keeps a NaN, as in functional_equivalence
+        if not rel <= rel_tol and counterexample is None:  # a NaN error is a counterexample
             counterexample = x
     if collected < trials:
         raise ConfigError(

@@ -12,12 +12,15 @@ import pytest
 
 import gradleak.cli
 import gradleak.extraction
+import gradleak.validation
 from gradleak import (
     ConfigError,
+    RecoveredModel,
     generate_random_net,
     load_net,
     load_recovered,
     recovered_from_net,
+    save_net,
     save_recovered,
 )
 from gradleak.cli import main
@@ -220,6 +223,15 @@ class TestExtractVerify:
         assert run("verify", "--model", str(model_file), "--recovered", str(rec)) == 3
         assert "row match ambiguous" in capsys.readouterr().out
 
+    def test_nan_error_exits_three(self, tmp_path, capsys):
+        # Two equal rows of 1e308 added with opposite signs evaluate to
+        # inf - inf = NaN; the error is reported as nan, not dropped.
+        model, rec = tmp_path / "model.json", tmp_path / "rec.json"
+        save_net(generate_random_net(4, 2, seed=0), model)
+        save_recovered(RecoveredModel(Z=np.full((2, 4), 1e308), s=[1, -1, 0, 0]), rec)
+        assert run("verify", "--model", str(model), "--recovered", str(rec)) == 3
+        assert "max relative error over 100000 points: nan" in capsys.readouterr().out
+
     def test_non_object_model_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text("5\n")
@@ -333,6 +345,16 @@ class TestLemmas:
         assert all(rec["passed"] for rec in lines)
         # Each line carries its check's wall time.
         assert all(isinstance(rec["ms"], float) and rec["ms"] >= 0.0 for rec in lines)
+
+    @pytest.mark.parametrize("samples, blocks, workers", [("20000", 1, 1), ("100000", 2, 2), ("200000", 4, 3), ("1000000", 16, 3)])
+    def test_lines_carry_blocks_and_workers(self, monkeypatch, capsys, samples, blocks, workers):
+        monkeypatch.setattr(gradleak.validation, "_cpu_count", lambda: 3)
+        assert run("lemmas", "--which", "all", "--samples", samples, "--seed", "1") == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert len(lines) == 4
+        for rec in lines:
+            assert list(rec)[-3:] == ["ms", "blocks", "workers"]
+            assert (rec["blocks"], rec["workers"]) == (blocks, workers)
 
     def test_single_lemma_with_values(self, capsys):
         assert run("lemmas", "--which", "tail", "--l", "10", "--samples", "100000", "--seed", "1") == 0

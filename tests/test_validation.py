@@ -1,7 +1,12 @@
 """Equivalence checks, row matching, and the Monte Carlo bound suite."""
 
+import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 import zlib
 from statistics import NormalDist
 
@@ -28,18 +33,19 @@ from gradleak import validation
 from gradleak.model import eval_recovered_batch, eval_target_batch
 from gradleak.validation import (
     PRODUCT_FALSE_ALARM,
-    _BLOCK,
     _KS_BOUND,
-    _MC_CHUNK,
     _PRODUCT_MOMENT_VARS,
     _PRODUCT_MOMENTS,
     _PRODUCT_Z,
     _ks_distance,
     _product_checks,
-    _stream,
+    _run_blocks,
 )
 
 MC_SAMPLES = 200_000
+# Samples per lemma-check block, written out so that a changed block size
+# shows as a failure of the reference tests below.
+BLOCK = 1 << 16
 
 
 def _block_grid():
@@ -68,6 +74,34 @@ class TestFunctionalEquivalence:
         report = functional_equivalence(net, broken, 10_000, 1e-7, seed=3)
         assert report.max_rel_error > 0.01
         assert not report.passed
+
+    def test_nan_error_fails(self):
+        # The two equal rows overflow and s adds them with opposite signs:
+        # inf - inf = NaN, which max() used to drop, passing the model.
+        net = generate_random_net(4, 2, seed=0)
+        model = RecoveredModel(Z=np.full((2, 4), 1e308), s=[1, -1, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = functional_equivalence(net, model, 1000, 1e-7, seed=1)
+        assert math.isnan(report.max_rel_error)
+        assert not report.passed
+
+    def test_nan_in_a_later_block_is_kept(self, monkeypatch):
+        # Finite errors in the first block do not hide a NaN in the last one.
+        net = generate_random_net(1, 1, seed=0)
+        model = recovered_from_net(net)
+        evaluate = validation.eval_recovered_batch
+        calls = []
+
+        def nan_in_second_block(model, pts):
+            calls.append(len(pts))
+            out = evaluate(model, pts)
+            return out if len(calls) == 1 else np.full_like(out, np.nan)
+
+        monkeypatch.setattr(validation, "eval_recovered_batch", nan_in_second_block)
+        report = functional_equivalence(net, model, 70_000, 1e-7, seed=2)
+        assert calls == [65_536, 4464]
+        assert math.isnan(report.max_rel_error) and not report.passed
 
     def test_zero_points_vacuous(self):
         net = generate_random_net(4, 2, seed=4)
@@ -299,13 +333,25 @@ class TestGaussianProductIdentity:
 
     @pytest.mark.parametrize("bench_seed, instance", [(2001, 6), (2004, 14)])
     def test_family_wise_rate_passes_chance_outliers(self, bench_seed, instance):
-        # The product check of these lemma-workload instances (perfbench
-        # run.py seeding) has a worst moment z-score of 3.40 and 3.16: a
-        # correct sampler, failed by the former per-check 3-sigma rule.
+        # Two lemma-workload instances (perfbench run.py seeding) whose product
+        # check, on one stream per check, had a worst moment z-score of 3.40
+        # and 3.16. The per-block streams draw other numbers; the verdict at
+        # z = 3.40 itself is test_moment_z_of_3_40_passes.
         child = np.random.SeedSequence([bench_seed, zlib.crc32(b"lemmas")]).spawn(40)[instance]
         op_seed = int(child.generate_state(3, dtype=np.uint64)[1])
         seed = int(np.random.SeedSequence(op_seed).generate_state(4, dtype=np.uint64)[3])
         assert mc_gaussian_product(1_000_000, seed=seed).passed
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_moment_z_of_3_40_passes(self, k):
+        # A correct sampler's chance outlier, which the former per-check
+        # 3-sigma rule failed; past _PRODUCT_Z it fails.
+        n = 1_000_000
+        head = np.linspace(-3.0, 3.0, 100_000)
+        for z, verdict in ((3.40, True), (-3.40, True), (3.47, False)):
+            sums = [n * m for m in _PRODUCT_MOMENTS]
+            sums[k] += z * math.sqrt(_PRODUCT_MOMENT_VARS[k] * n)
+            assert _product_checks(sums, n, head, head) == (0.0, verdict)
 
     def test_family_wise_rate_is_bonferroni(self):
         assert PRODUCT_FALSE_ALARM == 0.0027
@@ -318,8 +364,10 @@ class TestGaussianProductIdentity:
         n = 1_000_000
         prod = rng.standard_normal(n) * rng.standard_normal(n)
         ref = 0.5 * (rng.standard_normal(100_000) ** 2 - rng.standard_normal(100_000) ** 2)
-        assert _product_checks(prod.copy(), ref)[1]
-        assert not _product_checks(1.01 * prod, ref)[1]
+        for scale, verdict in ((1.0, True), (1.01, False)):
+            scaled = scale * prod
+            sums = [np.sum(scaled**k) for k in range(1, 5)]
+            assert _product_checks(sums, n, scaled[:100_000], ref)[1] is verdict
 
 
 def _ks_brute(xs, ys):
@@ -392,148 +440,245 @@ class TestSeededStreams:
         assert a.empirical_prob == b.empirical_prob
 
     def test_stream_is_pinned(self):
-        # Draws come from the first child of SeedSequence(seed), so a lemma
-        # report is a fixed function of its seed.
-        assert mc_chi2_diff(0.5, 100_000, seed=11).empirical_prob == 0.22171
+        # Block j draws from child j of SeedSequence(seed).spawn(blocks), so a
+        # lemma report is a fixed function of its seed.
+        assert mc_chi2_diff(0.5, 100_000, seed=11).empirical_prob == 0.22259
 
     def test_every_lemma_stream_is_pinned(self):
-        assert mc_crossing_gap(0.5, 1e-3, 100_000, seed=12).empirical_prob == 0.00046
-        assert mc_cauchy_tail(10.0, 100_000, seed=13).empirical_prob == 0.06251
+        assert mc_crossing_gap(0.5, 1e-3, 100_000, seed=12).empirical_prob == 0.00042
+        assert mc_cauchy_tail(10.0, 100_000, seed=13).empirical_prob == 0.06279
         product = mc_gaussian_product(100_000, seed=14)
-        assert product.empirical_prob == 0.0037000000000000366
+        assert product.empirical_prob == 0.0030600000000000627
         assert product.passed
 
     def test_product_stream_above_the_distance_cap_is_pinned(self):
         # Above _KS_SAMPLE_CAP the reference draws only its distance sample.
         product = mc_gaussian_product(200_000, seed=14)
-        assert product.empirical_prob == 0.0040400000000000436
+        assert product.empirical_prob == 0.003570000000000073
         assert product.passed
 
-    def test_chi2_stream_is_numpys_chi_squared_sampler(self):
-        # Q and R are the draws of rng.chisquare(2.0, (2, n)) on the first
-        # child stream, read at half scale.
-        n, epsilon = 100_000, 0.5
-        rng = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0])
-        q, r = rng.chisquare(2.0, (2, n))
-        assert mc_chi2_diff(epsilon, n, seed=11).empirical_prob == np.count_nonzero(np.abs(q - r) <= epsilon) / n
+    @pytest.mark.parametrize("n", [1000, 100_000, 3 * BLOCK + 5])
+    def test_chi2_blocks_are_numpys_chi_squared_sampler(self, n):
+        # Each block's Q and R are the draws of rng.chisquare(2.0, (2, m)) on
+        # the block's own stream, read at half scale.
+        epsilon, hits = 0.5, 0
+        for rng, m in _block_rngs(n, 11):
+            q, r = rng.chisquare(2.0, (2, m))
+            hits += np.count_nonzero(np.abs(q - r) <= epsilon)
+        assert mc_chi2_diff(epsilon, n, seed=11).empirical_prob == hits / n
 
-    def test_multi_chunk_streams_are_pinned(self):
-        # More than one _MC_CHUNK of draws: the second chunk continues the
-        # same generator.
+    def test_multi_block_streams_are_pinned(self):
+        # Seventeen blocks, the last of 1000 samples.
         samples = (1 << 20) + 1000
-        assert mc_chi2_diff(0.1, samples, seed=15).empirical_prob == 0.049171284404369
-        assert mc_crossing_gap(0.5, 1e-3, samples, seed=16).empirical_prob == 0.00042683902833144053
+        assert mc_chi2_diff(0.1, samples, seed=15).empirical_prob == 0.049117929525827574
+        assert mc_crossing_gap(0.5, 1e-3, samples, seed=16).empirical_prob == 0.0004392249822785582
 
 
-def _full_draw_rate(samples, seed, event):
-    """The hit rate of event over _MC_CHUNK-sized chunks of the first child stream of seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    hits, done = 0, 0
-    while done < samples:
-        n = min(samples - done, _MC_CHUNK)
-        hits += int(event(rng, n))
-        done += n
+def _block_rngs(samples, seed):
+    """(generator, samples) of each block, in block order."""
+    children = np.random.SeedSequence(seed).spawn(-(-samples // BLOCK))
+    return [(np.random.default_rng(child), min(BLOCK, samples - j * BLOCK)) for j, child in enumerate(children)]
+
+
+def _gap_reference(c, epsilon, samples, seed):
+    b2 = math.sqrt(1.0 - (1.0 - c) ** 2)
+    hits = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rng, m in _block_rngs(samples, seed):
+            au, bu, av, bv = rng.standard_normal((4, m))
+            bu = b2 * bu + (1.0 - c) * au
+            bv = b2 * bv + (1.0 - c) * av
+            hits += np.count_nonzero(np.abs(au / av - bu / bv) <= epsilon)
     return hits / samples
 
 
-def _gap_full_draw(c, epsilon, samples, seed):
-    b2 = math.sqrt(1.0 - (1.0 - c) ** 2)
-
-    def event(rng, n):
-        au, bu = rng.standard_normal((2, n))
-        av, bv = rng.standard_normal((2, n))
-        bu = b2 * bu + (1.0 - c) * au
-        bv = b2 * bv + (1.0 - c) * av
-        return np.count_nonzero(np.abs(au / av - bu / bv) <= epsilon)
-
-    return _full_draw_rate(samples, seed, event)
+def _tail_reference(l, samples, seed):
+    hits = 0
+    for rng, m in _block_rngs(samples, seed):
+        num, den = rng.standard_normal((2, m))
+        hits += np.count_nonzero(np.abs(num / den) >= l)
+    return hits / samples
 
 
-def _tail_full_draw(l, samples, seed):
-    def event(rng, n):
-        num, den = rng.standard_normal((2, n))
-        return np.count_nonzero(np.abs(num / den) >= l)
-
-    return _full_draw_rate(samples, seed, event)
-
-
-def _chi2_full_draw(epsilon, samples, seed):
-    def event(rng, n):
-        q, r = rng.standard_exponential((2, n))
-        return np.count_nonzero(np.abs(q - r) <= 0.5 * epsilon)
-
-    return _full_draw_rate(samples, seed, event)
+def _chi2_reference(epsilon, samples, seed):
+    hits = 0
+    for rng, m in _block_rngs(samples, seed):
+        q, r = rng.standard_exponential((2, m))
+        hits += np.count_nonzero(np.abs(q - r) <= 0.5 * epsilon)
+    return hits / samples
 
 
-def _product_full_draw(samples, seed):
-    rng_a, rng_b = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+def _product_reference(samples, seed):
+    blocks = _block_rngs(samples, seed)
+    # The distance reference comes from the child after the blocks'.
+    ref_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(len(blocks) + 1)[-1])
+    totals = [0.0] * 4
+    products = []
+    for rng, m in blocks:
+        x, y = rng.standard_normal((2, m))
+        p = x * y
+        products.append(p)
+        for k, power in enumerate((p, p * p, (p * p) * p, (p * p) * (p * p))):
+            totals[k] += np.sum(power)
     n_ks = min(samples, 100_000)
-    prod = rng_a.standard_normal(samples) * rng_a.standard_normal(samples)
-    ref = 0.5 * (rng_b.standard_normal(n_ks) ** 2 - rng_b.standard_normal(n_ks) ** 2)
-    p2 = prod * prod
+    q, r = ref_rng.standard_normal((2, n_ks))
+    distance = _ks_distance(np.concatenate(products)[:n_ks], 0.5 * (q**2 - r**2))
     moments_ok = all(
-        abs(float(np.mean(power)) - _PRODUCT_MOMENTS[k])
-        <= _PRODUCT_Z * math.sqrt(_PRODUCT_MOMENT_VARS[k] / samples)
-        for k, power in enumerate((prod, p2, p2 * prod, p2 * p2))
+        abs(float(total) / samples - _PRODUCT_MOMENTS[k]) <= _PRODUCT_Z * math.sqrt(_PRODUCT_MOMENT_VARS[k] / samples)
+        for k, total in enumerate(totals)
     )
-    distance = _ks_distance(prod[:n_ks], ref)
     slack = _PRODUCT_Z * math.sqrt(_KS_BOUND * (1.0 - _KS_BOUND) / n_ks)
     return distance, moments_ok and distance <= _KS_BOUND + slack
 
 
-class TestStreamedDraws:
-    # Each check holds its first draws and streams the last one block by
-    # block; these are the numbers, and the reports, of the (2, n) draws.
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
-    @pytest.mark.parametrize("method", ["standard_normal", "standard_exponential"])
-    def test_held_row_then_blocks_is_the_two_row_draw(self, n, method):
-        rng = np.random.default_rng(n)
-        held = getattr(rng, method)(n)
-        streamed = np.empty(n)
-        covered = 0
-        for part, block in _stream(getattr(rng, method), n):
-            assert part.start == covered and block.size == part.stop - part.start <= _BLOCK
-            streamed[part] = block
-            covered = part.stop
-        assert covered == n
-        full = getattr(np.random.default_rng(n), method)((2, n))
-        np.testing.assert_array_equal(held, full[0])
-        np.testing.assert_array_equal(streamed, full[1])
+class TestBlockStreams:
+    # Every check equals a plain-numpy evaluation of its blocks, bit for bit:
+    # one size= draw per block from its own child stream.
+    @pytest.mark.parametrize("n", [1, 7, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_rates_are_the_block_reference_rates(self, n):
+        assert mc_crossing_gap(0.5, 1e-3, n, seed=21).empirical_prob == _gap_reference(0.5, 1e-3, n, 21)
+        assert mc_crossing_gap(0.9, 0.3, n, seed=22).empirical_prob == _gap_reference(0.9, 0.3, n, 22)
+        assert mc_cauchy_tail(1.0, n, seed=23).empirical_prob == _tail_reference(1.0, n, 23)
+        assert mc_chi2_diff(0.5, n, seed=24).empirical_prob == _chi2_reference(0.5, n, 24)
 
-    @pytest.mark.parametrize("n", [1, 7, _BLOCK + 1, _MC_CHUNK + 1000])
-    def test_rates_are_the_full_draw_rates(self, n):
-        assert mc_crossing_gap(0.5, 1e-3, n, seed=21).empirical_prob == _gap_full_draw(0.5, 1e-3, n, 21)
-        assert mc_crossing_gap(0.9, 0.3, n, seed=22).empirical_prob == _gap_full_draw(0.9, 0.3, n, 22)
-        assert mc_cauchy_tail(1.0, n, seed=23).empirical_prob == _tail_full_draw(1.0, n, 23)
-        assert mc_chi2_diff(0.5, n, seed=24).empirical_prob == _chi2_full_draw(0.5, n, 24)
-
-    @pytest.mark.parametrize("samples", [10_000, _BLOCK + 1, _MC_CHUNK + 1000])
-    def test_product_is_the_full_draw_product(self, samples):
+    # The product check needs at least 10000 samples.
+    @pytest.mark.parametrize("samples", [10_000, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_product_is_the_block_reference_product(self, samples):
         report = mc_gaussian_product(samples, seed=25)
-        assert (report.empirical_prob, report.passed) == _product_full_draw(samples, 25)
+        assert (report.empirical_prob, report.passed) == _product_reference(samples, 25)
+
+
+def _set_workers(monkeypatch, cpus):
+    monkeypatch.setattr(validation, "_cpu_count", lambda: cpus)
+
+
+LEMMA_CHECKS = {
+    "gap": lambda samples, seed: mc_crossing_gap(0.5, 1e-3, samples, seed=seed),
+    "tail": lambda samples, seed: mc_cauchy_tail(10.0, samples, seed=seed),
+    "chi2diff": lambda samples, seed: mc_chi2_diff(0.1, samples, seed=seed),
+    "product": lambda samples, seed: mc_gaussian_product(samples, seed=seed),
+}
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("check", sorted(LEMMA_CHECKS))
+    def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch, check):
+        # Four blocks: one, two or three workers, the last with uneven shares.
+        # Every worker thread has ended when the check returns.
+        reports = []
+        before = threading.active_count()
+        for cpus in (1, 2, 3):
+            _set_workers(monkeypatch, cpus)
+            assert validation._layout(3 * BLOCK + 5) == (4, cpus)
+            reports.append(LEMMA_CHECKS[check](3 * BLOCK + 5, 31).to_dict())
+            assert threading.active_count() == before
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_workers_are_capped_at_the_blocks(self, monkeypatch):
+        _set_workers(monkeypatch, 8)
+        assert validation._layout(1) == (1, 1)
+        assert validation._layout(BLOCK + 1) == (2, 2)
+        assert validation._layout(1_000_000) == (16, 8)
+
+    def test_cpu_count_is_this_process_affinity(self):
+        assert validation._cpu_count() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("failing", [1, 2, 3, 4, 5])
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, failing):
+        # Six blocks on three workers: blocks 1 and 4 run on worker 1, 2 and 5
+        # on worker 2, and 3 on the calling thread.
+        _set_workers(monkeypatch, 3)
+        before = threading.active_count()
+        ran = []
+
+        def block(rng, draws, j):
+            ran.append(j)
+            if j == failing:
+                raise ArithmeticError(f"block {j}")
+            return j
+
+        with pytest.raises(ArithmeticError, match=f"block {failing}"):
+            _run_blocks(6 * BLOCK, np.random.SeedSequence(0), 1, block)
+        assert threading.active_count() == before
+        # The other workers ran all their blocks, and had stopped by the time it was raised.
+        assert {j for j in range(6) if j % 3 != failing % 3} <= set(ran)
+
+    def test_a_worker_exception_in_a_check_reaches_the_caller(self, monkeypatch):
+        _set_workers(monkeypatch, 2)
+        before = threading.active_count()
+        default_rng = np.random.default_rng
+
+        def rng_off_the_calling_thread(seed):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker draw")
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", rng_off_the_calling_thread)
+        with pytest.raises(MemoryError, match="worker draw"):
+            mc_cauchy_tail(10.0, 2 * BLOCK, seed=0)
+        assert threading.active_count() == before
+
+    def test_more_workers_than_cores_with_frequent_switches(self, monkeypatch):
+        # Eight workers switching every microsecond: a lost or misplaced block
+        # result, or a torn write to the product's distance sample, would
+        # change a report.
+        samples = 8 * BLOCK + 3
+        _set_workers(monkeypatch, 1)
+        expected = [check(samples, 35).to_dict() for check in LEMMA_CHECKS.values()]
+        _set_workers(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert [check(samples, 35).to_dict() for check in LEMMA_CHECKS.values()] == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("samples", [20_000, np.int64(3 * BLOCK + 5)])
+    @pytest.mark.parametrize("check", sorted(LEMMA_CHECKS))
+    def test_reports_are_python_types_json_writes(self, check, samples):
+        report = LEMMA_CHECKS[check](samples, 33)
+        assert type(report.samples) is int
+        assert type(report.empirical_prob) is float
+        assert type(report.passed) is bool and type(report.vacuous) is bool
+        json.dumps(report.to_dict())
+
+    def test_numpy_parameters_give_python_types(self):
+        for report in (
+            mc_crossing_gap(np.float64(0.5), np.float64(0.2), 20_000, seed=34),
+            mc_cauchy_tail(np.float64(10.0), 20_000, seed=34),
+            mc_chi2_diff(np.float64(0.1), 20_000, seed=34),
+        ):
+            assert type(report.bound) is float
+            assert type(report.passed) is bool and type(report.vacuous) is bool
+            json.dumps(report.to_dict())
 
 
 class TestTracedPeaks:
-    # At 1e6 samples a check holds only the draws its arithmetic needs at
-    # once: 3, 1, 1 and 2 arrays of n float64 (7.6 MiB each), plus blocks.
+    # At 1e6 samples a check holds one buffer of rows x 2**16 float64 per
+    # worker (rows 5, 2, 2 and 2: 2.5, 1, 1 and 1 MiB), plus what its
+    # arithmetic needs once the blocks are done: the product check's
+    # distance on 1e5 samples a side takes up to 12 MiB.
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
-        "check, bound_mib",
+        "check, rows, rest_mib",
         [
-            (lambda: mc_crossing_gap(0.5, 1e-3, 1_000_000, seed=1), 24),
-            (lambda: mc_cauchy_tail(10.0, 1_000_000, seed=1), 9),
-            (lambda: mc_chi2_diff(0.1, 1_000_000, seed=1), 9),
-            (lambda: mc_gaussian_product(1_000_000, seed=1), 19),
+            (lambda: mc_crossing_gap(0.5, 1e-3, 1_000_000, seed=1), 5, 1),
+            (lambda: mc_cauchy_tail(10.0, 1_000_000, seed=1), 2, 1),
+            (lambda: mc_chi2_diff(0.1, 1_000_000, seed=1), 2, 1),
+            (lambda: mc_gaussian_product(1_000_000, seed=1), 2, 12),
         ],
         ids=["gap", "tail", "chi2diff", "product"],
     )
-    def test_peak(self, check, bound_mib):
+    def test_peak(self, monkeypatch, check, rows, rest_mib, cpus):
+        _set_workers(monkeypatch, cpus)
         tracemalloc.start()
         try:
             check()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound_mib << 20
+        assert peak <= (rest_mib << 20) + cpus * rows * BLOCK * 8
 
 
 class TestFdExactness:
@@ -565,6 +710,17 @@ class TestFdExactness:
         net = generate_random_net(6, 2, seed=16)
         report = check_fd_exactness(net, FiniteDiffConfig(eta=1e-3), np.int64(3), seed=17)
         assert report.trials == 3 and report.passed
+
+    def test_nan_error_is_a_counterexample(self):
+        # Weights of 1e308 overflow f, and the finite difference is inf - inf
+        # = NaN at some points, which `rel > worst` used to drop.
+        net = generate_random_net(4, 2, seed=0)
+        big = TwoLayerNet(A=net.A, w=np.array([1e308, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_fd_exactness(big, FiniteDiffConfig(eta=1e-3), 20, seed=1)
+        assert math.isnan(report.max_rel_error)
+        assert not report.passed and report.counterexample is not None
 
     def test_oversized_step_raises(self):
         net = generate_random_net(6, 4, seed=14)
