@@ -17,8 +17,8 @@ blocks w, w + W, ... into one buffer the calling thread allocated for it. The
 calling thread is worker 0 and the others are threads; numpy releases the
 interpreter lock while it draws and while its ufuncs loop, which is where the
 time goes. A buffer allocated in a worker thread comes from that thread's
-malloc arena: such buffers raised perfbench lemmas' peak RSS from 52.6 to
-57.6 MB (one 10 s run, 2-vCPU VM).
+malloc arena: such buffers raised perfbench lemmas' peak RSS from 44.5 to
+47.9-49.4 MB (two 10 s runs, 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -174,14 +174,17 @@ def match_rows(net: TwoLayerNet, z) -> MatchResult:
     h = net.h
     if zm.shape != (h, net.d):
         raise ValueError(f"Z must have shape ({h}, {net.d}), got {zm.shape}")
+    if not np.all(np.isfinite(zm)):
+        raise ValueError("Z entries must be finite")
 
     targets = net.w[:, None] * net.A
-    tn = np.sqrt(np.sum(targets * targets, axis=1))
-    with np.errstate(over="ignore", invalid="ignore"):  # rows near 1e308 give inf norms, and cosines of 0 or NaN
-        zn = np.sqrt(np.sum(zm * zm, axis=1))
-        denom = np.outer(tn, np.where(zn == 0.0, 1.0, zn))
-        cos = np.abs(targets @ zm.T) / denom
-    cos[:, zn == 0.0] = 0.0
+    # A cosine does not change when a row is scaled, and rows scaled to a
+    # peak |entry| of 1 cannot overflow their squared norms, as rows near
+    # 1e308 do.
+    tu, zu = _peak_scaled(targets), _peak_scaled(zm)
+    tn = np.sqrt(np.sum(tu * tu, axis=1))
+    zn = np.sqrt(np.sum(zu * zu, axis=1))
+    cos = np.abs(tu @ zu.T) / np.outer(tn, np.where(zn == 0.0, 1.0, zn))
 
     perm = np.full(h, -1, dtype=int)
     avail_t = np.ones(h, dtype=bool)
@@ -209,6 +212,12 @@ def match_rows(net: TwoLayerNet, z) -> MatchResult:
         signs[i] = 1 if residual_pos <= residual_neg else -1
         worst = max(worst, min(residual_pos, residual_neg))
     return MatchResult(permutation=perm, signs=signs, max_row_error=worst)
+
+
+def _peak_scaled(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by its largest |entry|; a zero row stays zero."""
+    peak = np.max(np.abs(rows), axis=1, keepdims=True)
+    return rows / np.where(peak == 0.0, 1.0, peak)
 
 
 def _check_samples(samples, least: int) -> int:
@@ -368,14 +377,28 @@ def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
 
 
 def _ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Two-sample max CDF distance, read where each run of ties ends in a stable merge."""
-    merged = np.concatenate([np.sort(xs), np.sort(ys)])
-    order = np.argsort(merged, kind="stable")
-    merged = merged[order]
-    run_end = np.append(merged[1:] != merged[:-1], True)
-    below_x = np.cumsum(order < xs.size)[run_end]
-    below_y = np.flatnonzero(run_end) + 1 - below_x
-    return float(np.max(np.abs(below_x / xs.size - below_y / ys.size)))
+    """Two-sample max CDF distance; sorts xs and ys in place.
+
+    The distance is read where each run of equal values ends on each side:
+    where one ends at index k of sorted a, a's count of values <= a[k] is
+    k + 1, and the other side's is np.searchsorted's right insertion point.
+    Every distinct value of either sample is read there, and for samples
+    without NaN the counts at it are those of a stable merge of the two, so
+    the max is the merged reading's, bit for bit.
+    """
+    xs.sort()
+    ys.sort()
+    dist = np.empty(max(xs.size, ys.size))
+    worst = 0.0
+    for a, b in ((xs, ys), (ys, xs)):
+        ends = np.flatnonzero(np.append(a[1:] != a[:-1], True))
+        d = dist[: ends.size]
+        below = np.searchsorted(b, np.take(a, ends, out=d), side="right")
+        ends += 1
+        np.divide(ends, a.size, out=d)
+        d -= below / b.size
+        worst = max(worst, float(np.max(np.abs(d, out=d))))
+    return worst
 
 
 # Exact moments of a product of two independent standard Gaussians.
@@ -422,8 +445,12 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
 
     root = np.random.SeedSequence(seed)
     sums = [sum(column) for column in zip(*_run_blocks(samples, root, 2, block))]
-    q, r = np.random.default_rng(root.spawn(1)[0]).standard_normal((2, n_ks))
-    distance, passed = _product_checks(sums, samples, head, 0.5 * (q * q - r * r))
+    ref = np.random.default_rng(root.spawn(1)[0]).standard_normal((2, n_ks))
+    np.multiply(ref, ref, out=ref)
+    q, r = ref
+    q -= r
+    q *= 0.5  # (Q - R)/2, in the first row of the draw
+    distance, passed = _product_checks(sums, samples, head, q)
     return McReport(
         samples=samples,
         empirical_prob=distance,
@@ -436,7 +463,8 @@ def _product_checks(sums, samples: int, head: np.ndarray, ref: np.ndarray) -> tu
     """CDF distance of head to ref, and whether all five checks pass.
 
     sums holds the totals of XY, (XY)^2, (XY)^3 and (XY)^4 over `samples`
-    products, and head the products the distance is taken on.
+    products, and head the products the distance is taken on. head and ref
+    are sorted in place.
     """
     distance = _ks_distance(head, ref)
     moments_ok = all(

@@ -225,12 +225,16 @@ class TestExtractVerify:
 
     def test_nan_error_exits_three(self, tmp_path, capsys):
         # Two equal rows of 1e308 added with opposite signs evaluate to
-        # inf - inf = NaN; the error is reported as nan, not dropped.
+        # inf - inf = NaN; the error is reported as nan, not dropped. The
+        # equal rows are ambiguous, reported with their true cosines rather
+        # than the 0 of overflowed norms.
         model, rec = tmp_path / "model.json", tmp_path / "rec.json"
         save_net(generate_random_net(4, 2, seed=0), model)
         save_recovered(RecoveredModel(Z=np.full((2, 4), 1e308), s=[1, -1, 0, 0]), rec)
         assert run("verify", "--model", str(model), "--recovered", str(rec)) == 3
-        assert "max relative error over 100000 points: nan" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "max relative error over 100000 points: nan" in out
+        assert "row match ambiguous: rows 1/0: best |cosine| 0.598079778203" in out
 
     def test_non_object_model_file_exits_one(self, tmp_path, capsys):
         path = tmp_path / "m.json"

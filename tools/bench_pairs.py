@@ -21,7 +21,10 @@ child run beats every parent run, else "ok". It also prints each side's
 median of the operation time (``wall.op_ms_p50``) beside that of the
 reference kernel time (``wall.ref_ms_p50``), the yardstick the relative
 operation times divide by, so a moved yardstick can be told apart from a
-change in operation time.
+change in operation time. For the metrics in SORTED_RUNS, whose runs of
+the same code fall into modes rather than spread about one value, it also
+prints each side's runs in sorted order, so a moved mode shows even when
+the medians do not.
 
 A pair in which either run's result is not ``correct`` (or the run printed
 no result) is left out of the medians and the win counts, and the script
@@ -39,6 +42,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "child")
+# peak_rss_mb on grad-narrow reads about 44.7 or 45.3 MB from run to run of
+# the same code; a median alone cannot show which mode a change moved.
+SORTED_RUNS = ("peak_rss_mb",)
 
 
 def seed_range(text: str) -> range:
@@ -136,6 +142,9 @@ def main(argv=None) -> int:
               f"child {c_med:.4g} [{c1:.4g} {c3:.4g}], child better in {wins}/{pairs}, "
               f"claim holds: {'yes' if holds else 'no'}, "
               f"no regression (bound {m['bound']:g}): {regression(par, chi, m['bound'], lower)}")
+        if name in SORTED_RUNS:
+            for side, runs in (("parent", par), ("child", chi)):
+                print(f"  {name} {side} runs, sorted: {' '.join(f'{v:.4g}' for v in sorted(runs))}")
     for key in ("op_ms_p50", "ref_ms_p50") if pairs else ():
         print(f"wall.{key}: " + ", ".join(
             f"{side} {statistics.median(wall[side][key]):.3f} "
