@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GradleakError, MatchAmbiguityError
-from .extraction import ExtractionConfig, learn_model
+from .extraction import ExtractionConfig, ExtractionReport, learn_model
 from .model import (
     generate_random_net,
     load_net,
@@ -133,19 +133,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _failure_report(err: GradleakError, oracle: Oracle) -> dict:
-    return {
-        "success": False,
-        "phase": err.phase,
-        "retries": err.retries,
-        "refusals": list(err.refusals),
-        "gradient_queries": oracle.ledger.gradient_queries,
-        "value_queries": oracle.ledger.value_queries,
-        "rounds": oracle.ledger.rounds,
-        "crossings": list(err.crossings),
-    }
-
-
 def cmd_extract(args) -> int:
     net = load_net(args.model)
     h = args.h if args.h is not None else net.h
@@ -160,14 +147,14 @@ def cmd_extract(args) -> int:
     oracle = Oracle(net, mode=args.mode, sg=sg)
     try:
         report = learn_model(oracle, cfg)
+        save_recovered(report.model, args.out)
     except GradleakError as err:
         print(f"extraction failed: {err}", file=sys.stderr)
-        if args.report:
-            Path(args.report).write_text(json.dumps(_failure_report(err, oracle), indent=2) + "\n")
-        return EXIT_EXTRACTION_FAILED
-    save_recovered(report.model, args.out)
+        report = err.report or ExtractionReport.from_ledger(oracle.ledger)
     if args.report:
         Path(args.report).write_text(json.dumps(report.report_dict(), indent=2) + "\n")
+    if report.model is None:
+        return EXIT_EXTRACTION_FAILED
     print(
         f"extracted h={report.model.h} rows in {report.gradient_queries} gradient "
         f"and {report.value_queries} value queries (retries={report.retries})"
@@ -238,9 +225,10 @@ def _bench_trial(h: int, d: int, mode: str, trial: int, delta: float, base_seed:
         eq = functional_equivalence(
             net, report.model, _BENCH_VERIFY_POINTS, _BENCH_VERIFY_TOL, seed=verify_seed
         )
-        success, retries, max_rel_error = eq.passed, report.retries, eq.max_rel_error
+        success, max_rel_error = eq.passed, eq.max_rel_error
     except GradleakError as err:
-        success, retries, max_rel_error = False, err.retries, float("nan")
+        report = err.report or ExtractionReport.from_ledger(oracle.ledger)
+        success, max_rel_error = False, float("nan")
     seconds = time.perf_counter() - start
     return {
         "h": h,
@@ -248,10 +236,11 @@ def _bench_trial(h: int, d: int, mode: str, trial: int, delta: float, base_seed:
         "mode": mode,
         "trial": trial,
         "success": success,
-        "gradient_queries": oracle.ledger.gradient_queries,
-        "value_queries": oracle.ledger.value_queries,
-        "rounds": oracle.ledger.rounds,
-        "retries": retries,
+        "gradient_queries": report.gradient_queries,
+        "value_queries": report.value_queries,
+        "rounds": report.rounds,
+        "retries": report.retries,
+        "refusals": json.dumps(report.refusals),
         "max_rel_error": max_rel_error,
         "seconds": round(seconds, 6),
     }

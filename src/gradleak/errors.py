@@ -4,26 +4,16 @@ Each failure mode the extraction pipeline can signal gets its own type so
 callers (and the CLI exit-code mapping) can tell them apart.
 """
 
-from __future__ import annotations
-
-from collections.abc import Sequence
-
 
 class GradleakError(Exception):
     """Base class for all package-specific errors.
 
-    learn_model sets phase ("search" or "sign"), retries, refusals (why each
-    refused search line was refused, in order) and crossings on the errors it
-    re-raises, so a failure report can say where the run stopped; an error
-    raised anywhere else reports no phase, no retries, no refusals and no
-    crossings. After a search failure every line was refused, so refusals
-    holds retries + 1 reasons; after a sign failure, retries.
+    An error that learn_model raises carries the run's ExtractionReport as
+    report: no model, the failing phase, the queries and the search trace.
+    An error raised anywhere else has report None.
     """
 
-    phase: str | None = None
-    retries: int = 0
-    refusals: Sequence[str] = ()
-    crossings: Sequence[float] = ()
+    report = None
 
 
 class GenerationError(GradleakError):
@@ -42,9 +32,9 @@ class ExtractionFailure(GradleakError):
     """The crossing search refused a line, or every line of the retry budget.
 
     The search raises it for each refused line, and recover_z raises it again
-    once the retry budget is spent; signals a violated assumption (wrong
-    assumed width, crossings closer than the search resolution) rather than
-    a numerical bug.
+    once the retry budget is spent, with every line's reason, in order, as
+    refusals. Signals a violated assumption (wrong assumed width, crossings
+    closer than the search resolution) rather than a numerical bug.
     """
 
 

@@ -70,7 +70,7 @@ import numpy as np
 
 from .errors import ExtractionFailure, GradleakError, SignRecoveryError
 from .model import RecoveredModel, _integer
-from .oracle import Oracle
+from .oracle import Oracle, QueryLedger
 
 # Gradient-change threshold for the "same cell" test of membership and blurred
 # smoothgrad: far below the smallest real change (w_min times a unit row), far
@@ -153,29 +153,42 @@ class ZRecovery:
     refusals: list[str]  # why each line searched before this one was refused, in order
     ends: tuple[np.ndarray, np.ndarray]  # the gradients g(-v) and g(+v) of the line's tail cells
 
-    @property
-    def retries(self) -> int:
-        return len(self.refusals)
-
 
 @dataclass
 class ExtractionReport:
-    """Successful extraction: the model, query costs, and search trace."""
+    """One extraction's record, whether it returned a model or failed.
 
-    model: RecoveredModel
+    On failure model is None, phase names the failing phase ("search" or
+    "sign", or None for an error raised outside learn_model), and the trace
+    is what was spent and found before it. After a search failure the last
+    line was refused too, so refusals holds retries + 1 reasons.
+    """
+
+    model: RecoveredModel | None
     gradient_queries: int
     value_queries: int
     rounds: int  # oracle requests, over every line searched
-    refusals: list[str]  # why each line before the successful one was refused, in order
-    crossings: list[float]
+    refusals: list[str]  # why each refused line was refused, in order
+    crossings: list[float]  # those of the line that passed the search; none after a search failure
+    phase: str | None = None
+
+    @classmethod
+    def from_ledger(cls, ledger: QueryLedger, model=None, phase=None, refusals=(), crossings=()) -> ExtractionReport:
+        """The record of a run whose queries the ledger counted."""
+        return cls(
+            model, ledger.gradient_queries, ledger.value_queries, ledger.rounds, list(refusals), list(crossings), phase
+        )
 
     @property
     def retries(self) -> int:
-        return len(self.refusals)
+        return len(self.refusals) - (self.phase == "search")
 
     def report_dict(self) -> dict:
+        """The extract report, or on failure (model None) the failure report, which adds "phase"."""
+        failed = self.model is None
         return {
-            "success": True,
+            "success": not failed,
+            **({"phase": self.phase} if failed else {}),
             "retries": self.retries,
             "refusals": list(self.refusals),
             "gradient_queries": self.gradient_queries,
@@ -382,24 +395,19 @@ def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
 
     Failures are raised, never silently mis-recovered: ExtractionFailure from
     the search, SignRecoveryError from an inconsistent sign solve. The raised
-    error carries the failing phase ("search" or "sign"), the retries spent,
-    the reason each refused line was refused and the crossings found.
+    error carries the run's ExtractionReport as err.report, with no model and
+    the failing phase ("search" or "sign").
     """
     zres = None
     try:
         zres = recover_z(oracle, cfg, rng=np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,))))
         s = _end_signs(zres.Z, zres.v, zres.ends)
     except GradleakError as err:
-        err.phase = "search" if zres is None else "sign"
-        err.retries = cfg.max_retries if zres is None else zres.retries
-        err.refusals = list(err.refusals if zres is None else zres.refusals)
-        err.crossings = [] if zres is None else list(zres.crossings)
+        if zres is None:  # recover_z's failure holds every refused line's reason
+            refusals = getattr(err, "refusals", ())
+            err.report = ExtractionReport.from_ledger(oracle.ledger, phase="search", refusals=refusals)
+        else:
+            err.report = ExtractionReport.from_ledger(oracle.ledger, None, "sign", zres.refusals, zres.crossings)
         raise
-    return ExtractionReport(
-        model=RecoveredModel(Z=zres.Z, s=s),
-        gradient_queries=oracle.ledger.gradient_queries,
-        value_queries=oracle.ledger.value_queries,
-        rounds=oracle.ledger.rounds,
-        refusals=list(zres.refusals),
-        crossings=list(zres.crossings),
-    )
+    model = RecoveredModel(Z=zres.Z, s=s)
+    return ExtractionReport.from_ledger(oracle.ledger, model, refusals=zres.refusals, crossings=zres.crossings)

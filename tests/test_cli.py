@@ -15,8 +15,12 @@ import gradleak.extraction
 import gradleak.validation
 from gradleak import (
     ConfigError,
+    ExtractionConfig,
+    GradleakError,
+    Oracle,
     RecoveredModel,
     generate_random_net,
+    learn_model,
     load_net,
     load_recovered,
     recovered_from_net,
@@ -38,6 +42,16 @@ def refused_extraction(monkeypatch):
         raise ConfigError("refused before any search")
 
     monkeypatch.setattr(gradleak.cli, "learn_model", refuse)
+
+
+def _duplicated_row(search):
+    """A search whose Z repeats row 0, so the sign system is singular and the sign phase fails."""
+
+    def duplicated(*args):
+        z, crossings, ends = search(*args)
+        return z[[0, 0, 2, 3, 4]], crossings, ends
+
+    return duplicated
 
 
 @pytest.fixture
@@ -135,13 +149,7 @@ class TestExtractVerify:
         # The search finds all 5 crossings on the first line and the sign
         # solve is then refused, on a Z with one row duplicated, whose sign
         # system is singular: no retries were spent.
-        search = gradleak.extraction._search_line
-
-        def duplicated_row(*args):
-            z, crossings, ends = search(*args)
-            return z[[0, 0, 2, 3, 4]], crossings, ends
-
-        monkeypatch.setattr(gradleak.extraction, "_search_line", duplicated_row)
+        monkeypatch.setattr(gradleak.extraction, "_search_line", _duplicated_row(gradleak.extraction._search_line))
         rec = tmp_path / "rec.json"
         rep = tmp_path / "rep.json"
         code = run(
@@ -388,6 +396,52 @@ class TestLemmas:
         assert capsys.readouterr().out == ""
 
 
+class TestOneRunRecord:
+    """A run's record is one ExtractionReport whether it succeeds or fails.
+
+    learn_model's raised error carries it as err.report, with no model, and
+    the extract report that the CLI writes is its report_dict().
+    """
+
+    @pytest.mark.parametrize(
+        "phase, h, max_retries",
+        [(None, 5, 5), ("search", 8, 2), ("sign", 5, 5)],
+        ids=["success", "search-failure", "sign-failure"],
+    )
+    def test_report_of_every_outcome(self, tmp_path, model_file, monkeypatch, phase, h, max_retries):
+        lines = []
+        search = gradleak.extraction._search_line
+        if phase == "sign":
+            search = _duplicated_row(search)
+        monkeypatch.setattr(gradleak.extraction, "_search_line", lambda *args: (lines.append(args), search(*args))[1])
+
+        cfg = ExtractionConfig(h=h, seed=0, max_retries=max_retries)
+        oracle = Oracle(load_net(model_file))
+        if phase is None:
+            report = learn_model(oracle, cfg)
+            assert report.model is not None
+        else:
+            with pytest.raises(GradleakError) as err:
+                learn_model(oracle, cfg)
+            report = err.value.report
+            assert report.model is None
+            assert report.phase == phase
+        # Every line searched but the last was a retry, whatever the outcome.
+        assert report.retries == len(lines) - 1
+        assert (report.gradient_queries, report.value_queries, report.rounds) == (
+            oracle.ledger.gradient_queries, oracle.ledger.value_queries, oracle.ledger.rounds,
+        )
+
+        rep = tmp_path / "rep.json"
+        code = run(
+            "extract", "--model", str(model_file), "--h", str(h), "--max-retries", str(max_retries),
+            "--seed", "0", "--out", str(tmp_path / "rec.json"), "--report", str(rep),
+        )
+        assert code == (0 if phase is None else 2)
+        assert json.loads(rep.read_text()) == report.report_dict()
+        assert ("phase" in report.report_dict()) == (phase is not None)
+
+
 class TestBench:
     def test_csv_layout_and_success(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -402,7 +456,7 @@ class TestBench:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == [
             "h", "d", "mode", "trial", "success",
-            "gradient_queries", "value_queries", "rounds", "retries", "max_rel_error", "seconds",
+            "gradient_queries", "value_queries", "rounds", "retries", "refusals", "max_rel_error", "seconds",
         ]
         assert len(rows) == 4
         assert [(r["h"], r["trial"]) for r in rows] == [
@@ -413,6 +467,8 @@ class TestBench:
                 assert float(row["max_rel_error"]) <= 1e-7
             # A round carries every open bracket's request, so a grad run needs fewer rounds than queries.
             assert 0 < int(row["rounds"]) < int(row["gradient_queries"])
+            # The refusals column is the report's, one reason per retry on a returned model.
+            assert len(json.loads(row["refusals"])) == int(row["retries"])
 
     def test_library_error_is_a_failed_row(self, tmp_path, refused_extraction):
         out = tmp_path / "bench.csv"

@@ -545,7 +545,7 @@ class TestRecoverZ:
         oracle = Oracle(net)
         cfg = ExtractionConfig(h=6, delta=0.1, c=0.01, seed=6)
         res = recover_z(oracle, cfg, np.random.default_rng(cfg.seed))
-        if res.retries == 0:
+        if len(res.refusals) == 0:
             _, l = select_parameters(cfg.delta, cfg.c, cfg.h)
             steps = math.ceil(math.log2(2 * l / cfg.epsilon))
             assert oracle.ledger.gradient_queries <= 3 * 6 * steps + 2 * 6
@@ -577,9 +577,9 @@ class TestRecoverZ:
                 res = recover_z(Oracle(net), cfg, np.random.default_rng(cfg.seed))
             except ExtractionFailure:
                 continue
-            if res.retries > 0:
+            if len(res.refusals) > 0:
                 found = True
-                assert res.retries == len(lines) - 1
+                assert len(res.refusals) == len(lines) - 1
                 assert len(res.crossings) == 2
                 break
         assert found
@@ -633,7 +633,7 @@ class TestSharedBracketSearch:
                 report = learn_model(oracle, ExtractionConfig(h, delta=0.1, c=0.01, seed=seed))
                 result = (report.model.Z.tobytes(), report.model.s.tobytes(), report.retries)
             except GradleakError as err:
-                result = (type(err).__name__, err.retries)
+                result = (type(err).__name__, err.report.retries)
             return result, oracle.ledger.gradient_queries
 
         shared_total = reference_total = 0
@@ -670,7 +670,7 @@ class TestSharedBracketSearch:
                 model = report.model
                 result = (model.Z.tobytes(), model.s.astype(np.int64).tobytes(), report.crossings, report.retries)
             except GradleakError as err:
-                result = (f"{type(err).__name__}: {err}", err.crossings, err.retries)
+                result = (f"{type(err).__name__}: {err}", err.report.crossings, err.report.retries)
             return result, oracle.ledger.gradient_queries, oracle.ledger.value_queries
 
         same = extraction._same
@@ -767,7 +767,7 @@ class TestEndSigns:
         monkeypatch.setattr(extraction, "_search_line", corrupted)
         with pytest.raises(SignRecoveryError, match="leaves residual") as err:
             learn_model(Oracle(generate_random_net(12, 5, seed=1)), ExtractionConfig(h=5, seed=0))
-        assert (err.value.phase, err.value.retries, len(err.value.crossings)) == ("sign", 0, 5)
+        assert (err.value.report.phase, err.value.report.retries, len(err.value.report.crossings)) == ("sign", 0, 5)
 
     def test_negating_a_row_swaps_its_sign_pair(self):
         # The search orients row i as sign(<A_i, v>) w_i A_i, and on rows so
@@ -1168,17 +1168,17 @@ class TestLearnModel:
             patch.setattr(extraction, "_search_line", duplicated_row)
             with pytest.raises(GradleakError) as sign_err:
                 learn_model(oracle, ExtractionConfig(h=5, seed=0))
-        assert sign_err.value.phase == "sign"
-        assert sign_err.value.retries == 0
-        assert len(sign_err.value.crossings) == 5
+        assert sign_err.value.report.phase == "sign"
+        assert sign_err.value.report.retries == 0
+        assert len(sign_err.value.report.crossings) == 5
         assert oracle.ledger.value_queries == 0
 
         cfg = ExtractionConfig(h=8, seed=0, max_retries=1)
         with pytest.raises(ExtractionFailure) as search_err:
             learn_model(Oracle(net), cfg)
-        assert search_err.value.phase == "search"
-        assert search_err.value.retries == 1
-        assert search_err.value.crossings == []
+        assert search_err.value.report.phase == "search"
+        assert search_err.value.report.retries == 1
+        assert search_err.value.report.crossings == []
 
     def test_each_refused_line_keeps_its_reason(self, monkeypatch):
         # epsilon = 0.5 refuses some lines of this net (see
@@ -1214,7 +1214,7 @@ class TestLearnModel:
         with pytest.raises(ExtractionFailure) as search_err:
             learn_model(Oracle(generate_random_net(12, 5, seed=1)), ExtractionConfig(h=8, seed=0, max_retries=2))
         err = search_err.value
-        assert err.refusals == reasons and len(err.refusals) == err.retries + 1 == 3
+        assert err.report.refusals == reasons and len(err.report.refusals) == err.report.retries + 1 == 3
         assert str(err) == f"all 3 search attempts failed; last: {reasons[-1]}"
 
         # A sign failure after a refused line keeps that line's reason.
@@ -1231,7 +1231,9 @@ class TestLearnModel:
         with pytest.raises(SignRecoveryError) as sign_err:
             learn_model(Oracle(generate_random_net(12, 5, seed=1)), ExtractionConfig(h=5, seed=0))
         err = sign_err.value
-        assert (err.phase, err.retries, err.refusals) == ("sign", 1, ["more than h crossings lie on the line"])
+        assert (err.report.phase, err.report.retries, err.report.refusals) == (
+            "sign", 1, ["more than h crossings lie on the line"],
+        )
 
     def test_wrong_width_signals_failure(self):
         from gradleak.errors import SignRecoveryError

@@ -3,8 +3,12 @@
 import ast
 import importlib.util
 import inspect
+import os
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import gradleak
 import gradleak.extraction
@@ -47,6 +51,45 @@ def test_every_name_perfbench_uses_resolves():
     names = set(re.findall(r"\bgl\.([A-Za-z_]\w*)", (PERFBENCH / "run.py").read_text()))
     assert names
     assert sorted(n for n in names if not hasattr(gradleak, n)) == []
+
+
+@pytest.fixture
+def perfbench_run(monkeypatch):
+    """perfbench/run.py, loaded with perfbench/ on sys.path as the benchmark runs it.
+
+    run.py pins the BLAS thread variables at import, so os.environ is restored
+    afterwards, and the layers module it imports is dropped.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    environ = dict(os.environ)
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(run)
+        yield run
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+        sys.modules.pop("layers", None)
+
+
+def test_benchmark_extraction_step_runs_against_the_library(perfbench_run):
+    # run_extraction reads the report's retries and model, and the error's
+    # type and message: a refactor that drops one fails every grad run.
+    run = perfbench_run
+    net = gradleak.generate_random_net(12, 4, c_min=run.C_MIN, w_min=run.W_MIN, seed=3)
+    inst = run.Instance(0, net, op_seed=5, check_seed=7)
+    outcome = run.run_extraction(gradleak, run.Workload("grad-12x4", 1, 75, mode="grad", d=12, h=4), inst)
+    assert outcome.verified and outcome.error is None and outcome.wrong is None
+    assert outcome.layers["extraction.search_attempts"] == outcome.record["retries"] + 1
+    assert outcome.cost == outcome.record["gradient_queries"] > 0
+
+    # An assumed width above the true one is refused, as a failed operation.
+    outcome = run.run_extraction(gradleak, run.Workload("grad-12x5", 1, 75, mode="grad", d=12, h=5), inst)
+    assert not outcome.verified and outcome.passed == 0
+    assert outcome.error.startswith("ExtractionFailure: ")
+    assert outcome.record["retries"] is None
 
 
 def _imported_modules(path):

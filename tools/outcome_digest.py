@@ -27,7 +27,8 @@ and counterexample on acceptance criterion 6's three nets at 500 points
 each. Run it on two checkouts and compare the lines.
 
 With --records PATH it also writes one JSON line per instance: family,
-trial, gradient and value queries, rounds, retries, and either "model", the first 16
+trial, gradient and value queries, rounds, retries, the failing phase (null
+for a returned model), and either "model", the first 16
 hex digits of the sha256 of the (Z, s) bytes, with "wrong", whether it
 failed verification, or "failure", the error type and message. Joining two
 checkouts' records on (family, trial) shows which instances moved.
@@ -75,11 +76,13 @@ def outcome(gl, mode, d, h, assumed_h, sigma, trial) -> tuple[bytes, bytes, dict
         report = gl.learn_model(oracle, gl.ExtractionConfig(assumed_h, delta=0.1, c=0.01, seed=cfg_seed))
         result = model = report.model.Z.tobytes() + np.asarray(report.model.s, dtype=np.int64).tobytes()
         wrong = not gl.functional_equivalence(net, report.model, VERIFY_POINTS, VERIFY_TOL, seed=trial).passed
-        retries, verdict = report.retries, {"model": hashlib.sha256(model).hexdigest()[:16], "wrong": wrong}
+        retries, phase = report.retries, None
+        verdict = {"model": hashlib.sha256(model).hexdigest()[:16], "wrong": wrong}
     except gl.GradleakError as err:
         result = f"{type(err).__name__}: {err}".encode()
         model = type(err).__name__.encode()
-        retries, verdict = err.retries, {"failure": result.decode()}
+        run = getattr(err, "report", None) or err  # older checkouts annotate the error itself
+        retries, phase, verdict = run.retries, run.phase, {"failure": result.decode()}
     ledger = oracle.ledger
     full = f"{ledger.gradient_queries} {ledger.value_queries} {retries} ".encode() + result
     record = {
@@ -87,6 +90,7 @@ def outcome(gl, mode, d, h, assumed_h, sigma, trial) -> tuple[bytes, bytes, dict
         "value_queries": ledger.value_queries,
         "rounds": getattr(ledger, "rounds", None),  # not metered by older checkouts
         "retries": retries,
+        "phase": phase,
         **verdict,
     }
     return full, f"{retries} ".encode() + model, record
