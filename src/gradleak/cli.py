@@ -114,13 +114,6 @@ def build_parser() -> _Parser:
 
 
 def cmd_gen(args) -> int:
-    if args.h > args.d:
-        print(
-            f"error: h={args.h} exceeds d={args.d}; {args.h} rows in dimension "
-            f"{args.d} cannot be linearly independent",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     net = generate_random_net(args.d, args.h, c_min=args.c_min, w_min=args.w_min, seed=args.seed)
     save_net(net, args.out)
     gram = net.A @ net.A.T
@@ -272,13 +265,8 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExtractionFailure, GradleakError, SignRecoveryError
-from .model import RecoveredModel, _integer
+from .model import RecoveredModel, _count, _number, _seed
 from .oracle import Oracle, QueryLedger
 
 # Gradient-change threshold for the "same cell" test of membership and blurred
@@ -104,12 +104,11 @@ def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
     sqrt(pi c) <= delta/2 here. l is returned because acceptance criterion 2
     bounds a run's queries by 3h log2(2l/eps) + 2h.
     """
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < _number(delta, "delta") < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if not 0.0 < c <= 1.0:
+    if not 0.0 < _number(c, "c") <= 1.0:
         raise ValueError("c must lie in (0, 1]")
-    if not _integer(h) or h < 1:
-        raise ValueError(f"h must be an integer of at least 1, got {h!r}")
+    _count(h, "h", 1)
     l = max(h * h, math.ceil(4.0 * h / (math.pi * delta)))
     epsilon = (c / 9.0) * (delta / 2.0) ** 1.5 / h**3
     return epsilon, l
@@ -127,18 +126,12 @@ class ExtractionConfig:
     max_retries: int = 5
 
     def __post_init__(self):
-        for name in ("delta", "c", "epsilon"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):  # Python counts True as the number 1
-                raise ValueError(f"{name} must be a number, not a bool")
-        seed = 0 if self.seed is None else self.seed
-        if not all(_integer(n) for n in (self.max_retries, seed)):
-            raise ValueError("max_retries and seed must be integers")
         eps, _ = select_parameters(self.delta, self.c, self.h)
-        if self.max_retries < 0 or seed < 0:
-            raise ValueError("max_retries and seed must be non-negative")
+        _count(self.max_retries, "max_retries")
+        _seed(self.seed)
         if self.epsilon is None:
             self.epsilon = eps
-        if not 0.0 < self.epsilon < math.inf:
+        if not 0.0 < _number(self.epsilon, "epsilon") < math.inf:
             raise ValueError("epsilon must be positive and finite")
 
 
@@ -248,18 +241,18 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     exact = not (membership or sigma)  # one read-only gradient array per cell
 
     def request(thetas):
-        # One round at the points x(theta): a gradient each in grad and
+        # One round at the points x(theta), returned as (theta, g) in grad and
         # smoothgrad; in membership a finite-difference gradient at p = x /
-        # |x| each, as (g or None, p, f(p)), all from one values request.
+        # |x| each, as (theta, g or None, p, f(p)), all from one values request.
         xs = np.array([(math.cos(t), math.sin(t)) for t in thetas]) @ uv
         if not membership:
-            return oracle.gradients(xs)
+            # Not zip: the round loop's zip is a round's one pairing, which
+            # test_order_within_a_round_changes_nothing shuffles.
+            grads = oracle.gradients(xs)
+            return [(t, grads[i]) for i, t in enumerate(thetas)]
         ps = xs / np.linalg.norm(xs, axis=1, keepdims=True)
         grads, values = finite_differences(oracle, ps, REFINE_ETA)
-        return [(g if _fits(g, p, f) else None, p, f) for g, p, f in zip(grads, ps, values.tolist())]
-
-    def point(theta, reply):  # (theta, g), or (theta, g or None, p, f(p)) in membership
-        return (theta, *reply) if membership else (theta, reply)
+        return [(t, g if _fits(g, p, f) else None, p, f) for t, g, p, f in zip(thetas, grads, ps, values.tolist())]
 
     # Each open bracket is (the angle it requests next, what that request is, a, b,
     # its row D = g_b - g_a with <D, u>, <D, v>, theta* and tau).
@@ -303,17 +296,15 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
             bracket(m, b, out)
 
     # cos(+-pi/2) = 6e-17 > 0: the ends lie in the tail cells of -v and +v.
-    ends = request((-math.pi / 2, math.pi / 2))
-    lo, hi = point(-math.pi / 2, ends[0]), point(math.pi / 2, ends[1])
+    lo, hi = request((-math.pi / 2, math.pi / 2))
     if lo[1] is None or hi[1] is None:
         raise ExtractionFailure("no Euler-valid gradient at an end of the line")
     certified, brackets = [], []
     if not _same(lo, hi, exact):
         bracket(lo, hi, brackets)
     while brackets:
-        opened, replies = [], request([entry[0] for entry in brackets])  # opened: those open after this round
-        for i, ((theta_m, kind, a, b, probe), reply) in enumerate(zip(brackets, replies)):
-            m = point(theta_m, reply)
+        opened, points = [], request([entry[0] for entry in brackets])  # opened: those open after this round
+        for i, ((_, kind, a, b, probe), m) in enumerate(zip(brackets, points)):
             if kind == SPLIT:
                 divide(a, b, m, opened)
             elif kind == LOW and _same(a, m, exact):

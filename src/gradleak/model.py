@@ -9,7 +9,10 @@ the correct ReLU branch:
 
 as_matrix is the check of every matrix argument (2-D, finite entries), and
 rank_with_tolerance, one SVD with a cutoff relative to the largest singular
-value, decides row independence for TwoLayerNet and the generator.
+value, decides row independence for TwoLayerNet and the generator. Every
+public entry point checks its scalar arguments with the three rules here:
+_count for counts, _seed for seeds and _number, which refuses a bool, for
+numbers.
 """
 
 from __future__ import annotations
@@ -41,15 +44,31 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def rank_with_tolerance(m, tol: float = RANK_PIVOT_TOL) -> int:
     """Numerical rank: singular values above tol times the largest one (one SVD)."""
-    if not tol > 0:
+    if not _number(tol, "tol") > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     sv = np.linalg.svd(as_matrix(m), compute_uv=False)
     return int(np.count_nonzero(sv > tol * sv.max(initial=0.0)))
 
 
-def _integer(n) -> bool:
-    """An int or numpy integer, and not a bool, which Python counts as an int."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+def _count(n, name: str, least: int = 0) -> int:
+    """n as an int: an int or numpy integer of at least `least`, and not a bool, which Python counts as an int."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {n!r}")
+    return int(n)
+
+
+def _seed(seed):
+    """seed, refused unless it is None or a non-negative integer, as numpy's generators take."""
+    if seed is not None and (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0):
+        raise ValueError(f"seed must be None or a non-negative integer, got {seed!r}")
+    return seed
+
+
+def _number(x, name: str):
+    """x, unless it is a bool, which Python counts as the number 1."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool")
+    return x
 
 
 def _as_vector(x, d: int, name: str = "x") -> np.ndarray:
@@ -186,18 +205,13 @@ def generate_random_net(
     |<A_i, A_j>| <= 1 - c_min and the rows are independent; weights are
     standard Gaussians redrawn until |w_i| >= w_min. Deterministic given seed.
     """
-    for name, n in (("d", d), ("h", h)):
-        if not _integer(n):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
-    if seed is not None and not (_integer(seed) and seed >= 0):
-        raise ValueError(f"seed must be None or a non-negative integer, got {seed!r}")
-    if not 1 <= h <= d:
+    if not _count(h, "h", 1) <= _count(d, "d", 1):
         raise ValueError(f"need 1 <= h <= d, got h={h}, d={d}")
-    if not 0.0 < c_min < 1.0:
+    if not 0.0 < _number(c_min, "c_min") < 1.0:
         raise ValueError("c_min must lie in (0, 1)")
-    if not 0.0 < w_min < np.inf:
+    if not 0.0 < _number(w_min, "w_min") < np.inf:
         raise ValueError(f"w_min must be positive and finite, got {w_min}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
 
     a = None
     for _ in range(_GENERATION_BUDGET):
@@ -286,7 +300,7 @@ def _read_payload(path, kind: str, keys: tuple[str, ...], matrices: tuple[str, .
 def load_net(path) -> TwoLayerNet:
     payload = _read_payload(path, "model", ("d", "h", "A", "w"), ("A", "w"))
     net = TwoLayerNet(A=payload["A"], w=payload["w"])
-    if net.d != payload["d"] or net.h != payload["h"]:
+    if net.d != _count(payload["d"], "model file d") or net.h != _count(payload["h"], "model file h"):
         raise ValueError("model file dimensions disagree with its matrices")
     return net
 
@@ -301,6 +315,6 @@ def load_recovered(path) -> RecoveredModel:
     # not be truncated into it.
     payload = _read_payload(path, "recovered", ("d", "h", "Z", "s"), ("Z",))
     model = RecoveredModel(Z=payload["Z"], s=np.array(payload["s"]))
-    if model.d != payload["d"] or model.h != payload["h"]:
+    if model.d != _count(payload["d"], "recovered file d") or model.h != _count(payload["h"], "recovered file h"):
         raise ValueError("recovered file dimensions disagree with its matrices")
     return model

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoLayerNet, _as_points, _as_vector, _integer, eval_target_batch
+from .model import TwoLayerNet, _as_points, _as_vector, _count, _number, _seed, eval_target_batch
 
 ORACLE_MODES = ("grad", "smoothgrad", "membership")
 
@@ -46,14 +46,10 @@ class SmoothGradConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.sigma, (bool, np.bool_)):  # Python counts True as the number 1
-            raise ValueError("sigma must be a number, not a bool")
-        if not 0.0 <= self.sigma < np.inf:
+        if not 0.0 <= _number(self.sigma, "sigma") < np.inf:
             raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
-        if not _integer(self.n_samples) or self.n_samples < 1:
-            raise ValueError(f"n_samples must be an integer of at least 1, got {self.n_samples}")
-        if self.seed is not None and not (_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be None or a non-negative integer, got {self.seed}")
+        _count(self.n_samples, "n_samples", 1)
+        _seed(self.seed)
 
 
 class Oracle:

@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, MatchAmbiguityError
-from .model import TwoLayerNet, RecoveredModel, _integer, eval_recovered_batch, eval_target_batch, grad_target
+from .model import TwoLayerNet, RecoveredModel, _count, _number, eval_recovered_batch, eval_target_batch, grad_target
 from .extraction import finite_differences
 from .oracle import Oracle
 
@@ -84,19 +84,12 @@ class McReport:
     samples: int
     empirical_prob: float
     bound: float
+    exact: float | None
+    vacuous: bool
     passed: bool
-    exact: float | None = None
-    vacuous: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "empirical_prob": self.empirical_prob,
-            "bound": self.bound,
-            "exact": self.exact,
-            "vacuous": self.vacuous,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -106,7 +99,7 @@ class FiniteDiffConfig:
     eta: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.eta < np.inf:  # a NaN step makes every error NaN, which no check flags
+        if not 0.0 < _number(self.eta, "eta") < np.inf:  # a NaN step makes every error NaN, which no check flags
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
 
 
@@ -139,9 +132,8 @@ def functional_equivalence(
     """
     if net.d != model.d:
         raise ValueError(f"dimension mismatch: net d={net.d}, model d={model.d}")
-    if not _integer(n_points) or n_points < 0:
-        raise ValueError(f"n_points must be a non-negative integer, got {n_points!r}")
-    if not 0.0 <= tol < math.inf:
+    _count(n_points, "n_points")
+    if not 0.0 <= _number(tol, "tol") < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     if n_points == 0:
         return EquivalenceReport(0.0, tol, 0, passed=True, vacuous=True)
@@ -220,15 +212,6 @@ def _peak_scaled(rows: np.ndarray) -> np.ndarray:
     return rows / np.where(peak == 0.0, 1.0, peak)
 
 
-def _check_samples(samples, least: int) -> int:
-    """samples as an int; refuses one that is not an integer of at least `least`, before any draw."""
-    if not _integer(samples):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < least:
-        raise ValueError(f"samples must be at least {least}, got {samples}")
-    return int(samples)
-
-
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -292,24 +275,17 @@ def _make_report(samples, hits, bound, exact=None) -> McReport:
     if exact is not None:
         ex_sd = math.sqrt(max(exact * (1.0 - exact), 0.0) / samples)
         passed = passed and abs(empirical - exact) <= 3.0 * ex_sd
-    return McReport(
-        samples=samples,
-        empirical_prob=empirical,
-        bound=bound,
-        passed=passed,
-        exact=exact,
-        vacuous=vacuous,
-    )
+    return McReport(samples=samples, empirical_prob=empirical, bound=bound, exact=exact, vacuous=vacuous, passed=passed)
 
 
 def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McReport:
     """Check P(|t1 - t2| <= eps) <= 3^(4/3) (eps/c)^(2/3) for two hyperplanes
     at collinearity gap c crossed by a random line."""
-    if not 0.0 < c <= 1.0:
+    if not 0.0 < _number(c, "c") <= 1.0:
         raise ValueError("c must lie in (0, 1]")
-    if not 0.0 <= epsilon < math.inf:
+    if not 0.0 <= _number(epsilon, "epsilon") < math.inf:
         raise ValueError("epsilon must be finite and non-negative")
-    samples = _check_samples(samples, 1)
+    samples = _count(samples, "samples", 1)
     b2 = math.sqrt(1.0 - (1.0 - c) ** 2)
 
     def block(rng, draws, j):
@@ -337,9 +313,9 @@ def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McRepo
 def mc_cauchy_tail(l: float, samples: int, seed=None) -> McReport:
     """Check P(|t| >= l) <= 2/(pi l) for the (standard Cauchy) crossing
     parameter of one hyperplane, and agreement with the exact tail."""
-    if not 0.0 < l < math.inf:
+    if not 0.0 < _number(l, "l") < math.inf:
         raise ValueError("l must be positive and finite")
-    samples = _check_samples(samples, 1)
+    samples = _count(samples, "samples", 1)
 
     def block(rng, draws, j):
         num, den = rng.standard_normal(out=draws)
@@ -362,9 +338,9 @@ def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
     |Q/2 - R/2| is compared with eps/2 (halving is exact, so the count is the
     same): two draws per sample, not four squared normals.
     """
-    if not 0.0 <= epsilon < math.inf:
+    if not 0.0 <= _number(epsilon, "epsilon") < math.inf:
         raise ValueError("epsilon must be finite and non-negative")
-    samples = _check_samples(samples, 1)
+    samples = _count(samples, "samples", 1)
 
     def block(rng, draws, j):
         q, r = rng.standard_exponential(out=draws)
@@ -429,7 +405,7 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
     block order. The distance sample is the first products in block order; Q
     and R are drawn for it alone, from the child spawned after the blocks'.
     """
-    samples = _check_samples(samples, 10_000)
+    samples = _count(samples, "samples", 10_000)
     n_ks = min(samples, _KS_SAMPLE_CAP)
     head = np.empty(n_ks)
 
@@ -451,12 +427,7 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
     q -= r
     q *= 0.5  # (Q - R)/2, in the first row of the draw
     distance, passed = _product_checks(sums, samples, head, q)
-    return McReport(
-        samples=samples,
-        empirical_prob=distance,
-        bound=_KS_BOUND,
-        passed=passed,
-    )
+    return McReport(samples=samples, empirical_prob=distance, bound=_KS_BOUND, exact=None, vacuous=False, passed=passed)
 
 
 def _product_checks(sums, samples: int, head: np.ndarray, ref: np.ndarray) -> tuple[float, bool]:
@@ -489,10 +460,9 @@ def check_fd_exactness(
     point, against the exact gradient at rel_tol; the first point that misses
     it is the counterexample.
     """
-    if not _integer(trials) or trials < 1:
-        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
+    _count(trials, "trials", 1)
     # Written so that NaN fails: a NaN rel_tol would pass every comparison.
-    if not 0.0 <= rel_tol < math.inf:
+    if not 0.0 <= _number(rel_tol, "rel_tol") < math.inf:
         raise ValueError(f"rel_tol must be non-negative and finite, got {rel_tol}")
     rng = np.random.default_rng(seed)
     eta = cfg.eta

@@ -75,8 +75,9 @@ class TestGen:
         assert net.d == 20 and net.h == 8
         np.testing.assert_allclose(np.sum(net.A**2, axis=1), 1.0, atol=1e-12)
 
-    def test_h_above_d_exits_one(self, tmp_path):
+    def test_h_above_d_exits_one(self, tmp_path, capsys):
         assert run("gen", "--d", "2", "--h", "3", "--seed", "0", "--out", str(tmp_path / "x.json")) == 1
+        assert capsys.readouterr().err == "error: need 1 <= h <= d, got h=3, d=2\n"
 
     def test_missing_flag_exits_one(self, tmp_path):
         assert run("gen", "--d", "4", "--out", str(tmp_path / "x.json")) == 1
@@ -267,6 +268,18 @@ class TestExtractVerify:
         assert proc.returncode == 1
         assert f"error: model file key '{key}' must hold numbers" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key, bad", [("d", 2.0), ("h", True)])
+    @pytest.mark.parametrize("which", ["model", "recovered"])
+    def test_header_count_that_is_not_an_integer_exits_one(self, tmp_path, capsys, which, key, bad):
+        # A file with "d": 2.0 and "h": true loaded as d=2, h=1 and verified.
+        net = generate_random_net(2, 1, seed=0)
+        files = {"model": tmp_path / "model.json", "recovered": tmp_path / "rec.json"}
+        save_net(net, files["model"])
+        save_recovered(recovered_from_net(net), files["recovered"])
+        files[which].write_text(json.dumps({**json.loads(files[which].read_text()), key: bad}))
+        assert run("verify", "--model", str(files["model"]), "--recovered", str(files["recovered"])) == 1
+        assert f"error: {which} file {key} must be an integer of at least 0, got {bad!r}" in capsys.readouterr().err
 
     def test_non_numeric_recovered_matrix_exits_one(self, tmp_path, model_file, capsys):
         rec = tmp_path / "rec.json"

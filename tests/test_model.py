@@ -1,32 +1,48 @@
-"""Target/recovered model evaluation, matrix checks and numerical rank, generation, and serialization."""
+"""Target/recovered model evaluation, matrix checks and numerical rank, generation, serialization, and the
+argument rules every entry point checks its counts, seeds and numbers by."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from gradleak import (
+    ExtractionConfig,
+    FiniteDiffConfig,
     GenerationError,
     RecoveredModel,
+    SmoothGradConfig,
     TwoLayerNet,
     cell_mask,
+    check_fd_exactness,
     eval_target,
+    functional_equivalence,
     generate_random_net,
     grad_target,
     load_net,
     load_recovered,
+    mc_cauchy_tail,
+    mc_chi2_diff,
+    mc_crossing_gap,
+    mc_gaussian_product,
     rank_with_tolerance,
     recovered_from_net,
     save_net,
     save_recovered,
+    select_parameters,
 )
 from gradleak.model import as_matrix, eval_recovered_batch, eval_target_batch
 
 
 def two_unit_net(w=(1.0, -1.0)):
     return TwoLayerNet(A=np.eye(2), w=np.array(w))
+
+
+def _exactly(message):
+    return f"^{re.escape(message)}$"
 
 
 class TestEvalTarget:
@@ -405,6 +421,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="dimensions disagree with its matrices"):
             loader(path)
 
+    @pytest.mark.parametrize(
+        "save, loader, kind",
+        [
+            (save_net, load_net, "model"),
+            (lambda net, path: save_recovered(recovered_from_net(net), path), load_recovered, "recovered"),
+        ],
+    )
+    @pytest.mark.parametrize("key, bad", [("d", 2.0), ("h", True)])
+    def test_header_count_that_is_not_an_integer_rejected(self, tmp_path, save, loader, kind, key, bad):
+        # "d": 2.0 and "h": true compared equal to the matrices' 2 and 1.
+        path = tmp_path / "net.json"
+        save(generate_random_net(2, 1, seed=0), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: bad}))
+        message = f"{kind} file {key} must be an integer of at least 0, got {bad!r}"
+        with pytest.raises(ValueError, match=_exactly(message)):
+            loader(path)
+
     def test_non_unit_rows_rejected(self):
         with pytest.raises(ValueError):
             TwoLayerNet(A=np.array([[1.0, 1.0]]), w=np.array([1.0]))
@@ -444,3 +477,75 @@ class TestRank:
     def test_nan_tolerance(self):
         with pytest.raises(ValueError):
             rank_with_tolerance(np.eye(2), float("nan"))
+
+
+# One entry point per row: (the argument's name, a call that passes it the value under test).
+_NET = generate_random_net(4, 2, seed=0)
+_REC = recovered_from_net(_NET)
+NUMBERS = {
+    "select_parameters.delta": ("delta", lambda x: select_parameters(x, 0.01, 4)),
+    "select_parameters.c": ("c", lambda x: select_parameters(0.1, x, 4)),
+    "ExtractionConfig.epsilon": ("epsilon", lambda x: ExtractionConfig(h=4, epsilon=x)),
+    "SmoothGradConfig.sigma": ("sigma", lambda x: SmoothGradConfig(sigma=x)),
+    "FiniteDiffConfig.eta": ("eta", lambda x: FiniteDiffConfig(eta=x)),
+    "functional_equivalence.tol": ("tol", lambda x: functional_equivalence(_NET, _REC, 10, x)),
+    "check_fd_exactness.rel_tol": ("rel_tol", lambda x: check_fd_exactness(_NET, FiniteDiffConfig(), 1, rel_tol=x)),
+    "mc_crossing_gap.c": ("c", lambda x: mc_crossing_gap(x, 1e-3, 100)),
+    "mc_crossing_gap.epsilon": ("epsilon", lambda x: mc_crossing_gap(0.5, x, 100)),
+    "mc_cauchy_tail.l": ("l", lambda x: mc_cauchy_tail(x, 100)),
+    "mc_chi2_diff.epsilon": ("epsilon", lambda x: mc_chi2_diff(x, 100)),
+    "generate_random_net.c_min": ("c_min", lambda x: generate_random_net(4, 2, c_min=x)),
+    "generate_random_net.w_min": ("w_min", lambda x: generate_random_net(4, 2, w_min=x)),
+    "rank_with_tolerance.tol": ("tol", lambda x: rank_with_tolerance(np.eye(2), x)),
+}
+# (the count's name, the least it may be, a call that passes it the value under test).
+COUNTS = {
+    "select_parameters.h": ("h", 1, lambda n: select_parameters(0.1, 0.01, n)),
+    "ExtractionConfig.max_retries": ("max_retries", 0, lambda n: ExtractionConfig(h=4, max_retries=n)),
+    "SmoothGradConfig.n_samples": ("n_samples", 1, lambda n: SmoothGradConfig(n_samples=n)),
+    "generate_random_net.d": ("d", 1, lambda n: generate_random_net(n, 1)),
+    "generate_random_net.h": ("h", 1, lambda n: generate_random_net(4, n)),
+    "functional_equivalence.n_points": ("n_points", 0, lambda n: functional_equivalence(_NET, _REC, n, 1e-7)),
+    "mc_crossing_gap.samples": ("samples", 1, lambda n: mc_crossing_gap(0.5, 1e-3, n)),
+    "mc_cauchy_tail.samples": ("samples", 1, lambda n: mc_cauchy_tail(10.0, n)),
+    "mc_chi2_diff.samples": ("samples", 1, lambda n: mc_chi2_diff(0.1, n)),
+    "mc_gaussian_product.samples": ("samples", 10_000, lambda n: mc_gaussian_product(n)),
+    "check_fd_exactness.trials": ("trials", 1, lambda n: check_fd_exactness(_NET, FiniteDiffConfig(), n)),
+}
+SEEDS = {
+    "ExtractionConfig.seed": lambda seed: ExtractionConfig(h=4, seed=seed),
+    "SmoothGradConfig.seed": lambda seed: SmoothGradConfig(seed=seed),
+    "generate_random_net.seed": lambda seed: generate_random_net(4, 2, seed=seed),
+}
+
+
+class TestArgumentRules:
+    """Every entry point refuses a count, a seed or a number by one rule, with one message per rule."""
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    @pytest.mark.parametrize("entry", NUMBERS)
+    def test_bool_number_refused(self, entry, flag):
+        # Python counts True as the number 1: tol=True verified at tolerance 1.
+        name, call = NUMBERS[entry]
+        with pytest.raises(ValueError, match=_exactly(f"{name} must be a number, not a bool")):
+            call(flag)
+
+    @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)])
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_non_integer_count_refused(self, entry, n):
+        name, least, call = COUNTS[entry]
+        with pytest.raises(ValueError, match=_exactly(f"{name} must be an integer of at least {least}, got {n!r}")):
+            call(n)
+
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_count_below_its_least_refused(self, entry):
+        name, least, call = COUNTS[entry]
+        below = least - 1
+        with pytest.raises(ValueError, match=_exactly(f"{name} must be an integer of at least {least}, got {below}")):
+            call(below)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, np.float64(3.0), "0"])
+    @pytest.mark.parametrize("entry", SEEDS)
+    def test_seed_that_is_not_a_non_negative_integer_refused(self, entry, seed):
+        with pytest.raises(ValueError, match=_exactly(f"seed must be None or a non-negative integer, got {seed!r}")):
+            SEEDS[entry](seed)

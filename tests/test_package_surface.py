@@ -14,6 +14,7 @@ import gradleak
 import gradleak.extraction
 import gradleak.geometry
 import gradleak.model
+import gradleak.validation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "gradleak"
@@ -137,3 +138,24 @@ def test_oracle_serves_values_and_gradients_alone():
     assert not hasattr(gradleak.oracle, "DEFAULT_FD_ETA")
     assert not hasattr(gradleak, "finite_differences")
     assert gradleak.FiniteDiffConfig is gradleak.validation.FiniteDiffConfig
+
+
+def _argument_type_checks(path):
+    """The bool, bool_ and integer types named in the file's isinstance calls."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            for sub in ast.walk(node.args[1]):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name in ("bool", "bool_", "integer"):
+                    yield name
+
+
+def test_argument_rules_live_in_model_alone():
+    # Counts, seeds and numbers are checked by model's _count, _seed and
+    # _number: a second copy of a rule drifts from the first in what it
+    # accepts and in its message.
+    found = {path.name: sorted(set(_argument_type_checks(path))) for path in SRC.glob("*.py")}
+    assert found.pop("model.py") == ["bool", "bool_", "integer"]
+    assert {name: types for name, types in found.items() if types} == {}
+    assert not hasattr(gradleak.model, "_integer")
+    assert not hasattr(gradleak.validation, "_check_samples")

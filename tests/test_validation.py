@@ -119,7 +119,7 @@ class TestFunctionalEquivalence:
     def test_point_count_that_is_not_a_non_negative_integer_refused(self, n_points):
         # 2.5 and True leaked numpy's TypeError; a bool is refused though Python counts it an int.
         net = generate_random_net(4, 2, seed=9)
-        with pytest.raises(ValueError, match="n_points must be a non-negative integer"):
+        with pytest.raises(ValueError, match="n_points must be an integer of at least 0"):
             functional_equivalence(net, recovered_from_net(net), n_points, 1e-7, seed=10)
 
     def test_numpy_integer_point_count_accepted(self):
