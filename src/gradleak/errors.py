@@ -10,7 +10,7 @@ class GradleakError(Exception):
 
     An error that learn_model raises carries the run's ExtractionReport as
     report: no model, the failing phase, the queries and the search trace.
-    An error raised anywhere else has report None.
+    So does recover_z's failure; an error raised anywhere else has report None.
     """
 
     report = None
@@ -32,9 +32,10 @@ class ExtractionFailure(GradleakError):
     """The crossing search refused a line, or every line of the retry budget.
 
     The search raises it for each refused line, and recover_z raises it again
-    once the retry budget is spent, with every line's reason, in order, as
-    refusals. Signals a violated assumption (wrong assumed width, crossings
-    closer than the search resolution) rather than a numerical bug.
+    once the retry budget is spent, carrying the search's ExtractionReport as
+    report: phase "search" and every line's reason, in order. Signals a
+    violated assumption (wrong assumed width, crossings closer than the search
+    resolution) rather than a numerical bug.
     """
 
 

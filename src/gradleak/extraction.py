@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtractionFailure, GradleakError, SignRecoveryError
+from .errors import ExtractionFailure, SignRecoveryError
 from .model import RecoveredModel, _count, _number, _seed
 from .oracle import Oracle, QueryLedger
 
@@ -305,9 +305,7 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     while brackets:
         opened, points = [], request([entry[0] for entry in brackets])  # opened: those open after this round
         for i, ((_, kind, a, b, probe), m) in enumerate(zip(brackets, points)):
-            if kind == SPLIT:
-                divide(a, b, m, opened)
-            elif kind == LOW and _same(a, m, exact):
+            if kind == LOW and _same(a, m, exact):
                 theta, tau = probe[3:]
                 opened.append((theta + tau, HIGH, a, b, probe))
             elif kind == HIGH and _same(m, b, exact):
@@ -315,7 +313,7 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
                 # A row parallel to v crosses at an end: report tan(+-pi/2).
                 certified.append((a[0], row, -across / along if along else math.tan(theta)))
             else:
-                # A failed probe is the split point, or the midpoint next round if it lies outside.
+                # A split request or a failed probe: split there, or at the midpoint next round if it lies outside.
                 divide(a, b, m, opened)
             if len(certified) + len(opened) + len(brackets) - 1 - i > cfg.h:
                 raise ExtractionFailure("more than h crossings lie on the line")
@@ -330,7 +328,7 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -
     """Recover the weighted normals up to sign and permutation.
 
     Draws fresh (u, v) from rng on each retry; raises ExtractionFailure once
-    the retry budget is exhausted, with every line's reason in its refusals.
+    the retry budget is exhausted, carrying the search's record as err.report.
     """
     refusals: list[str] = []
     for _ in range(cfg.max_retries + 1):
@@ -342,7 +340,7 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -
             last = err
             refusals.append(str(err))
     failure = ExtractionFailure(f"all {cfg.max_retries + 1} search attempts failed; last: {last}")
-    failure.refusals = refusals
+    failure.report = ExtractionReport.from_ledger(oracle.ledger, phase="search", refusals=refusals)
     raise failure from last
 
 
@@ -389,16 +387,11 @@ def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
     error carries the run's ExtractionReport as err.report, with no model and
     the failing phase ("search" or "sign").
     """
-    zres = None
+    zres = recover_z(oracle, cfg, rng=np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,))))
     try:
-        zres = recover_z(oracle, cfg, rng=np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,))))
         s = _end_signs(zres.Z, zres.v, zres.ends)
-    except GradleakError as err:
-        if zres is None:  # recover_z's failure holds every refused line's reason
-            refusals = getattr(err, "refusals", ())
-            err.report = ExtractionReport.from_ledger(oracle.ledger, phase="search", refusals=refusals)
-        else:
-            err.report = ExtractionReport.from_ledger(oracle.ledger, None, "sign", zres.refusals, zres.crossings)
+    except SignRecoveryError as err:
+        err.report = ExtractionReport.from_ledger(oracle.ledger, None, "sign", zres.refusals, zres.crossings)
         raise
     model = RecoveredModel(Z=zres.Z, s=s)
     return ExtractionReport.from_ledger(oracle.ledger, model, refusals=zres.refusals, crossings=zres.crossings)

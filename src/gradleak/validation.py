@@ -14,24 +14,23 @@ function of the check's arguments and seed, and no array of n numbers is held.
 
 The blocks run on W = min(CPUs this process may use, B) workers: worker w runs
 blocks w, w + W, ... into one buffer the calling thread allocated for it. The
-calling thread is worker 0 and the others are threads; numpy releases the
-interpreter lock while it draws and while its ufuncs loop, which is where the
-time goes. A buffer allocated in a worker thread comes from that thread's
-malloc arena: such buffers raised perfbench lemmas' peak RSS from 44.5 to
-47.9-49.4 MB (two 10 s runs, 2-vCPU Xeon VM).
+calling thread is worker 0 and the others run on a ThreadPoolExecutor; numpy
+releases the interpreter lock while it draws and while its ufuncs loop, which
+is where the time goes. A buffer allocated in a worker thread comes from
+that thread's malloc arena: such buffers raised perfbench lemmas' peak RSS
+from 44.5 to 47.9-49.4 MB (two 10 s runs, 2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, MatchAmbiguityError
-from .model import TwoLayerNet, RecoveredModel, _count, _number, eval_recovered_batch, eval_target_batch, grad_target
+from .model import TwoLayerNet, RecoveredModel, _count, _number, _seed, eval_recovered_batch, eval_target_batch, grad_target
 from .extraction import finite_differences
 from .oracle import Oracle
 
@@ -135,9 +134,9 @@ def functional_equivalence(
     _count(n_points, "n_points")
     if not 0.0 <= _number(tol, "tol") < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    rng = np.random.default_rng(_seed(seed))
     if n_points == 0:
         return EquivalenceReport(0.0, tol, 0, passed=True, vacuous=True)
-    rng = np.random.default_rng(seed)
     rows = max(_MIN_ROWS, _EQ_BLOCK // net.d)
     blocks = max(1, (n_points - _MIN_ROWS) // rows + 1)
     last = n_points - (blocks - 1) * rows  # under rows + _MIN_ROWS
@@ -231,36 +230,28 @@ def _run_blocks(samples: int, root: np.random.SeedSequence, rows: int, block) ->
 
     rng is block j's generator, on child j of root.spawn(blocks), and draws a
     C-contiguous (rows, m) view of its worker's buffer, m the block's samples.
-    An exception raised in a worker is raised here once every worker has
-    stopped.
+    The calling thread is worker 0; workers 1 to W - 1 run on a
+    ThreadPoolExecutor. An exception raised in a worker is raised here once
+    every worker has stopped.
     """
+    from concurrent.futures import ThreadPoolExecutor  # imported here, as it loads logging: import gradleak does not
+
     blocks, workers = _layout(samples)
     children = root.spawn(blocks)
-    results = [None] * blocks
-    errors = []
 
     def work(w, buf):
-        try:
-            for j in range(w, blocks, workers):
-                m = min(_BLOCK, samples - j * _BLOCK)
-                results[j] = block(np.random.default_rng(children[j]), buf[: rows * m].reshape(rows, m), j)
-        except BaseException as err:  # raised again below, in the calling thread
-            errors.append(err)
+        share = []
+        for j in range(w, blocks, workers):
+            m = min(_BLOCK, samples - j * _BLOCK)
+            share.append(block(np.random.default_rng(children[j]), buf[: rows * m].reshape(rows, m), j))
+        return share
 
-    size = rows * min(samples, _BLOCK)
-    threads = [threading.Thread(target=work, args=(w, np.empty(size))) for w in range(1, workers)]
-    started = []
-    try:
-        for thread in threads:
-            thread.start()
-            started.append(thread)
-        work(0, np.empty(size))
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
+    buffers = [np.empty(rows * min(samples, _BLOCK)) for _ in range(workers)]
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(work, w, buffers[w]) for w in range(1, workers)]
+        shares = [work(0, buffers[0])]
+    shares += [future.result() for future in futures]
+    return [shares[j % workers][j // workers] for j in range(blocks)]
 
 
 def _make_report(samples, hits, bound, exact=None) -> McReport:
@@ -305,7 +296,7 @@ def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McRepo
             np.subtract(au, bu, out=au)
             return np.count_nonzero(np.abs(au, out=au) <= epsilon)
 
-    hits = sum(_run_blocks(samples, np.random.SeedSequence(seed), 5, block))
+    hits = sum(_run_blocks(samples, np.random.SeedSequence(_seed(seed)), 5, block))
     bound = 3.0 ** (4.0 / 3.0) * (epsilon / c) ** (2.0 / 3.0)
     return _make_report(samples, hits, bound)
 
@@ -323,7 +314,7 @@ def mc_cauchy_tail(l: float, samples: int, seed=None) -> McReport:
             np.divide(num, den, out=num)
         return np.count_nonzero(np.abs(num, out=num) >= l)
 
-    hits = sum(_run_blocks(samples, np.random.SeedSequence(seed), 2, block))
+    hits = sum(_run_blocks(samples, np.random.SeedSequence(_seed(seed)), 2, block))
     bound = 2.0 / (math.pi * l)
     exact = 1.0 - (2.0 / math.pi) * math.atan(l)
     return _make_report(samples, hits, bound, exact=exact)
@@ -347,7 +338,7 @@ def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
         np.subtract(q, r, out=q)
         return np.count_nonzero(np.abs(q, out=q) <= 0.5 * epsilon)
 
-    hits = sum(_run_blocks(samples, np.random.SeedSequence(seed), 2, block))
+    hits = sum(_run_blocks(samples, np.random.SeedSequence(_seed(seed)), 2, block))
     exact = 1.0 - math.exp(-epsilon / 2.0) if epsilon > 0 else 0.0
     return _make_report(samples, hits, float(epsilon), exact=exact)
 
@@ -419,7 +410,7 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
         s1, s2 = np.sum(p), np.sum(p2)
         return s1, s2, np.sum(np.multiply(p2, p, out=p)), np.sum(np.multiply(p2, p2, out=p2))
 
-    root = np.random.SeedSequence(seed)
+    root = np.random.SeedSequence(_seed(seed))
     sums = [sum(column) for column in zip(*_run_blocks(samples, root, 2, block))]
     ref = np.random.default_rng(root.spawn(1)[0]).standard_normal((2, n_ks))
     np.multiply(ref, ref, out=ref)
@@ -464,7 +455,7 @@ def check_fd_exactness(
     # Written so that NaN fails: a NaN rel_tol would pass every comparison.
     if not 0.0 <= _number(rel_tol, "rel_tol") < math.inf:
         raise ValueError(f"rel_tol must be non-negative and finite, got {rel_tol}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     eta = cfg.eta
     budget = 200 * trials
     collected = 0

@@ -560,6 +560,31 @@ class TestRecoverZ:
         with pytest.raises(ExtractionFailure, match=message):
             recover_z(oracle, cfg, np.random.default_rng(cfg.seed))
 
+    def test_exhausted_search_carries_its_report(self, monkeypatch):
+        # recover_z's failure attaches the search's own record, with no
+        # learn_model around it to build one.
+        reasons = []
+        search = extraction._search_line
+
+        def noted(*args):
+            try:
+                return search(*args)
+            except ExtractionFailure as err:
+                reasons.append(str(err))
+                raise
+
+        monkeypatch.setattr(extraction, "_search_line", noted)
+        oracle = Oracle(single_unit_net())
+        cfg = ExtractionConfig(h=2, epsilon=1e-4, seed=7, max_retries=3)
+        with pytest.raises(ExtractionFailure) as failure:
+            recover_z(oracle, cfg, np.random.default_rng(cfg.seed))
+        report = failure.value.report
+        assert (report.model, report.phase, report.crossings) == (None, "search", [])
+        assert report.refusals == reasons and len(reasons) == 4
+        assert report.retries == cfg.max_retries
+        assert (report.gradient_queries, report.rounds) == (oracle.ledger.gradient_queries, oracle.ledger.rounds)
+        assert not hasattr(failure.value, "refusals")
+
     def test_retry_counter_reflects_failed_attempts(self, monkeypatch):
         # epsilon = 0.5 is coarser than the gap between the two crossings on
         # some lines, where a probe steps over the other crossing and the line

@@ -516,6 +516,13 @@ SEEDS = {
     "ExtractionConfig.seed": lambda seed: ExtractionConfig(h=4, seed=seed),
     "SmoothGradConfig.seed": lambda seed: SmoothGradConfig(seed=seed),
     "generate_random_net.seed": lambda seed: generate_random_net(4, 2, seed=seed),
+    # No points are drawn, and the seed is refused all the same.
+    "functional_equivalence.seed": lambda seed: functional_equivalence(_NET, _REC, 0, 1e-7, seed=seed),
+    "check_fd_exactness.seed": lambda seed: check_fd_exactness(_NET, FiniteDiffConfig(), 1, seed=seed),
+    "mc_crossing_gap.seed": lambda seed: mc_crossing_gap(0.5, 1e-3, 100, seed=seed),
+    "mc_cauchy_tail.seed": lambda seed: mc_cauchy_tail(10.0, 100, seed=seed),
+    "mc_chi2_diff.seed": lambda seed: mc_chi2_diff(0.1, 100, seed=seed),
+    "mc_gaussian_product.seed": lambda seed: mc_gaussian_product(10_000, seed=seed),
 }
 
 

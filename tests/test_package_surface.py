@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -159,3 +160,13 @@ def test_argument_rules_live_in_model_alone():
     assert {name: types for name, types in found.items() if types} == {}
     assert not hasattr(gradleak.model, "_integer")
     assert not hasattr(gradleak.validation, "_check_samples")
+
+
+def test_import_loads_no_executor_or_logging():
+    # The lemma checks import concurrent.futures when they run: it loads
+    # logging, which would cost every import of the package. pytest has
+    # loaded logging already, so the import is made in a fresh interpreter.
+    code = "import sys, gradleak; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
