@@ -258,6 +258,12 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     # its row D = g_b - g_a with <D, u>, <D, v>, theta* and tau).
     SPLIT, LOW, HIGH = range(3)
 
+    def split(a, b, at, out):
+        """Append the request of the point at angle `at` for next round; (a, b) must be epsilon wide and hold it."""
+        if b[0] - a[0] < cfg.epsilon or not a[0] < at < b[0]:
+            raise ExtractionFailure("fewer than h crossings are separated at resolution epsilon")
+        out.append((at, SPLIT, a, b, None))
+
     def bracket(a, b, out):
         """Append the kinked bracket (a, b) with its first request: a probe at theta* - tau, or its split."""
         row = b[1] - a[1]
@@ -265,7 +271,7 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
         theta = math.atan2(-across, along) if along >= 0 else math.atan2(across, -along)
         if not a[0] <= theta <= b[0]:
             # theta* outside proves two crossings: split before any probe.
-            divide(a, b, None, out)
+            split(a, b, 0.5 * (a[0] + b[0]), out)
             return
         tau = cfg.epsilon
         if sigma:
@@ -276,12 +282,9 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
         out.append((theta - tau, LOW, a, b, (row, across, along, theta, tau)))
 
     def divide(a, b, m, out):
-        """Split (a, b) at the failed probe m if it lies inside, else at the midpoint, next round."""
-        split = m[0] if m is not None and a[0] < m[0] < b[0] else 0.5 * (a[0] + b[0])
-        if b[0] - a[0] < cfg.epsilon or not a[0] < split < b[0]:
-            raise ExtractionFailure("fewer than h crossings are separated at resolution epsilon")
-        if m is None or m[0] != split:
-            out.append((split, SPLIT, a, b, None))
+        """Split (a, b) at the point m if it lies inside, else request the midpoint for next round."""
+        if not a[0] < m[0] < b[0] or b[0] - a[0] < cfg.epsilon:  # split refuses a narrow bracket
+            split(a, b, 0.5 * (a[0] + b[0]), out)
             return
         in_a, in_b = _same(a, m, exact), _same(m, b, exact)
         if in_a != in_b:

@@ -75,9 +75,8 @@ def block_sign_matrix(zx) -> np.ndarray:
         raise ValueError("ZX has a zero entry; query points must avoid all hyperplanes")
     pos = np.maximum(a, 0.0).T
     neg = np.maximum(-a, 0.0).T
-    top = np.hstack([pos, neg])
-    bot = np.hstack([neg, pos])
-    return np.vstack([top, bot])
+    # np.block lays small blocks of transposes out in Fortran order; M stays C-ordered.
+    return np.ascontiguousarray(np.block([[pos, neg], [neg, pos]]))
 
 
 def solve_linear_system(m, b) -> np.ndarray:

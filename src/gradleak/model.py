@@ -259,20 +259,16 @@ def recovered_from_net(net: TwoLayerNet, permutation=None, row_signs=None) -> Re
     signs = np.ones(h) if row_signs is None else np.asarray(row_signs, dtype=float)
     if sorted(perm.tolist()) != list(range(h)):
         raise ValueError("permutation must be a bijection on range(h)")
-    if not np.all(np.isin(signs, (-1.0, 1.0))):
-        raise ValueError("row_signs entries must be +-1")
+    if signs.shape != (h,) or not np.all(np.isin(signs, (-1.0, 1.0))):
+        raise ValueError(f"row_signs entries must be +-1, {h} of them")
 
+    # A positive multiple of A_i is routed through max(Zx, 0), a negative one
+    # through max(-Zx, 0); either way the entry is sgn(w_i).
+    scaled = signs * net.w
     z = np.empty_like(net.A)
+    z[perm] = scaled[:, None] * net.A
     s = np.zeros(2 * h, dtype=int)
-    for i in range(h):
-        row = perm[i]
-        z[row] = signs[i] * net.w[i] * net.A[i]
-        # A positive multiple of A_i is routed through max(Zx, 0), a negative
-        # one through max(-Zx, 0); either way the entry is sgn(w_i).
-        if signs[i] * net.w[i] > 0:
-            s[row] = int(np.sign(net.w[i]))
-        else:
-            s[h + row] = int(np.sign(net.w[i]))
+    s[np.where(scaled > 0, perm, h + perm)] = np.sign(net.w)
     return RecoveredModel(Z=z, s=s)
 
 

@@ -160,6 +160,9 @@ def match_rows(net: TwoLayerNet, z) -> MatchResult:
     Greedy assignment on |cosine|, largest first; the sign of each match
     minimizes the infinity-norm residual. Two candidates within
     MATCH_AMBIGUITY_TOL of each other raise MatchAmbiguityError.
+    Costs h argmax passes over one h x h matrix, whose matched row and
+    column are masked in place; of equal maxima the first in row-major
+    order is taken.
     """
     zm = np.asarray(z, dtype=float)
     h = net.h
@@ -178,30 +181,24 @@ def match_rows(net: TwoLayerNet, z) -> MatchResult:
     cos = np.abs(tu @ zu.T) / np.outer(tn, np.where(zn == 0.0, 1.0, zn))
 
     perm = np.full(h, -1, dtype=int)
-    avail_t = np.ones(h, dtype=bool)
-    avail_z = np.ones(h, dtype=bool)
     for _ in range(h):
-        masked = np.where(np.outer(avail_t, avail_z), cos, -np.inf)
-        i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        best = masked[i, j]
-        masked[i, j] = -np.inf
-        runner = np.max(np.concatenate([masked[i, :], masked[:, j]]))
+        i, j = np.unravel_index(int(np.argmax(cos)), cos.shape)
+        best = cos[i, j]
+        cos[i, j] = -np.inf
+        runner = np.max(np.concatenate([cos[i, :], cos[:, j]]))
         if np.isfinite(runner) and best - runner <= MATCH_AMBIGUITY_TOL:
             raise MatchAmbiguityError(
                 f"rows {i}/{j}: best |cosine| {best:.12f} within "
                 f"{MATCH_AMBIGUITY_TOL} of runner-up {runner:.12f}"
             )
         perm[i] = j
-        avail_t[i] = False
-        avail_z[j] = False
+        cos[i, :] = cos[:, j] = -np.inf
 
-    signs = np.empty(h, dtype=int)
-    worst = 0.0
-    for i in range(h):
-        residual_pos = float(np.max(np.abs(zm[perm[i]] - targets[i])))
-        residual_neg = float(np.max(np.abs(zm[perm[i]] + targets[i])))
-        signs[i] = 1 if residual_pos <= residual_neg else -1
-        worst = max(worst, min(residual_pos, residual_neg))
+    matched = zm[perm]
+    residual_pos = np.max(np.abs(matched - targets), axis=1)
+    residual_neg = np.max(np.abs(matched + targets), axis=1)
+    signs = np.where(residual_pos <= residual_neg, 1, -1)
+    worst = float(np.max(np.minimum(residual_pos, residual_neg)))
     return MatchResult(permutation=perm, signs=signs, max_row_error=worst)
 
 

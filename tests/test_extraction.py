@@ -1,5 +1,6 @@
 """Parameter selection, crossing search, sign recovery, and the full attack."""
 
+import gc
 import hashlib
 import math
 
@@ -885,6 +886,22 @@ class TestLearnModel:
         pts = np.random.default_rng(11).standard_normal((1000, 2))
         got = eval_recovered_batch(report.model, pts)
         assert got == pytest.approx(2.0 * np.maximum(pts[:, 0], 0.0), abs=1e-7)
+
+    def test_leaves_no_reference_cycle(self):
+        # The search's closures call one way, so a run's objects are freed by
+        # reference counting alone and the cyclic collector finds nothing.
+        net = generate_random_net(16, 16, c_min=0.1, w_min=0.1, seed=0)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            report = learn_model(Oracle(net), ExtractionConfig(16, seed=0))
+            assert report.retries == 0
+            del report
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_full_instance_grad_mode(self):
         net = generate_random_net(20, 8, seed=12)

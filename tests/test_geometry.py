@@ -276,6 +276,16 @@ class TestBlockSignMatrix:
             m = block_sign_matrix(zx)
             assert rank_with_tolerance(m, 1e-9) == 8
 
+    def test_equals_the_stacked_reference(self):
+        rng = np.random.default_rng(36)
+        for h in (1, 2, 3, 8, 16):
+            zx = rng.standard_normal((h, h))
+            pos, neg = np.maximum(zx, 0.0).T, np.maximum(-zx, 0.0).T
+            ref = np.vstack([np.hstack([pos, neg]), np.hstack([neg, pos])])
+            m = block_sign_matrix(zx)
+            assert m.tobytes() == ref.tobytes()
+            assert (m.dtype, m.shape, m.flags.c_contiguous) == (ref.dtype, ref.shape, True)
+
     def test_zero_entry_rejected(self):
         with pytest.raises(ValueError):
             block_sign_matrix([[1.0, 0.0], [1.0, 1.0]])

@@ -252,6 +252,9 @@ class TestConstructionRefusals:
             ({"permutation": [0, 2]}, "permutation must be a bijection"),
             ({"row_signs": [1.0, 0.0]}, r"row_signs entries must be \+-1"),
             ({"row_signs": [1.0, 2.0]}, r"row_signs entries must be \+-1"),
+            ({"row_signs": [1.0]}, r"row_signs entries must be \+-1, 2 of them"),
+            ({"row_signs": [1.0, 1.0, 1.0]}, r"row_signs entries must be \+-1, 2 of them"),
+            ({"row_signs": [[1.0, -1.0]]}, r"row_signs entries must be \+-1, 2 of them"),
         ],
     )
     def test_recovered_from_net(self, kwargs, match):
@@ -335,6 +338,35 @@ class TestFunctionProperties:
         f = eval_target_batch(net, pts)
         fhat = eval_recovered_batch(model, pts)
         assert np.max(np.abs(f - fhat) / (1.0 + np.abs(f))) <= 1e-9
+
+
+def _recovered_from_net_reference(net, perm, signs):
+    """recovered_from_net's row-by-row form, the reference its array form must equal bit for bit."""
+    h = net.h
+    z = np.empty_like(net.A)
+    s = np.zeros(2 * h, dtype=int)
+    for i in range(h):
+        row = perm[i]
+        z[row] = signs[i] * net.w[i] * net.A[i]
+        if signs[i] * net.w[i] > 0:
+            s[row] = int(np.sign(net.w[i]))
+        else:
+            s[h + row] = int(np.sign(net.w[i]))
+    return z, s
+
+
+class TestRecoveredFromNetReference:
+    def test_equals_the_row_by_row_reference(self):
+        rng = np.random.default_rng(36)
+        for trial in range(100):
+            h = int(rng.integers(1, 9))
+            net = generate_random_net(h + int(rng.integers(0, 5)), h, seed=trial)
+            perm, signs = rng.permutation(h), rng.choice([-1.0, 1.0], size=h)
+            for args, ref in (((), (np.arange(h), np.ones(h))), ((perm, signs), (perm, signs))):
+                model = recovered_from_net(net, *args)
+                z, s = _recovered_from_net_reference(net, *ref)
+                assert model.Z.tobytes() == z.tobytes() and model.s.tobytes() == s.tobytes(), f"trial {trial}"
+                assert (model.Z.dtype, model.s.dtype) == (z.dtype, s.dtype)
 
 
 class TestSerialization:

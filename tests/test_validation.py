@@ -209,7 +209,90 @@ def _one_draw_error(net, model, n, seed):
     return float(np.max(np.abs(f - eval_recovered_batch(model, pts)) / (1.0 + np.abs(f))))
 
 
+def _match_rows_reference(net, z):
+    """match_rows with a masked copy of the cosines per greedy step and signs set row by row.
+
+    The earlier form of match_rows, kept as the reference its in-place form must equal bit for bit.
+    """
+    zm = np.asarray(z, dtype=float)
+    h = net.h
+    targets = net.w[:, None] * net.A
+    tu, zu = validation._peak_scaled(targets), validation._peak_scaled(zm)
+    tn = np.sqrt(np.sum(tu * tu, axis=1))
+    zn = np.sqrt(np.sum(zu * zu, axis=1))
+    cos = np.abs(tu @ zu.T) / np.outer(tn, np.where(zn == 0.0, 1.0, zn))
+    perm = np.full(h, -1, dtype=int)
+    avail_t = np.ones(h, dtype=bool)
+    avail_z = np.ones(h, dtype=bool)
+    for _ in range(h):
+        masked = np.where(np.outer(avail_t, avail_z), cos, -np.inf)
+        i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+        best = masked[i, j]
+        masked[i, j] = -np.inf
+        runner = np.max(np.concatenate([masked[i, :], masked[:, j]]))
+        if np.isfinite(runner) and best - runner <= validation.MATCH_AMBIGUITY_TOL:
+            raise MatchAmbiguityError(
+                f"rows {i}/{j}: best |cosine| {best:.12f} within "
+                f"{validation.MATCH_AMBIGUITY_TOL} of runner-up {runner:.12f}"
+            )
+        perm[i] = j
+        avail_t[i] = False
+        avail_z[j] = False
+    signs = np.empty(h, dtype=int)
+    worst = 0.0
+    for i in range(h):
+        residual_pos = float(np.max(np.abs(zm[perm[i]] - targets[i])))
+        residual_neg = float(np.max(np.abs(zm[perm[i]] + targets[i])))
+        signs[i] = 1 if residual_pos <= residual_neg else -1
+        worst = max(worst, min(residual_pos, residual_neg))
+    return validation.MatchResult(permutation=perm, signs=signs, max_row_error=worst)
+
+
+def _match_outcome(match, net, z):
+    """A match's bytes and dtypes and its error's hex, or the ambiguity error's text."""
+    try:
+        r = match(net, z)
+    except MatchAmbiguityError as err:
+        return str(err)
+    return (r.permutation.dtype, r.permutation.tobytes(), r.signs.dtype, r.signs.tobytes(), r.max_row_error.hex())
+
+
+def _match_cases():
+    """(net, Z) pairs: random, perturbed, permuted and sign-flipped, duplicated, zero rows, h = 1 and exact ties."""
+    rng = np.random.default_rng(36)
+    for trial in range(40):
+        h = int(rng.integers(1, 9))
+        d = h + int(rng.integers(0, 5))
+        net = generate_random_net(d, h, seed=trial)
+        targets = net.w[:, None] * net.A
+        yield net, rng.standard_normal((h, d))
+        moved = targets[rng.permutation(h)] * rng.choice([-1.0, 1.0], size=(h, 1))
+        yield net, moved
+        yield net, moved + rng.normal(scale=10.0 ** -rng.integers(1, 12), size=(h, d))
+        if h > 1:
+            dup = moved.copy()
+            dup[rng.integers(h)] = dup[rng.integers(h)]
+            yield net, dup
+            zero = moved.copy()
+            zero[rng.integers(h)] = 0.0
+            yield net, zero
+    for h in (2, 3, 5):
+        eye = TwoLayerNet(A=np.eye(h), w=np.ones(h))
+        # Every cosine is 1 or 0: h equal maxima, taken in row-major order.
+        yield eye, np.eye(h)[rng.permutation(h)] * rng.choice([-2.0, 3.0], size=(h, 1))
+        yield eye, np.ones((h, h))
+
+
 class TestMatchRows:
+    def test_equals_the_masked_copy_reference(self):
+        outcomes = []
+        for k, (net, z) in enumerate(_match_cases()):
+            outcomes.append(_match_outcome(match_rows, net, z))
+            assert outcomes[-1] == _match_outcome(_match_rows_reference, net, z), f"case {k}"
+        # Both outcomes occur: matches and ambiguity refusals.
+        assert sum(isinstance(o, str) for o in outcomes) >= 10
+        assert sum(not isinstance(o, str) for o in outcomes) >= 100
+
     def test_permuted_copy(self):
         net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, -1.0]))
         targets = net.w[:, None] * net.A
