@@ -12,19 +12,28 @@ own generator, default_rng(SeedSequence(seed).spawn(B)[j]), and returns a
 count or sums that are added in block order. Every report is therefore a fixed
 function of the check's arguments and seed, and no array of n numbers is held.
 
-The blocks run on W = min(CPUs this process may use, B) workers: worker w runs
-blocks w, w + W, ... into one buffer the calling thread allocated for it. The
-calling thread is worker 0 and the others run on a ThreadPoolExecutor; numpy
-releases the interpreter lock while it draws and while its ufuncs loop, which
-is where the time goes. A buffer allocated in a worker thread comes from
-that thread's malloc arena: such buffers raised perfbench lemmas' peak RSS
-from 44.5 to 47.9-49.4 MB (two 10 s runs, 2-vCPU Xeon VM).
+The blocks run on W = min(CPUs this process may use, B) workers, which claim
+them one at a time, in block order, from one shared list (a deque, whose pops
+are documented thread-safe); a worker the host slows down runs fewer blocks.
+Each worker draws into one buffer the calling thread allocated for it, and
+the results are kept by block index. The calling thread is worker 0 and the
+others run on a ThreadPoolExecutor; numpy releases the interpreter lock while
+it draws and while its ufuncs loop, which is where the time goes. A buffer
+allocated in a worker thread comes from that thread's malloc arena: such
+buffers raised perfbench lemmas' peak RSS from 44.5 to 47.9-49.4 MB (two 10 s
+runs, 2-vCPU Xeon VM). mc_gaussian_product puts one more task at the head of
+the list: it draws the CDF distance's reference sample from child B, spawned
+with the blocks', into a buffer the calling thread allocated, and sorts it,
+so that only the distance itself runs alone once the blocks are done. An
+exception in a task stops its worker's claims and reaches the caller once
+every worker has stopped.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -174,11 +183,12 @@ def match_rows(net: TwoLayerNet, z) -> MatchResult:
     targets = net.w[:, None] * net.A
     # A cosine does not change when a row is scaled, and rows scaled to a
     # peak |entry| of 1 cannot overflow their squared norms, as rows near
-    # 1e308 do.
+    # 1e308 do. A zero row (of Z, or of a net with an output weight 0) has
+    # |cosine| 0 with every row.
     tu, zu = _peak_scaled(targets), _peak_scaled(zm)
     tn = np.sqrt(np.sum(tu * tu, axis=1))
     zn = np.sqrt(np.sum(zu * zu, axis=1))
-    cos = np.abs(tu @ zu.T) / np.outer(tn, np.where(zn == 0.0, 1.0, zn))
+    cos = np.abs(tu @ zu.T) / np.outer(np.where(tn == 0.0, 1.0, tn), np.where(zn == 0.0, 1.0, zn))
 
     perm = np.full(h, -1, dtype=int)
     for _ in range(h):
@@ -222,33 +232,45 @@ def _layout(samples: int) -> tuple[int, int]:
     return blocks, min(_cpu_count(), blocks)
 
 
-def _run_blocks(samples: int, root: np.random.SeedSequence, rows: int, block) -> list:
+def _run_blocks(samples: int, root: np.random.SeedSequence, rows: int, block, first=None) -> list:
     """[block(rng, draws, j) for each block j], run on the workers of _layout(samples).
 
-    rng is block j's generator, on child j of root.spawn(blocks), and draws a
-    C-contiguous (rows, m) view of its worker's buffer, m the block's samples.
-    The calling thread is worker 0; workers 1 to W - 1 run on a
-    ThreadPoolExecutor. An exception raised in a worker is raised here once
-    every worker has stopped.
+    rng is block j's generator, on child j of root.spawn(B), B the number of
+    blocks, and draws a C-contiguous (rows, m) view of the claiming worker's
+    buffer, m the block's samples. first, if given, is called as first(rng)
+    on child B, spawned with the blocks', as the task at the head of the list.
+    The tasks are claimed from one list in order, each by the next worker that
+    is free; the calling thread is worker 0 and workers 1 to W - 1 run on a
+    ThreadPoolExecutor. An exception raised in a task ends its worker's
+    claims, while the others go on until no task is left; once every worker
+    has stopped, worker 0's exception is raised here, or else the first pool
+    worker's in pool order.
     """
     from concurrent.futures import ThreadPoolExecutor  # imported here, as it loads logging: import gradleak does not
 
     blocks, workers = _layout(samples)
-    children = root.spawn(blocks)
+    children = root.spawn(blocks + (first is not None))
+    # The head task (child B, if any), the blocks, then one None per worker,
+    # which stops it. deque pops are documented thread-safe.
+    tasks = deque([*range(blocks, len(children)), *range(blocks), *[None] * workers])
+    results = [None] * blocks
 
-    def work(w, buf):
-        share = []
-        for j in range(w, blocks, workers):
-            m = min(_BLOCK, samples - j * _BLOCK)
-            share.append(block(np.random.default_rng(children[j]), buf[: rows * m].reshape(rows, m), j))
-        return share
+    def work(buf):
+        for j in iter(tasks.popleft, None):
+            rng = np.random.default_rng(children[j])
+            if j == blocks:
+                first(rng)
+            else:
+                m = min(_BLOCK, samples - j * _BLOCK)
+                results[j] = block(rng, buf[: rows * m].reshape(rows, m), j)
 
     buffers = [np.empty(rows * min(samples, _BLOCK)) for _ in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(work, w, buffers[w]) for w in range(1, workers)]
-        shares = [work(0, buffers[0])]
-    shares += [future.result() for future in futures]
-    return [shares[j % workers][j // workers] for j in range(blocks)]
+        futures = [pool.submit(work, buf) for buf in buffers[1:]]
+        work(buffers[0])
+    for future in futures:
+        future.result()
+    return results
 
 
 def _make_report(samples, hits, bound, exact=None) -> McReport:
@@ -349,6 +371,10 @@ def _ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
     Every distinct value of either sample is read there, and for samples
     without NaN the counts at it are those of a stable merge of the two, so
     the max is the merged reading's, bit for bit.
+
+    Its time goes to the two np.searchsorted calls, about 3.5-5 ms each on
+    1e5 + 1e5 samples, where a sort of 1e5 takes 0.5-0.8 ms, sorted input or
+    not (2-vCPU Xeon VM).
     """
     xs.sort()
     ys.sort()
@@ -391,7 +417,8 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
 
     The moments come from each block's sums of XY and its powers, added in
     block order. The distance sample is the first products in block order; Q
-    and R are drawn for it alone, from the child spawned after the blocks'.
+    and R are drawn for it alone, from the child spawned after the blocks', by
+    the task at the head of the blocks' list, which also sorts (Q - R)/2.
     """
     samples = _count(samples, "samples", 10_000)
     n_ks = min(samples, _KS_SAMPLE_CAP)
@@ -407,14 +434,19 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
         s1, s2 = np.sum(p), np.sum(p2)
         return s1, s2, np.sum(np.multiply(p2, p, out=p)), np.sum(np.multiply(p2, p2, out=p2))
 
+    ref = np.empty((2, n_ks))
+
+    def draw_ref(rng):
+        rng.standard_normal(out=ref)
+        np.multiply(ref, ref, out=ref)
+        q, r = ref
+        q -= r
+        q *= 0.5  # (Q - R)/2, in the first row of the draw
+        q.sort()
+
     root = np.random.SeedSequence(_seed(seed))
-    sums = [sum(column) for column in zip(*_run_blocks(samples, root, 2, block))]
-    ref = np.random.default_rng(root.spawn(1)[0]).standard_normal((2, n_ks))
-    np.multiply(ref, ref, out=ref)
-    q, r = ref
-    q -= r
-    q *= 0.5  # (Q - R)/2, in the first row of the draw
-    distance, passed = _product_checks(sums, samples, head, q)
+    sums = [sum(column) for column in zip(*_run_blocks(samples, root, 2, block, draw_ref))]
+    distance, passed = _product_checks(sums, samples, head, ref[0])
     return McReport(samples=samples, empirical_prob=distance, bound=_KS_BOUND, exact=None, vacuous=False, passed=passed)
 
 

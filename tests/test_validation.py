@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import zlib
@@ -220,7 +221,7 @@ def _match_rows_reference(net, z):
     tu, zu = validation._peak_scaled(targets), validation._peak_scaled(zm)
     tn = np.sqrt(np.sum(tu * tu, axis=1))
     zn = np.sqrt(np.sum(zu * zu, axis=1))
-    cos = np.abs(tu @ zu.T) / np.outer(tn, np.where(zn == 0.0, 1.0, zn))
+    cos = np.abs(tu @ zu.T) / np.outer(np.where(tn == 0.0, 1.0, tn), np.where(zn == 0.0, 1.0, zn))
     perm = np.full(h, -1, dtype=int)
     avail_t = np.ones(h, dtype=bool)
     avail_z = np.ones(h, dtype=bool)
@@ -325,6 +326,21 @@ class TestMatchRows:
         z = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(MatchAmbiguityError):
             match_rows(net, z)
+
+    def test_zero_output_weight_has_cosine_zero(self):
+        # Its target row is zero, so no Z row is nearer to it than another;
+        # the other row takes its own match first.
+        net = TwoLayerNet(A=np.eye(2), w=np.array([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = match_rows(net, np.eye(2))
+        assert result.permutation.tolist() == [0, 1]
+        assert result.max_row_error == 1.0
+
+    def test_all_output_weights_zero_ambiguous(self):
+        net = TwoLayerNet(A=np.eye(2), w=np.array([0.0, 0.0]))
+        with pytest.raises(MatchAmbiguityError):
+            match_rows(net, np.eye(2))
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 5), (8,), (2, 4, 1)])
     def test_z_of_the_wrong_shape_refused(self, shape):
@@ -747,10 +763,49 @@ class TestWorkers:
     def test_cpu_count_is_this_process_affinity(self):
         assert validation._cpu_count() == len(os.sched_getaffinity(0))
 
+    def test_a_slowed_worker_claims_fewer_blocks(self, monkeypatch):
+        # Two workers claim six blocks from one list; a block off the calling
+        # thread sleeps 0.2 s, in which the calling thread claims and runs
+        # every other block. Split by stride, the pool thread would run three.
+        _set_workers(monkeypatch, 2)
+        caller = threading.get_ident()
+        ran = []
+
+        def block(rng, draws, j):
+            ran.append((j, threading.get_ident()))
+            if threading.get_ident() != caller:
+                time.sleep(0.2)
+            rng.standard_normal(out=draws)
+            return j, float(np.sum(draws))
+
+        results = _run_blocks(6 * BLOCK, np.random.SeedSequence(3), 1, block)
+        assert sorted(j for j, _ in ran) == list(range(6))
+        assert sum(ident != caller for _, ident in ran) <= 1
+        _set_workers(monkeypatch, 1)
+        assert results == _run_blocks(6 * BLOCK, np.random.SeedSequence(3), 1, block)
+
+    def test_head_task_runs_first_on_the_child_after_the_blocks(self, monkeypatch):
+        _set_workers(monkeypatch, 1)
+        ran = []
+
+        def block(rng, draws, j):
+            ran.append(j)
+            return j
+
+        def first(rng):
+            ran.append("first")
+            ran.append(rng.random())
+
+        assert _run_blocks(3 * BLOCK, np.random.SeedSequence(4), 1, block, first) == [0, 1, 2]
+        root = np.random.SeedSequence(4)
+        root.spawn(3)
+        assert ran == ["first", np.random.default_rng(root.spawn(1)[0]).random(), 0, 1, 2]
+
     @pytest.mark.parametrize("failing", [1, 2, 3, 4, 5])
     def test_a_worker_exception_reaches_the_caller(self, monkeypatch, failing):
-        # Six blocks on three workers: blocks 1 and 4 run on worker 1, 2 and 5
-        # on worker 2, and 3 on the calling thread.
+        # Six blocks claimed by three workers, the calling thread one of them:
+        # the worker that runs the failing block claims no more, and the other
+        # two claim the rest of the list.
         _set_workers(monkeypatch, 3)
         before = threading.active_count()
         ran = []
@@ -764,7 +819,7 @@ class TestWorkers:
         with pytest.raises(ArithmeticError, match=f"block {failing}"):
             _run_blocks(6 * BLOCK, np.random.SeedSequence(0), 1, block)
         assert threading.active_count() == before
-        # The other workers ran all their blocks, and had stopped by the time it was raised.
+        # The other workers ran the rest of the list, and had stopped by the time it was raised.
         assert {j for j in range(6) if j % 3 != failing % 3} <= set(ran)
 
     def test_a_worker_exception_in_a_check_reaches_the_caller(self, monkeypatch):

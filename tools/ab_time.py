@@ -20,7 +20,12 @@ lemma reports, in any pass), so one run both sizes a speed-up and shows
 whether it is bit-identical; a difference alone does not change the exit
 code. Running the pair in one process, interleaved, cancels most of a
 shared host's drift, which swings single benchmark runs by more than the
-differences being measured.
+differences being measured. For the same reason it cannot see a shifted
+yardstick: both sides share one malloc state, so a heap layout that one
+side leaves behind and that speeds up or slows down perfbench's reference
+kernel (the time relative operation times divide by) acts on the other side
+too. tools/bench_pairs.py, which runs each side in its own process, reports
+whether the reference time moved.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@
 For each seed from A to B it runs ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once in each checkout, with the working directory at
 that checkout's root, and alternates which side runs first: the parent on
-the first seed, the child on the next, and so on. Each pair's metrics are
-printed as it finishes.
+the first seed, the child on the next, and so on. Each pair's metrics, and
+its two reference kernel times, are printed as it finishes.
 
 Then, for each end-to-end metric in CHILD_ROOT/BENCHMARK.json, it prints each
 side's median and quartiles over the seeds, the pairs the child won under the
@@ -21,10 +21,17 @@ child run beats every parent run, else "ok". It also prints each side's
 median of the operation time (``wall.op_ms_p50``) beside that of the
 reference kernel time (``wall.ref_ms_p50``), the yardstick the relative
 operation times divide by, so a moved yardstick can be told apart from a
-change in operation time. For the metrics in SORTED_RUNS, whose runs of
-the same code fall into modes rather than spread about one value, it also
-prints each side's runs in sorted order, so a moved mode shows even when
-the medians do not.
+change in operation time, and a yardstick verdict: "moved" when the
+child's median of ``wall.ref_ms_p50`` lies outside the parent's quartiles
+of it, else "level", with the ratio of the two medians. A claim on a
+relative operation time (``op_rel_*``) made under a moved yardstick is
+marked as such: a reference kernel that runs slower in the child lowers
+the child's relative times with no change in its operations, and one that
+runs faster raises them. Either can come from the heap layout that an
+operation leaves behind for the kernel. For the metrics in SORTED_RUNS,
+whose runs of the same code fall into modes rather than spread about one
+value, it also prints each side's runs in sorted order, so a moved mode
+shows even when the medians do not.
 
 A pair in which either run's result is not ``correct`` (or the run printed
 no result) is left out of the medians and the win counts, and the script
@@ -90,6 +97,17 @@ def regression(par: list[float], chi: list[float], bound: float, lower: bool) ->
     return "ok"
 
 
+def yardstick(par: list[float], chi: list[float]) -> str:
+    """"moved" when the child's median reference time lies outside the parent's quartiles, else "level".
+
+    Stricter than the claim rule, which asks a gain to exceed the whole
+    quartile distance: a yardstick that moved by about half of that can
+    already account for much of a claimed gain.
+    """
+    p1, p3 = quartiles(par)
+    return "level" if p1 <= statistics.median(chi) <= p3 else "moved"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the baseline checkout")
@@ -126,10 +144,12 @@ def main(argv=None) -> int:
         for side in SIDES:
             for key, times in wall[side].items():
                 times.append(runs[side][1]["wall"][key])
+        cells.append(f"wall.ref_ms_p50 {wall['parent']['ref_ms_p50'][-1]:.4g} -> {wall['child']['ref_ms_p50'][-1]:.4g}")
         print(f"seed {seed} ({order[0]} first): " + ", ".join(cells), flush=True)
 
     pairs = len(wall["parent"]["ref_ms_p50"])
     print(f"workload {args.workload}, {pairs} pairs, --seconds {args.seconds:g}")
+    verdict = yardstick(wall["parent"]["ref_ms_p50"], wall["child"]["ref_ms_p50"]) if pairs else None
     for m in metrics if pairs else ():
         name, lower = m["name"], m["better"] == "lower"
         par, chi = values["parent"][name], values["child"][name]
@@ -141,7 +161,8 @@ def main(argv=None) -> int:
         print(f"{name} ({m['unit']}, {m['better']} is better): parent {p_med:.4g} [{p1:.4g} {p3:.4g}], "
               f"child {c_med:.4g} [{c1:.4g} {c3:.4g}], child better in {wins}/{pairs}, "
               f"claim holds: {'yes' if holds else 'no'}, "
-              f"no regression (bound {m['bound']:g}): {regression(par, chi, m['bound'], lower)}")
+              f"no regression (bound {m['bound']:g}): {regression(par, chi, m['bound'], lower)}"
+              + (", claim made under a moved yardstick" if verdict == "moved" and name.startswith("op_rel") else ""))
         if name in SORTED_RUNS:
             for side, runs in (("parent", par), ("child", chi)):
                 print(f"  {name} {side} runs, sorted: {' '.join(f'{v:.4g}' for v in sorted(runs))}")
@@ -150,6 +171,9 @@ def main(argv=None) -> int:
             f"{side} {statistics.median(wall[side][key]):.3f} "
             f"[{' '.join(f'{q:.3f}' for q in quartiles(wall[side][key]))}]"
             for side in SIDES))
+    if pairs:
+        ratio = statistics.median(wall["child"]["ref_ms_p50"]) / statistics.median(wall["parent"]["ref_ms_p50"])
+        print(f"yardstick (wall.ref_ms_p50): {verdict}, child/parent {ratio:.3f}")
     for problem in problems:
         print(f"problem: {problem}")
     return 1 if problems else 0
