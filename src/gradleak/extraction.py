@@ -104,10 +104,8 @@ def select_parameters(delta: float, c: float, h: int) -> tuple[float, int]:
     sqrt(pi c) <= delta/2 here. l is returned because acceptance criterion 2
     bounds a run's queries by 3h log2(2l/eps) + 2h.
     """
-    if not 0.0 < _number(delta, "delta") < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if not 0.0 < _number(c, "c") <= 1.0:
-        raise ValueError("c must lie in (0, 1]")
+    _number(delta, "delta", "(0, 1)")
+    _number(c, "c", "(0, 1]")
     _count(h, "h", 1)
     l = max(h * h, math.ceil(4.0 * h / (math.pi * delta)))
     epsilon = (c / 9.0) * (delta / 2.0) ** 1.5 / h**3
@@ -131,8 +129,7 @@ class ExtractionConfig:
         _seed(self.seed)
         if self.epsilon is None:
             self.epsilon = eps
-        if not 0.0 < _number(self.epsilon, "epsilon") < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        _number(self.epsilon, "epsilon", "(0, inf)")
 
 
 @dataclass

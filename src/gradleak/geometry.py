@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import GeometryError, SignRecoveryError, SingularMatrixError
 from .extraction import SIGN_ROUND_TOL, SOLVE_RESIDUAL_TOL
-from .model import as_matrix
+from .model import _as_vector, as_matrix
 from .oracle import Oracle
 
 # A singular value below SINGULAR_PIVOT_TOL times the largest one rejects Z as
@@ -90,9 +90,7 @@ def solve_linear_system(m, b) -> np.ndarray:
     n, k = a.shape
     if k > n:
         raise ValueError(f"matrix must not have more columns than rows, got {a.shape}")
-    rhs = np.asarray(b, dtype=float)
-    if rhs.shape != (n,):
-        raise ValueError(f"right-hand side must have shape ({n},), got {rhs.shape}")
+    rhs = _as_vector(b, n, "right-hand side")
 
     x, _, rank, sv = np.linalg.lstsq(a, rhs, rcond=SINGULAR_PIVOT_TOL)
     if rank < k:

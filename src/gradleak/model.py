@@ -11,13 +11,17 @@ as_matrix is the check of every matrix argument (2-D, finite entries), and
 rank_with_tolerance, one SVD with a cutoff relative to the largest singular
 value, decides row independence for TwoLayerNet and the generator. Every
 public entry point checks its scalar arguments with the three rules here:
-_count for counts, _seed for seeds and _number, which refuses a bool, for
-numbers.
+_count for counts, _seed for seeds and _number for real numbers. _number
+takes the interval as its message writes it, "(0, 1)", "(0, 1]", "(0, inf)"
+or "[0, inf)"; it refuses a bool with a message of its own, and anything
+else that is not a real number inside the interval (None, "0.1", NaN, +-inf)
+with one message: "{name} must lie in {interval}, got {x!r}".
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,8 +48,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def rank_with_tolerance(m, tol: float = RANK_PIVOT_TOL) -> int:
     """Numerical rank: singular values above tol times the largest one (one SVD)."""
-    if not _number(tol, "tol") > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _number(tol, "tol", "(0, inf)")
     sv = np.linalg.svd(as_matrix(m), compute_uv=False)
     return int(np.count_nonzero(sv > tol * sv.max(initial=0.0)))
 
@@ -64,10 +67,20 @@ def _seed(seed):
     return seed
 
 
-def _number(x, name: str):
-    """x, unless it is a bool, which Python counts as the number 1."""
+def _number(x, name: str, interval: str):
+    """x, refused unless it is a real number inside interval, written as "(0, 1]" or "[0, inf)".
+
+    A bool, which Python counts as the number 1, is refused with a message of its own.
+    """
     if isinstance(x, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not a bool")
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    if not (
+        isinstance(x, numbers.Real)
+        and (lo <= x if interval[0] == "[" else lo < x)
+        and (x <= hi if interval[-1] == "]" else x < hi)
+    ):
+        raise ValueError(f"{name} must lie in {interval}, got {x!r}")
     return x
 
 
@@ -207,10 +220,8 @@ def generate_random_net(
     """
     if not _count(h, "h", 1) <= _count(d, "d", 1):
         raise ValueError(f"need 1 <= h <= d, got h={h}, d={d}")
-    if not 0.0 < _number(c_min, "c_min") < 1.0:
-        raise ValueError("c_min must lie in (0, 1)")
-    if not 0.0 < _number(w_min, "w_min") < np.inf:
-        raise ValueError(f"w_min must be positive and finite, got {w_min}")
+    _number(c_min, "c_min", "(0, 1)")
+    _number(w_min, "w_min", "(0, inf)")
     rng = np.random.default_rng(_seed(seed))
 
     a = None

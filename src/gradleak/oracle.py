@@ -46,8 +46,7 @@ class SmoothGradConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= _number(self.sigma, "sigma") < np.inf:
-            raise ValueError(f"sigma must be finite and non-negative, got {self.sigma}")
+        _number(self.sigma, "sigma", "[0, inf)")
         _count(self.n_samples, "n_samples", 1)
         _seed(self.seed)
 
@@ -128,9 +127,11 @@ class Oracle:
                     self._cell_grads[key] = grad
                 out.append(grad)
         else:
-            k, n = len(pts), self.sg.n_samples
-            draws = pts[:, None, :] + self._sg_rng.normal(0.0, self.sg.sigma, size=(k, n, self.d))
-            means = np.mean(draws @ net.A.T >= 0.0, axis=1)
-            out = [(net.w * mean) @ net.A for mean in means]
+            out = []
+            for p in pts:
+                draws = self._sg_rng.normal(0.0, self.sg.sigma, size=(self.sg.n_samples, self.d))
+                draws += p
+                out.append((net.w * np.mean(draws @ net.A.T >= 0.0, axis=0)) @ net.A)
+                del draws  # the next row's block replaces this one rather than joining it
         self.ledger.add_gradients(len(pts))
         return out

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, MatchAmbiguityError
-from .model import TwoLayerNet, RecoveredModel, _count, _number, _seed, eval_recovered_batch, eval_target_batch, grad_target
+from .model import TwoLayerNet, RecoveredModel, _count, _number, _seed, as_matrix, eval_recovered_batch, eval_target_batch, grad_target
 from .extraction import finite_differences
 from .oracle import Oracle
 
@@ -107,8 +107,7 @@ class FiniteDiffConfig:
     eta: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < _number(self.eta, "eta") < np.inf:  # a NaN step makes every error NaN, which no check flags
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        _number(self.eta, "eta", "(0, inf)")  # a NaN step makes every error NaN, which no check flags
 
 
 @dataclass
@@ -141,8 +140,7 @@ def functional_equivalence(
     if net.d != model.d:
         raise ValueError(f"dimension mismatch: net d={net.d}, model d={model.d}")
     _count(n_points, "n_points")
-    if not 0.0 <= _number(tol, "tol") < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    _number(tol, "tol", "[0, inf)")
     rng = np.random.default_rng(_seed(seed))
     if n_points == 0:
         return EquivalenceReport(0.0, tol, 0, passed=True, vacuous=True)
@@ -173,12 +171,10 @@ def match_rows(net: TwoLayerNet, z) -> MatchResult:
     column are masked in place; of equal maxima the first in row-major
     order is taken.
     """
-    zm = np.asarray(z, dtype=float)
     h = net.h
-    if zm.shape != (h, net.d):
-        raise ValueError(f"Z must have shape ({h}, {net.d}), got {zm.shape}")
-    if not np.all(np.isfinite(zm)):
-        raise ValueError("Z entries must be finite")
+    if np.shape(z) != (h, net.d):
+        raise ValueError(f"Z must have shape ({h}, {net.d}), got {np.shape(z)}")
+    zm = as_matrix(z, "Z")
 
     targets = net.w[:, None] * net.A
     # A cosine does not change when a row is scaled, and rows scaled to a
@@ -291,10 +287,8 @@ def _make_report(samples, hits, bound, exact=None) -> McReport:
 def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McReport:
     """Check P(|t1 - t2| <= eps) <= 3^(4/3) (eps/c)^(2/3) for two hyperplanes
     at collinearity gap c crossed by a random line."""
-    if not 0.0 < _number(c, "c") <= 1.0:
-        raise ValueError("c must lie in (0, 1]")
-    if not 0.0 <= _number(epsilon, "epsilon") < math.inf:
-        raise ValueError("epsilon must be finite and non-negative")
+    _number(c, "c", "(0, 1]")
+    _number(epsilon, "epsilon", "[0, inf)")
     samples = _count(samples, "samples", 1)
     b2 = math.sqrt(1.0 - (1.0 - c) ** 2)
 
@@ -323,8 +317,7 @@ def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McRepo
 def mc_cauchy_tail(l: float, samples: int, seed=None) -> McReport:
     """Check P(|t| >= l) <= 2/(pi l) for the (standard Cauchy) crossing
     parameter of one hyperplane, and agreement with the exact tail."""
-    if not 0.0 < _number(l, "l") < math.inf:
-        raise ValueError("l must be positive and finite")
+    _number(l, "l", "(0, inf)")
     samples = _count(samples, "samples", 1)
 
     def block(rng, draws, j):
@@ -348,8 +341,7 @@ def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
     |Q/2 - R/2| is compared with eps/2 (halving is exact, so the count is the
     same): two draws per sample, not four squared normals.
     """
-    if not 0.0 <= _number(epsilon, "epsilon") < math.inf:
-        raise ValueError("epsilon must be finite and non-negative")
+    _number(epsilon, "epsilon", "[0, inf)")
     samples = _count(samples, "samples", 1)
 
     def block(rng, draws, j):
@@ -481,9 +473,7 @@ def check_fd_exactness(
     it is the counterexample.
     """
     _count(trials, "trials", 1)
-    # Written so that NaN fails: a NaN rel_tol would pass every comparison.
-    if not 0.0 <= _number(rel_tol, "rel_tol") < math.inf:
-        raise ValueError(f"rel_tol must be non-negative and finite, got {rel_tol}")
+    _number(rel_tol, "rel_tol", "[0, inf)")
     rng = np.random.default_rng(_seed(seed))
     eta = cfg.eta
     budget = 200 * trials

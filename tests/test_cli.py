@@ -335,7 +335,7 @@ class TestExtractVerify:
         )
         assert code == 1
         assert not rec.exists()
-        assert "sigma must be finite" in capsys.readouterr().err
+        assert f"sigma must lie in [0, inf), got {float(sigma)!r}" in capsys.readouterr().err
 
     def test_extract_outputs_are_byte_deterministic(self, tmp_path, model_file):
         rec_a, rep_a = tmp_path / "a.json", tmp_path / "arep.json"

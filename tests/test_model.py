@@ -159,7 +159,7 @@ class TestGenerator:
     def test_bad_w_min_refused_up_front(self, w_min):
         # |w| >= nan and |w| >= inf never hold: the weight draws would run
         # out their budget and blame the generator for a usage error.
-        with pytest.raises(ValueError, match="w_min must be positive and finite"):
+        with pytest.raises(ValueError, match=_exactly(f"w_min must lie in (0, inf), got {w_min!r}")):
             generate_random_net(4, 2, w_min=w_min, seed=0)
 
     def test_single_row(self):
@@ -511,24 +511,24 @@ class TestRank:
             rank_with_tolerance(np.eye(2), float("nan"))
 
 
-# One entry point per row: (the argument's name, a call that passes it the value under test).
+# One entry point per row: (the argument's name, its interval, a call that passes it the value under test).
 _NET = generate_random_net(4, 2, seed=0)
 _REC = recovered_from_net(_NET)
 NUMBERS = {
-    "select_parameters.delta": ("delta", lambda x: select_parameters(x, 0.01, 4)),
-    "select_parameters.c": ("c", lambda x: select_parameters(0.1, x, 4)),
-    "ExtractionConfig.epsilon": ("epsilon", lambda x: ExtractionConfig(h=4, epsilon=x)),
-    "SmoothGradConfig.sigma": ("sigma", lambda x: SmoothGradConfig(sigma=x)),
-    "FiniteDiffConfig.eta": ("eta", lambda x: FiniteDiffConfig(eta=x)),
-    "functional_equivalence.tol": ("tol", lambda x: functional_equivalence(_NET, _REC, 10, x)),
-    "check_fd_exactness.rel_tol": ("rel_tol", lambda x: check_fd_exactness(_NET, FiniteDiffConfig(), 1, rel_tol=x)),
-    "mc_crossing_gap.c": ("c", lambda x: mc_crossing_gap(x, 1e-3, 100)),
-    "mc_crossing_gap.epsilon": ("epsilon", lambda x: mc_crossing_gap(0.5, x, 100)),
-    "mc_cauchy_tail.l": ("l", lambda x: mc_cauchy_tail(x, 100)),
-    "mc_chi2_diff.epsilon": ("epsilon", lambda x: mc_chi2_diff(x, 100)),
-    "generate_random_net.c_min": ("c_min", lambda x: generate_random_net(4, 2, c_min=x)),
-    "generate_random_net.w_min": ("w_min", lambda x: generate_random_net(4, 2, w_min=x)),
-    "rank_with_tolerance.tol": ("tol", lambda x: rank_with_tolerance(np.eye(2), x)),
+    "select_parameters.delta": ("delta", "(0, 1)", lambda x: select_parameters(x, 0.01, 4)),
+    "select_parameters.c": ("c", "(0, 1]", lambda x: select_parameters(0.1, x, 4)),
+    "ExtractionConfig.epsilon": ("epsilon", "(0, inf)", lambda x: ExtractionConfig(h=4, epsilon=x)),
+    "SmoothGradConfig.sigma": ("sigma", "[0, inf)", lambda x: SmoothGradConfig(sigma=x)),
+    "FiniteDiffConfig.eta": ("eta", "(0, inf)", lambda x: FiniteDiffConfig(eta=x)),
+    "functional_equivalence.tol": ("tol", "[0, inf)", lambda x: functional_equivalence(_NET, _REC, 10, x)),
+    "check_fd_exactness.rel_tol": ("rel_tol", "[0, inf)", lambda x: check_fd_exactness(_NET, FiniteDiffConfig(), 1, rel_tol=x)),
+    "mc_crossing_gap.c": ("c", "(0, 1]", lambda x: mc_crossing_gap(x, 1e-3, 100)),
+    "mc_crossing_gap.epsilon": ("epsilon", "[0, inf)", lambda x: mc_crossing_gap(0.5, x, 100)),
+    "mc_cauchy_tail.l": ("l", "(0, inf)", lambda x: mc_cauchy_tail(x, 100)),
+    "mc_chi2_diff.epsilon": ("epsilon", "[0, inf)", lambda x: mc_chi2_diff(x, 100)),
+    "generate_random_net.c_min": ("c_min", "(0, 1)", lambda x: generate_random_net(4, 2, c_min=x)),
+    "generate_random_net.w_min": ("w_min", "(0, inf)", lambda x: generate_random_net(4, 2, w_min=x)),
+    "rank_with_tolerance.tol": ("tol", "(0, inf)", lambda x: rank_with_tolerance(np.eye(3), x)),
 }
 # (the count's name, the least it may be, a call that passes it the value under test).
 COUNTS = {
@@ -565,9 +565,32 @@ class TestArgumentRules:
     @pytest.mark.parametrize("entry", NUMBERS)
     def test_bool_number_refused(self, entry, flag):
         # Python counts True as the number 1: tol=True verified at tolerance 1.
-        name, call = NUMBERS[entry]
+        name, _, call = NUMBERS[entry]
         with pytest.raises(ValueError, match=_exactly(f"{name} must be a number, not a bool")):
             call(flag)
+
+    # epsilon=None asks ExtractionConfig for select_parameters' resolution.
+    @pytest.mark.parametrize("entry, x", [
+        (entry, x) for entry in NUMBERS for x in (None, "0.1", math.nan, math.inf, -math.inf, -0.5)
+        if (entry, x) != ("ExtractionConfig.epsilon", None)
+    ])
+    def test_number_outside_its_interval_refused(self, entry, x):
+        # None and "0.1" leaked the comparison's TypeError, and rank_with_tolerance(np.eye(3), inf)
+        # returned rank 0.
+        name, interval, call = NUMBERS[entry]
+        with pytest.raises(ValueError, match=_exactly(f"{name} must lie in {interval}, got {x!r}")):
+            call(x)
+
+    @pytest.mark.parametrize("entry", NUMBERS)
+    def test_interval_ends_accepted_where_closed(self, entry):
+        name, interval, call = NUMBERS[entry]
+        ends = [(0.0, interval[0] == "[")] + ([(1.0, interval[-1] == "]")] if "1" in interval else [])
+        for x, closed in ends:
+            if closed:
+                call(x)
+            else:
+                with pytest.raises(ValueError, match=_exactly(f"{name} must lie in {interval}, got {x!r}")):
+                    call(x)
 
     @pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)])
     @pytest.mark.parametrize("entry", COUNTS)

@@ -151,15 +151,81 @@ def _argument_type_checks(path):
                     yield name
 
 
+def _is_bound(node):
+    """A number written into the code: a constant, inf or a negated one."""
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)) or getattr(node, "attr", None) == "inf"
+
+
+def _inline_range_checks(path):
+    """Each `if` that raises on a comparison of a number argument with a bound, as 'function: argument'.
+
+    A number argument is a float-annotated parameter, a float-annotated
+    dataclass field read as self.field, or the value _number returned.
+    """
+    tree = ast.parse(path.read_text())
+    fields = {
+        target.id
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body if isinstance(stmt, ast.AnnAssign) and "float" in ast.unparse(stmt.annotation)
+        for target in [stmt.target]
+    }
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        params = {a.arg for a in func.args.args + func.args.kwonlyargs if a.annotation and "float" in ast.unparse(a.annotation)}
+        for stmt in ast.walk(func):
+            if not (isinstance(stmt, ast.If) and any(isinstance(n, ast.Raise) for n in stmt.body)):
+                continue
+            for cmp in (n for n in ast.walk(stmt.test) if isinstance(n, ast.Compare)):
+                operands = [cmp.left, *cmp.comparators]
+                if not any(map(_is_bound, operands)):
+                    continue
+                for op in operands:
+                    if (
+                        (isinstance(op, ast.Name) and op.id in params)
+                        or (isinstance(op, ast.Attribute) and getattr(op.value, "id", None) == "self" and op.attr in fields)
+                        or (isinstance(op, ast.Call) and getattr(op.func, "id", None) == "_number")
+                    ):
+                        yield f"{func.name}: {ast.unparse(op)}"
+
+
 def test_argument_rules_live_in_model_alone():
     # Counts, seeds and numbers are checked by model's _count, _seed and
     # _number: a second copy of a rule drifts from the first in what it
-    # accepts and in its message.
+    # accepts and in its message. _number takes the range too, so no code
+    # compares a number argument with a bound itself.
     found = {path.name: sorted(set(_argument_type_checks(path))) for path in SRC.glob("*.py")}
     assert found.pop("model.py") == ["bool", "bool_", "integer"]
     assert {name: types for name, types in found.items() if types} == {}
+    inline = {path.name: list(_inline_range_checks(path)) for path in SRC.glob("*.py")}
+    assert {name: checks for name, checks in inline.items() if checks} == {}
     assert not hasattr(gradleak.model, "_integer")
     assert not hasattr(gradleak.validation, "_check_samples")
+
+
+def test_inline_range_checks_are_found(tmp_path):
+    # The three phrasings the range rule replaced, and one the rule allows.
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from dataclasses import dataclass\n"
+        "def a(delta: float, c: float, n: int):\n"
+        "    if not 0.0 < _number(delta, 'delta') < 1.0:\n"
+        "        raise ValueError('delta')\n"
+        "    if not 0.0 < c <= 1.0:\n"
+        "        raise ValueError('c')\n"
+        "    if n < 1:\n"
+        "        raise ValueError('n')\n"
+        "    return 0.0 if c > 0.5 else 1.0\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    sigma: float = 0.0\n"
+        "    def __post_init__(self):\n"
+        "        if not 0.0 <= self.sigma < math.inf:\n"
+        "            raise ValueError('sigma')\n"
+    )
+    assert list(_inline_range_checks(path)) == ["a: _number(delta, 'delta')", "a: c", "__post_init__: self.sigma"]
 
 
 def test_import_loads_no_executor_or_logging():

@@ -950,5 +950,6 @@ class TestFdExactness:
     def test_non_finite_tolerances_refused(self, name, value):
         # rel_tol=nan passed every point unchecked.
         net = generate_random_net(6, 2, seed=16)
-        with pytest.raises(ValueError, match=f"{name} must be non-negative and finite"):
+        with pytest.raises(ValueError) as info:
             check_fd_exactness(net, FiniteDiffConfig(eta=1e-3), 5, seed=17, **{name: value})
+        assert str(info.value) == f"{name} must lie in [0, inf), got {value!r}"
