@@ -64,7 +64,7 @@ and the line is refused, as is a line whose request at an end is invalid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,7 +151,8 @@ class ExtractionReport:
     On failure model is None, phase names the failing phase ("search" or
     "sign", or None for an error raised outside learn_model), and the trace
     is what was spent and found before it. After a search failure the last
-    line was refused too, so refusals holds retries + 1 reasons.
+    line was refused too, so refusals holds retries + 1 reasons. The queries
+    and rounds are the run's own, not those of earlier runs on its oracle.
     """
 
     model: RecoveredModel | None
@@ -163,11 +164,11 @@ class ExtractionReport:
     phase: str | None = None
 
     @classmethod
-    def from_ledger(cls, ledger: QueryLedger, model=None, phase=None, refusals=(), crossings=()) -> ExtractionReport:
-        """The record of a run whose queries the ledger counted."""
-        return cls(
-            model, ledger.gradient_queries, ledger.value_queries, ledger.rounds, list(refusals), list(crossings), phase
-        )
+    def from_ledger(cls, ledger: QueryLedger, model=None, phase=None, refusals=(), crossings=(), start=None):
+        """The record of a run: what the ledger counted since start, its copy from the run's start (None: ever)."""
+        start = start or QueryLedger()
+        spent = ledger.gradient_queries - start.gradient_queries, ledger.value_queries - start.value_queries
+        return cls(model, *spent, ledger.rounds - start.rounds, list(refusals), list(crossings), phase)
 
     @property
     def retries(self) -> int:
@@ -330,7 +331,7 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -
     Draws fresh (u, v) from rng on each retry; raises ExtractionFailure once
     the retry budget is exhausted, carrying the search's record as err.report.
     """
-    refusals: list[str] = []
+    start, refusals = replace(oracle.ledger), []
     for _ in range(cfg.max_retries + 1):
         u, v = rng.standard_normal((2, oracle.d))
         try:
@@ -340,7 +341,7 @@ def recover_z(oracle: Oracle, cfg: ExtractionConfig, rng: np.random.Generator) -
             last = err
             refusals.append(str(err))
     failure = ExtractionFailure(f"all {cfg.max_retries + 1} search attempts failed; last: {last}")
-    failure.report = ExtractionReport.from_ledger(oracle.ledger, phase="search", refusals=refusals)
+    failure.report = ExtractionReport.from_ledger(oracle.ledger, phase="search", refusals=refusals, start=start)
     raise failure from last
 
 
@@ -387,11 +388,12 @@ def learn_model(oracle: Oracle, cfg: ExtractionConfig) -> ExtractionReport:
     error carries the run's ExtractionReport as err.report, with no model and
     the failing phase ("search" or "sign").
     """
+    start = replace(oracle.ledger)
     zres = recover_z(oracle, cfg, rng=np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,))))
     try:
         s = _end_signs(zres.Z, zres.v, zres.ends)
     except SignRecoveryError as err:
-        err.report = ExtractionReport.from_ledger(oracle.ledger, None, "sign", zres.refusals, zres.crossings)
+        err.report = ExtractionReport.from_ledger(oracle.ledger, None, "sign", zres.refusals, zres.crossings, start)
         raise
     model = RecoveredModel(Z=zres.Z, s=s)
-    return ExtractionReport.from_ledger(oracle.ledger, model, refusals=zres.refusals, crossings=zres.crossings)
+    return ExtractionReport.from_ledger(oracle.ledger, model, None, zres.refusals, zres.crossings, start)

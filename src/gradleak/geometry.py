@@ -135,15 +135,15 @@ def _signs(solved, m, b, scale) -> np.ndarray:
 
 
 def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
-    """s from 2h value queries: the reference learn_model's sign step is checked against.
+    """s from 2h value queries in one request: the reference learn_model's sign step is checked against.
 
     f at the points X of sign_query_points (GeometryError when Z is rank deficient or
-    not finite) and at -X gives the block sign system of ZX, which _solve and _signs
-    solve and certify.
+    not finite) and at -X, one values request of 2h rows, gives the block sign system
+    of ZX, which _solve and _signs solve and certify.
     """
     x, _ = sign_query_points(z, rng)
     zm = as_matrix(z, "Z")
-    b = np.array([oracle.value(p) for p in (*x.T, *-x.T)], dtype=float)
+    b = oracle.values(np.vstack([x.T, -x.T]))
     m = block_sign_matrix(zm @ x)
     solved = _solve(m, b)
     with np.errstate(over="ignore"):  # points too long to square give an infinite scale

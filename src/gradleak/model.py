@@ -9,13 +9,14 @@ the correct ReLU branch:
 
 as_matrix is the check of every matrix argument (2-D, finite entries), and
 rank_with_tolerance, one SVD with a cutoff relative to the largest singular
-value, decides row independence for TwoLayerNet and the generator. Every
-public entry point checks its scalar arguments with the three rules here:
-_count for counts, _seed for seeds and _number for real numbers. _number
-takes the interval as its message writes it, "(0, 1)", "(0, 1]", "(0, inf)"
-or "[0, inf)"; it refuses a bool with a message of its own, and anything
-else that is not a real number inside the interval (None, "0.1", NaN, +-inf)
-with one message: "{name} must lie in {interval}, got {x!r}".
+value, decides row independence for TwoLayerNet, the one check of every net,
+generated or loaded. Every public entry point checks its scalar arguments
+with the three rules here: _count for counts, _seed for seeds and _number for
+real numbers. _number takes the interval as its message writes it, "(0, 1)",
+"(0, 1]", "(0, inf)" or "[0, inf)"; it refuses a bool with a message of its
+own, and anything else that is not a real number inside the interval (None,
+"0.1", NaN, +-inf) with one message: "{name} must lie in {interval}, got
+{x!r}".
 """
 
 from __future__ import annotations
@@ -108,9 +109,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class TwoLayerNet:
     """Ground-truth network: h x d row matrix of unit normals and h output weights.
 
-    Construction checks unit row norms and row independence. The pairwise
-    collinearity gap is a property of the generator (it depends on the
-    generator's c_min), not of the type.
+    Construction checks unit row norms and row independence, for generated
+    and loaded nets alike. The pairwise collinearity gap is a property of the
+    generator (it depends on the generator's c_min), not of the type.
     """
 
     A: np.ndarray
@@ -214,9 +215,11 @@ def generate_random_net(
 ) -> TwoLayerNet:
     """Draw a random instance satisfying the model assumptions.
 
-    Rows are normalized standard Gaussians, redrawn until every pairwise
-    |<A_i, A_j>| <= 1 - c_min and the rows are independent; weights are
-    standard Gaussians redrawn until |w_i| >= w_min. Deterministic given seed.
+    Rows are normalized standard Gaussians, all h redrawn until every pairwise
+    |<A_i, A_j>| <= 1 - c_min; weights are standard Gaussians, each redrawn
+    until |w_i| >= w_min. Unit norms and row independence are checked once,
+    by TwoLayerNet, which refuses a dependent draw with its ValueError rather
+    than redraw it. Deterministic given seed.
     """
     if not _count(h, "h", 1) <= _count(d, "d", 1):
         raise ValueError(f"need 1 <= h <= d, got h={h}, d={d}")
@@ -224,22 +227,12 @@ def generate_random_net(
     _number(w_min, "w_min", "(0, inf)")
     rng = np.random.default_rng(_seed(seed))
 
-    a = None
     for _ in range(_GENERATION_BUDGET):
-        cand = rng.standard_normal((h, d))
-        norms = np.sqrt(np.sum(cand * cand, axis=1))
-        if np.any(norms == 0.0):
-            continue
-        cand /= norms[:, None]
-        gram = cand @ cand.T
-        off = np.abs(gram - np.eye(h))
-        if np.max(off) > 1.0 - c_min:
-            continue
-        if rank_with_tolerance(cand, RANK_PIVOT_TOL) != h:
-            continue
-        a = cand
-        break
-    if a is None:
+        a = rng.standard_normal((h, d))
+        a /= np.sqrt(np.sum(a * a, axis=1))[:, None]
+        if np.max(np.abs(a @ a.T - np.eye(h))) <= 1.0 - c_min:
+            break
+    else:
         raise GenerationError(
             f"could not draw {h} rows with pairwise gap >= {c_min} in "
             f"{_GENERATION_BUDGET} attempts"

@@ -904,6 +904,33 @@ class TestLearnModel:
             if enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("phase", [None, "search", "sign"])
+    def test_report_counts_its_own_run_on_a_reused_oracle(self, monkeypatch, phase):
+        # Reports were read off the oracle's running ledger, so a second run
+        # on one oracle reported both runs: 56 gradient queries in 16 rounds.
+        oracle = Oracle(generate_random_net(20, 8, seed=1))
+        if phase == "sign":
+            def refuse(*args):
+                raise SignRecoveryError("refused")
+
+            monkeypatch.setattr(extraction, "_end_signs", refuse)
+
+        def run():
+            try:
+                report = learn_model(oracle, ExtractionConfig(h=9 if phase == "search" else 8, seed=0))
+            except GradleakError as err:
+                report = err.report
+            assert report.phase == phase
+            return report.gradient_queries, report.value_queries, report.rounds
+
+        first, second = run(), run()
+        assert first == second
+        assert tuple(2 * n for n in first) == (
+            oracle.ledger.gradient_queries, oracle.ledger.value_queries, oracle.ledger.rounds,
+        )
+        if phase is None:
+            assert first == (28, 0, 8)
+
     def test_full_instance_grad_mode(self):
         net = generate_random_net(20, 8, seed=12)
         oracle = Oracle(net)

@@ -129,6 +129,8 @@ class TestRecoverS:
         recover_s(oracle, z, rng=np.random.default_rng(2))
         assert oracle.ledger.value_queries == 8
         assert oracle.ledger.gradient_queries == 0
+        # The paper's one batch of 2h value queries: one request, not 2h.
+        assert oracle.ledger.rounds == 1
 
     def test_sign_flips_match_reference(self):
         rng = np.random.default_rng(3)
@@ -158,10 +160,10 @@ class TestRecoverS:
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
 
         class StubOracle:
-            # Values of sum_i s_i relu(z_i x) + s_{h+i} relu(-z_i x).
-            def value(self, x):
-                pre = z @ x
-                return float(np.maximum(pre, 0.0) @ s[:2] + np.maximum(-pre, 0.0) @ s[2:])
+            # Values of sum_i s_i relu(z_i x) + s_{h+i} relu(-z_i x) at the rows of X.
+            def values(self, xs):
+                pre = xs @ z.T
+                return np.maximum(pre, 0.0) @ s[:2] + np.maximum(-pre, 0.0) @ s[2:]
 
         with pytest.raises(SignRecoveryError, match=message):
             recover_s(StubOracle(), z, rng=np.random.default_rng(4))
@@ -172,8 +174,8 @@ class TestRecoverS:
         from gradleak.errors import SignRecoveryError
 
         class InfOracle:
-            def value(self, x):
-                return math.inf
+            def values(self, xs):
+                return np.full(len(xs), math.inf)
 
         with pytest.raises(SignRecoveryError, match=r"entry 0 = nan is not near an integer"):
             recover_s(InfOracle(), np.eye(2), rng=np.random.default_rng(4))

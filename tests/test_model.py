@@ -1,6 +1,7 @@
 """Target/recovered model evaluation, matrix checks and numerical rank, generation, serialization, and the
 argument rules every entry point checks its counts, seeds and numbers by."""
 
+import hashlib
 import json
 import math
 import re
@@ -34,6 +35,7 @@ from gradleak import (
     save_recovered,
     select_parameters,
 )
+from gradleak import model
 from gradleak.model import as_matrix, eval_recovered_batch, eval_target_batch
 
 
@@ -171,6 +173,46 @@ class TestGenerator:
         a = generate_random_net(8, 4, seed=11)
         b = generate_random_net(8, 4, seed=11)
         assert np.array_equal(a.A, b.A) and np.array_equal(a.w, b.w)
+
+    @pytest.mark.parametrize(
+        "c_min, w_min, sha256",
+        [
+            (0.1, 0.1, "c346230730885aadf53eef793ec591f336e12323ea3f41248b36b0186eee27fd"),
+            # About 87% of weight draws fall below 1.5 and are redrawn.
+            (0.1, 1.5, "1b9786f8c80b823828cff706282fd1021f6f9fa1f9db70186b6ea2a9538eb970"),
+            (0.01, 0.1, "f2b746d51d5a008ba7667df5f77665520628c19e9bdd8dcfc1be60bd7dbd4df4"),
+            (0.01, 1.5, "8d63ddffd0d72fc4fd1b195ddc1291b38a388982f248cd7d6e85a92d50f31fc3"),
+        ],
+    )
+    def test_generated_bytes_are_pinned(self, c_min, w_min, sha256):
+        # Every net of a small grid, bit for bit: a change to the draws, their
+        # order or the normalization moves the hash, where test_deterministic
+        # only compares the code with itself.
+        digest = hashlib.sha256()
+        for d, h in ((1, 1), (2, 2), (5, 3), (16, 16), (20, 8)):
+            for seed in range(5):
+                net = generate_random_net(d, h, c_min=c_min, w_min=w_min, seed=seed)
+                digest.update(net.A.tobytes() + net.w.tobytes())
+        assert digest.hexdigest() == sha256
+
+    def test_rank_is_checked_once_by_the_net(self, monkeypatch):
+        calls = []
+        rank = model.rank_with_tolerance
+        monkeypatch.setattr(model, "rank_with_tolerance", lambda *args: calls.append(1) or rank(*args))
+        generate_random_net(16, 16, seed=0)
+        assert len(calls) == 1
+
+    def test_dependent_draw_refused_by_the_net(self, monkeypatch):
+        # Rows e1, e2 and (e1 + e2) / sqrt(2) pass the gap test at c_min = 0.1
+        # but span a plane: TwoLayerNet refuses them rather than the generator
+        # redrawing.
+        class DependentRows:
+            def standard_normal(self, size=None):
+                return np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]) if size else 1.0
+
+        monkeypatch.setattr(model.np.random, "default_rng", lambda seed: DependentRows())
+        with pytest.raises(ValueError, match=_exactly("rows of A must be linearly independent")):
+            generate_random_net(3, 3, seed=0)
 
     def test_infeasible_gap_raises(self):
         # Nearly collinearity-free pairs in the plane are vanishingly rare.
@@ -537,7 +579,7 @@ COUNTS = {
     "SmoothGradConfig.n_samples": ("n_samples", 1, lambda n: SmoothGradConfig(n_samples=n)),
     "generate_random_net.d": ("d", 1, lambda n: generate_random_net(n, 1)),
     "generate_random_net.h": ("h", 1, lambda n: generate_random_net(4, n)),
-    "functional_equivalence.n_points": ("n_points", 0, lambda n: functional_equivalence(_NET, _REC, n, 1e-7)),
+    "functional_equivalence.n_points": ("n_points", 1, lambda n: functional_equivalence(_NET, _REC, n, 1e-7)),
     "mc_crossing_gap.samples": ("samples", 1, lambda n: mc_crossing_gap(0.5, 1e-3, n)),
     "mc_cauchy_tail.samples": ("samples", 1, lambda n: mc_cauchy_tail(10.0, n)),
     "mc_chi2_diff.samples": ("samples", 1, lambda n: mc_chi2_diff(0.1, n)),
@@ -548,8 +590,7 @@ SEEDS = {
     "ExtractionConfig.seed": lambda seed: ExtractionConfig(h=4, seed=seed),
     "SmoothGradConfig.seed": lambda seed: SmoothGradConfig(seed=seed),
     "generate_random_net.seed": lambda seed: generate_random_net(4, 2, seed=seed),
-    # No points are drawn, and the seed is refused all the same.
-    "functional_equivalence.seed": lambda seed: functional_equivalence(_NET, _REC, 0, 1e-7, seed=seed),
+    "functional_equivalence.seed": lambda seed: functional_equivalence(_NET, _REC, 1, 1e-7, seed=seed),
     "check_fd_exactness.seed": lambda seed: check_fd_exactness(_NET, FiniteDiffConfig(), 1, seed=seed),
     "mc_crossing_gap.seed": lambda seed: mc_crossing_gap(0.5, 1e-3, 100, seed=seed),
     "mc_cauchy_tail.seed": lambda seed: mc_cauchy_tail(10.0, 100, seed=seed),

@@ -63,7 +63,7 @@ class TestFunctionalEquivalence:
         model = recovered_from_net(net)
         report = functional_equivalence(net, model, 10_000, 1e-12, seed=1)
         assert report.max_rel_error <= 1e-12
-        assert report.passed and not report.vacuous
+        assert report.passed
 
     def test_flipped_sign_detected(self):
         net = generate_random_net(10, 5, seed=2)
@@ -104,11 +104,11 @@ class TestFunctionalEquivalence:
         assert calls == [65_536, 4464]
         assert math.isnan(report.max_rel_error) and not report.passed
 
-    def test_zero_points_vacuous(self):
+    def test_zero_points_refused(self):
+        # Zero points passed, vacuously: a pass that checked nothing.
         net = generate_random_net(4, 2, seed=4)
-        report = functional_equivalence(net, recovered_from_net(net), 0, 1e-7, seed=5)
-        assert report.max_rel_error == 0.0
-        assert report.vacuous and report.passed
+        with pytest.raises(ValueError, match="^n_points must be an integer of at least 1, got 0$"):
+            functional_equivalence(net, recovered_from_net(net), 0, 1e-7, seed=5)
 
     def test_dimension_mismatch(self):
         net = generate_random_net(4, 2, seed=6)
@@ -120,7 +120,7 @@ class TestFunctionalEquivalence:
     def test_point_count_that_is_not_a_non_negative_integer_refused(self, n_points):
         # 2.5 and True leaked numpy's TypeError; a bool is refused though Python counts it an int.
         net = generate_random_net(4, 2, seed=9)
-        with pytest.raises(ValueError, match="n_points must be an integer of at least 0"):
+        with pytest.raises(ValueError, match="n_points must be an integer of at least 1"):
             functional_equivalence(net, recovered_from_net(net), n_points, 1e-7, seed=10)
 
     def test_numpy_integer_point_count_accepted(self):
@@ -135,7 +135,7 @@ class TestFunctionalEquivalence:
         with pytest.raises(ValueError, match="tol"):
             functional_equivalence(net, recovered_from_net(net), 10, tol, seed=10)
         with pytest.raises(ValueError, match="tol"):
-            functional_equivalence(net, recovered_from_net(net), 0, tol, seed=10)
+            functional_equivalence(net, recovered_from_net(net), 1, tol, seed=10)
 
     def test_blocks_are_bounded_by_rows(self):
         # At d = 512 a block is 512 rows (2 MiB) and the remainder of 392 rows
