@@ -227,16 +227,16 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     """Certified-isolation search for h crossings on the line u + t v, in rounds.
 
     Brackets carry angles theta of the half-circle cos theta u + sin theta v.
-    Each round sends one request for every open bracket. Each split point's
-    cell is decided once; in one end's cell it takes that end's gradient.
-    Returns the rows g_b - g_a of the h certified brackets and their
-    crossings t*, in crossing order, and the gradients (g(-v), g(+v)) of the
-    line's tail cells; raises ExtractionFailure when the line is refused.
+    Each round sends one request for every open bracket. The cell test
+    follows oracle.exact, and the probes widen for its blur oracle.sigma.
+    Each split point's cell is decided once; in one end's cell it takes that
+    end's gradient. Returns the rows g_b - g_a of the h certified brackets
+    and their crossings t*, in crossing order, and the gradients (g(-v),
+    g(+v)) of the line's tail cells; raises ExtractionFailure when refused.
     """
     uv = np.array([u, v], dtype=float)
-    sigma = oracle.sg.sigma if oracle.mode == "smoothgrad" else 0.0
+    exact, sigma = oracle.exact, oracle.sigma
     membership = oracle.mode == "membership"
-    exact = not (membership or sigma)  # one read-only gradient array per cell
 
     def request(thetas):
         # One round at the points x(theta), returned as (theta, g) in grad and
@@ -350,12 +350,15 @@ def _end_signs(z, v, ends) -> np.ndarray:
 
     Z's rows must be oriented as _search_line gives them, g_b - g_a across
     increasing theta: row k is sigma_k w_i A_i, sigma_k = sign <A_i, v>. Then
-    g+ + g- = Z^T sigma, solved as (Z Z^T) sigma = Z (g+ + g-): Cholesky
-    refuses a singular or too ill-conditioned Z, one solve finds sigma, and
-    sigma must round to +-1. The certificate is the residual against both
-    ends, Z^T 1[sigma > 0] = g+ and Z^T 1[sigma < 0] = -g-, the recovered
-    model's gradients at +v and -v. With up = Zv > 0, the sign of w_i, s_top
-    = up [sigma = up] and s_bottom = up [sigma != up].
+    g+ + g- = Z^T sigma, solved as (Z Z^T) sigma = Z (g+ + g-). Cholesky is
+    the guard: it refuses a Gram matrix that is not numerically positive
+    definite (cond(Z)^2 >~ 1e16), where a rounded sigma could pass both end
+    residuals and still be wrong. Its factor is thrown away (numpy has no
+    triangular solve, and scipy is not a dependency): one LU solve finds
+    sigma, which must round to +-1. The certificate is the residual against
+    both ends, Z^T 1[sigma > 0] = g+ and Z^T 1[sigma < 0] = -g-, the
+    recovered model's gradients at +v and -v. With up = Zv > 0, the sign of
+    w_i, s_top = up [sigma = up] and s_bottom = up [sigma != up].
     """
     zm, g = np.asarray(z, dtype=float), np.array(ends, dtype=float)
     if not (np.isfinite(zm).all() and np.isfinite(g).all()):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoLayerNet, _as_points, _as_vector, _count, _number, _seed, eval_target_batch
+from .model import TwoLayerNet, _as_points, _count, _number, _seed, eval_target_batch
 
 ORACLE_MODES = ("grad", "smoothgrad", "membership")
 
@@ -28,11 +28,11 @@ class QueryLedger:
     gradient_queries: int = 0
     rounds: int = 0
 
-    def add_values(self, n: int = 1) -> None:
+    def add_values(self, n: int) -> None:
         self.value_queries += n
         self.rounds += 1
 
-    def add_gradients(self, n: int = 1) -> None:
+    def add_gradients(self, n: int) -> None:
         self.gradient_queries += n
         self.rounds += 1
 
@@ -59,12 +59,12 @@ class Oracle:
                  (n_samples, d) block of perturbations per row. k gradient
                  queries; a membership oracle refuses.
 
-    Each request is one round; value(x) and gradient(x) are those requests at
-    one point. An exact gradient (grad, or smoothgrad at sigma=0) depends only
-    on the activation pattern of x, so it is built once per pattern and the
-    same read-only array is returned for every later query in that cell; each
-    call is still metered. Callers may compare two exact gradients by
-    identity: the same object means the same cell.
+    Each request is one round. An exact gradient (grad, or smoothgrad at
+    sigma=0) depends only on the activation pattern of x, so it is built once
+    per pattern and the same read-only array is returned for every later
+    query in that cell; each call is still metered. exact is True for these
+    cell arrays, which callers may compare by identity: the same object means
+    the same cell. sigma is the blur that applies (sg.sigma in smoothgrad).
     """
 
     def __init__(self, net: TwoLayerNet, mode: str = "grad", sg: SmoothGradConfig | None = None):
@@ -74,8 +74,9 @@ class Oracle:
         self.mode = mode
         self.ledger = QueryLedger()
         self.sg = sg if sg is not None else SmoothGradConfig()
-        self._exact = mode == "grad" or (mode == "smoothgrad" and self.sg.sigma == 0.0)
-        self._sg_rng = np.random.default_rng(self.sg.seed) if mode == "smoothgrad" and not self._exact else None
+        self.sigma = self.sg.sigma if mode == "smoothgrad" else 0.0
+        self.exact = mode != "membership" and not self.sigma
+        self._sg_rng = np.random.default_rng(self.sg.seed) if self.sigma else None
         # Activation-pattern bytes -> that cell's exact gradient; at most one
         # entry per metered gradient query.
         self._cell_grads: dict[bytes, np.ndarray] = {}
@@ -84,37 +85,29 @@ class Oracle:
     def d(self) -> int:
         return self.net.d
 
-    def value(self, x) -> float:
-        """One value request at the single point x: f(x)."""
-        return float(self.values(_as_vector(x, self.d)[None])[0])
-
     def values(self, X) -> np.ndarray:
         """One request for f at the k rows of X: one round of k value queries."""
         pts = _as_points(X, self.d)
         self.ledger.add_values(len(pts))
         return eval_target_batch(self.net, pts)
 
-    def gradient(self, x) -> np.ndarray:
-        """One gradient request at the single point x."""
-        return self.gradients(_as_vector(x, self.d)[None])[0]
-
     def gradients(self, X) -> list[np.ndarray]:
         """One request for the gradients at the k rows of X, in row order: k gradient queries.
 
         Exact gradients come from one product X A^T: row i is the read-only
-        array of its cell, the same object gradient(X[i]) returns. A smoothed
-        gradient averages n_samples exact gradients at Gaussian perturbations
-        of its point, one (n_samples, d) block per row from this oracle's
-        generator, as one gradient query: the threat model meters API calls,
-        not the server's work behind one explanation. Its mean activation
-        pattern, times w, makes one product with A. A membership oracle
-        refuses before it meters anything.
+        array of its cell, the same object any request in that cell returns.
+        A smoothed gradient averages n_samples exact gradients at Gaussian
+        perturbations of its point, one (n_samples, d) block per row from this
+        oracle's generator, as one gradient query: the threat model meters API
+        calls, not the server's work behind one explanation. Its mean
+        activation pattern, times w, makes one product with A. A membership
+        oracle refuses before it meters anything.
         """
         if self.mode == "membership":
             raise ValueError("a membership oracle serves values only")
         pts = _as_points(X, self.d)
         net = self.net
-        if self._exact:
+        if self.exact:
             out = []
             # One product gives every pattern; a miss builds the gradient
             # exactly as grad_target does.
@@ -129,7 +122,7 @@ class Oracle:
         else:
             out = []
             for p in pts:
-                draws = self._sg_rng.normal(0.0, self.sg.sigma, size=(self.sg.n_samples, self.d))
+                draws = self._sg_rng.normal(0.0, self.sigma, size=(self.sg.n_samples, self.d))
                 draws += p
                 out.append((net.w * np.mean(draws @ net.A.T >= 0.0, axis=0)) @ net.A)
                 del draws  # the next row's block replaces this one rather than joining it

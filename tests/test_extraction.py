@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -620,7 +621,7 @@ def _independent_bisection_attempt(oracle, u, v, cfg):
 
     def grad_at(t):
         if t not in grads:
-            grads[t] = oracle.gradient(u + t * v)
+            grads[t] = oracle.gradients((u + t * v)[None])[0]
         return grads[t]
 
     def changed(g0, g1):
@@ -711,6 +712,28 @@ class TestSharedBracketSearch:
                 with monkeypatch.context() as patch:
                     patch.setattr(extraction, "_same", by_norm)
                     assert outcome(d, h, assumed_h, trial) == identity, f"(d, h, trial) = ({d}, {h}, {trial})"
+
+    def test_cell_test_follows_the_oracle(self):
+        # The search reads how gradients compare from the oracle alone. An
+        # oracle that serves each exact gradient as a fresh copy declares
+        # exact=False and is searched by difference norm: the same model at
+        # the same cost on these nets, whose rows are far above
+        # GRAD_CHANGE_TOL. By identity, no two of its answers would share a cell.
+        for seed in range(5):
+            net = generate_random_net(16, 8, c_min=0.1, w_min=0.1, seed=seed)
+            oracle = Oracle(net)
+            copies = SimpleNamespace(
+                gradients=lambda X, served=oracle.gradients: [g.copy() for g in served(X)],
+                d=oracle.d,
+                mode="grad",
+                ledger=oracle.ledger,
+                exact=False,
+                sigma=0.0,
+            )
+            cfg = ExtractionConfig(8, seed=seed)
+            want, got = learn_model(Oracle(net), cfg), learn_model(copies, cfg)
+            assert got.model.Z.tobytes() == want.model.Z.tobytes() and got.model.s.tolist() == want.model.s.tolist()
+            assert (got.gradient_queries, got.rounds, got.crossings) == (want.gradient_queries, want.rounds, want.crossings)
 
     def test_row_below_the_change_tolerance_verifies_or_is_refused(self):
         # One output weight of 1e-9 makes a row of norm 1e-9, below
@@ -807,7 +830,7 @@ class TestEndSigns:
             net = generate_random_net(12, 5, seed=seed)
             v = np.random.default_rng(seed + 1000).standard_normal(12)
             oracle = Oracle(net)
-            ends = (oracle.gradient(-v), oracle.gradient(v))
+            ends = tuple(oracle.gradients([-v, v]))  # one request, as the search's first round
             oriented = recovered_from_net(net, row_signs=np.sign(net.A @ v))
             z, s = oriented.Z, extraction._end_signs(oriented.Z, v, ends)
             assert s.tolist() == oriented.s.tolist(), f"net {seed}"

@@ -27,26 +27,26 @@ def two_unit_net(w=(1.0, -1.0)):
 class TestCounters:
     def test_value_query(self):
         oracle = Oracle(two_unit_net())
-        assert oracle.value((2.0, 3.0)) == pytest.approx(-1.0)
+        assert oracle.values([(2.0, 3.0)])[0] == pytest.approx(-1.0)
         assert oracle.ledger.value_queries == 1 and oracle.ledger.gradient_queries == 0
 
     def test_value_query_at_zero(self):
         oracle = Oracle(two_unit_net())
-        assert oracle.value(np.zeros(2)) == 0.0
+        assert oracle.values(np.zeros((1, 2)))[0] == 0.0
         assert oracle.ledger.value_queries == 1
 
     def test_two_calls_add_two(self):
         oracle = Oracle(two_unit_net())
-        oracle.value((1.0, 1.0))
-        oracle.value((1.0, 2.0))
+        oracle.values([(1.0, 1.0)])
+        oracle.values([(1.0, 2.0)])
         assert oracle.ledger.value_queries == 2
 
     def test_gradient_counting(self):
         oracle = Oracle(two_unit_net())
-        assert_allclose(oracle.gradient((2.0, 3.0)), [1.0, -1.0])
-        assert_allclose(oracle.gradient((-1.0, -1.0)), [0.0, 0.0])
+        assert_allclose(oracle.gradients([(2.0, 3.0)])[0], [1.0, -1.0])
+        assert_allclose(oracle.gradients([(-1.0, -1.0)])[0], [0.0, 0.0])
         for _ in range(3):
-            oracle.gradient((1.0, 1.0))
+            oracle.gradients([(1.0, 1.0)])
         assert oracle.ledger.gradient_queries == 5
         assert oracle.ledger.value_queries == 0
 
@@ -126,7 +126,7 @@ class TestFiniteDifference:
                 FiniteDiffConfig(eta=eta)
         # The step is the attacker's: no oracle request takes one.
         with pytest.raises(TypeError):
-            Oracle(two_unit_net()).gradient((1.0, 2.0), eta=1e-3)
+            Oracle(two_unit_net()).gradients([(1.0, 2.0)], eta=1e-3)
 
 
 def exact_oracle(net, mode):
@@ -142,7 +142,7 @@ class TestCellGradients:
         oracle = exact_oracle(net, mode)
         # Many points over few cells, so most answers come from the table.
         for x in rng.standard_normal((200, 8)):
-            assert oracle.gradient(x).tobytes() == grad_target(net, x).tobytes()
+            assert oracle.gradients(x[None])[0].tobytes() == grad_target(net, x).tobytes()
         assert oracle.ledger.gradient_queries == 200
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -152,30 +152,30 @@ class TestCellGradients:
         x = np.array([zero, 1.0, -1.0])
         assert (net.A @ x)[0] == 0.0
         oracle = exact_oracle(net, mode)
-        assert oracle.gradient(x).tobytes() == grad_target(net, x).tobytes()
-        assert oracle.gradient(np.array([-zero, 2.0, -3.0])).tobytes() == grad_target(net, x).tobytes()
+        assert oracle.gradients(x[None])[0].tobytes() == grad_target(net, x).tobytes()
+        assert oracle.gradients([[-zero, 2.0, -3.0]])[0].tobytes() == grad_target(net, x).tobytes()
 
     def test_same_cell_returns_same_object(self, mode):
         net = two_unit_net()
         oracle = exact_oracle(net, mode)
-        first = oracle.gradient((1.0, 2.0))
-        assert oracle.gradient((3.0, 0.5)) is first
+        first = oracle.gradients([(1.0, 2.0)])[0]
+        assert oracle.gradients([(3.0, 0.5)])[0] is first
         assert oracle.ledger.gradient_queries == 2
-        assert oracle.gradient((1.0, -2.0)) is not first
+        assert oracle.gradients([(1.0, -2.0)])[0] is not first
 
     def test_returned_array_is_read_only(self, mode):
         oracle = exact_oracle(two_unit_net(), mode)
-        grad = oracle.gradient((1.0, 2.0))
+        grad = oracle.gradients([(1.0, 2.0)])[0]
         with pytest.raises(ValueError):
             grad[0] = 7.0
-        assert_allclose(oracle.gradient((1.0, 2.0)), [1.0, -1.0])
+        assert_allclose(oracle.gradients([(1.0, 2.0)])[0], [1.0, -1.0])
 
 
 def test_smoothed_gradient_is_fresh_and_writable():
     net = TwoLayerNet(A=np.array([[1.0, 0.0]]), w=np.array([1.0]))
     oracle = Oracle(net, "smoothgrad", sg=SmoothGradConfig(sigma=0.1, n_samples=3, seed=4))
     x = np.array([10.0, 0.0])
-    first, second = oracle.gradient(x), oracle.gradient(x)
+    first, second = oracle.gradients(x[None])[0], oracle.gradients(x[None])[0]
     assert first is not second
     first[0] = 7.0
     assert_allclose(second, [1.0, 0.0], atol=1e-15)
@@ -186,7 +186,7 @@ class TestSmoothGrad:
         net = generate_random_net(5, 3, seed=3)
         oracle = Oracle(net, "smoothgrad", sg=SmoothGradConfig(sigma=0.0, n_samples=10, seed=0))
         x = np.array([0.3, -0.2, 1.0, 0.4, -0.9])
-        got = oracle.gradient(x)
+        got = oracle.gradients(x[None])[0]
         assert np.array_equal(got, grad_target(net, x))
         assert oracle.ledger.gradient_queries == 1
         assert oracle.ledger.value_queries == 0
@@ -199,14 +199,14 @@ class TestSmoothGrad:
         rng_check = np.random.default_rng(4)
         zs = np.array([rng_check.normal(0.0, 0.1, size=2) for _ in range(10)])
         assert np.all(10.0 + zs[:, 0] > 0)
-        got = Oracle(net, "smoothgrad", sg=cfg).gradient(x)
+        got = Oracle(net, "smoothgrad", sg=cfg).gradients(x[None])[0]
         assert_allclose(got, [1.0, 0.0], atol=1e-15)
 
     def test_single_sample_zero_sigma_is_exact(self):
         net = generate_random_net(4, 2, seed=5)
         x = np.ones(4)
         sg = SmoothGradConfig(sigma=0.0, n_samples=1, seed=1)
-        got = Oracle(net, "smoothgrad", sg=sg).gradient(x)
+        got = Oracle(net, "smoothgrad", sg=sg).gradients(x[None])[0]
         assert np.array_equal(got, grad_target(net, x))
 
     def test_blurred_average_matches_per_sample_gradients(self):
@@ -217,7 +217,7 @@ class TestSmoothGrad:
         oracle = Oracle(net, "smoothgrad", sg=SmoothGradConfig(sigma=0.5, n_samples=16, seed=7))
         draws = np.random.default_rng(7)
         for _ in range(5):
-            got = oracle.gradient(x)
+            got = oracle.gradients(x[None])[0]
             ref = np.mean([grad_target(net, x + draws.normal(0.0, 0.5, size=6)) for _ in range(16)], axis=0)
             assert np.max(np.abs(got - ref)) <= 1e-12
         assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries) == (5, 0)
@@ -252,8 +252,8 @@ class TestOracleDispatch:
     def test_grad_mode_counts(self):
         net = generate_random_net(6, 3, seed=6)
         oracle = Oracle(net, mode="grad")
-        oracle.gradient(np.ones(6))
-        oracle.value(np.ones(6))
+        oracle.gradients(np.ones((1, 6)))
+        oracle.values(np.ones((1, 6)))
         assert oracle.ledger.gradient_queries == 1
         assert oracle.ledger.value_queries == 1
 
@@ -264,11 +264,9 @@ class TestOracleDispatch:
         oracle = Oracle(net, mode="membership")
         x = 3.0 * np.ones(6)
         with pytest.raises(ValueError, match="serves values only"):
-            oracle.gradient(x)
-        with pytest.raises(ValueError, match="serves values only"):
             oracle.gradients(x[None])
         assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries, oracle.ledger.rounds) == (0, 0, 0)
-        assert oracle.value(x) == pytest.approx(float(np.maximum(net.A @ x, 0.0) @ net.w))
+        assert oracle.values(x[None])[0] == pytest.approx(float(np.maximum(net.A @ x, 0.0) @ net.w))
         assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries, oracle.ledger.rounds) == (0, 1, 1)
 
     def test_gradient_is_constant_inside_a_cell(self):
@@ -287,15 +285,35 @@ class TestOracleDispatch:
             if not seg_ok:
                 continue
             found += 1
-            assert np.array_equal(oracle.gradient(x), oracle.gradient(y))
+            assert np.array_equal(oracle.gradients(x[None])[0], oracle.gradients(y[None])[0])
 
     @pytest.mark.parametrize("mode, sigma", [("grad", 0.0), ("membership", 0.0), ("smoothgrad", 0.0), ("smoothgrad", 0.1)])
     def test_wrong_shape_point_is_refused(self, mode, sigma):
+        # A one-row request whose point has the wrong shape; a membership
+        # oracle refuses every gradient request, so its values are checked.
         oracle = Oracle(generate_random_net(4, 2, seed=8), mode, sg=SmoothGradConfig(sigma=sigma, n_samples=3, seed=0))
+        request = oracle.values if mode == "membership" else oracle.gradients
         for x in (np.ones(3), np.ones((4, 1)), np.ones(5)):
-            with pytest.raises(ValueError, match=r"x must have shape \(4,\)"):
-                oracle.gradient(x)
+            with pytest.raises(ValueError, match=r"points must have shape \(k, 4\)"):
+                request(x[None])
         assert (oracle.ledger.gradient_queries, oracle.ledger.value_queries) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "mode, sigma, expected",
+        [
+            ("grad", 0.5, (True, 0.0)),
+            ("smoothgrad", 0.0, (True, 0.0)),
+            ("smoothgrad", 1e-300, (False, 1e-300)),
+            ("smoothgrad", 0.5, (False, 0.5)),
+            ("membership", 0.0, (False, 0.0)),
+            ("membership", 0.5, (False, 0.0)),
+        ],
+    )
+    def test_oracle_declares_how_its_gradients_compare(self, mode, sigma, expected):
+        # The search's cell test reads exact and its probe margin sigma. Any
+        # blur, however small, leaves the cell arrays: the tolerance path.
+        oracle = Oracle(two_unit_net(), mode, sg=SmoothGradConfig(sigma=sigma, n_samples=3, seed=0))
+        assert (oracle.exact, oracle.sigma) == expected
 
     def test_rejects_unknown_mode(self):
         net = generate_random_net(3, 2, seed=10)
@@ -335,7 +353,7 @@ class TestBatchedGradients:
         oracle = exact_oracle(net, mode)
         X = np.random.default_rng(32).standard_normal((40, 8))
         grads = oracle.gradients(X)
-        assert all(g is oracle.gradient(x) for g, x in zip(grads, X))
+        assert all(g is oracle.gradients(x[None])[0] for g, x in zip(grads, X))
         assert all(g.tobytes() == grad_target(net, x).tobytes() and not g.flags.writeable for g, x in zip(grads, X))
         assert (oracle.ledger.gradient_queries, oracle.ledger.rounds) == (80, 41)
 
@@ -360,7 +378,7 @@ class TestBatchedGradients:
         sg = SmoothGradConfig(sigma=0.5, n_samples=4, seed=9)
         batch, single = Oracle(net, "smoothgrad", sg=sg), Oracle(net, "smoothgrad", sg=sg)
         for g, x in zip(batch.gradients(X), X):
-            assert_allclose(g, single.gradient(x), rtol=0.0, atol=1e-12)
+            assert_allclose(g, single.gradients(x[None])[0], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_blurred_request_holds_one_rows_draws(self, k):

@@ -30,7 +30,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gradleak"
 # already read 0, as the search had stopped calling it when it began to send
 # batched requests. extraction stopped importing solve_linear_system when the
 # end signs moved to one Cholesky-checked Gram solve, so numerics.solve reads
-# 0 on the grad workloads. Only a change to the benchmark may drop these patches.
+# 0 on the grad workloads. Oracle.value and Oracle.gradient, the single-point
+# forms of values and gradients, were deleted once nothing outside the tests
+# called them; their spans (oracle.value, oracle.gradient) already read 0 on
+# every workload, as every request was already batched. Only a change to the
+# benchmark may drop these patches.
 ABSENT = {
     "gradleak.geometry.chebyshev_center",
     "gradleak.geometry.simplex_maximize",
@@ -38,6 +42,8 @@ ABSENT = {
     "gradleak.extraction.sign_query_points",
     "gradleak.extraction.solve_linear_system",
     "gradleak.oracle.Oracle.gradient_with_value",
+    "gradleak.oracle.Oracle.value",
+    "gradleak.oracle.Oracle.gradient",
 }
 
 # The attack path, which must not import the paper's reference sign step.
@@ -128,10 +134,15 @@ def test_end_signs_need_no_svd_solve():
 
 
 def test_oracle_serves_values_and_gradients_alone():
-    # Its request methods, none of which takes a finite-difference step: a
-    # membership attacker estimates gradients with extraction.finite_differences.
-    requests = {"value", "values", "gradient", "gradients"}
-    assert {name for name in vars(gradleak.Oracle) if not name.startswith("_")} == requests | {"d"}
+    # Its two request methods, neither of which takes a finite-difference
+    # step: a membership attacker estimates gradients with
+    # extraction.finite_differences. Beside them an oracle shows d, and exact
+    # and sigma, how its gradients compare; the rest is what it was built
+    # from (net, mode, sg) and its ledger.
+    requests = {"values", "gradients"}
+    oracle = gradleak.Oracle(gradleak.generate_random_net(3, 2, seed=0))
+    public = {name for name in dir(oracle) if not name.startswith("_")}
+    assert public == requests | {"d", "exact", "sigma"} | {"net", "mode", "sg", "ledger"}
     for name in requests:
         assert "eta" not in inspect.signature(getattr(gradleak.Oracle, name)).parameters
     assert not hasattr(gradleak.Oracle, "gradients_with_values")

@@ -151,7 +151,7 @@ def end_case(d, h_frac, net_seed, ops, end_ops, line_seed):
     net = generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
     v = np.random.default_rng(line_seed).standard_normal(d)
     oracle = Oracle(net, mode="grad")
-    ends = perturb((oracle.gradient(-v), oracle.gradient(v)), end_ops, line_seed)
+    ends = perturb(oracle.gradients([-v, v]), end_ops, line_seed)
     return mutate((np.sign(net.A @ v) * net.w)[:, None] * net.A, ops, line_seed), v, ends
 
 
