@@ -137,6 +137,9 @@ def cmd_extract(args) -> int:
         max_retries=args.max_retries,
     )
     sg = SmoothGradConfig(sigma=args.sigma, n_samples=args.n_samples, seed=args.seed)
+    if sg.sigma and args.mode != "smoothgrad":
+        # The oracle would ignore it, and the run would look blurred when it was not.
+        raise _UsageError(f"--sigma {args.sigma!r} applies to --mode smoothgrad alone, not --mode {args.mode}")
     oracle = Oracle(net, mode=args.mode, sg=sg)
     try:
         report = learn_model(oracle, cfg)

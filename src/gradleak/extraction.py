@@ -37,28 +37,29 @@ is open with fewer than h certified, or when a bracket narrower than epsilon
 (or with no split point inside it) would have to be split. Each row is g_b -
 g_a and each crossing its t*.
 
-The modes differ only in their one request and the one cell test, _same.
-Exact gradients (grad, and smoothgrad at sigma = 0) are one read-only array
-per cell, returned by every query in it, so the cell test is identity alone:
-the same object means the same cell, and any two cells differ, however small
-their row. Otherwise the difference norm must not exceed GRAD_CHANGE_TOL. At
-sigma > 0, tau = max(eps, 8 sigma |D| / hypot(<D, u>, <D, v>)), the hypot
-being |d/dtheta <D, x(theta)>| at theta*. As <D, x(theta)> = hypot sin(theta
-- theta*), both probes sit at least 8 sigma sin tau / tau from the
-hyperplane, beyond the blur. A line is refused when tau reaches pi/2, where
-the whole half-circle lies within the blur and a probe near theta* + pi
-would lie on the hyperplane again; below it that clearance is at least 16
-sigma / pi ~ 5.09 sigma. A membership oracle serves values only, so the attacker
-estimates each gradient by finite_differences (d+1 value queries) at the
-unit-rescaled point p = x / |x| (gradients are scale-invariant), a round's k
-points in one values request. By homogeneity a gradient g is
-valid at p when Euler's identity f(p) = <g, p> holds; a step that straddles
-a hyperplane breaks it, and a point whose gradient is invalid is in the cell
-of a valid g that fits it. Each split point's cell is decided once, against
-both bracket ends: in exactly one end's cell it takes that end's gradient,
-so the part it shares with the other end keeps its parent's row and theta*
-bit for bit. An invalid one in neither cell, or both, grazes a hyperplane
-and the line is refused, as is a line whose request at an end is invalid.
+Each mode has one request form, picked from oracle.mode by _form: its request,
+cell test same and probe margin. The gradient form (grad, smoothgrad) sends one
+gradients request per round. Exact gradients (oracle.exact: grad, and
+smoothgrad at sigma = 0) are one read-only array per cell, returned by every
+query in it, so the cell test is identity alone: the same object is the same
+cell, and any two cells differ, however small their row. Otherwise the
+difference norm must not exceed GRAD_CHANGE_TOL. At sigma = oracle.sigma > 0,
+tau = max(eps, 8 sigma |D| / hypot(<D, u>, <D, v>)), the hypot being |d/dtheta
+<D, x(theta)>| at theta*. As <D, x(theta)> = hypot sin(theta - theta*), both
+probes sit at least 8 sigma sin tau / tau from the hyperplane, beyond the blur.
+A line is refused when tau reaches pi/2, where the whole half-circle lies
+within the blur and a probe near theta* + pi would lie on the hyperplane again;
+below it that clearance is at least 16 sigma / pi ~ 5.09 sigma. The
+finite-difference form serves membership, whose oracle serves values only: it
+estimates each gradient by finite_differences (d+1 value queries) at p = x /
+|x| (gradients are scale-invariant), a round's k points in one values request.
+By homogeneity g is valid at p when Euler's identity f(p) = <g, p> holds; a
+step that straddles a hyperplane breaks it, and a point whose gradient is
+invalid is in the cell of a valid g that fits it. Each split point's cell is
+decided once, against both bracket ends: in exactly one end's cell it takes
+that end's gradient, so the part it shares with the other end keeps its
+parent's row and theta* bit for bit. An invalid one in neither cell, or both,
+grazes a hyperplane and the line is refused, as is a line with an invalid end.
 """
 
 from __future__ import annotations
@@ -198,18 +199,6 @@ def _fits(g, p, f) -> bool:
     return abs(float(g @ p) - f) <= EULER_TOL * (1.0 + abs(f) + _norm(g))
 
 
-def _same(p, q, exact: bool) -> bool:
-    """The one cell test. Exact gradients are one cell when they are one
-    object. An invalid membership point (t, None, p, f(p)) is in the other's
-    cell when that gradient fits it; else one object, or two within
-    GRAD_CHANGE_TOL, is one cell."""
-    if p[1] is None:
-        p, q = q, p
-    if q[1] is None:
-        return _fits(p[1], q[2], q[3])
-    return p[1] is q[1] or (not exact and _norm(p[1] - q[1]) <= GRAD_CHANGE_TOL)
-
-
 def finite_differences(oracle: Oracle, X, eta: float) -> tuple[list[np.ndarray], np.ndarray]:
     """Forward-difference gradients and the values f at the k rows of X, from one values request.
 
@@ -223,34 +212,60 @@ def finite_differences(oracle: Oracle, X, eta: float) -> tuple[list[np.ndarray],
     return list((f[:, 1:] - f[:, :1]) / eta), f[:, 0]
 
 
+class _GradientForm:
+    """grad and smoothgrad: one gradients request per round, each answer (theta, g)."""
+
+    def __init__(self, oracle: Oracle):
+        self.oracle, self.exact, self.sigma = oracle, oracle.exact, oracle.sigma
+
+    def request(self, thetas, xs):
+        # Not zip: the round loop's zip is a round's one pairing, which
+        # test_order_within_a_round_changes_nothing shuffles.
+        grads = self.oracle.gradients(xs)
+        return [(t, grads[i]) for i, t in enumerate(thetas)]
+
+    def same(self, p, q) -> bool:
+        return p[1] is q[1] or (not self.exact and _norm(p[1] - q[1]) <= GRAD_CHANGE_TOL)
+
+    def margin(self, row, across, along) -> float:
+        blur = self.sigma and BLUR_SIGMAS * self.sigma * _norm(row) / math.hypot(across, along)
+        if blur >= math.pi / 2:
+            raise ExtractionFailure("the blur around a crossing covers the half-circle (tau >= pi/2)")
+        return blur
+
+
+class _FiniteDifferenceForm(_GradientForm):
+    """membership: the gradient form of an inexact, unblurred oracle, its gradients finite differences at p = x / |x|."""
+
+    def request(self, thetas, xs):
+        ps = xs / np.linalg.norm(xs, axis=1, keepdims=True)
+        grads, values = finite_differences(self.oracle, ps, REFINE_ETA)
+        return [(t, g if _fits(g, p, f) else None, p, f) for t, g, p, f in zip(thetas, grads, ps, values.tolist())]
+
+    def same(self, p, q) -> bool:
+        if p[1] is None:  # an Euler-invalid point (t, None, p, f(p)) is in a valid one's cell when it fits
+            p, q = q, p
+        return _fits(p[1], q[2], q[3]) if q[1] is None else super().same(p, q)
+
+
+def _form(oracle: Oracle) -> _GradientForm:
+    return (_FiniteDifferenceForm if oracle.mode == "membership" else _GradientForm)(oracle)
+
+
 def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     """Certified-isolation search for h crossings on the line u + t v, in rounds.
 
     Brackets carry angles theta of the half-circle cos theta u + sin theta v.
-    Each round sends one request for every open bracket. The cell test
-    follows oracle.exact, and the probes widen for its blur oracle.sigma.
-    Each split point's cell is decided once; in one end's cell it takes that
-    end's gradient. Returns the rows g_b - g_a of the h certified brackets
-    and their crossings t*, in crossing order, and the gradients (g(-v),
-    g(+v)) of the line's tail cells; raises ExtractionFailure when refused.
+    Each round sends one request for every open bracket through the oracle's
+    request form (_form), whose cell test and probe margin it reads. Returns
+    the rows g_b - g_a of the h certified brackets and their crossings t*, in
+    crossing order, and the gradients (g(-v), g(+v)) of the line's tail
+    cells; raises ExtractionFailure when refused.
     """
-    uv = np.array([u, v], dtype=float)
-    exact, sigma = oracle.exact, oracle.sigma
-    membership = oracle.mode == "membership"
+    uv, form = np.array([u, v], dtype=float), _form(oracle)
 
-    def request(thetas):
-        # One round at the points x(theta), returned as (theta, g) in grad and
-        # smoothgrad; in membership a finite-difference gradient at p = x /
-        # |x| each, as (theta, g or None, p, f(p)), all from one values request.
-        xs = np.array([(math.cos(t), math.sin(t)) for t in thetas]) @ uv
-        if not membership:
-            # Not zip: the round loop's zip is a round's one pairing, which
-            # test_order_within_a_round_changes_nothing shuffles.
-            grads = oracle.gradients(xs)
-            return [(t, grads[i]) for i, t in enumerate(thetas)]
-        ps = xs / np.linalg.norm(xs, axis=1, keepdims=True)
-        grads, values = finite_differences(oracle, ps, REFINE_ETA)
-        return [(t, g if _fits(g, p, f) else None, p, f) for t, g, p, f in zip(thetas, grads, ps, values.tolist())]
+    def request(thetas):  # one round at the points x(theta) = cos theta u + sin theta v
+        return form.request(thetas, np.array([(math.cos(t), math.sin(t)) for t in thetas]) @ uv)
 
     # Each open bracket is (the angle it requests next, what that request is, a, b,
     # its row D = g_b - g_a with <D, u>, <D, v>, theta* and tau).
@@ -271,12 +286,8 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
             # theta* outside proves two crossings: split before any probe.
             split(a, b, 0.5 * (a[0] + b[0]), out)
             return
-        tau = cfg.epsilon
-        if sigma:
-            blur = BLUR_SIGMAS * sigma * _norm(row) / math.hypot(across, along)
-            if blur >= math.pi / 2:
-                raise ExtractionFailure("the blur around a crossing covers the half-circle (tau >= pi/2)")
-            tau = max(tau, blur)
+        tau = form.margin(row, across, along)  # the probes' clearance of the form's blur, 0 with none
+        tau = tau if tau > cfg.epsilon else cfg.epsilon  # max(epsilon, tau) without a call: ~1% of a grad extraction
         out.append((theta - tau, LOW, a, b, (row, across, along, theta, tau)))
 
     def divide(a, b, m, out):
@@ -284,7 +295,7 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
         if not a[0] < m[0] < b[0] or b[0] - a[0] < cfg.epsilon:  # split refuses a narrow bracket
             split(a, b, 0.5 * (a[0] + b[0]), out)
             return
-        in_a, in_b = _same(a, m, exact), _same(m, b, exact)
+        in_a, in_b = form.same(a, m), form.same(m, b)
         if in_a != in_b:
             # In one end's cell it takes that end's gradient, valid or not.
             m = (m[0], (a if in_a else b)[1], *m[2:])
@@ -301,15 +312,15 @@ def _search_line(oracle: Oracle, u, v, cfg: ExtractionConfig):
     if lo[1] is None or hi[1] is None:
         raise ExtractionFailure("no Euler-valid gradient at an end of the line")
     certified, brackets = [], []
-    if not _same(lo, hi, exact):
+    if not form.same(lo, hi):
         bracket(lo, hi, brackets)
     while brackets:
         opened, points = [], request([entry[0] for entry in brackets])  # opened: those open after this round
         for i, ((_, kind, a, b, probe), m) in enumerate(zip(brackets, points)):
-            if kind == LOW and _same(a, m, exact):
+            if kind == LOW and form.same(a, m):
                 theta, tau = probe[3:]
                 opened.append((theta + tau, HIGH, a, b, probe))
-            elif kind == HIGH and _same(m, b, exact):
+            elif kind == HIGH and form.same(m, b):
                 row, across, along, theta, _ = probe
                 # A row parallel to v crosses at an end: report tan(+-pi/2).
                 certified.append((a[0], row, -across / along if along else math.tan(theta)))

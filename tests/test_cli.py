@@ -337,6 +337,16 @@ class TestExtractVerify:
         assert not rec.exists()
         assert f"sigma must lie in [0, inf), got {float(sigma)!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["grad", "membership"])
+    def test_sigma_outside_smoothgrad_exits_one(self, tmp_path, model_file, mode, capsys):
+        # Only smoothgrad blurs: elsewhere a positive --sigma would be ignored.
+        rec = tmp_path / "rec.json"
+        args = ("extract", "--model", str(model_file), "--mode", mode, "--seed", "0", "--out", str(rec))
+        assert run(*args, "--sigma", "0.3") == 1
+        assert not rec.exists()
+        assert f"--sigma 0.3 applies to --mode smoothgrad alone, not --mode {mode}" in capsys.readouterr().err
+        assert run(*args, "--sigma", "0") == 0
+
     def test_extract_outputs_are_byte_deterministic(self, tmp_path, model_file):
         rec_a, rep_a = tmp_path / "a.json", tmp_path / "arep.json"
         rec_b, rep_b = tmp_path / "b.json", tmp_path / "brep.json"

@@ -701,16 +701,16 @@ class TestSharedBracketSearch:
                 result = (f"{type(err).__name__}: {err}", err.report.crossings, err.report.retries)
             return result, oracle.ledger.gradient_queries, oracle.ledger.value_queries
 
-        same = extraction._same
+        same = extraction._GradientForm.same
 
-        def by_norm(p, q, exact):
-            return same(p, q, False)
+        def by_norm(form, p, q):
+            return same(SimpleNamespace(exact=False), p, q)
 
         for d, h, assumed_h in [(16, 16, 16), (128, 8, 8), (20, 8, 9)]:
             for trial in range(40):
                 identity = outcome(d, h, assumed_h, trial)
                 with monkeypatch.context() as patch:
-                    patch.setattr(extraction, "_same", by_norm)
+                    patch.setattr(extraction._GradientForm, "same", by_norm)
                     assert outcome(d, h, assumed_h, trial) == identity, f"(d, h, trial) = ({d}, {h}, {trial})"
 
     def test_cell_test_follows_the_oracle(self):

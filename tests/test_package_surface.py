@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,29 @@ def test_oracle_serves_values_and_gradients_alone():
     assert not hasattr(gradleak.oracle, "DEFAULT_FD_ETA")
     assert not hasattr(gradleak, "finite_differences")
     assert gradleak.FiniteDiffConfig is gradleak.validation.FiniteDiffConfig
+
+
+def _code_names(func):
+    """Every identifier in the function's code: names, attributes, parameters and definitions, not its docstring."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func))).body[0]
+    body = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name
+            else:
+                yield from (getattr(node, field, None) for field in ("id", "attr", "arg"))
+
+
+def test_search_line_holds_no_mode():
+    # Each request form (extraction._GradientForm, _FiniteDifferenceForm) owns
+    # its request, cell test and probe margin, and _form picks one from the
+    # oracle's mode. The search loop reads the form alone, so a new form adds
+    # a class, not a branch in the loop.
+    names = set(_code_names(gradleak.extraction._search_line)) - {None}
+    assert {"cfg", "uv", "split", "bracket", "divide"} <= names
+    forbidden = {"mode", "exact", "sigma", "finite_differences", "_fits", "GRAD_CHANGE_TOL", "BLUR_SIGMAS", "REFINE_ETA"}
+    assert names & forbidden == set()
 
 
 def _argument_type_checks(path):
