@@ -78,7 +78,7 @@ def build_parser() -> _Parser:
     ext.add_argument("--seed", type=int, default=0)
     ext.add_argument("--max-retries", type=int, default=5)
     ext.add_argument("--sigma", type=float, default=0.0)
-    ext.add_argument("--n-samples", type=int, default=10)
+    ext.add_argument("--n-samples", type=int, default=None, help="samples per smoothed gradient, at --sigma > 0 only")
     ext.add_argument("--out", required=True, help="recovered model file")
     ext.add_argument("--report", default=None, help="report JSON file")
     ext.set_defaults(func=cmd_extract)
@@ -136,10 +136,13 @@ def cmd_extract(args) -> int:
         seed=args.seed,
         max_retries=args.max_retries,
     )
-    sg = SmoothGradConfig(sigma=args.sigma, n_samples=args.n_samples, seed=args.seed)
+    blur = {} if args.n_samples is None else {"n_samples": args.n_samples}
+    sg = SmoothGradConfig(sigma=args.sigma, seed=args.seed, **blur)
+    # The oracle would ignore either, and the run would look blurred when it was not.
     if sg.sigma and args.mode != "smoothgrad":
-        # The oracle would ignore it, and the run would look blurred when it was not.
         raise _UsageError(f"--sigma {args.sigma!r} applies to --mode smoothgrad alone, not --mode {args.mode}")
+    if blur and not sg.sigma:
+        raise _UsageError(f"--n-samples {args.n_samples} applies to --mode smoothgrad with --sigma > 0 alone")
     oracle = Oracle(net, mode=args.mode, sg=sg)
     try:
         report = learn_model(oracle, cfg)

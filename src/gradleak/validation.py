@@ -7,32 +7,40 @@ anti-concentration of crossing gaps, the Cauchy tail of a single crossing, the
 chi-squared difference bound behind it, and the product-of-Gaussians identity.
 
 An mc_* check of n samples runs B = ceil(n / _BLOCK) blocks. Block j draws its
-(rows, m) numbers, m = min(_BLOCK, n - j _BLOCK), in one out= fill from its
-own generator, default_rng(SeedSequence(seed).spawn(B)[j]), and returns a
-count or sums that are added in block order. Every report is therefore a fixed
-function of the check's arguments and seed, and no array of n numbers is held.
+(rows, m) numbers, m = min(_BLOCK, n - j _BLOCK), row by row from its own
+generator, default_rng(SeedSequence(seed).spawn(B)[j]), and returns a count or
+sums that are added in block order. Every report is therefore a fixed function
+of the check's arguments and seed, and no array of n numbers is held.
 
 The blocks run on W = min(CPUs this process may use, B) workers, which claim
 them one at a time, in block order, from one shared list (a deque, whose pops
 are documented thread-safe); a worker the host slows down runs fewer blocks.
-Each worker draws into one buffer the calling thread allocated for it, and
-the results are kept by block index. The calling thread is worker 0 and the
-others run on a ThreadPoolExecutor; numpy releases the interpreter lock while
-it draws and while its ufuncs loop, which is where the time goes. A buffer
-allocated in a worker thread comes from that thread's malloc arena: such
-buffers raised perfbench lemmas' peak RSS from 44.5 to 47.9-49.4 MB (two 10 s
-runs, 2-vCPU Xeon VM). mc_gaussian_product puts one more task at the head of
-the list: it draws the CDF distance's reference sample from child B, spawned
-with the blocks', into a buffer the calling thread allocated, and sorts it,
-so that only the distance itself runs alone once the blocks are done. An
-exception in a task stops its worker's claims and reaches the caller once
-every worker has stopped.
+Each worker draws into one buffer the calling thread allocated for it, of
+rows x _BLOCK numbers: 4 rows for the gap check, which draws its second pair
+of rows only once the first pair has been combined, and 2 for the others. The
+results are kept by block index. The calling thread is worker 0 and the others
+are plain threads; numpy releases the interpreter lock while it draws and
+while its ufuncs loop, which is where the time goes. A buffer allocated in a
+worker thread comes from that thread's malloc arena: such buffers raised
+perfbench lemmas' peak RSS from 44.5 to 47.9-49.4 MB (two 10 s runs, 2-vCPU
+Xeon VM). A ThreadPoolExecutor in place of the plain threads imports
+concurrent.futures and logging, 640 KiB of peak RSS in an interpreter that
+has imported numpy. mc_gaussian_product puts one more task at the head of the
+list: it draws the CDF distance's reference sample from child B, spawned with
+the blocks', into one row of 1e5 numbers the calling thread allocated, Q
+first and then R in chunks subtracted as they are drawn, and sorts it, so
+that only the distance itself runs alone once the blocks are done. At 1e6
+samples and W = 2, tracemalloc peaks at 4.08 MiB for the gap check (5.08 with
+a fifth, scratch row) and 4.68 MiB for the product check (5.44 holding a
+(2, 1e5) reference draw). An exception in a task stops its worker's claims
+and reaches the caller once every worker has stopped.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
 from dataclasses import asdict, dataclass
 
@@ -233,22 +241,23 @@ def _run_blocks(samples: int, root: np.random.SeedSequence, rows: int, block, fi
     buffer, m the block's samples. first, if given, is called as first(rng)
     on child B, spawned with the blocks', as the task at the head of the list.
     The tasks are claimed from one list in order, each by the next worker that
-    is free; the calling thread is worker 0 and workers 1 to W - 1 run on a
-    ThreadPoolExecutor. An exception raised in a task ends its worker's
-    claims, while the others go on until no task is left; once every worker
-    has stopped, worker 0's exception is raised here, or else the first pool
-    worker's in pool order.
+    is free; the calling thread is worker 0 and workers 1 to W - 1 are plain
+    threads. An exception raised in a task ends its worker's claims, while the
+    others go on until no task is left; once every worker has stopped, worker
+    0's exception is raised here, or else the first other worker's in worker
+    order.
     """
-    from concurrent.futures import ThreadPoolExecutor  # imported here, as it loads logging: import gradleak does not
-
     blocks, workers = _layout(samples)
     children = root.spawn(blocks + (first is not None))
     # The head task (child B, if any), the blocks, then one None per worker,
     # which stops it. deque pops are documented thread-safe.
     tasks = deque([*range(blocks, len(children)), *range(blocks), *[None] * workers])
     results = [None] * blocks
+    errors = [None] * workers
+    buffers = [np.empty(rows * min(samples, _BLOCK)) for _ in range(workers)]
 
-    def work(buf):
+    def work(i):
+        buf = buffers[i]
         for j in iter(tasks.popleft, None):
             rng = np.random.default_rng(children[j])
             if j == blocks:
@@ -257,12 +266,23 @@ def _run_blocks(samples: int, root: np.random.SeedSequence, rows: int, block, fi
                 m = min(_BLOCK, samples - j * _BLOCK)
                 results[j] = block(rng, buf[: rows * m].reshape(rows, m), j)
 
-    buffers = [np.empty(rows * min(samples, _BLOCK)) for _ in range(workers)]
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(work, buf) for buf in buffers[1:]]
-        work(buffers[0])
-    for future in futures:
-        future.result()
+    def guarded(i):
+        try:
+            work(i)
+        except BaseException as err:  # raised on the calling thread once all have stopped
+            errors[i] = err
+
+    threads = [threading.Thread(target=guarded, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
     return results
 
 
@@ -292,21 +312,25 @@ def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McRepo
     def block(rng, draws, j):
         # Only the projections onto span(a, b) matter; work in the plane with
         # a = e1, b = (1-c, sqrt(1-(1-c)^2)); |t1 - t2| = |au/av - bu/bv| for t = -u/v.
-        au, bu, av, bv, scratch = draws
-        rng.standard_normal(out=draws[:4])
+        # au and bu are drawn and bu formed, with row 2 as scratch, before av
+        # and bv are drawn into rows 2 and 3: the stream order of one draw of
+        # all four.
+        au, bu, av, bv = draws
+        rng.standard_normal(out=draws[:2])
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(au, 1.0 - c, out=scratch)
+            np.multiply(au, 1.0 - c, out=av)
             bu *= b2
-            bu += scratch
-            np.multiply(av, 1.0 - c, out=scratch)
-            bv *= b2
-            bv += scratch
+            bu += av
+            rng.standard_normal(out=draws[2:])
             np.divide(au, av, out=au)
+            av *= 1.0 - c
+            bv *= b2
+            bv += av
             np.divide(bu, bv, out=bu)
             np.subtract(au, bu, out=au)
             return np.count_nonzero(np.abs(au, out=au) <= epsilon)
 
-    hits = sum(_run_blocks(samples, np.random.SeedSequence(_seed(seed)), 5, block))
+    hits = sum(_run_blocks(samples, np.random.SeedSequence(_seed(seed)), 4, block))
     bound = 3.0 ** (4.0 / 3.0) * (epsilon / c) ** (2.0 / 3.0)
     return _make_report(samples, hits, bound)
 
@@ -385,6 +409,8 @@ _PRODUCT_MOMENTS = (0.0, 1.0, 0.0, 9.0)
 # Variances of the corresponding powers, for the moment tolerances.
 _PRODUCT_MOMENT_VARS = (1.0, 8.0, 225.0, 10944.0)
 _KS_SAMPLE_CAP = 100_000
+# Numbers per chunk of mc_gaussian_product's R draw (64 KiB of float64).
+_REF_CHUNK = 8192
 _KS_BOUND = 0.01
 # Family-wise false-alarm rate of mc_gaussian_product's five checks (four
 # moments, one CDF distance) on a correct sampler. By Bonferroni each check
@@ -423,19 +449,25 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
         s1, s2 = np.sum(p), np.sum(p2)
         return s1, s2, np.sum(np.multiply(p2, p, out=p)), np.sum(np.multiply(p2, p2, out=p2))
 
-    ref = np.empty((2, n_ks))
+    ref = np.empty(n_ks)
 
     def draw_ref(rng):
+        # Q, then R in chunks, each subtracted as it is drawn: the stream
+        # order of one (2, n_ks) draw, with one row held.
+        chunk = np.empty(min(n_ks, _REF_CHUNK))
         rng.standard_normal(out=ref)
         np.multiply(ref, ref, out=ref)
-        q, r = ref
-        q -= r
-        q *= 0.5  # (Q - R)/2, in the first row of the draw
-        q.sort()
+        for start in range(0, n_ks, chunk.size):
+            r = chunk[: n_ks - start]
+            rng.standard_normal(out=r)
+            np.multiply(r, r, out=r)
+            ref[start : start + r.size] -= r
+        np.multiply(ref, 0.5, out=ref)  # (Q - R)/2
+        ref.sort()
 
     root = np.random.SeedSequence(_seed(seed))
     sums = [sum(column) for column in zip(*_run_blocks(samples, root, 2, block, draw_ref))]
-    distance, passed = _product_checks(sums, samples, head, ref[0])
+    distance, passed = _product_checks(sums, samples, head, ref)
     return McReport(samples=samples, empirical_prob=distance, bound=_KS_BOUND, exact=None, vacuous=False, passed=passed)
 
 

@@ -347,6 +347,25 @@ class TestExtractVerify:
         assert f"--sigma 0.3 applies to --mode smoothgrad alone, not --mode {mode}" in capsys.readouterr().err
         assert run(*args, "--sigma", "0") == 0
 
+    @pytest.mark.parametrize("mode", ["grad", "membership", "smoothgrad"])
+    def test_n_samples_without_blur_exits_one(self, tmp_path, model_file, mode, capsys):
+        # Only blurred smoothgrad draws samples: elsewhere --n-samples would be ignored.
+        rec = tmp_path / "rec.json"
+        args = ("extract", "--model", str(model_file), "--mode", mode, "--sigma", "0", "--seed", "0", "--out", str(rec))
+        assert run(*args, "--n-samples", "3") == 1
+        assert not rec.exists()
+        assert "--n-samples 3 applies to --mode smoothgrad with --sigma > 0 alone" in capsys.readouterr().err
+        assert run(*args) == 0
+
+    def test_n_samples_with_blur_is_accepted(self, tmp_path, model_file):
+        rec = tmp_path / "rec.json"
+        args = ("extract", "--model", str(model_file), "--mode", "smoothgrad", "--n-samples", "3", "--seed", "0", "--out", str(rec))
+        assert run(*args, "--sigma", "0.01") == 0
+        assert run("verify", "--model", str(model_file), "--recovered", str(rec)) == 0
+        # At sigma 0.1 the blur covers the half-circle on every line of this
+        # net: the search refuses it (exit 2), which is no usage error.
+        assert run(*args, "--sigma", "0.1") == 2
+
     def test_extract_outputs_are_byte_deterministic(self, tmp_path, model_file):
         rec_a, rep_a = tmp_path / "a.json", tmp_path / "arep.json"
         rec_b, rep_b = tmp_path / "b.json", tmp_path / "brep.json"

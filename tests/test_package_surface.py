@@ -264,10 +264,24 @@ def test_inline_range_checks_are_found(tmp_path):
 
 
 def test_import_loads_no_executor_or_logging():
-    # The lemma checks import concurrent.futures when they run: it loads
-    # logging, which would cost every import of the package. pytest has
-    # loaded logging already, so the import is made in a fresh interpreter.
-    code = "import sys, gradleak; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    # concurrent.futures loads logging, which would cost every import of the
+    # package and every lemma run: the checks run their workers on plain
+    # threads. pytest has loaded logging already, so the import and the
+    # checks, at two blocks on two workers, run in a fresh interpreter.
+    code = textwrap.dedent(
+        """
+        import sys, gradleak
+        from gradleak import validation
+        validation._cpu_count = lambda: 2
+        samples = validation._BLOCK + 1
+        assert validation._layout(samples) == (2, 2)
+        gradleak.mc_crossing_gap(0.5, 1e-3, samples, seed=0)
+        gradleak.mc_cauchy_tail(10.0, samples, seed=0)
+        gradleak.mc_chi2_diff(0.1, samples, seed=0)
+        gradleak.mc_gaussian_product(samples, seed=0)
+        print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))
+        """
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"

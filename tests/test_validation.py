@@ -875,14 +875,14 @@ class TestWorkers:
 
 class TestTracedPeaks:
     # At 1e6 samples a check holds one buffer of rows x 2**16 float64 per
-    # worker (rows 5, 2, 2 and 2: 2.5, 1, 1 and 1 MiB), plus what its
+    # worker (rows 4, 2, 2 and 2: 2, 1, 1 and 1 MiB), plus what its
     # arithmetic needs once the blocks are done: the product check's
     # reference draw and distance on 1e5 samples a side take up to 7 MiB.
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
         "check, rows, rest_mib",
         [
-            (lambda: mc_crossing_gap(0.5, 1e-3, 1_000_000, seed=1), 5, 1),
+            (lambda: mc_crossing_gap(0.5, 1e-3, 1_000_000, seed=1), 4, 1),
             (lambda: mc_cauchy_tail(10.0, 1_000_000, seed=1), 2, 1),
             (lambda: mc_chi2_diff(0.1, 1_000_000, seed=1), 2, 1),
             (lambda: mc_gaussian_product(1_000_000, seed=1), 2, 7),
@@ -898,6 +898,20 @@ class TestTracedPeaks:
         finally:
             tracemalloc.stop()
         assert peak <= (rest_mib << 20) + cpus * rows * BLOCK * 8
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_gap_holds_four_rows_per_worker(self, monkeypatch, cpus):
+        # au, bu, av and bv, with no scratch row: what else the check holds
+        # (a 64 KiB comparison per worker, the streams) stays under 256 KiB.
+        _set_workers(monkeypatch, cpus)
+        workers = validation._layout(1_000_000)[1]
+        tracemalloc.start()
+        try:
+            mc_crossing_gap(0.5, 1e-3, 1_000_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= workers * 4 * BLOCK * 8 + (256 << 10)
 
 
 class TestFdExactness:
