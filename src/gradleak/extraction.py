@@ -191,7 +191,10 @@ class ExtractionReport:
 
 
 def _norm(x: np.ndarray) -> float:
-    return math.sqrt(float(x @ x))
+    """|x| as sqrt(x @ x), or by math.hypot, which scales its sum, where x @ x overflows (|x| >~ 1e154)."""
+    with np.errstate(over="ignore"):
+        sq = float(x @ x)
+    return math.sqrt(sq) if sq < math.inf else math.hypot(*x.tolist())
 
 
 def _fits(g, p, f) -> bool:
@@ -370,13 +373,25 @@ def _end_signs(z, v, ends) -> np.ndarray:
     both ends, Z^T 1[sigma > 0] = g+ and Z^T 1[sigma < 0] = -g-, the
     recovered model's gradients at +v and -v. With up = Zv > 0, the sign of
     w_i, s_top = up [sigma = up] and s_bottom = up [sigma != up].
+
+    Z Z^T squares the weights, so it underflows or overflows once they are
+    uniformly below ~1e-150 or above ~1e150. When its trace leaves [2^-900,
+    2^900], Z and both ends are first scaled by 2^-e, e the binary exponent
+    of max |Z_ij| (np.frexp), which brings that entry into [1/2, 1). A power
+    of two scales exactly, so sigma is the one the unscaled system would give
+    if it could be formed, and the residual is checked at the scaled size.
     """
     zm, g = np.asarray(z, dtype=float), np.array(ends, dtype=float)
     if not (np.isfinite(zm).all() and np.isfinite(g).all()):
         raise SignRecoveryError("sign system has a non-finite entry")
-    g_lo, g_hi = g
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check below
         gram = zm @ zm.T
+        # The trace, summed in Python floats: a third of gram.trace()'s cost.
+        if not 2.0**-900 <= sum(gram.diagonal().tolist()) <= 2.0**900:
+            e = np.frexp(np.max(np.abs(zm)))[1]
+            zm, g = np.ldexp(zm, -e), np.ldexp(g, -e)  # not times ldexp(1, -e), which overflows for a subnormal max
+            gram = zm @ zm.T
+        g_lo, g_hi = g
         try:
             np.linalg.cholesky(gram)
             sigma = np.linalg.solve(gram, zm @ (g_hi + g_lo))

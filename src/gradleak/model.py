@@ -181,15 +181,17 @@ class RecoveredModel:
 
 def eval_target(net: TwoLayerNet, x) -> float:
     """f(x) = sum_i w_i * max(<A_i, x>, 0)."""
-    v = _as_vector(x, net.d)
-    return float(np.maximum(net.A @ v, 0.0) @ net.w)
+    return float(eval_target_batch(net, _as_vector(x, net.d)[None])[0])
+
+
+def _cell_gradient(net: TwoLayerNet, pattern) -> np.ndarray:
+    """sum_i pattern_i w_i A_i: the gradient of a cell for a 0/1 activation pattern, or of a blur for a mean one."""
+    return (net.w * pattern) @ net.A
 
 
 def grad_target(net: TwoLayerNet, x) -> np.ndarray:
     """Gradient sum_i 1{<A_i,x> >= 0} w_i A_i; the indicator is closed at 0."""
-    v = _as_vector(x, net.d)
-    active = (net.A @ v) >= 0.0
-    return (net.w * active) @ net.A
+    return _cell_gradient(net, net.A @ _as_vector(x, net.d) >= 0.0)
 
 
 def cell_mask(net: TwoLayerNet, x) -> np.ndarray:

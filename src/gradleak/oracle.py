@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TwoLayerNet, _as_points, _count, _number, _seed, eval_target_batch
+from .model import TwoLayerNet, _as_points, _cell_gradient, _count, _freeze, _number, _seed, eval_target_batch
 
 ORACLE_MODES = ("grad", "smoothgrad", "membership")
 
@@ -100,31 +100,26 @@ class Oracle:
         perturbations of its point, one (n_samples, d) block per row from this
         oracle's generator, as one gradient query: the threat model meters API
         calls, not the server's work behind one explanation. Its mean
-        activation pattern, times w, makes one product with A. A membership
-        oracle refuses before it meters anything.
+        activation pattern takes the product an exact pattern takes,
+        model._cell_gradient. A membership oracle refuses before it meters anything.
         """
         if self.mode == "membership":
             raise ValueError("a membership oracle serves values only")
         pts = _as_points(X, self.d)
         net = self.net
+        out = []
         if self.exact:
-            out = []
-            # One product gives every pattern; a miss builds the gradient
-            # exactly as grad_target does.
-            for active in pts @ net.A.T >= 0.0:
+            for active in pts @ net.A.T >= 0.0:  # one product gives every pattern
                 key = active.tobytes()
                 grad = self._cell_grads.get(key)
                 if grad is None:
-                    grad = (net.w * active) @ net.A
-                    grad.setflags(write=False)
-                    self._cell_grads[key] = grad
+                    grad = self._cell_grads[key] = _freeze(_cell_gradient(net, active))
                 out.append(grad)
         else:
-            out = []
             for p in pts:
                 draws = self._sg_rng.normal(0.0, self.sigma, size=(self.sg.n_samples, self.d))
                 draws += p
-                out.append((net.w * np.mean(draws @ net.A.T >= 0.0, axis=0)) @ net.A)
+                out.append(_cell_gradient(net, np.mean(draws @ net.A.T >= 0.0, axis=0)))
                 del draws  # the next row's block replaces this one rather than joining it
         self.ledger.add_gradients(len(pts))
         return out

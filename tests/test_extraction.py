@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -847,6 +848,20 @@ class TestEndSigns:
                 atol=1e-12,
             )
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+    def test_any_weight_scale_verifies(self, scale):
+        # Z Z^T squares the weights: at these scales it underflowed or
+        # overflowed, and every net was refused in the sign phase ("not
+        # positive definite", or "entry 0 = nan"). The sign step now scales Z
+        # and the ends by a power of two first. Verified at the unscaled
+        # weights: at 1e-300 any model would pass the relative test of f.
+        for seed in range(10):
+            net = generate_random_net(12, 5, seed=seed)
+            report = learn_model(Oracle(TwoLayerNet(net.A, net.w * scale)), ExtractionConfig(5, seed=seed))
+            assert report.retries == 0, f"net {seed}"
+            unscaled = RecoveredModel(Z=report.model.Z / scale, s=report.model.s)
+            assert functional_equivalence(net, unscaled, 1000, 1e-7, seed=seed).passed, f"net {seed}"
+
     def test_gradient_modes_spend_no_value_query_and_membership_d_plus_one(self, monkeypatch):
         # One query phase: grad and smoothgrad spend gradient queries only,
         # and membership spends d+1 values per search request and nothing
@@ -1191,6 +1206,34 @@ class TestLearnModel:
             assert eq.passed, f"trial {trial}: verify error {eq.max_rel_error:.3e}"
             outcomes.add("verified")
         assert outcomes == expected
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("mode", ["membership", "smoothgrad"])
+    def test_huge_weights_are_verified_or_refused_without_a_warning(self, mode, scale):
+        # |g|^2 overflowed in extraction._norm, through the Euler check in
+        # membership and the cell test and probe margin in smoothgrad, and
+        # its RuntimeWarning left the attack path as an exception that is no
+        # GradleakError. Every run now ends verified or refused.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(10):
+                net = generate_random_net(12, 5, seed=seed)
+                oracle = Oracle(TwoLayerNet(net.A, net.w * scale), mode, SmoothGradConfig(sigma=1e-9, seed=seed))
+                try:
+                    report = learn_model(oracle, ExtractionConfig(5, seed=seed))
+                except GradleakError:
+                    continue
+                unscaled = RecoveredModel(Z=report.model.Z / scale, s=report.model.s)
+                assert functional_equivalence(net, unscaled, 1000, 1e-7, seed=seed).passed, f"net {seed}"
+
+    def test_norm_keeps_its_bytes_where_the_square_is_finite(self):
+        x = np.random.default_rng(0).standard_normal(12)
+        for scale in (1e-160, 1.0, 1e150):
+            assert extraction._norm(x * scale) == math.sqrt(float((x * scale) @ (x * scale)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e160, 1e300):
+                assert extraction._norm(x * scale) == pytest.approx(scale * extraction._norm(x), rel=1e-15)
 
     def test_first_attempt_failure_rate_within_budget(self):
         # With the true collinearity gap supplied, single attempts (no

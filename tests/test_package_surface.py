@@ -285,3 +285,21 @@ def test_import_loads_no_executor_or_logging():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def _cell_products(path):
+    """Each `... @ <x>.A` in the file: a matmul whose right operand is an attribute named A, as 'file:line'."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) and getattr(node.right, "attr", None) == "A":
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_one_owner_of_the_cell_gradient_product():
+    # sum_i pattern_i w_i A_i is built by model._cell_gradient alone, for
+    # grad_target, the oracle's exact cells and smoothgrad's mean pattern:
+    # a change to how it sums (its kernel, or batching new cells) edits one
+    # function. Products with A^T (patterns, values) are not this product.
+    found = [site for path in sorted(SRC.glob("*.py")) for site in _cell_products(path)]
+    lines, first = inspect.getsourcelines(gradleak.model._cell_gradient)
+    assert len(found) == 1 and found[0].startswith("model.py:"), found
+    assert first <= int(found[0].split(":")[1]) < first + len(lines)
