@@ -88,8 +88,9 @@ BLUR_SIGMAS = 8.0
 # Rounded sign entries must be within this of the solved values.
 SIGN_ROUND_TOL = 0.1
 # A rounded sign vector s is rejected unless ||Ms - b||_inf <= SOLVE_RESIDUAL_TOL
-# * max(1, max_j ||x_j||) * (1 + ||b||_inf) for the points x_j of its system
-# (the unit +-v / |v| for the end gradients: a gradient does not grow with its point).
+# * max(1, max|Z| max_j ||x_j||) * (1 + ||b||_inf) for the points x_j of its system:
+# relative at every weight scale. The end solve's x_j are the unit +-v / |v| (a gradient
+# does not grow with its point), and it scales Z and b by 2^-e first, so max|Z| < 1.
 SOLVE_RESIDUAL_TOL = 1e-8
 
 
@@ -374,24 +375,22 @@ def _end_signs(z, v, ends) -> np.ndarray:
     recovered model's gradients at +v and -v. With up = Zv > 0, the sign of
     w_i, s_top = up [sigma = up] and s_bottom = up [sigma != up].
 
-    Z Z^T squares the weights, so it underflows or overflows once they are
-    uniformly below ~1e-150 or above ~1e150. When its trace leaves [2^-900,
-    2^900], Z and both ends are first scaled by 2^-e, e the binary exponent
-    of max |Z_ij| (np.frexp), which brings that entry into [1/2, 1). A power
-    of two scales exactly, so sigma is the one the unscaled system would give
-    if it could be formed, and the residual is checked at the scaled size.
+    Z Z^T squares the weights, so it would underflow or overflow once they
+    are uniformly below ~1e-150 or above ~1e150. Z and both ends are always
+    scaled by 2^-e first, e the binary exponent of max |Z_ij| (math.frexp),
+    which brings that entry into [1/2, 1). A power of two scales exactly, so
+    sigma and s are those of the unscaled system, and the residual is judged
+    at the scaled size: relative to max |Z| at every weight scale.
     """
     zm, g = np.asarray(z, dtype=float), np.array(ends, dtype=float)
-    if not (np.isfinite(zm).all() and np.isfinite(g).all()):
+    zmax, gmax = np.abs(zm).max(), np.abs(g).max()  # NaN or inf when an entry is
+    if not (math.isfinite(zmax) and math.isfinite(gmax)):
         raise SignRecoveryError("sign system has a non-finite entry")
+    e = math.frexp(zmax)[1]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check below
+        # Not times ldexp(1, -e), which overflows for a subnormal max.
+        zm, (g_lo, g_hi), gmax = np.ldexp(zm, -e), np.ldexp(g, -e), np.ldexp(gmax, -e)
         gram = zm @ zm.T
-        # The trace, summed in Python floats: a third of gram.trace()'s cost.
-        if not 2.0**-900 <= sum(gram.diagonal().tolist()) <= 2.0**900:
-            e = np.frexp(np.max(np.abs(zm)))[1]
-            zm, g = np.ldexp(zm, -e), np.ldexp(g, -e)  # not times ldexp(1, -e), which overflows for a subnormal max
-            gram = zm @ zm.T
-        g_lo, g_hi = g
         try:
             np.linalg.cholesky(gram)
             sigma = np.linalg.solve(gram, zm @ (g_hi + g_lo))
@@ -403,7 +402,7 @@ def _end_signs(z, v, ends) -> np.ndarray:
             raise SignRecoveryError(f"sign solution entry {i} = {sigma[i]:.6g} is not near +-1")
         pos, up = sigma > 0, zm @ v > 0
         residual = np.max(np.abs(np.array([pos, ~pos], dtype=float) @ zm - [g_hi, -g_lo]))
-    if not residual <= SOLVE_RESIDUAL_TOL * (1.0 + np.max(np.abs(g))):
+    if not residual <= SOLVE_RESIDUAL_TOL * (1.0 + gmax):
         raise SignRecoveryError(f"rounded sign vector leaves residual {residual:.3e}")
     unit, top = np.where(up, 1, -1), pos == up
     return np.concatenate([unit * top, unit * ~top])

@@ -112,8 +112,8 @@ def _signs(solved, m, b, scale) -> np.ndarray:
     """Round the solution of M s = b into {-1,0,1}^(2h) and certify it.
 
     A failed check (rounding, alphabet, residual scaled by scale = max(1,
-    max_j ||x_j||) over the points x_j of the system, one nonzero per row
-    pair) means the recovered normals were wrong.
+    max|Z| max_j ||x_j||) over the points x_j of the system, one nonzero per
+    row pair) means the recovered normals were wrong.
     """
     rounded = np.rint(solved)
     with np.errstate(invalid="ignore"):  # NaN and inf entries fail the rounding test
@@ -125,7 +125,7 @@ def _signs(solved, m, b, scale) -> np.ndarray:
             raise SignRecoveryError(f"sign solution entry {i} = {solved[i]:.6g} is not near an integer")
         raise SignRecoveryError(f"sign solution entry {i} = {solved[i]:.6g} rounds outside {{-1,0,1}}")
     s = rounded.astype(int)
-    # A row error dZ moves b_j by up to h |dZ| |x_j|: the bound scales with the points.
+    # A row error dZ moves b_j by up to h |dZ| |x_j|: relative to |Z|, the bound scales with |Z| |x_j|.
     residual = np.max(np.abs(m @ s - b))
     if residual > SOLVE_RESIDUAL_TOL * scale * (1.0 + np.max(np.abs(b))):
         raise SignRecoveryError(f"rounded sign vector leaves residual {residual:.3e}")
@@ -139,13 +139,11 @@ def recover_s(oracle: Oracle, z, rng: np.random.Generator) -> np.ndarray:
 
     f at the points X of sign_query_points (GeometryError when Z is rank deficient or
     not finite) and at -X, one values request of 2h rows, gives the block sign system
-    of ZX, which _solve and _signs solve and certify.
+    of ZX, which _solve and _signs solve and certify. Their residual scale is the
+    dimensionless max(1, max|Z| max_j ||x_j||): it neither grows as 1/|w| nor overflows.
     """
     x, _ = sign_query_points(z, rng)
     zm = as_matrix(z, "Z")
     b = oracle.values(np.vstack([x.T, -x.T]))
     m = block_sign_matrix(zm @ x)
-    solved = _solve(m, b)
-    with np.errstate(over="ignore"):  # points too long to square give an infinite scale
-        scale = max(1.0, np.max(np.linalg.norm(x, axis=0)))
-    return _signs(solved, m, b, scale)
+    return _signs(_solve(m, b), m, b, max(1.0, np.max(np.linalg.norm(np.abs(zm).max() * x, axis=0))))

@@ -764,8 +764,8 @@ def _digest_instance(d, h, trial):
 
 
 def _nudge_plus_end(z, ends):
-    """g(+v) moved by 1e-6 |g(+v)| along the first axis."""
-    ends[1][0] += 1e-6 * np.linalg.norm(ends[1])
+    """g(+v) moved by 1e-6 |g(+v)| along the first axis (math.hypot: |g| neither overflows nor underflows)."""
+    ends[1][0] += 1e-6 * math.hypot(*ends[1])
     return z, ends
 
 
@@ -801,13 +801,16 @@ class TestEndSigns:
             s = recover_s(Oracle(net, mode=mode, sg=sg), report.model.Z, rng=np.random.default_rng(sign_seed))
             assert s.tolist() == report.model.s.tolist(), f"{mode} ({d}, {h}) trial {trial}"
 
+    @pytest.mark.parametrize("scale", [1e-305, 1e-300, 1e-160, 1e-20, 1e-8, 1e-4, 1.0, 1e8, 1e160, 1e300])
     @pytest.mark.parametrize("corrupt", [_nudge_plus_end, _scale_a_row], ids=["end-off-by-1e-6", "row-times-1.01"])
-    def test_corrupted_rows_or_ends_are_refused_by_the_residual(self, monkeypatch, corrupt):
+    def test_corrupted_rows_or_ends_are_refused_by_the_residual(self, monkeypatch, corrupt, scale):
         # Both corruptions still round to a valid pattern; only the residual
         # check can refuse them. The failure is the sign phase's, on the first
-        # line, with all h crossings found.
-        from gradleak.errors import SignRecoveryError
-
+        # line, with all h crossings found. The residual is judged after the
+        # power-of-two scaling, so its bound is relative to max |Z| at every
+        # weight scale. An absolute 1e-8 (1 + max|g|) passed both corruptions
+        # on all 10 nets at 1e-8 and 1e-20, where the end gradients are far
+        # below 1, and the nudged end at 1e-4 as well.
         search = extraction._search_line
 
         def corrupted(*args):
@@ -816,9 +819,12 @@ class TestEndSigns:
             return z, crossings, ends
 
         monkeypatch.setattr(extraction, "_search_line", corrupted)
-        with pytest.raises(SignRecoveryError, match="leaves residual") as err:
-            learn_model(Oracle(generate_random_net(12, 5, seed=1)), ExtractionConfig(h=5, seed=0))
-        assert (err.value.report.phase, err.value.report.retries, len(err.value.report.crossings)) == ("sign", 0, 5)
+        for seed in range(10):
+            net = generate_random_net(12, 5, seed=seed)
+            with pytest.raises(SignRecoveryError, match="leaves residual") as err:
+                learn_model(Oracle(TwoLayerNet(net.A, net.w * scale)), ExtractionConfig(5, seed=seed))
+            report = err.value.report
+            assert (report.phase, report.retries, len(report.crossings)) == ("sign", 0, 5), f"net {seed}"
 
     def test_negating_a_row_swaps_its_sign_pair(self):
         # The search orients row i as sign(<A_i, v>) w_i A_i, and on rows so
@@ -848,13 +854,13 @@ class TestEndSigns:
                 atol=1e-12,
             )
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-20, 1e-8, 1e8, 1e160, 1e200, 1e300])
     def test_any_weight_scale_verifies(self, scale):
-        # Z Z^T squares the weights: at these scales it underflowed or
+        # Z Z^T squares the weights: at 1e+-160 and beyond it underflowed or
         # overflowed, and every net was refused in the sign phase ("not
-        # positive definite", or "entry 0 = nan"). The sign step now scales Z
-        # and the ends by a power of two first. Verified at the unscaled
-        # weights: at 1e-300 any model would pass the relative test of f.
+        # positive definite", or "entry 0 = nan"). The sign step scales Z and
+        # the ends by a power of two first, at every scale. Verified at the
+        # unscaled weights: at 1e-300 any model would pass the relative test of f.
         for seed in range(10):
             net = generate_random_net(12, 5, seed=seed)
             report = learn_model(Oracle(TwoLayerNet(net.A, net.w * scale)), ExtractionConfig(5, seed=seed))

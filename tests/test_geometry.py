@@ -18,6 +18,7 @@ from gradleak import (
     generate_random_net,
     rank_with_tolerance,
     recover_s,
+    recovered_from_net,
     sign_query_points,
     solve_linear_system,
 )
@@ -145,6 +146,23 @@ class TestRecoverS:
         pts = rng.standard_normal((2000, 10))[:50]
         expected = [eval_target(net, x) for x in pts]
         assert eval_recovered_batch(model, pts) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-305, 1e-300, 1e-160, 1e-20, 1e-8, 1e-4, 1.0, 1e8, 1e160, 1e300, 1e305])
+    def test_certificate_is_relative_at_any_weight_scale(self, scale):
+        # The residual scale is max(1, max|Z| max_j ||x_j||), which ZX =
+        # diag(sigma)(I + J) keeps near 1 at any weight scale. The points'
+        # own length, max_j ||x_j|| ~ 1/|w|, let a row 1% too long pass on
+        # all 10 nets at every scale from 1e-8 down.
+        for seed in range(10):
+            net = generate_random_net(12, 5, seed=seed)
+            scaled = TwoLayerNet(net.A, net.w * scale)
+            true, oracle = recovered_from_net(scaled), Oracle(scaled)
+            s = recover_s(oracle, true.Z, rng=np.random.default_rng(seed))
+            assert s.tolist() == true.s.tolist(), f"net {seed}"
+            long_row = true.Z.copy()
+            long_row[2] *= 1.01
+            with pytest.raises(SignRecoveryError, match="leaves residual"):
+                recover_s(oracle, long_row, rng=np.random.default_rng(seed))
 
     @pytest.mark.parametrize(
         "s, message",

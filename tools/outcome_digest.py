@@ -26,6 +26,13 @@ over every line searched; no hash covers rounds. A last line,
 and counterexample on acceptance criterion 6's three nets at 500 points
 each. Run it on two checkouts and compare the lines.
 
+The families named "x<scale>" multiply the generated net's output weights
+by that scale, TwoLayerNet(A, w * scale), so the sign step's scaling and its
+certificate run at weights far from 1; their models are verified against the
+unscaled net with Z / scale, since at 1e-300 any model would pass the
+relative test of f. Membership refuses the x1e-8 family: its cell test is
+absolute at that size.
+
 With --records PATH it also writes one JSON line per instance: family,
 trial, gradient and value queries, rounds, retries, the failing phase (null
 for a returned model), and either "model", the first 16
@@ -44,19 +51,23 @@ from pathlib import Path
 
 import numpy as np
 
-# (family, mode, d, true h, assumed h, smoothgrad sigma, instances). The h=9
-# families are refused.
+# (family, mode, d, true h, assumed h, smoothgrad sigma, instances, weight
+# scale). The h=9 families are refused.
 FAMILIES = (
-    ("grad-16x16", "grad", 16, 16, 16, 1e-9, 300),
-    ("grad-128x8", "grad", 128, 8, 8, 1e-9, 40),
-    ("grad-256x128", "grad", 256, 128, 128, 1e-9, 20),
-    ("grad-512x256", "grad", 512, 256, 256, 1e-9, 10),
-    ("membership-20x8", "membership", 20, 8, 8, 1e-9, 50),
-    ("membership-16x16", "membership", 16, 16, 16, 1e-9, 50),
-    ("smoothgrad-12x4", "smoothgrad", 12, 4, 4, 1e-9, 100),
-    ("smoothgrad-6x2-blur", "smoothgrad", 6, 2, 2, 0.3, 60),
-    ("grad-20x8-h9", "grad", 20, 8, 9, 1e-9, 30),
-    ("membership-20x8-h9", "membership", 20, 8, 9, 1e-9, 30),
+    ("grad-16x16", "grad", 16, 16, 16, 1e-9, 300, 1.0),
+    ("grad-128x8", "grad", 128, 8, 8, 1e-9, 40, 1.0),
+    ("grad-256x128", "grad", 256, 128, 128, 1e-9, 20, 1.0),
+    ("grad-512x256", "grad", 512, 256, 256, 1e-9, 10, 1.0),
+    ("membership-20x8", "membership", 20, 8, 8, 1e-9, 50, 1.0),
+    ("membership-16x16", "membership", 16, 16, 16, 1e-9, 50, 1.0),
+    ("smoothgrad-12x4", "smoothgrad", 12, 4, 4, 1e-9, 100, 1.0),
+    ("smoothgrad-6x2-blur", "smoothgrad", 6, 2, 2, 0.3, 60, 1.0),
+    ("grad-20x8-h9", "grad", 20, 8, 9, 1e-9, 30, 1.0),
+    ("membership-20x8-h9", "membership", 20, 8, 9, 1e-9, 30, 1.0),
+    ("grad-12x5-x1e-300", "grad", 12, 5, 5, 1e-9, 30, 1e-300),
+    ("grad-12x5-x1e-8", "grad", 12, 5, 5, 1e-9, 30, 1e-8),
+    ("grad-12x5-x1e300", "grad", 12, 5, 5, 1e-9, 30, 1e300),
+    ("membership-12x5-x1e-8", "membership", 12, 5, 5, 1e-9, 30, 1e-8),
 )
 # Acceptance criterion 6's nets (d, h, seed), at FD_POINTS points each.
 FD_NETS = ((20, 8, 60), (10, 4, 61), (40, 12, 62))
@@ -65,17 +76,19 @@ FD_POINTS = 500
 VERIFY_POINTS, VERIFY_TOL = 4096, 1e-7
 
 
-def outcome(gl, mode, d, h, assumed_h, sigma, trial) -> tuple[bytes, bytes, dict]:
+def outcome(gl, mode, d, h, assumed_h, sigma, trial, scale) -> tuple[bytes, bytes, dict]:
     """(full outcome, model outcome, record) of one instance."""
     net_seed, sg_seed, cfg_seed = (
         int(s) for s in np.random.SeedSequence([8100, d, h, trial]).generate_state(3, dtype=np.uint64)
     )
     net = gl.generate_random_net(d, h, c_min=0.1, w_min=0.1, seed=net_seed)
-    oracle = gl.Oracle(net, mode=mode, sg=gl.SmoothGradConfig(sigma=sigma, n_samples=3, seed=sg_seed))
+    scaled = gl.TwoLayerNet(net.A, net.w * scale)
+    oracle = gl.Oracle(scaled, mode=mode, sg=gl.SmoothGradConfig(sigma=sigma, n_samples=3, seed=sg_seed))
     try:
         report = gl.learn_model(oracle, gl.ExtractionConfig(assumed_h, delta=0.1, c=0.01, seed=cfg_seed))
         result = model = report.model.Z.tobytes() + np.asarray(report.model.s, dtype=np.int64).tobytes()
-        wrong = not gl.functional_equivalence(net, report.model, VERIFY_POINTS, VERIFY_TOL, seed=trial).passed
+        unscaled = gl.RecoveredModel(Z=report.model.Z / scale, s=report.model.s)
+        wrong = not gl.functional_equivalence(net, unscaled, VERIFY_POINTS, VERIFY_TOL, seed=trial).passed
         retries, phase = report.retries, None
         verdict = {"model": hashlib.sha256(model).hexdigest()[:16], "wrong": wrong}
     except gl.GradleakError as err:
@@ -106,10 +119,10 @@ def main() -> None:
     sys.path.insert(0, str(args.root / "src"))
     gl = importlib.import_module("gradleak")
     records = []
-    for family, mode, d, h, assumed_h, sigma, count in FAMILIES:
+    for family, mode, d, h, assumed_h, sigma, count, scale in FAMILIES:
         digest, models, costs = hashlib.sha256(), hashlib.sha256(), []
         for trial in range(count):
-            full, model, record = outcome(gl, mode, d, h, assumed_h, sigma, trial)
+            full, model, record = outcome(gl, mode, d, h, assumed_h, sigma, trial, scale)
             digest.update(full)
             models.update(model)
             costs.append(
@@ -129,7 +142,7 @@ def main() -> None:
         if mode == "membership" and assumed_h == h:
             pairs = parted = 0
             for trial, record in enumerate(records[-count:]):
-                grad = outcome(gl, "grad", d, h, h, sigma, trial)[2]
+                grad = outcome(gl, "grad", d, h, h, sigma, trial, scale)[2]
                 if all(r["retries"] == 0 and "failure" not in r for r in (record, grad)):
                     pairs += 1
                     parted += record["value_queries"] != (d + 1) * grad["gradient_queries"]
