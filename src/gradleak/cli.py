@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -26,6 +27,7 @@ from .model import (
 )
 from .oracle import ORACLE_MODES, Oracle, SmoothGradConfig
 from .validation import (
+    VERIFY_TOL,
     _layout,
     functional_equivalence,
     match_rows,
@@ -41,10 +43,6 @@ EXIT_EXTRACTION_FAILED = 2
 EXIT_VERIFY_MISMATCH = 3
 
 _BENCH_VERIFY_POINTS = 1000
-_BENCH_VERIFY_TOL = 1e-7
-_GENERATOR_C_MIN = 0.1
-_GENERATOR_W_MIN = 0.1
-_ATTACKER_C = 0.01
 
 
 class _UsageError(Exception):
@@ -60,11 +58,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gradleak", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", parents=[], help="generate a random target model file")
+    net_defaults = inspect.signature(generate_random_net).parameters
+    gen = sub.add_parser("gen", help="generate a random target model file")
     gen.add_argument("--d", type=int, required=True, help="input dimension")
     gen.add_argument("--h", type=int, required=True, help="hidden width")
-    gen.add_argument("--c-min", type=float, default=_GENERATOR_C_MIN)
-    gen.add_argument("--w-min", type=float, default=_GENERATOR_W_MIN)
+    gen.add_argument("--c-min", type=float, default=net_defaults["c_min"].default)
+    gen.add_argument("--w-min", type=float, default=net_defaults["w_min"].default)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
@@ -73,10 +72,10 @@ def build_parser() -> _Parser:
     ext.add_argument("--model", required=True)
     ext.add_argument("--mode", choices=ORACLE_MODES, default="grad")
     ext.add_argument("--h", type=int, default=None, help="assumed hidden width (default: true width)")
-    ext.add_argument("--delta", type=float, default=0.1)
-    ext.add_argument("--c", type=float, default=_ATTACKER_C)
+    ext.add_argument("--delta", type=float, default=ExtractionConfig.delta)
+    ext.add_argument("--c", type=float, default=ExtractionConfig.c)
     ext.add_argument("--seed", type=int, default=0)
-    ext.add_argument("--max-retries", type=int, default=5)
+    ext.add_argument("--max-retries", type=int, default=ExtractionConfig.max_retries)
     ext.add_argument("--sigma", type=float, default=0.0)
     ext.add_argument("--n-samples", type=int, default=None, help="samples per smoothed gradient, at --sigma > 0 only")
     ext.add_argument("--out", required=True, help="recovered model file")
@@ -87,7 +86,7 @@ def build_parser() -> _Parser:
     ver.add_argument("--model", required=True)
     ver.add_argument("--recovered", required=True)
     ver.add_argument("--samples", type=int, default=100_000)
-    ver.add_argument("--tol", type=float, default=1e-7)
+    ver.add_argument("--tol", type=float, default=VERIFY_TOL)
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(func=cmd_verify)
 
@@ -105,7 +104,7 @@ def build_parser() -> _Parser:
     ben.add_argument("--d", type=int, required=True)
     ben.add_argument("--trials", type=int, required=True)
     ben.add_argument("--mode", choices=ORACLE_MODES, default="grad")
-    ben.add_argument("--delta", type=float, default=0.1)
+    ben.add_argument("--delta", type=float, default=ExtractionConfig.delta)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--out", required=True)
     ben.set_defaults(func=cmd_bench)
@@ -215,15 +214,13 @@ def cmd_lemmas(args) -> int:
 def _bench_trial(h: int, d: int, mode: str, trial: int, delta: float, base_seed: int) -> dict:
     seeds = np.random.SeedSequence([base_seed, h, trial]).generate_state(3, dtype=np.uint64)
     net_seed, extract_seed, verify_seed = (int(s) for s in seeds)
-    net = generate_random_net(d, h, c_min=_GENERATOR_C_MIN, w_min=_GENERATOR_W_MIN, seed=net_seed)
+    net = generate_random_net(d, h, seed=net_seed)
     oracle = Oracle(net, mode=mode, sg=SmoothGradConfig(sigma=0.0, seed=extract_seed))
-    cfg = ExtractionConfig(h=h, delta=delta, c=_ATTACKER_C, seed=extract_seed)
+    cfg = ExtractionConfig(h=h, delta=delta, seed=extract_seed)
     start = time.perf_counter()
     try:
         report = learn_model(oracle, cfg)
-        eq = functional_equivalence(
-            net, report.model, _BENCH_VERIFY_POINTS, _BENCH_VERIFY_TOL, seed=verify_seed
-        )
+        eq = functional_equivalence(net, report.model, _BENCH_VERIFY_POINTS, VERIFY_TOL, seed=verify_seed)
         success, max_rel_error = eq.passed, eq.max_rel_error
     except GradleakError as err:
         report = err.report or ExtractionReport.from_ledger(oracle.ledger)

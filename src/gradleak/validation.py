@@ -51,6 +51,8 @@ from .model import TwoLayerNet, RecoveredModel, _count, _number, _seed, as_matri
 from .extraction import finite_differences
 from .oracle import Oracle
 
+# The relative error within which a recovered model counts as exact.
+VERIFY_TOL = 1e-7
 # Two row-match candidates closer than this in |cosine| are reported, not guessed.
 MATCH_AMBIGUITY_TOL = 1e-9
 

@@ -1,6 +1,7 @@
 """CLI surface: flags, files, exit codes, determinism."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -577,3 +578,27 @@ class TestExitCodeContract:
 
     def test_no_command(self):
         assert run() == 1
+
+
+class TestLibraryDefaults:
+    """Each default the parser passes is the library's own, so a changed library default reaches the CLI."""
+
+    @staticmethod
+    def parse(*argv):
+        return gradleak.cli.build_parser().parse_args(list(argv))
+
+    def test_gen_uses_the_generator_defaults(self):
+        args = self.parse("gen", "--d", "4", "--h", "2", "--out", "net.json")
+        params = inspect.signature(generate_random_net).parameters
+        assert (args.c_min, args.w_min) == (params["c_min"].default, params["w_min"].default)
+
+    def test_extract_and_bench_use_the_attack_defaults(self):
+        cfg = ExtractionConfig(h=1)
+        ext = self.parse("extract", "--model", "net.json", "--out", "rec.json")
+        assert (ext.delta, ext.c, ext.max_retries) == (cfg.delta, cfg.c, cfg.max_retries)
+        ben = self.parse("bench", "--h-list", "2", "--d", "4", "--trials", "1", "--out", "b.csv")
+        assert ben.delta == cfg.delta
+
+    def test_verify_uses_the_exactness_tolerance(self):
+        args = self.parse("verify", "--model", "net.json", "--recovered", "rec.json")
+        assert args.tol == gradleak.validation.VERIFY_TOL == 1e-7

@@ -1213,13 +1213,15 @@ class TestLearnModel:
             outcomes.add("verified")
         assert outcomes == expected
 
-    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e-8, 1e160, 1e300])
     @pytest.mark.parametrize("mode", ["membership", "smoothgrad"])
-    def test_huge_weights_are_verified_or_refused_without_a_warning(self, mode, scale):
+    def test_extreme_weights_are_verified_or_refused_without_a_warning(self, mode, scale):
         # |g|^2 overflowed in extraction._norm, through the Euler check in
         # membership and the cell test and probe margin in smoothgrad, and
         # its RuntimeWarning left the attack path as an exception that is no
-        # GradleakError. Every run now ends verified or refused.
+        # GradleakError. Every run now ends verified or refused. Uniformly
+        # tiny weights are refused today; a mode that learns to extract them
+        # must return models that verify.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed in range(10):
