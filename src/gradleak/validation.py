@@ -16,8 +16,8 @@ The blocks run on W = min(CPUs this process may use, B) workers, which claim
 them one at a time, in block order, from one shared list (a deque, whose pops
 are documented thread-safe); a worker the host slows down runs fewer blocks.
 Each worker draws into one buffer the calling thread allocated for it, of
-rows x _BLOCK numbers: 4 rows for the gap check, which draws its second pair
-of rows only once the first pair has been combined, and 2 for the others. The
+rows x _BLOCK numbers: 4 rows for the gap check, which draws three normals a
+sample into rows 0-2 and uses row 3 as scratch, and 2 for the others. The
 results are kept by block index. The calling thread is worker 0 and the others
 are plain threads; numpy releases the interpreter lock while it draws and
 while its ufuncs loop, which is where the time goes. A buffer allocated in a
@@ -30,10 +30,10 @@ list: it draws the CDF distance's reference sample from child B, spawned with
 the blocks', into one row of 1e5 numbers the calling thread allocated, Q
 first and then R in chunks subtracted as they are drawn, and sorts it, so
 that only the distance itself runs alone once the blocks are done. At 1e6
-samples and W = 2, tracemalloc peaks at 4.08 MiB for the gap check (5.08 with
-a fifth, scratch row) and 4.68 MiB for the product check (5.44 holding a
-(2, 1e5) reference draw). An exception in a task stops its worker's claims
-and reaches the caller once every worker has stopped.
+samples and W = 2, tracemalloc peaks at 4.08 MiB for the gap check and 4.68
+MiB for the product check (5.44 holding a (2, 1e5) reference draw). An
+exception in a task stops its worker's claims and reaches the caller once
+every worker has stopped.
 """
 
 from __future__ import annotations
@@ -313,24 +313,29 @@ def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McRepo
 
     def block(rng, draws, j):
         # Only the projections onto span(a, b) matter; work in the plane with
-        # a = e1, b = (1-c, sqrt(1-(1-c)^2)); |t1 - t2| = |au/av - bu/bv| for t = -u/v.
-        # au and bu are drawn and bu formed, with row 2 as scratch, before av
-        # and bv are drawn into rows 2 and 3: the stream order of one draw of
-        # all four.
-        au, bu, av, bv = draws
-        rng.standard_normal(out=draws[:2])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(au, 1.0 - c, out=av)
-            bu *= b2
-            bu += av
-            rng.standard_normal(out=draws[2:])
-            np.divide(au, av, out=au)
-            av *= 1.0 - c
-            bv *= b2
-            bv += av
-            np.divide(bu, bv, out=bu)
-            np.subtract(au, bu, out=au)
-            return np.count_nonzero(np.abs(au, out=au) <= epsilon)
+        # a = e1, b = (1-c, b2), b2 = sqrt(1-(1-c)^2). The line u + t v meets
+        # the hyperplane of normal n at t = -<n, u>/<n, v>; for n = a and b,
+        # t1 - t2 = b2 (v1 u2 - u1 v2) / (v1 <b, v>), and given v the term
+        # v1 u2 - u1 v2 is |v| g, g standard normal. So a sample is v1, v2, g,
+        # and it hits when g^2 ((b2 v1)^2 + (b2 v2)^2) <= (eps v1 <b, v>)^2,
+        # tested with no division; row 3 is scratch. eps v1 <b, v> may
+        # overflow to inf, which is a hit.
+        v1, v2, g, rhs = draws
+        rng.standard_normal(out=draws[:3])
+        with np.errstate(over="ignore"):
+            v2 *= b2
+            np.multiply(v1, 1.0 - c, out=rhs)
+            rhs += v2
+            rhs *= v1
+            rhs *= epsilon
+            rhs *= rhs
+        v2 *= v2
+        v1 *= b2
+        v1 *= v1
+        v1 += v2
+        g *= g
+        v1 *= g
+        return np.count_nonzero(v1 <= rhs)
 
     hits = sum(_run_blocks(samples, np.random.SeedSequence(_seed(seed)), 4, block))
     bound = 3.0 ** (4.0 / 3.0) * (epsilon / c) ** (2.0 / 3.0)
@@ -389,7 +394,10 @@ def _ks_distance(xs: np.ndarray, ys: np.ndarray) -> float:
 
     Its time goes to the two np.searchsorted calls, about 3.5-5 ms each on
     1e5 + 1e5 samples, where a sort of 1e5 takes 0.5-0.8 ms, sorted input or
-    not (2-vCPU Xeon VM).
+    not (2-vCPU Xeon VM). mc_gaussian_product runs it alone on the calling
+    thread once the blocks are done. On a worker thread its temporaries come
+    from that thread's malloc arena: perfbench lemmas' peak RSS rose from
+    44.6 to 47.6 MB (three 10 s runs, same VM).
     """
     xs.sort()
     ys.sort()

@@ -20,15 +20,17 @@ the child's median is worse than the parent's by more than that, else
 child run beats every parent run, else "ok". It also prints each side's
 median of the operation time (``wall.op_ms_p50``) beside that of the
 reference kernel time (``wall.ref_ms_p50``), the yardstick the relative
-operation times divide by, so a moved yardstick can be told apart from a
-change in operation time, and a yardstick verdict: "moved" when the
-child's median of ``wall.ref_ms_p50`` lies outside the parent's quartiles
-of it, else "level", with the ratio of the two medians. A claim on a
-relative operation time (``op_rel_*``) made under a moved yardstick is
-marked as such: a reference kernel that runs slower in the child lowers
-the child's relative times with no change in its operations, and one that
-runs faster raises them. Either can come from the heap layout that an
-operation leaves behind for the kernel. For the metrics in SORTED_RUNS,
+operation times divide by, with the pairs in which the child's is lower,
+so a moved yardstick can be told apart from a change in operation time,
+and a yardstick verdict: "moved" when the child's median of
+``wall.ref_ms_p50`` lies outside the parent's quartiles of it, else
+"level", with the ratio of the two medians. A claim on a relative
+operation time (``op_rel_*``) made under a moved yardstick is marked as
+such, with the way it leans: a reference kernel that runs slower in the
+child lowers the child's relative times with no change in its operations,
+which flatters a gain, and one that runs faster raises them, which
+understates it. Either can come from the heap layout that an operation
+leaves behind for the kernel. For the metrics in SORTED_RUNS,
 whose runs of the same code fall into modes rather than spread about one
 value, it also prints each side's runs in sorted order, so a moved mode
 shows even when the medians do not.
@@ -108,6 +110,13 @@ def yardstick(par: list[float], chi: list[float]) -> str:
     return "level" if p1 <= statistics.median(chi) <= p3 else "moved"
 
 
+def lean(par: list[float], chi: list[float]) -> str:
+    """Which way the child's reference time moved, and so how it biases the child's op_rel_* times."""
+    if statistics.median(chi) < statistics.median(par):
+        return "faster in the child, so op_rel gains are understated"
+    return "slower in the child, so op_rel gains are flattered"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the baseline checkout")
@@ -150,6 +159,7 @@ def main(argv=None) -> int:
     pairs = len(wall["parent"]["ref_ms_p50"])
     print(f"workload {args.workload}, {pairs} pairs, --seconds {args.seconds:g}")
     verdict = yardstick(wall["parent"]["ref_ms_p50"], wall["child"]["ref_ms_p50"]) if pairs else None
+    leaning = lean(wall["parent"]["ref_ms_p50"], wall["child"]["ref_ms_p50"]) if pairs else None
     for m in metrics if pairs else ():
         name, lower = m["name"], m["better"] == "lower"
         par, chi = values["parent"][name], values["child"][name]
@@ -162,18 +172,21 @@ def main(argv=None) -> int:
               f"child {c_med:.4g} [{c1:.4g} {c3:.4g}], child better in {wins}/{pairs}, "
               f"claim holds: {'yes' if holds else 'no'}, "
               f"no regression (bound {m['bound']:g}): {regression(par, chi, m['bound'], lower)}"
-              + (", claim made under a moved yardstick" if verdict == "moved" and name.startswith("op_rel") else ""))
+              + (f", claim made under a moved yardstick (reference {leaning})"
+                 if verdict == "moved" and name.startswith("op_rel") else ""))
         if name in SORTED_RUNS:
             for side, runs in (("parent", par), ("child", chi)):
                 print(f"  {name} {side} runs, sorted: {' '.join(f'{v:.4g}' for v in sorted(runs))}")
     for key in ("op_ms_p50", "ref_ms_p50") if pairs else ():
+        child_lower = sum(c < p for p, c in zip(wall["parent"][key], wall["child"][key]))
         print(f"wall.{key}: " + ", ".join(
             f"{side} {statistics.median(wall[side][key]):.3f} "
             f"[{' '.join(f'{q:.3f}' for q in quartiles(wall[side][key]))}]"
-            for side in SIDES))
+            for side in SIDES) + f", child lower in {child_lower}/{pairs}")
     if pairs:
         ratio = statistics.median(wall["child"]["ref_ms_p50"]) / statistics.median(wall["parent"]["ref_ms_p50"])
-        print(f"yardstick (wall.ref_ms_p50): {verdict}, child/parent {ratio:.3f}")
+        print(f"yardstick (wall.ref_ms_p50): {verdict}"
+              + (f", reference {leaning}" if verdict == "moved" else "") + f", child/parent {ratio:.3f}")
     for problem in problems:
         print(f"problem: {problem}")
     return 1 if problems else 0
