@@ -198,6 +198,10 @@ def cmd_lemmas(args) -> int:
         "chi2diff": lambda: mc_chi2_diff(chi2_eps, args.samples, seed=args.seed),
         "product": lambda: mc_gaussian_product(args.samples, seed=args.seed),
     }
+    # numpy loads its generators on first use (~12 ms), which would otherwise
+    # count in the first check's ms; `import gradleak` leaves them unloaded.
+    import numpy.random  # noqa: F401
+
     lines = []
     for name, check in checks.items():
         if args.which in (name, "all"):

@@ -25,14 +25,11 @@ worker thread comes from that thread's malloc arena: such buffers raised
 perfbench lemmas' peak RSS from 44.5 to 47.9-49.4 MB (two 10 s runs, 2-vCPU
 Xeon VM). A ThreadPoolExecutor in place of the plain threads imports
 concurrent.futures and logging, 640 KiB of peak RSS in an interpreter that
-has imported numpy. mc_gaussian_product puts one more task at the head of the
-list: it draws the CDF distance's reference sample from child B, spawned with
-the blocks', into one row of 1e5 numbers the calling thread allocated, Q
-first and then R in chunks subtracted as they are drawn, and sorts it, so
-that only the distance itself runs alone once the blocks are done. At 1e6
-samples and W = 2, tracemalloc peaks at 4.08 MiB for the gap check and 4.68
-MiB for the product check (5.44 holding a (2, 1e5) reference draw). An
-exception in a task stops its worker's claims and reaches the caller once
+has imported numpy. Every task is a block: mc_gaussian_product's blocks that
+hold the CDF distance's products also draw its reference sample, Q and R
+after X and Y, into their buffer. At 1e6 samples and W = 2, tracemalloc peaks
+at 4.08 MiB for the gap check and 4.67 MiB for the product check. An
+exception in a block stops its worker's claims and reaches the caller once
 every worker has stopped.
 """
 
@@ -235,25 +232,23 @@ def _layout(samples: int) -> tuple[int, int]:
     return blocks, min(_cpu_count(), blocks)
 
 
-def _run_blocks(samples: int, root: np.random.SeedSequence, rows: int, block, first=None) -> list:
+def _run_blocks(samples: int, seed, rows: int, block) -> list:
     """[block(rng, draws, j) for each block j], run on the workers of _layout(samples).
 
-    rng is block j's generator, on child j of root.spawn(B), B the number of
-    blocks, and draws a C-contiguous (rows, m) view of the claiming worker's
-    buffer, m the block's samples. first, if given, is called as first(rng)
-    on child B, spawned with the blocks', as the task at the head of the list.
-    The tasks are claimed from one list in order, each by the next worker that
-    is free; the calling thread is worker 0 and workers 1 to W - 1 are plain
-    threads. An exception raised in a task ends its worker's claims, while the
-    others go on until no task is left; once every worker has stopped, worker
-    0's exception is raised here, or else the first other worker's in worker
-    order.
+    rng is block j's generator, on child j of SeedSequence(seed).spawn(B), B
+    the number of blocks, and draws a C-contiguous (rows, m) view of the
+    claiming worker's buffer, m the block's samples. The blocks are claimed
+    from one list in order, each by the next worker that is free; the calling
+    thread is worker 0 and workers 1 to W - 1 are plain threads. An exception
+    raised in a block ends its worker's claims, while the others go on until
+    no block is left; once every worker has stopped, worker 0's exception is
+    raised here, or else the first other worker's in worker order.
     """
     blocks, workers = _layout(samples)
-    children = root.spawn(blocks + (first is not None))
-    # The head task (child B, if any), the blocks, then one None per worker,
-    # which stops it. deque pops are documented thread-safe.
-    tasks = deque([*range(blocks, len(children)), *range(blocks), *[None] * workers])
+    children = np.random.SeedSequence(_seed(seed)).spawn(blocks)
+    # The blocks, then one None per worker, which stops it. deque pops are
+    # documented thread-safe.
+    tasks = deque([*range(blocks), *[None] * workers])
     results = [None] * blocks
     errors = [None] * workers
     buffers = [np.empty(rows * min(samples, _BLOCK)) for _ in range(workers)]
@@ -261,12 +256,8 @@ def _run_blocks(samples: int, root: np.random.SeedSequence, rows: int, block, fi
     def work(i):
         buf = buffers[i]
         for j in iter(tasks.popleft, None):
-            rng = np.random.default_rng(children[j])
-            if j == blocks:
-                first(rng)
-            else:
-                m = min(_BLOCK, samples - j * _BLOCK)
-                results[j] = block(rng, buf[: rows * m].reshape(rows, m), j)
+            m = min(_BLOCK, samples - j * _BLOCK)
+            results[j] = block(np.random.default_rng(children[j]), buf[: rows * m].reshape(rows, m), j)
 
     def guarded(i):
         try:
@@ -337,7 +328,7 @@ def mc_crossing_gap(c: float, epsilon: float, samples: int, seed=None) -> McRepo
         v1 *= g
         return np.count_nonzero(v1 <= rhs)
 
-    hits = sum(_run_blocks(samples, np.random.SeedSequence(_seed(seed)), 4, block))
+    hits = sum(_run_blocks(samples, seed, 4, block))
     bound = 3.0 ** (4.0 / 3.0) * (epsilon / c) ** (2.0 / 3.0)
     return _make_report(samples, hits, bound)
 
@@ -354,7 +345,7 @@ def mc_cauchy_tail(l: float, samples: int, seed=None) -> McReport:
             np.divide(num, den, out=num)
         return np.count_nonzero(np.abs(num, out=num) >= l)
 
-    hits = sum(_run_blocks(samples, np.random.SeedSequence(_seed(seed)), 2, block))
+    hits = sum(_run_blocks(samples, seed, 2, block))
     bound = 2.0 / (math.pi * l)
     exact = 1.0 - (2.0 / math.pi) * math.atan(l)
     return _make_report(samples, hits, bound, exact=exact)
@@ -377,7 +368,7 @@ def mc_chi2_diff(epsilon: float, samples: int, seed=None) -> McReport:
         np.subtract(q, r, out=q)
         return np.count_nonzero(np.abs(q, out=q) <= 0.5 * epsilon)
 
-    hits = sum(_run_blocks(samples, np.random.SeedSequence(_seed(seed)), 2, block))
+    hits = sum(_run_blocks(samples, seed, 2, block))
     exact = 1.0 - math.exp(-epsilon / 2.0) if epsilon > 0 else 0.0
     return _make_report(samples, hits, float(epsilon), exact=exact)
 
@@ -419,14 +410,17 @@ _PRODUCT_MOMENTS = (0.0, 1.0, 0.0, 9.0)
 # Variances of the corresponding powers, for the moment tolerances.
 _PRODUCT_MOMENT_VARS = (1.0, 8.0, 225.0, 10944.0)
 _KS_SAMPLE_CAP = 100_000
-# Numbers per chunk of mc_gaussian_product's R draw (64 KiB of float64).
-_REF_CHUNK = 8192
 _KS_BOUND = 0.01
 # Family-wise false-alarm rate of mc_gaussian_product's five checks (four
 # moments, one CDF distance) on a correct sampler. By Bonferroni each check
 # runs at the two-sided z of PRODUCT_FALSE_ALARM / 5:
 # statistics.NormalDist().inv_cdf(1 - PRODUCT_FALSE_ALARM / 10), written out
-# so that importing the package does not import statistics.
+# so that importing the package does not import statistics. The rate holds,
+# within the noise of 4000 runs, from about 8e4 samples: over seeds 0-3999 a
+# correct sampler failed 0.30% at 8e4 and 0.23% at 1e5, every failure a
+# moment's. Below that the distance's bound is tighter than the spread of two
+# correct samples: 0.53% at 5e4, and over seeds 0-199, 11.5% at 2e4 and 36%
+# at 1e4.
 PRODUCT_FALSE_ALARM = 0.0027
 _PRODUCT_Z = 3.460087443038579
 
@@ -437,46 +431,39 @@ def mc_gaussian_product(samples: int, seed=None) -> McReport:
     Compares the first four moments of XY against (0, 1, 0, 9) and the
     two-sample CDF max distance between XY and (Q-R)/2 draws against 0.01
     (distance computed on at most 1e5 draws per side), each at z = _PRODUCT_Z,
-    so that a correct sampler fails with probability at most
-    PRODUCT_FALSE_ALARM. empirical_prob reports the CDF distance.
+    so that from about 8e4 samples a correct sampler fails with probability
+    at most PRODUCT_FALSE_ALARM; below that it fails more often (see
+    PRODUCT_FALSE_ALARM). empirical_prob reports the CDF distance.
 
     The moments come from each block's sums of XY and its powers, added in
-    block order. The distance sample is the first products in block order; Q
-    and R are drawn for it alone, from the child spawned after the blocks', by
-    the task at the head of the blocks' list, which also sorts (Q - R)/2.
+    block order. The distance sample is the first products in block order.
+    Each block holding k > 0 of them then draws 2k more normals, after its X
+    and Y and into the same buffer, whose squares are its k values of Q and
+    of R: the reference is as long as the distance sample and independent of
+    every product.
     """
     samples = _count(samples, "samples", 10_000)
     n_ks = min(samples, _KS_SAMPLE_CAP)
-    head = np.empty(n_ks)
+    head, ref = np.empty(n_ks), np.empty(n_ks)
 
     def block(rng, draws, j):
         p, y = rng.standard_normal(out=draws)
         np.multiply(p, y, out=p)  # p = XY
         start = j * _BLOCK
-        if start < n_ks:
-            head[start : start + p.size] = p[: n_ks - start]
+        k = min(max(n_ks - start, 0), p.size)
+        head[start : start + k] = p[:k]
         p2 = np.multiply(p, p, out=y)  # p ** 3 and p ** 4 would each call libm pow
         s1, s2 = np.sum(p), np.sum(p2)
-        return s1, s2, np.sum(np.multiply(p2, p, out=p)), np.sum(np.multiply(p2, p2, out=p2))
-
-    ref = np.empty(n_ks)
-
-    def draw_ref(rng):
-        # Q, then R in chunks, each subtracted as it is drawn: the stream
-        # order of one (2, n_ks) draw, with one row held.
-        chunk = np.empty(min(n_ks, _REF_CHUNK))
-        rng.standard_normal(out=ref)
-        np.multiply(ref, ref, out=ref)
-        for start in range(0, n_ks, chunk.size):
-            r = chunk[: n_ks - start]
-            rng.standard_normal(out=r)
+        sums = s1, s2, np.sum(np.multiply(p2, p, out=p)), np.sum(np.multiply(p2, p2, out=p2))
+        if k:
+            q, r = rng.standard_normal(out=draws.reshape(-1)[: 2 * k].reshape(2, k))
+            np.multiply(q, q, out=q)
             np.multiply(r, r, out=r)
-            ref[start : start + r.size] -= r
-        np.multiply(ref, 0.5, out=ref)  # (Q - R)/2
-        ref.sort()
+            np.subtract(q, r, out=q)
+            np.multiply(q, 0.5, out=ref[start : start + k])  # (Q - R)/2
+        return sums
 
-    root = np.random.SeedSequence(_seed(seed))
-    sums = [sum(column) for column in zip(*_run_blocks(samples, root, 2, block, draw_ref))]
+    sums = [sum(column) for column in zip(*_run_blocks(samples, seed, 2, block))]
     distance, passed = _product_checks(sums, samples, head, ref)
     return McReport(samples=samples, empirical_prob=distance, bound=_KS_BOUND, exact=None, vacuous=False, passed=passed)
 

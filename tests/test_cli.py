@@ -424,6 +424,28 @@ class TestLemmas:
     def test_bad_parameters_exit_one(self):
         assert run("lemmas", "--which", "gap", "--c", "1.5", "--samples", "1000") == 1
 
+    def test_generators_are_loaded_before_the_first_check(self):
+        # In a fresh interpreter `import gradleak` leaves numpy.random unloaded;
+        # loading it inside the first timed check added ~12 ms to that check.
+        script = """
+import sys
+import gradleak.cli
+
+assert "numpy.random" not in sys.modules
+found = []
+tail = gradleak.cli.mc_cauchy_tail
+def recording(*args, **kwargs):
+    found.append("numpy.random" in sys.modules)
+    return tail(*args, **kwargs)
+gradleak.cli.mc_cauchy_tail = recording
+assert gradleak.cli.main(["lemmas", "--which", "tail", "--samples", "1000"]) == 0
+assert found == [True], found
+"""
+        src = str(Path(gradleak.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize(
         "flags",
         [

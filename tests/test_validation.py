@@ -528,6 +528,20 @@ class TestGaussianProductIdentity:
             sums[k] += z * math.sqrt(_PRODUCT_MOMENT_VARS[k] * n)
             assert _product_checks(sums, n, head, head) == (0.0, verdict)
 
+    @pytest.mark.parametrize("samples, n_ks", [(10_000, 10_000), (BLOCK + 1, BLOCK + 1), (1_000_000, 100_000)])
+    def test_distance_samples_are_min_of_samples_and_1e5_a_side(self, monkeypatch, samples, n_ks):
+        # Not halved: the reference is drawn beside the products, not taken from them.
+        sizes = []
+        checks = validation._product_checks
+
+        def recording(sums, n, head, ref):
+            sizes.append((head.size, ref.size))
+            return checks(sums, n, head, ref)
+
+        monkeypatch.setattr(validation, "_product_checks", recording)
+        mc_gaussian_product(samples, seed=36)
+        assert sizes == [(n_ks, n_ks)]
+
     def test_family_wise_rate_is_bonferroni(self):
         assert PRODUCT_FALSE_ALARM == 0.0027
         assert _PRODUCT_Z == pytest.approx(NormalDist().inv_cdf(1.0 - PRODUCT_FALSE_ALARM / 10.0), rel=1e-15)
@@ -677,13 +691,15 @@ class TestSeededStreams:
         assert mc_crossing_gap(0.5, 1e-3, 100_000, seed=12).empirical_prob == 0.0004
         assert mc_cauchy_tail(10.0, 100_000, seed=13).empirical_prob == 0.06279
         product = mc_gaussian_product(100_000, seed=14)
-        assert product.empirical_prob == 0.0030600000000000627
+        assert product.empirical_prob == 0.003450000000000064
         assert product.passed
 
     def test_product_stream_above_the_distance_cap_is_pinned(self):
-        # Above _KS_SAMPLE_CAP the reference draws only its distance sample.
+        # Above _KS_SAMPLE_CAP only the blocks holding the distance sample
+        # draw Q and R: here block 0, for all its products, and block 1, for
+        # its first 34_464.
         product = mc_gaussian_product(200_000, seed=14)
-        assert product.empirical_prob == 0.003570000000000073
+        assert product.empirical_prob == 0.004110000000000058
         assert product.passed
 
     @pytest.mark.parametrize("n", [1000, 100_000, 3 * BLOCK + 5])
@@ -739,20 +755,22 @@ def _chi2_reference(epsilon, samples, seed):
 
 
 def _product_reference(samples, seed):
-    blocks = _block_rngs(samples, seed)
-    # The distance reference comes from the child after the blocks'.
-    ref_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(len(blocks) + 1)[-1])
+    # Block j draws X and Y, (2, m); if it holds k > 0 of the distance's
+    # products, it then draws (2, k) normals, whose squares are its Q and R.
+    n_ks = min(samples, 100_000)
     totals = [0.0] * 4
-    products = []
-    for rng, m in blocks:
+    head, ref = [], []
+    for j, (rng, m) in enumerate(_block_rngs(samples, seed)):
         x, y = rng.standard_normal((2, m))
         p = x * y
-        products.append(p)
         for k, power in enumerate((p, p * p, (p * p) * p, (p * p) * (p * p))):
             totals[k] += np.sum(power)
-    n_ks = min(samples, 100_000)
-    q, r = ref_rng.standard_normal((2, n_ks))
-    distance = _ks_merged(np.concatenate(products)[:n_ks], 0.5 * (q**2 - r**2))
+        k = min(max(n_ks - j * BLOCK, 0), m)
+        if k:
+            q, r = rng.standard_normal((2, k))
+            head.append(p[:k])
+            ref.append(0.5 * (q**2 - r**2))
+    distance = _ks_merged(np.concatenate(head), np.concatenate(ref))
     moments_ok = all(
         abs(float(total) / samples - _PRODUCT_MOMENTS[k]) <= _PRODUCT_Z * math.sqrt(_PRODUCT_MOMENT_VARS[k] / samples)
         for k, total in enumerate(totals)
@@ -830,28 +848,31 @@ class TestWorkers:
             rng.standard_normal(out=draws)
             return j, float(np.sum(draws))
 
-        results = _run_blocks(6 * BLOCK, np.random.SeedSequence(3), 1, block)
+        results = _run_blocks(6 * BLOCK, 3, 1, block)
         assert sorted(j for j, _ in ran) == list(range(6))
         assert sum(ident != caller for _, ident in ran) <= 1
         _set_workers(monkeypatch, 1)
-        assert results == _run_blocks(6 * BLOCK, np.random.SeedSequence(3), 1, block)
+        assert results == _run_blocks(6 * BLOCK, 3, 1, block)
 
-    def test_head_task_runs_first_on_the_child_after_the_blocks(self, monkeypatch):
+    def test_blocks_are_the_only_tasks_on_the_seed_children(self, monkeypatch):
+        # One child per block, spawned from the seed, and no task but block.
         _set_workers(monkeypatch, 1)
-        ran = []
+        seed_sequence = np.random.SeedSequence
+        roots, ran = [], []
+
+        def recording(entropy):
+            roots.append(seed_sequence(entropy))
+            return roots[-1]
 
         def block(rng, draws, j):
-            ran.append(j)
+            ran.append((j, rng.random()))
             return j
 
-        def first(rng):
-            ran.append("first")
-            ran.append(rng.random())
-
-        assert _run_blocks(3 * BLOCK, np.random.SeedSequence(4), 1, block, first) == [0, 1, 2]
-        root = np.random.SeedSequence(4)
-        root.spawn(3)
-        assert ran == ["first", np.random.default_rng(root.spawn(1)[0]).random(), 0, 1, 2]
+        monkeypatch.setattr(np.random, "SeedSequence", recording)
+        assert _run_blocks(3 * BLOCK, 4, 1, block) == [0, 1, 2]
+        assert [root.n_children_spawned for root in roots] == [3]
+        children = seed_sequence(4).spawn(3)
+        assert ran == [(j, np.random.default_rng(children[j]).random()) for j in range(3)]
 
     @pytest.mark.parametrize("failing", [1, 2, 3, 4, 5])
     def test_a_worker_exception_reaches_the_caller(self, monkeypatch, failing):
@@ -869,7 +890,7 @@ class TestWorkers:
             return j
 
         with pytest.raises(ArithmeticError, match=f"block {failing}"):
-            _run_blocks(6 * BLOCK, np.random.SeedSequence(0), 1, block)
+            _run_blocks(6 * BLOCK, 0, 1, block)
         assert threading.active_count() == before
         # The other workers ran the rest of the list, and had stopped by the time it was raised.
         assert {j for j in range(6) if j % 3 != failing % 3} <= set(ran)
@@ -928,8 +949,8 @@ class TestWorkers:
 class TestTracedPeaks:
     # At 1e6 samples a check holds one buffer of rows x 2**16 float64 per
     # worker (rows 4, 2, 2 and 2: 2, 1, 1 and 1 MiB), plus what its
-    # arithmetic needs once the blocks are done: the product check's
-    # reference draw and distance on 1e5 samples a side take up to 7 MiB.
+    # arithmetic needs once the blocks are done: the product check's two
+    # distance samples of 1e5 and the distance on them take up to 7 MiB.
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
         "check, rows, rest_mib",
